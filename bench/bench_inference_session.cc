@@ -4,28 +4,23 @@
 // and the steady-state workspace-arena miss count. Emits
 // BENCH_inference.json.
 //
-// Since the compiled-plan work the file also measures plan-vs-graph:
-// two sessions over identical weights — one serving from compiled
-// inference plans (EXPLAINTI_PLAN=on), one pinned to the graph walk
-// (EXPLAINTI_PLAN=off) — compared per method (predict,
-// predict_probabilities, explain) and per batch size, plus a raw
-// plan-executor section (RunPlan on caller-owned buffers). The
-// "plan_vs_graph" JSON object is the input to ci/check_bench.py, which
-// fails the release CI job if the plan path regresses behind the graph
-// walk at any (method, batch_size) or stops being allocation-free.
+// It also measures plan-vs-tape: the session's batched entry points
+// against the tape oracle (ExplainTiModel::Predict/PredictProbabilities/
+// Explain looped over the same batch), per method and per batch size,
+// plus a raw plan-executor section (RunPlan on caller-owned buffers). The
+// "plan_vs_tape" JSON object is the input to ci/check_bench.py, which
+// fails the release CI job if the plan path falls behind the tape at any
+// (method, batch_size) or stops being allocation-free.
 //
-// Besides timing, the run asserts the serving paths are bit-identical
-// (the contract the golden tests prove in miniature) and that warmed-up
-// no-grad serving performs zero tensor heap allocations — every node and
-// data buffer is recycled through the per-thread arena.
+// Besides timing, the run asserts the session is bit-identical to the
+// tape (the contract the golden tests prove in miniature) and that
+// warmed-up serving misses the per-thread arena zero times.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,14 +62,6 @@ double ChecksumFloats(const std::vector<float>& v) {
     sum += static_cast<double>(bits % 9973);
   }
   return sum;
-}
-
-void CheckBitEqual(const std::vector<float>& a, const std::vector<float>& b,
-                   const char* what, int id) {
-  CHECK_EQ(a.size(), b.size()) << what << " size, sample " << id;
-  CHECK(a.empty() ||
-        std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0)
-      << what << " diverged between plan and graph paths, sample " << id;
 }
 
 // Accumulates one path's measurements across interleaved rounds.
@@ -146,32 +133,30 @@ std::vector<std::vector<int>> MakeBatches(const std::vector<int>& ids,
   return batches;
 }
 
-// One (method, batch_size) cell of the plan-vs-graph matrix: latency per
-// *batch call* on each session, interleaved round by round.
+// One (method, batch_size) cell of the plan-vs-tape matrix: latency per
+// *batch call* on the session and on the tape, interleaved round by round.
 struct MatrixCell {
   PathStats plan;
-  PathStats graph;
+  PathStats tape;
 };
 
-template <typename BatchCall>
+template <typename PlanCall, typename TapeCall>
 MatrixCell MeasureCell(const std::vector<std::vector<int>>& batches,
-                       int rounds, const core::InferenceSession& plan_session,
-                       const core::InferenceSession& graph_session,
-                       BatchCall call) {
-  PathMeter plan_m, graph_m;
+                       int rounds, PlanCall plan_call, TapeCall tape_call) {
+  PathMeter plan_m, tape_m;
   std::vector<int> batch_indices(batches.size());
   for (size_t i = 0; i < batches.size(); ++i) {
     batch_indices[static_cast<size_t>(i)] = static_cast<int>(i);
   }
   for (int r = 0; r < rounds; ++r) {
     plan_m.MeasureRound(batch_indices, [&](int b) {
-      call(plan_session, batches[static_cast<size_t>(b)]);
+      plan_call(batches[static_cast<size_t>(b)]);
     });
-    graph_m.MeasureRound(batch_indices, [&](int b) {
-      call(graph_session, batches[static_cast<size_t>(b)]);
+    tape_m.MeasureRound(batch_indices, [&](int b) {
+      for (int id : batches[static_cast<size_t>(b)]) tape_call(id);
     });
   }
-  return {plan_m.Stats(), graph_m.Stats()};
+  return {plan_m.Stats(), tape_m.Stats()};
 }
 
 }  // namespace
@@ -186,23 +171,9 @@ int main() {
   config.sample_size = 4;
   config.top_k = 3;
 
-  // Two models over identical weights (same config seed, same corpus):
-  // one session compiles inference plans, the other is pinned to the
-  // graph walk. The env var is latched in the session constructor, so
-  // scoping it around each construction is sufficient.
-  setenv("EXPLAINTI_PLAN", "off", 1);
-  auto graph_model = std::make_unique<core::ExplainTiModel>(config, corpus);
-  setenv("EXPLAINTI_PLAN", "on", 1);
-  auto plan_model = std::make_unique<core::ExplainTiModel>(config, corpus);
-  unsetenv("EXPLAINTI_PLAN");
-  graph_model->RefreshStores();
-  plan_model->RefreshStores();
-  core::ExplainTiModel& model = *plan_model;  // Tape reference path.
-  const core::InferenceSession& session = plan_model->session();
-  const core::InferenceSession& graph_session = graph_model->session();
-  CHECK(session.plans_enabled()) << "plan session failed to compile plans";
-  CHECK(!graph_session.plans_enabled())
-      << "EXPLAINTI_PLAN=off session unexpectedly built plans";
+  core::ExplainTiModel model(config, corpus);  // Tape reference path.
+  model.RefreshStores();
+  const core::InferenceSession& session = model.session();
 
   const core::TaskData& task = model.task_data(core::TaskKind::kType);
   std::vector<int> ids;
@@ -212,29 +183,17 @@ int main() {
   }
   const int kRounds = 25;  // 20 ids x 25 rounds = 500 calls per path.
 
-  // Bit-equality gates before timing: the fast paths must serve exactly
-  // what the tape path serves, and the plan path exactly what the graph
-  // walk serves — probabilities and [CLS] encodings alike.
+  // Bit-equality gate before timing: the session must serve exactly what
+  // the tape path serves.
   for (int id : ids) {
     const double tape = ChecksumFloats(
         model.PredictProbabilities(core::TaskKind::kType, id));
     const double nograd = ChecksumFloats(
         session.PredictProbabilities(core::TaskKind::kType, id));
     CHECK_EQ(tape, nograd) << "no-grad probabilities drifted on sample " << id;
-    CheckBitEqual(session.PredictProbabilities(core::TaskKind::kType, id),
-                  graph_session.PredictProbabilities(core::TaskKind::kType, id),
-                  "probabilities", id);
     CHECK(session.Predict(core::TaskKind::kType, id) ==
-          graph_session.Predict(core::TaskKind::kType, id))
+          model.Predict(core::TaskKind::kType, id))
         << "plan Predict diverged on sample " << id;
-  }
-  {
-    const auto plan_embs = session.EncodeBatch(core::TaskKind::kType, ids);
-    const auto graph_embs =
-        graph_session.EncodeBatch(core::TaskKind::kType, ids);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      CheckBitEqual(plan_embs[i], graph_embs[i], "[CLS] encoding", ids[i]);
-    }
   }
 
   auto tape_predict_call = [&](int id) { model.Predict(core::TaskKind::kType, id); };
@@ -250,8 +209,6 @@ int main() {
       nograd_predict_call(id);
       tape_explain_call(id);
       nograd_explain_call(id);
-      graph_session.Predict(core::TaskKind::kType, id);
-      graph_session.Explain(core::TaskKind::kType, id);
     }
   }
 
@@ -275,7 +232,7 @@ int main() {
   CHECK_EQ(nograd_predict.arena_misses, 0)
       << "warmed-up no-grad Predict fell back to the heap";
 
-  // -- Plan vs graph walk, per method and batch size ----------------------
+  // -- Plan vs tape, per method and batch size ----------------------------
   const std::vector<size_t> kBatchSizes = {1, 4, 8};
   const int kMatrixRounds = 12;
   struct MethodRow {
@@ -287,20 +244,25 @@ int main() {
   for (size_t bi = 0; bi < kBatchSizes.size(); ++bi) {
     const auto batches = MakeBatches(ids, kBatchSizes[bi]);
     matrix[0].cells.push_back(MeasureCell(
-        batches, kMatrixRounds, session, graph_session,
-        [](const core::InferenceSession& s, const std::vector<int>& b) {
-          s.PredictBatch(core::TaskKind::kType, b);
-        }));
+        batches, kMatrixRounds,
+        [&](const std::vector<int>& b) {
+          session.PredictBatch(core::TaskKind::kType, b);
+        },
+        tape_predict_call));
     matrix[1].cells.push_back(MeasureCell(
-        batches, kMatrixRounds, session, graph_session,
-        [](const core::InferenceSession& s, const std::vector<int>& b) {
-          s.PredictProbabilitiesBatch(core::TaskKind::kType, b);
+        batches, kMatrixRounds,
+        [&](const std::vector<int>& b) {
+          session.PredictProbabilitiesBatch(core::TaskKind::kType, b);
+        },
+        [&](int id) {
+          model.PredictProbabilities(core::TaskKind::kType, id);
         }));
     matrix[2].cells.push_back(MeasureCell(
-        batches, kMatrixRounds, session, graph_session,
-        [](const core::InferenceSession& s, const std::vector<int>& b) {
-          s.ExplainBatch(core::TaskKind::kType, b);
-        }));
+        batches, kMatrixRounds,
+        [&](const std::vector<int>& b) {
+          session.ExplainBatch(core::TaskKind::kType, b);
+        },
+        tape_explain_call));
   }
 
   // -- Raw plan executor: RunPlan on caller-owned buffers -----------------
@@ -311,8 +273,7 @@ int main() {
   PathStats plan_executor;
   {
     const core::InferencePlan* plan =
-        session.PlanFor(core::TaskKind::kType, ids.front());
-    CHECK(plan != nullptr);
+        &session.PlanFor(core::TaskKind::kType, ids.front());
     const core::TaskSample& sample =
         task.samples[static_cast<size_t>(ids.front())];
     std::vector<float> encoder_out(
@@ -376,10 +337,10 @@ int main() {
   for (const MethodRow& row : matrix) {
     for (size_t bi = 0; bi < kBatchSizes.size(); ++bi) {
       const MatrixCell& cell = row.cells[bi];
-      std::cerr << "[inference] plan-vs-graph " << row.name << " batch="
+      std::cerr << "[inference] plan-vs-tape " << row.name << " batch="
                 << kBatchSizes[bi] << ": plan p50=" << cell.plan.p50_us
-                << "us graph p50=" << cell.graph.p50_us << "us ("
-                << cell.graph.p50_us / cell.plan.p50_us << "x)\n";
+                << "us tape p50=" << cell.tape.p50_us << "us ("
+                << cell.tape.p50_us / cell.plan.p50_us << "x)\n";
     }
   }
   std::cerr << "[inference] plan executor p50=" << plan_executor.p50_us
@@ -398,14 +359,14 @@ int main() {
   EmitPath(json, "tape", tape_explain, false);
   EmitPath(json, "nograd", nograd_explain, true);
   json << "  },\n  \"explain_p50_speedup\": " << explain_speedup
-       << ",\n  \"plan_vs_graph\": {\n";
+       << ",\n  \"plan_vs_tape\": {\n";
   for (size_t mi = 0; mi < matrix.size(); ++mi) {
     json << "    \"" << matrix[mi].name << "\": {\n";
     for (size_t bi = 0; bi < kBatchSizes.size(); ++bi) {
       const MatrixCell& cell = matrix[mi].cells[bi];
       json << "      \"batch_" << kBatchSizes[bi]
            << "\": {\"plan\": " << PathJson(cell.plan)
-           << ", \"graph\": " << PathJson(cell.graph) << "}"
+           << ", \"tape\": " << PathJson(cell.tape) << "}"
            << (bi + 1 < kBatchSizes.size() ? ",\n" : "\n");
     }
     json << "    },\n";

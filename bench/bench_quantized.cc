@@ -7,20 +7,20 @@
 //     problem (activation quantization is charged to the int8 side —
 //     it is paid on every serving call);
 //   * end-to-end Predict/Explain p50/p99 on two sessions over identical
-//     trained weights, one EXPLAINTI_PRECISION=fp32 and one =int8;
+//     trained weights, one config.precision = "fp32" and one "int8";
 //   * weight-memory bytes for the armed layers in both precisions;
 //   * macro-F1 on the held-out test split of BOTH synthetic corpora
 //     (wiki + git), fp32 vs int8, after a short Fit — the accuracy cost
 //     of post-training quantization on real task heads;
 //   * top-evidence-token agreement on the shared golden fixture
 //     (tests/golden_evidence.h), the same samples and window count the
-//     tier-1 plan-verify tests pin;
+//     tier-1 plan-vs-tape tests pin;
 //   * steady-state allocation behaviour of the raw int8 plan executor
 //     (must be exactly zero, like the fp32 executor).
 //
-// The binary hard-fails if the int8 policy does not arm (the tier
-// falling closed to fp32 would silently turn every comparison into
-// fp32-vs-fp32) or if the warmed-up int8 executor touches the heap.
+// The binary hard-fails if the int8 policy does not arm (an fp32 session
+// would silently turn every comparison into fp32-vs-fp32) or if the
+// warmed-up int8 executor touches the heap.
 
 #include <algorithm>
 #include <cstdint>
@@ -149,20 +149,17 @@ ModelPair MakeTrainedPair(const core::ExplainTiConfig& config,
                           const data::TableCorpus& corpus,
                           const std::string& ckpt_path) {
   ModelPair pair;
-  unsetenv("EXPLAINTI_PRECISION");
   pair.fp32 = std::make_unique<core::ExplainTiModel>(config, corpus);
   pair.fp32->Fit();
   CHECK(pair.fp32->SaveWeights(ckpt_path).ok())
       << "cannot checkpoint trained weights to " << ckpt_path;
-  setenv("EXPLAINTI_PRECISION", "int8", 1);
-  pair.int8 = std::make_unique<core::ExplainTiModel>(config, corpus);
-  unsetenv("EXPLAINTI_PRECISION");
+  core::ExplainTiConfig int8_config = config;
+  int8_config.precision = "int8";
+  pair.int8 = std::make_unique<core::ExplainTiModel>(int8_config, corpus);
   CHECK(pair.int8->LoadWeights(ckpt_path).ok())
       << "cannot load trained weights from " << ckpt_path;
-  const core::InferenceSession& qs = pair.int8->session();
-  CHECK_EQ(std::strcmp(qs.served_precision(), "int8"), 0)
-      << "int8 policy fell back to " << qs.served_precision() << ": "
-      << qs.precision_status().message();
+  CHECK_EQ(std::strcmp(pair.int8->session().served_precision(), "int8"), 0)
+      << "int8 policy served " << pair.int8->session().served_precision();
   return pair;
 }
 
@@ -296,8 +293,7 @@ int main() {
   int64_t executor_misses = 0;
   {
     const core::InferencePlan* plan =
-        qs.PlanFor(core::TaskKind::kType, ids.front());
-    CHECK(plan != nullptr);
+        &qs.PlanFor(core::TaskKind::kType, ids.front());
     CHECK_GT(plan->int8_gemms, 0) << "int8 session compiled an fp32 plan";
     const core::TaskSample& sample =
         qs.task_data(core::TaskKind::kType)
@@ -366,7 +362,6 @@ int main() {
        << ",\n    \"prediction_agreement\": " << prediction_agreement
        << ",\n    \"served_precision\": \"" << qs.served_precision() << "\""
        << ",\n    \"int8_layers\": " << stats.int8_layers
-       << ",\n    \"fp32_fallback_layers\": " << stats.fp32_fallback_layers
        << ",\n    \"plan_executor_int8\": {\"allocations_per_call\": "
        << executor_allocs
        << ", \"steady_state_arena_misses\": " << executor_misses

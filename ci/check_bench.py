@@ -10,9 +10,8 @@ shows whether the perf gates actually ran.
 A file with a "quantized" object (BENCH_quantized.json, from
 bench_quantized) is gated on:
 
-  * served_precision == "int8" and fp32_fallback_layers == 0 — the pure
-    int8 policy is all-or-nothing, so a partially-armed tier means the
-    build fell back somewhere it should not have;
+  * served_precision == "int8" — an int8 policy that serves fp32 means
+    the tier never armed, and every comparison below is fp32-vs-fp32;
   * max_f1_delta <= 0.10: macro-F1 on the tiny held-out splits moves in
     ~0.04 steps per flipped sample, so the tolerance allows a couple of
     flips but fails on systematic quantization damage;
@@ -62,17 +61,16 @@ from bench_embedding_store) is gated on:
   * multi-shard incremental rebuilds re-encode only dirty segments
     (segments_built < shards when shards > 1).
 
-A file with a "plan_vs_graph" object (BENCH_inference.json) is gated as
-before — fails the job (exit 1) if the compiled-plan serving path has
-regressed behind the graph walk:
+A file with a "plan_vs_tape" object (BENCH_inference.json) fails the
+job (exit 1) if the compiled-plan serving path has fallen behind the
+tape oracle (ExplainTiModel's eval forward, looped over each batch):
 
-  * plan p50 must not exceed graph p50 by more than --max-ratio for any
+  * plan p50 must not exceed tape p50 by more than --max-ratio for any
     (method, batch_size) cell. Both paths are bound by the same shared
-    GEMM kernels, so their p50s sit within a few percent of each other;
-    the tolerance absorbs container timer noise while still catching a
-    real regression (a broken fusion or a de-pooled allocation shows up
-    as tens of percent, not two).
-  * plan allocations/call must not exceed graph allocations/call in any
+    GEMM kernels; the tolerance absorbs container timer noise while
+    still catching a real regression (a broken fusion or a de-pooled
+    allocation shows up as tens of percent, not two).
+  * plan allocations/call must not exceed tape allocations/call in any
     cell — this is deterministic (allocation counts don't jitter), so it
     is checked strictly. The plan path exists to allocate less.
   * the raw plan executor must be allocation-free after warm-up:
@@ -130,10 +128,6 @@ def check_quantized(bench):
         failures.append(
             f"served_precision is '{q.get('served_precision')}' — the int8 "
             f"policy fell back to fp32 in the bench build")
-    if q.get("fp32_fallback_layers", -1) != 0:
-        failures.append(
-            f"fp32_fallback_layers = {q.get('fp32_fallback_layers')} under "
-            f"the pure int8 policy (must be 0: the tier is all-or-nothing)")
     if q.get("max_f1_delta", 1.0) > 0.10:
         failures.append(
             f"quantization moved macro-F1 by {q['max_f1_delta']:.3f} "
@@ -362,7 +356,7 @@ def main():
         "--max-ratio",
         type=float,
         default=1.10,
-        help="max allowed plan_p50 / graph_p50 per cell (default %(default)s, "
+        help="max allowed plan_p50 / tape_p50 per cell (default %(default)s, "
         "a timer-noise guard; the paths share their GEMM kernels)",
     )
     args = parser.parse_args()
@@ -387,9 +381,9 @@ def main():
     if "store" in bench:
         return check_store(bench)
 
-    matrix = bench.get("plan_vs_graph")
+    matrix = bench.get("plan_vs_tape")
     if not isinstance(matrix, dict):
-        print("check_bench: BENCH_inference.json has no 'plan_vs_graph' "
+        print("check_bench: BENCH_inference.json has no 'plan_vs_tape' "
               "object — was the benchmark built from this tree?",
               file=sys.stderr)
         return 1
@@ -400,37 +394,37 @@ def main():
         if method == "plan_executor":
             continue
         for batch, cell in sorted(cells.items()):
-            plan, graph = cell["plan"], cell["graph"]
-            ratio = plan["p50_us"] / graph["p50_us"]
-            rows.append((method, batch, plan, graph, ratio))
+            plan, tape = cell["plan"], cell["tape"]
+            ratio = plan["p50_us"] / tape["p50_us"]
+            rows.append((method, batch, plan, tape, ratio))
             if ratio > args.max_ratio:
                 failures.append(
                     f"{method}/{batch}: plan p50 {plan['p50_us']:.1f}us vs "
-                    f"graph p50 {graph['p50_us']:.1f}us "
+                    f"tape p50 {tape['p50_us']:.1f}us "
                     f"(ratio {ratio:.3f} > {args.max_ratio})")
-            if plan["allocations_per_call"] > graph["allocations_per_call"]:
+            if plan["allocations_per_call"] > tape["allocations_per_call"]:
                 failures.append(
                     f"{method}/{batch}: plan allocates "
-                    f"{plan['allocations_per_call']:.1f}/call vs graph "
-                    f"{graph['allocations_per_call']:.1f}/call — the plan "
-                    f"path must not allocate more than the graph walk")
+                    f"{plan['allocations_per_call']:.1f}/call vs tape "
+                    f"{tape['allocations_per_call']:.1f}/call — the plan "
+                    f"path must not allocate more than the tape")
 
     if not rows:
-        print("check_bench: 'plan_vs_graph' has no (method, batch) cells",
+        print("check_bench: 'plan_vs_tape' has no (method, batch) cells",
               file=sys.stderr)
         return 1
 
-    print(f"{'method':24s} {'batch':8s} {'plan p50':>9s} {'graph p50':>9s} "
-          f"{'ratio':>6s} {'plan allocs':>11s} {'graph allocs':>12s}")
-    for method, batch, plan, graph, ratio in rows:
+    print(f"{'method':24s} {'batch':8s} {'plan p50':>9s} {'tape p50':>9s} "
+          f"{'ratio':>6s} {'plan allocs':>11s} {'tape allocs':>12s}")
+    for method, batch, plan, tape, ratio in rows:
         print(f"{method:24s} {batch:8s} {fmt_us(plan['p50_us'])} "
-              f"{fmt_us(graph['p50_us'])} {ratio:6.3f} "
+              f"{fmt_us(tape['p50_us'])} {ratio:6.3f} "
               f"{plan['allocations_per_call']:11.1f} "
-              f"{graph['allocations_per_call']:12.1f}")
+              f"{tape['allocations_per_call']:12.1f}")
 
     executor = matrix.get("plan_executor")
     if not isinstance(executor, dict):
-        failures.append("'plan_vs_graph.plan_executor' section missing")
+        failures.append("'plan_vs_tape.plan_executor' section missing")
     else:
         print(f"\nplan executor: p50 {executor['p50_us']:.1f}us, "
               f"p99 {executor['p99_us']:.1f}us, "

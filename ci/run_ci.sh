@@ -2,9 +2,10 @@
 # CI driver: one job per invocation, mirroring .github/workflows/ci.yml.
 #
 #   ci/run_ci.sh release      Release build (warnings-as-errors), full
-#                             ctest suite, benchmarks, the
-#                             check_bench.py plan-vs-graph regression
-#                             gate, and the bench-artifacts bundle.
+#                             ctest suite, the end-to-end serving smoke,
+#                             benchmarks, the check_bench.py plan-vs-tape
+#                             regression gate, and the bench-artifacts
+#                             bundle.
 #   ci/run_ci.sh asan-ubsan   Address+UB sanitizer build, tier1 tests
 #                             plus the chaos suite (fault-injection
 #                             paths are exactly where lifetime bugs
@@ -51,21 +52,26 @@ case "$JOB" in
     configure_and_build "$BUILD" -DCMAKE_BUILD_TYPE=Release
     (cd "$BUILD" && ctest --output-on-failure --timeout "$CTEST_TIMEOUT" \
        -j "$JOBS")
+    # End-to-end serving smoke: every BENCHMARK.json workload for one
+    # round through InferenceServer, each response checked bit-exactly
+    # against the tape oracle, plus a self-test that a corrupted reference
+    # is caught. This guards the one serving path end to end.
+    python3 "$ROOT/bench/e2e/run.py" --smoke
     # Scaling benchmark doubles as a determinism gate (checksums must
     # match across 1/2/4 threads); keep its JSON as a CI artifact.
     (cd "$BUILD" && ./bench/bench_parallel_scaling)
     echo "BENCH_parallel.json:"
     cat "$BUILD/BENCH_parallel.json"
     # Serving benchmark: tape vs no-grad per-call latency and allocation
-    # counts, plus the compiled-plan-vs-graph-walk matrix. It hard-fails
-    # if any pair of paths' outputs are not bit-identical or a warmed-up
+    # counts, plus the compiled-plan-vs-tape matrix. It hard-fails if the
+    # session's outputs are not bit-identical to the tape or a warmed-up
     # fast path misses the arena.
     (cd "$BUILD" && ./bench/bench_inference_session)
     echo "BENCH_inference.json:"
     cat "$BUILD/BENCH_inference.json"
     # Bench-regression gate: the compiled-plan path must not fall behind
-    # the graph walk (p50 within tolerance, never more allocations) and
-    # the raw plan executor must stay allocation-free after warm-up.
+    # the tape (p50 within tolerance, never more allocations) and the raw
+    # plan executor must stay allocation-free after warm-up.
     python3 "$ROOT/ci/check_bench.py" "$BUILD/BENCH_inference.json"
     # Embedding-store benchmark: sharded search, copy-on-write rebuilds,
     # and the persisted-store roundtrip (which hard-fails inside the
@@ -91,7 +97,7 @@ case "$JOB" in
     # Quantized-serving benchmark: fp32-vs-int8 GEMM throughput, end-to-end
     # Predict/Explain latency, weight memory, macro-F1 deltas on both
     # corpora, and golden evidence-token agreement. check_bench.py gates
-    # accuracy drift, the all-or-nothing int8 policy, the allocation-free
+    # accuracy drift, that the int8 policy armed, the allocation-free
     # executor, and (on >=4-thread hosts) the 2x int8 GEMM speedup.
     (cd "$BUILD" && ./bench/bench_quantized)
     echo "BENCH_quantized.json:"

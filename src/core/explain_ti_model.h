@@ -119,6 +119,8 @@ class ExplainTiModel {
 
   const TaskData& task_data(TaskKind kind) const;
   const ExplainTiConfig& config() const { return config_; }
+  /// The tape encoder M (the reference for InferenceSession::EncodeBatch).
+  const nn::TransformerEncoder& encoder() const { return *encoder_; }
   const text::Vocab& vocab() const { return *vocab_; }
 
   /// Per-label sigma outputs for one sample (probabilities).
@@ -169,8 +171,8 @@ class ExplainTiModel {
   const EmbeddingStore& Store(TaskKind kind) const;
 
   /// Full forward pass for `sample_id`. `ctx` selects the execution path
-  /// (train tape / eval tape / no-grad inference) and carries the RNG used
-  /// for dropout and SE neighbour sampling. The three-argument form runs
+  /// (train tape / eval tape) and carries the RNG used for dropout and SE
+  /// neighbour sampling. The three-argument form runs
   /// with the configured explanation modules; the explicit form lets
   /// Predict() skip LE/GE (they never change the final logits) without
   /// mutating shared state, which keeps concurrent Evaluate() calls
@@ -178,7 +180,7 @@ class ExplainTiModel {
   /// encoder call with an already-computed E [L, d] (the compiled-plan
   /// path hands the encoder output here and this method runs the
   /// SE/LE/GE/head tail exactly as before — in particular the se_ready
-  /// decision stays in one place, so plan and graph calls can never
+  /// decision stays in one place, so plan and tape calls can never
   /// disagree about which head ran).
   Forward RunForward(TaskKind kind, int sample_id,
                      const nn::ExecContext& ctx) const {

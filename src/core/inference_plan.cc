@@ -135,19 +135,12 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
   // the session fails closed on, never a partially-quantized plan.
   const nn::QuantizedEncoder* qenc =
       quant != nullptr ? quant->encoder : nullptr;
-  const std::vector<uint8_t>* layer_int8 =
-      quant != nullptr ? quant->layer_int8 : nullptr;
   const nn::QuantizedLinear* qhead = quant != nullptr ? quant->head : nullptr;
   if (qenc != nullptr && qenc->layers.size() != encoder.layers.size()) {
     return util::Status::InvalidArgument(
         "plan: quantized encoder has " + std::to_string(qenc->layers.size()) +
         " layers, lowered encoder has " +
         std::to_string(encoder.layers.size()));
-  }
-  if (layer_int8 != nullptr && qenc != nullptr &&
-      layer_int8->size() != qenc->layers.size()) {
-    return util::Status::InvalidArgument(
-        "plan: per-layer precision mask does not match the layer stack");
   }
   if (qhead != nullptr &&
       (head == nullptr || qhead->in != head->in || qhead->out != head->out)) {
@@ -262,13 +255,9 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
   // -- Encoder layers -----------------------------------------------------
   for (size_t li = 0; li < encoder.layers.size(); ++li) {
     const nn::EncoderLayerLowering& layer = encoder.layers[li];
-    // This layer's quantized views, or null for the fp32 fallback (the
-    // per-layer precision bit).
-    const nn::QuantizedEncoderLayer* ql = nullptr;
-    if (qenc != nullptr &&
-        (layer_int8 == nullptr || (*layer_int8)[li] != 0)) {
-      ql = &qenc->layers[li];
-    }
+    // This layer's quantized views, or null for an fp32 plan.
+    const nn::QuantizedEncoderLayer* ql =
+        qenc != nullptr ? &qenc->layers[li] : nullptr;
     const int64_t q = b.NewBuffer(L * d);
     const int64_t k = b.NewBuffer(L * d);
     const int64_t v = b.NewBuffer(L * d);
@@ -333,7 +322,7 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
   if (head != nullptr) {
     logits = b.NewBuffer(head->out);
     // m == 1 from row 0 of x: the rank-1 cls GEMM, same kernel branch the
-    // graph walk's MatMul(cls, W) takes.
+    // tape's MatMul(cls, W) takes.
     linear(x, *head, qhead, logits, 1, PlanPostOp::kBias);
     b.KeepToEnd(logits);
   }

@@ -14,7 +14,7 @@ namespace explainti::core {
 /// InferenceSession construction into a flat, topologically-ordered
 /// instruction stream over a single pre-planned scratch arena.
 ///
-/// Where the graph walk re-builds its op graph every call — allocating a
+/// Where the tape encoder re-builds its op graph every call — allocating a
 /// node per op (pooled, but still dispatched), materialising per-head
 /// slice/transpose/concat copies, and running bias, activation, residual
 /// and normalisation as separate passes — a plan is a POD array of
@@ -41,23 +41,23 @@ namespace explainti::core {
 ///   * per-tensor precision: each kGemm is stamped with a tensor::DType.
 ///     A quantized build (PlanQuantSpec) lowers selected weight GEMMs to
 ///     int8 (quantize activations per row, int32-accumulate against the
-///     prebuilt int8 weights, fused dequant epilogue) with a per-layer
-///     fp32-fallback bit; activation x activation GEMMs and every
-///     normalisation stay fp32. A plan with no quant spec is the exact
-///     historical all-fp32 stream, bit-identical to the graph walk.
+///     prebuilt int8 weights, fused dequant epilogue); activation x
+///     activation GEMMs and every normalisation stay fp32. A plan with no
+///     quant spec is the all-fp32 stream, bit-identical to the tape
+///     encoder.
 ///
-/// Bit-identity with the graph walk is structural, not approximate: both
-/// paths call the one compiled copy of each serving kernel
+/// Bit-identity with the tape encoder is structural, not approximate:
+/// both paths call the one compiled copy of each serving kernel
 /// (tensor/plan_kernels.h), and no fusion reassociates a float
-/// expression. InferenceSession's EXPLAINTI_PLAN=verify mode re-checks
-/// the equivalence at runtime on every call.
+/// expression. The session tests check the equivalence against the tape
+/// on every serving method.
 ///
 /// Plans are keyed by (task, sequence length, segment use): sequences are
 /// unpadded and serve one sample per call (batching is per-sample
 /// fan-out), so shape — not batch size — is the axis that changes the
 /// instruction stream. The builder runs eagerly over every distinct key
-/// in the task data; an unsupported shape fails the build and the session
-/// falls back to the graph walk for everything.
+/// in the task data; it rejects only shapes the tape encoder CHECK-fails
+/// on too, so the session treats a failed build as a CHECK.
 
 enum class PlanOpCode : uint8_t {
   /// out = LN(token[ids] + position (+ segment[seg])) — one pass.
@@ -117,13 +117,11 @@ struct PlanInstr {
 };
 
 /// Selects the precision of a plan's weight GEMMs. Null `encoder` (or a
-/// null spec) builds the all-fp32 plan. `layer_int8` is parallel to the
-/// encoder layers: a zero bit is that layer's fp32 fallback (calibration
-/// decided int8 loses too much agreement there). `head`, when non-null,
-/// lowers the folded classifier head to int8 too.
+/// null spec) builds the all-fp32 plan; non-null lowers every encoder
+/// layer's weight GEMMs to int8. `head`, when non-null, lowers the folded
+/// classifier head to int8 too.
 struct PlanQuantSpec {
   const nn::QuantizedEncoder* encoder = nullptr;
-  const std::vector<uint8_t>* layer_int8 = nullptr;  ///< Null: all int8.
   const nn::QuantizedLinear* head = nullptr;
 };
 
@@ -167,20 +165,18 @@ struct PlanRun {
 
 /// Lowers one (seq_len, has_segments) call shape of `encoder` into a
 /// plan; `head` (optional) folds a classifier into the stream. Returns an
-/// error — and the session falls back to the graph walk — when the shape
-/// is outside the encoder's envelope (seq_len out of [1, max_len],
-/// d_model not divisible by num_heads, segment request without a table).
-/// `quant` (optional) stamps selected weight GEMMs kI8 per its per-layer
-/// bits; a malformed spec (layer count or shape mismatch) returns a
-/// typed InvalidArgument, and the session fails closed to the all-fp32
-/// plan.
+/// error when the shape is outside the encoder's envelope (seq_len out of
+/// [1, max_len], d_model not divisible by num_heads, segment request
+/// without a table). `quant` (optional) stamps every weight GEMM kI8; a
+/// malformed spec (layer count or shape mismatch) returns a typed
+/// InvalidArgument.
 util::StatusOr<InferencePlan> BuildInferencePlan(
     const nn::EncoderLowering& encoder, const nn::LinearLowering* head,
     int64_t seq_len, bool has_segments,
     const PlanQuantSpec* quant = nullptr);
 
 /// Executes `plan` on the calling thread (GEMMs fan out across the pool
-/// exactly like the graph walk's MatMul). Zero heap allocations once the
+/// exactly like the tape's MatMul). Zero heap allocations once the
 /// per-thread workspace has warmed: the arena is acquired from and
 /// returned to the workspace buffer pool around the instruction loop.
 void RunPlan(const InferencePlan& plan, const PlanRun& run);

@@ -90,15 +90,7 @@ tensor::Tensor MultiHeadSelfAttention::Forward(const tensor::Tensor& x,
       head_outputs[static_cast<size_t>(h)] = tensor::MatMul(attn, vh);
     }
   };
-  if (ctx.inference()) {
-    // Inference mode is a thread-local property: pool workers would not
-    // see this thread's guard (or its workspace), so the head loop runs on
-    // the calling thread. Per the determinism contract the serial loop is
-    // bit-identical to the chunked one; the matmuls inside still fan out.
-    run_heads(0, config_.num_heads);
-  } else {
-    util::ParallelFor(0, config_.num_heads, 1, run_heads);
-  }
+  util::ParallelFor(0, config_.num_heads, 1, run_heads);
 
   tensor::Tensor context = tensor::ConcatCols(head_outputs);
   return wo_.Forward(context);

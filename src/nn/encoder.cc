@@ -1,7 +1,6 @@
 #include "nn/encoder.h"
 
 #include "tensor/tensor_ops.h"
-#include "tensor/workspace.h"
 #include "util/logging.h"
 
 namespace explainti::nn {
@@ -66,8 +65,6 @@ tensor::Tensor TransformerEncoder::Forward(const std::vector<int>& ids,
                                            const tensor::Tensor& mask) const {
   CHECK(!ctx.training() || ctx.rng != nullptr)
       << "training forward requires an RNG";
-  CHECK(!ctx.inference() || tensor::InferenceModeActive())
-      << "ExecMode::kInference requires an InferenceModeGuard on this thread";
   tensor::Tensor x = embeddings_.Forward(ids, segments, ctx);
   for (const auto& layer : layers_) {
     x = layer->Forward(x, mask, ctx);

@@ -50,9 +50,7 @@ class TransformerEncoder : public Module {
   TransformerEncoder(const TransformerConfig& config, util::Rng& rng);
 
   /// Encodes one sequence. `segments` may be empty; `mask` (optional,
-  /// [L, L] additive) supports structure-aware baselines. In
-  /// ExecMode::kInference the caller must hold a tensor::InferenceModeGuard
-  /// on this thread; outputs are bit-identical to ExecMode::kEval.
+  /// [L, L] additive) supports structure-aware baselines.
   tensor::Tensor Forward(const std::vector<int>& ids,
                          const std::vector<int>& segments,
                          const ExecContext& ctx,

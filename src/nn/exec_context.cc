@@ -11,7 +11,6 @@ tensor::Tensor ApplyDropout(const tensor::Tensor& x, float p,
     CHECK(ctx.rng != nullptr) << "training dropout requires an RNG";
     return tensor::Dropout(x, p, *ctx.rng, /*training=*/true);
   }
-  if (ctx.inference()) return x;
   // Tape-eval: keep the identity node the legacy path built so eval graphs
   // (and anything walking them) are unchanged.
   return tensor::Scale(x, 1.0f);

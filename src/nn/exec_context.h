@@ -13,10 +13,6 @@ enum class ExecMode {
   /// Builds the tape (no Backward expected) with dropout disabled as
   /// identity ops — the historical eval path, kept byte-for-byte.
   kEval,
-  /// No-grad: ops skip the tape and draw storage from the per-thread
-  /// Workspace arena. Requires an active tensor::InferenceModeGuard on the
-  /// executing thread. Bit-identical outputs to kEval.
-  kInference,
 };
 
 /// Execution context threaded through the encoder stack: mode + RNG. The
@@ -33,17 +29,12 @@ struct ExecContext {
   static ExecContext Eval(util::Rng* rng = nullptr) {
     return ExecContext{ExecMode::kEval, rng};
   }
-  static ExecContext Inference(util::Rng* rng = nullptr) {
-    return ExecContext{ExecMode::kInference, rng};
-  }
 
   bool training() const { return mode == ExecMode::kTrain; }
-  bool inference() const { return mode == ExecMode::kInference; }
 };
 
 /// Dropout dispatch on the execution mode: real dropout when training, the
-/// legacy identity node in tape-eval (keeps eval graphs unchanged), and a
-/// plain pass-through off-tape.
+/// legacy identity node in tape-eval (keeps eval graphs unchanged).
 tensor::Tensor ApplyDropout(const tensor::Tensor& x, float p,
                             const ExecContext& ctx);
 

@@ -24,10 +24,6 @@ class TransformerEncoder;
 /// ever running it. The pointers borrow the module's parameter storage;
 /// they stay valid across LoadWeights (which copies into the existing
 /// buffers) but die with the encoder.
-///
-/// EXPLAINTI_PLAN=verify (see InferenceSession) provides the runtime
-/// complement: every serving call executes both the lowered plan and the
-/// graph walk and checks bit-equality.
 
 /// y = x W + b with W [in, out] row-major, b [out].
 struct LinearLowering {
@@ -74,7 +70,7 @@ struct EncoderLowering {
 /// Always succeeds (the encoder architecture is closed); whether a
 /// particular *call shape* is supported — sequence length in range, no
 /// additive attention mask, d_model divisible by num_heads — is decided
-/// by the plan builder, which falls back to the graph walk otherwise.
+/// by the plan builder, which rejects the rest with a typed error.
 EncoderLowering LowerEncoder(const TransformerEncoder& encoder);
 
 /// Flattens one affine head for plan building.

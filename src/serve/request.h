@@ -106,7 +106,7 @@ struct ServeResponse {
   /// cache hit reports the generation that originally computed the entry.
   uint64_t model_generation = 0;
   /// Serving precision of the session that computed this response
-  /// ("fp32", "int8" or "mixed" — InferenceSession::served_precision()).
+  /// ("fp32" or "int8" — InferenceSession::served_precision()).
   /// Static storage; valid for the process lifetime. A cache hit reports
   /// the precision that originally computed the entry.
   const char* precision = "fp32";

@@ -34,11 +34,6 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
         std::make_unique<qa::QaEngine>(&session, options_.qa.options);
   }
   current_->id = 1;
-  // Cumulative across generations: bumped once per installed session by
-  // its calibrated per-layer fp32-fallback count, so a fleet scrape sees
-  // mixed-precision calibration drift across rollouts.
-  metrics_->GetCounter("serve.fp32_fallback_layers")
-      ->Increment(session.precision_stats().fp32_fallback_layers);
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -312,8 +307,6 @@ util::Status InferenceServer::SwapSession(const core::InferenceSession& next) {
   // caching opportunity, never a correctness issue.)
   if (cache_ != nullptr) cache_->Clear();
   metrics_->GetCounter("serve.swaps")->Increment();
-  metrics_->GetCounter("serve.fp32_fallback_layers")
-      ->Increment(next.precision_stats().fp32_fallback_layers);
   return util::Status::OK();
 }
 
@@ -461,22 +454,10 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
   batch.resize(keep);
   if (batch.empty()) return;
 
-  if (metrics != nullptr) {
-    // Which execution path answered: compiled inference plans or the
-    // graph-walk fallback. A generation that unexpectedly serves
-    // graph_batches is the alert that plan compilation failed at swap
-    // time (the swap still succeeds — this is a perf regression signal,
-    // not an error).
-    metrics
-        ->GetCounter(session.plans_enabled() ? "serve.plan_batches"
-                                             : "serve.graph_batches")
-        ->Increment();
-    // Quantized-tier visibility: batches served below fp32. A generation
-    // whose policy asks for int8 but never bumps this is the alert that
-    // the tier failed closed (session.precision_status() has the why).
-    if (std::strcmp(session.served_precision(), "fp32") != 0) {
-      metrics->GetCounter("serve.int8_batches")->Increment();
-    }
+  // Quantized-tier visibility: batches served below fp32.
+  if (metrics != nullptr &&
+      std::strcmp(session.served_precision(), "fp32") != 0) {
+    metrics->GetCounter("serve.int8_batches")->Increment();
   }
 
   const int64_t dispatch_us = util::MonotonicNowUs();

@@ -8,7 +8,7 @@ namespace explainti::tensor {
 /// Shared serving kernels: the register-blocked no-grad GEMM plus the
 /// fused elementwise chains executed by compiled inference plans.
 ///
-/// Bit-identity is the whole point of this file. The graph walk
+/// Bit-identity is the whole point of this file. The tape ops
 /// (tensor_ops.cc) and the plan executor (core/inference_plan.cc) both
 /// call ONE compiled copy of each kernel, built once with this library's
 /// vectorization flags and no fast-math, so the two execution paths
@@ -26,7 +26,7 @@ namespace explainti::tensor {
 /// ZeroRows). Row strides lda/ldb/ldc express sub-matrix views: the
 /// plan executor reads per-head q/k/v slices and writes per-head context
 /// columns in place, eliminating the SliceCols/ConcatCols copies of the
-/// graph walk. `trans_b` reads B as B^T (element [kk, j] at
+/// tape encoder. `trans_b` reads B as B^T (element [kk, j] at
 /// b[j * ldb + kk]), folding the materialised Transpose(kh) of the
 /// attention-score GEMM. Accumulation order per output element is
 /// ascending-k with every product and add individually rounded —

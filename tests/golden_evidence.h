@@ -20,7 +20,7 @@ namespace explainti::testing {
 /// Shared golden explanation-evidence fixture.
 ///
 /// One canonical (corpus, config, sample set, window count) consumed by
-/// every suite that scores explanation evidence — the plan-verify tests
+/// every suite that scores explanation evidence — the plan-vs-tape tests
 /// and the quantized accuracy gate — so "the paths agree on the golden
 /// evidence" means the same thing everywhere: same tables, same samples,
 /// same top-k windows, same token-set comparison (core/evidence.h).
@@ -55,11 +55,13 @@ inline std::vector<int> GoldenSampleIds(const core::TaskData& task) {
 }
 
 /// Evidence token sets for the golden samples of `kind`, one per id.
-inline std::vector<std::set<std::string>> GoldenEvidence(
-    const core::InferenceSession& session, core::TaskKind kind) {
+/// `source` is an InferenceSession or the tape-building ExplainTiModel.
+template <typename Explainer>
+std::vector<std::set<std::string>> GoldenEvidence(const Explainer& source,
+                                                  core::TaskKind kind) {
   std::vector<std::set<std::string>> evidence;
-  for (int id : GoldenSampleIds(session.task_data(kind))) {
-    evidence.push_back(core::TopEvidenceTokens(session.Explain(kind, id),
+  for (int id : GoldenSampleIds(source.task_data(kind))) {
+    evidence.push_back(core::TopEvidenceTokens(source.Explain(kind, id),
                                                kGoldenTopWindows));
   }
   return evidence;

@@ -1,6 +1,5 @@
 #include "core/inference_plan.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -11,39 +10,14 @@
 #include "core/inference_session.h"
 #include "data/wiki_generator.h"
 #include "golden_evidence.h"
+#include "nn/exec_context.h"
+#include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
-#include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
 namespace explainti::core {
 namespace {
-
-// Pins EXPLAINTI_PLAN for one model construction and restores the outer
-// environment after — the mode is latched in the session constructor, so
-// scoping the variable around the ctor is enough.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 class GlobalPoolGuard {
  public:
@@ -51,19 +25,6 @@ class GlobalPoolGuard {
   ~GlobalPoolGuard() {
     util::SetGlobalThreadCount(util::ConfiguredThreadCount());
   }
-};
-
-// Arms one fault site for the scope (mirrors the serve chaos harness).
-class ArmedFault {
- public:
-  explicit ArmedFault(const std::string& site) {
-    util::fault::FaultSpec spec;
-    spec.kind = util::fault::FaultKind::kError;
-    spec.code = util::StatusCode::kInternal;
-    spec.message = "chaos: " + site;
-    util::fault::FaultRegistry::Instance().Arm(site, spec);
-  }
-  ~ArmedFault() { util::fault::FaultRegistry::Instance().DisarmAll(); }
 };
 
 data::TableCorpus TinyCorpus() {
@@ -97,7 +58,7 @@ uint32_t Bits(float v) {
 
 // Full structural comparison of two explanations: prediction, LE windows,
 // GE retrievals, and SE neighbours must all match bit for bit between the
-// compiled-plan path and the graph walk.
+// compiled-plan session and the tape.
 void ExpectExplanationsBitEqual(const Explanation& want,
                                 const Explanation& got) {
   EXPECT_EQ(want.predicted_labels, got.predicted_labels);
@@ -135,91 +96,66 @@ std::vector<int> SampleIds(const TaskData& task) {
   return ids;
 }
 
-// -- Golden bit-equality: compiled plans vs the graph walk -----------------
+// -- Golden bit-equality: compiled plans vs the tape oracle ---------------
 
-// Two sessions over identical weights (same seed, same corpus), one
-// serving from compiled plans, one forced onto the graph walk: every
-// serving method must agree bit for bit on every sample of every task.
-TEST(InferencePlanTest, PlanServesBitIdenticalToGraphWalk) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(2);
-  const data::TableCorpus corpus = TinyCorpus();
-  auto plan_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto graph_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "off");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  plan_model->RefreshStores();
-  graph_model->RefreshStores();
-  const InferenceSession& plan = plan_model->session();
-  const InferenceSession& graph = graph_model->session();
-  ASSERT_TRUE(plan.plans_enabled());
-  ASSERT_GT(plan.plan_stats().plans_built, 0);
-  ASSERT_FALSE(graph.plans_enabled());
-
+// Every fp32 serving method of `model`'s session must agree bit for bit
+// with the tape-building eval forward on every sampled id of every task:
+// Predict, PredictProbabilities and Explain against the model's own, and
+// EncodeBatch against row 0 of the tape encoder.
+void ExpectSessionMatchesTape(const ExplainTiModel& model) {
+  const InferenceSession& session = model.session();
+  ASSERT_GT(session.plans_built(), 0);
+  ASSERT_STREQ(session.served_precision(), "fp32");
+  EXPECT_EQ(session.precision_stats().weight_bytes_int8, 0)
+      << "the fp32 policy carries int8 weight bytes";
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!plan.HasTask(kind)) continue;
-    const std::vector<int> ids = SampleIds(plan.task_data(kind));
+    if (!model.HasTask(kind)) continue;
+    const TaskData& task = model.task_data(kind);
+    const std::vector<int> ids = SampleIds(task);
     for (int id : ids) {
-      EXPECT_EQ(plan.Predict(kind, id), graph.Predict(kind, id))
+      EXPECT_EQ(session.Predict(kind, id), model.Predict(kind, id))
           << "Predict diverged, sample " << id;
-      ExpectBitEqual(plan.PredictProbabilities(kind, id),
-                     graph.PredictProbabilities(kind, id),
+      ExpectBitEqual(session.PredictProbabilities(kind, id),
+                     model.PredictProbabilities(kind, id),
                      "PredictProbabilities");
-      ExpectExplanationsBitEqual(graph.Explain(kind, id),
-                                 plan.Explain(kind, id));
+      ExpectExplanationsBitEqual(model.Explain(kind, id),
+                                 session.Explain(kind, id));
     }
-    const auto plan_embs = plan.EncodeBatch(kind, ids);
-    const auto graph_embs = graph.EncodeBatch(kind, ids);
-    ASSERT_EQ(plan_embs.size(), graph_embs.size());
-    for (size_t i = 0; i < plan_embs.size(); ++i) {
-      ExpectBitEqual(plan_embs[i], graph_embs[i], "EncodeBatch");
+    const auto embs = session.EncodeBatch(kind, ids);
+    ASSERT_EQ(embs.size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const TaskSample& sample = task.samples[static_cast<size_t>(ids[i])];
+      const tensor::Tensor hidden = model.encoder().Forward(
+          sample.seq.ids, sample.seq.segments, nn::ExecContext::Eval());
+      ExpectBitEqual(embs[i], tensor::Row(hidden, 0).ToVector(),
+                     "EncodeBatch");
     }
   }
-  EXPECT_GT(plan.plan_stats().plan_runs, 0);
-  EXPECT_EQ(plan.plan_stats().graph_runs, 0)
-      << "a sample unexpectedly fell back to the graph walk";
-  EXPECT_GT(graph.plan_stats().graph_runs, 0);
-  EXPECT_EQ(graph.plan_stats().plan_runs, 0);
+}
+
+TEST(InferencePlanTest, PlanServesBitIdenticalToTape) {
+  GlobalPoolGuard guard;
+  util::SetGlobalThreadCount(2);
+  ExplainTiModel model(TinyConfig(), TinyCorpus());
+  model.RefreshStores();
+  ExpectSessionMatchesTape(model);
 }
 
 // With structural explanations off the plan folds the classifier head in
 // and Predict never touches the tensor graph at all; outputs must still
-// match the graph walk bit for bit.
+// match the tape bit for bit.
 TEST(InferencePlanTest, FullPlanWithFoldedHeadWhenStructuralOff) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
   ExplainTiConfig config = TinyConfig();
   config.use_structural = false;
-  auto plan_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(config, corpus);
-  }();
-  auto graph_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "off");
-    return std::make_unique<ExplainTiModel>(config, corpus);
-  }();
-  const InferenceSession& plan = plan_model->session();
-  ASSERT_TRUE(plan.plans_enabled());
-
-  const std::vector<int> ids = SampleIds(plan.task_data(TaskKind::kType));
-  const InferencePlan* compiled = plan.PlanFor(TaskKind::kType, ids.front());
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_GE(compiled->logits_off, 0) << "head was not folded into the plan";
-  EXPECT_GT(compiled->num_labels, 0);
-
-  for (int id : ids) {
-    EXPECT_EQ(plan.Predict(TaskKind::kType, id),
-              graph_model->session().Predict(TaskKind::kType, id));
-    ExpectBitEqual(
-        plan.PredictProbabilities(TaskKind::kType, id),
-        graph_model->session().PredictProbabilities(TaskKind::kType, id),
-        "folded-head probabilities");
-  }
+  ExplainTiModel model(config, TinyCorpus());
+  model.RefreshStores();
+  const InferencePlan& compiled = model.session().PlanFor(
+      TaskKind::kType, SampleIds(model.task_data(TaskKind::kType)).front());
+  EXPECT_GE(compiled.logits_off, 0) << "head was not folded into the plan";
+  EXPECT_GT(compiled.num_labels, 0);
+  ExpectSessionMatchesTape(model);
 }
 
 // -- Plan keying: per task, per sequence length ----------------------------
@@ -231,10 +167,8 @@ TEST(InferencePlanTest, TaskSwitchMidStreamSelectsTheRightPlan) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "on");
   ExplainTiModel model(TinyConfig(), corpus);
   const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
   if (!session.HasTask(TaskKind::kRelation)) {
     GTEST_SKIP() << "corpus produced no relation task";
   }
@@ -247,15 +181,13 @@ TEST(InferencePlanTest, TaskSwitchMidStreamSelectsTheRightPlan) {
   // differs from the type one, so the two tasks genuinely exercise
   // distinct plans even at equal lengths — head widths differ).
   for (int id : type_ids) {
-    const InferencePlan* p = session.PlanFor(TaskKind::kType, id);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->seq_len,
+    EXPECT_EQ(session.PlanFor(TaskKind::kType, id).seq_len,
               static_cast<int64_t>(session.task_data(TaskKind::kType)
                                        .samples[static_cast<size_t>(id)]
                                        .seq.ids.size()));
   }
-  ASSERT_NE(session.PlanFor(TaskKind::kType, type_ids.front()),
-            session.PlanFor(TaskKind::kRelation, rel_ids.front()))
+  ASSERT_NE(&session.PlanFor(TaskKind::kType, type_ids.front()),
+            &session.PlanFor(TaskKind::kRelation, rel_ids.front()))
       << "type and relation traffic share one plan object";
 
   // Per-task reference results from task-homogeneous streams...
@@ -287,11 +219,9 @@ TEST(InferencePlanTest, TaskSwitchMidStreamSelectsTheRightPlan) {
 TEST(InferencePlanTest, BatchSizeOneMatchesFullBatch) {
   GlobalPoolGuard guard;
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "on");
   ExplainTiModel model(TinyConfig(), corpus);
   model.RefreshStores();
   const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
   const std::vector<int> ids = SampleIds(session.task_data(TaskKind::kType));
 
   util::SetGlobalThreadCount(4);
@@ -309,75 +239,6 @@ TEST(InferencePlanTest, BatchSizeOneMatchesFullBatch) {
   }
 }
 
-// -- Fallback and mode selection -------------------------------------------
-
-// A failed plan build (here: the plan.build chaos fault) must degrade the
-// session to the graph walk — same answers, zero plans, no error.
-TEST(InferencePlanTest, BuildFaultFallsBackToGraphWalkBitIdentically) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  auto reference = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  ASSERT_TRUE(reference->session().plans_enabled());
-
-  auto faulted = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    ArmedFault fault("plan.build");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  const InferenceSession& degraded = faulted->session();
-  EXPECT_FALSE(degraded.plans_enabled());
-  EXPECT_EQ(degraded.plan_stats().plans_built, 0);
-  EXPECT_EQ(degraded.PlanFor(TaskKind::kType, 0), nullptr);
-
-  for (int id : SampleIds(degraded.task_data(TaskKind::kType))) {
-    ExpectBitEqual(degraded.PredictProbabilities(TaskKind::kType, id),
-                   reference->session().PredictProbabilities(TaskKind::kType,
-                                                             id),
-                   "faulted-session probabilities");
-  }
-  EXPECT_GT(degraded.plan_stats().graph_runs, 0);
-  EXPECT_EQ(degraded.plan_stats().plan_runs, 0);
-}
-
-TEST(InferencePlanTest, EnvOffDisablesPlans) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "off");
-  ExplainTiModel model(TinyConfig(), corpus);
-  const InferenceSession& session = model.session();
-  EXPECT_FALSE(session.plans_enabled());
-  EXPECT_EQ(session.plan_mode(), InferenceSession::PlanMode::kOff);
-  EXPECT_FALSE(session.Predict(TaskKind::kType, 0).empty());
-  EXPECT_GT(session.plan_stats().graph_runs, 0);
-}
-
-// Verify mode runs both paths per call and CHECK-fails the process on any
-// bit divergence — so simply serving a few calls is the assertion.
-TEST(InferencePlanTest, VerifyModeCrossChecksEveryCall) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "verify");
-  ExplainTiModel model(TinyConfig(), corpus);
-  model.RefreshStores();
-  const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
-  EXPECT_EQ(session.plan_mode(), InferenceSession::PlanMode::kVerify);
-
-  const std::vector<int> ids = SampleIds(session.task_data(TaskKind::kType));
-  for (int id : ids) {
-    session.Predict(TaskKind::kType, id);
-    session.Explain(TaskKind::kType, id);
-  }
-  session.EncodeBatch(TaskKind::kType, ids);
-  EXPECT_GT(session.plan_stats().plan_runs, 0);
-}
-
 // -- Hot-swap: plans are per-generation ------------------------------------
 
 // A swap replica compiles its own plans (the old generation's die with
@@ -386,7 +247,6 @@ TEST(InferencePlanTest, HotSwapReplicaGetsFreshPlans) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "on");
   ExplainTiModel model(TinyConfig(), corpus);
   model.RefreshStores();
   const std::string path = ::testing::TempDir() + "/plan_swap_weights.bin";
@@ -395,14 +255,13 @@ TEST(InferencePlanTest, HotSwapReplicaGetsFreshPlans) {
   auto replica = LoadReplicaForSwap(TinyConfig(), corpus, path);
   ASSERT_TRUE(replica.ok()) << replica.status().ToString();
   const InferenceSession& fresh = (*replica)->session();
-  ASSERT_TRUE(fresh.plans_enabled());
-  EXPECT_GT(fresh.plan_stats().plans_built, 0);
+  EXPECT_GT(fresh.plans_built(), 0);
 
   const std::vector<int> ids = SampleIds(model.task_data(TaskKind::kType));
   // Distinct plan objects per generation — the replica did not inherit
   // (or dangle into) the old session's cache.
-  EXPECT_NE(fresh.PlanFor(TaskKind::kType, ids.front()),
-            model.session().PlanFor(TaskKind::kType, ids.front()));
+  EXPECT_NE(&fresh.PlanFor(TaskKind::kType, ids.front()),
+            &model.session().PlanFor(TaskKind::kType, ids.front()));
   for (int id : ids) {
     ExpectBitEqual(fresh.PredictProbabilities(TaskKind::kType, id),
                    model.session().PredictProbabilities(TaskKind::kType, id),
@@ -419,15 +278,12 @@ TEST(InferencePlanTest, SteadyStateRunPlanIsZeroAlloc) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "on");
   ExplainTiModel model(TinyConfig(), corpus);
   const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
 
   const TaskData& task = session.task_data(TaskKind::kType);
   const int id = SampleIds(task).front();
-  const InferencePlan* plan = session.PlanFor(TaskKind::kType, id);
-  ASSERT_NE(plan, nullptr);
+  const InferencePlan* plan = &session.PlanFor(TaskKind::kType, id);
   const TaskSample& sample = task.samples[static_cast<size_t>(id)];
 
   std::vector<float> encoder_out(
@@ -456,55 +312,27 @@ TEST(InferencePlanTest, SteadyStateRunPlanIsZeroAlloc) {
   EXPECT_GT(ws_after.buffer_acquires, ws_before.buffer_acquires);
 }
 
-// -- Golden evidence: every fp32 path tells the same story -----------------
+// -- Golden evidence: the session tells the tape's story ------------------
 
 // The shared golden-evidence fixture (tests/golden_evidence.h) pins the
-// explanation evidence across serving configurations: the compiled plan
-// path, the graph walk, and an explicit EXPLAINTI_PRECISION=fp32 session
-// must surface identical top-window token sets on the golden samples.
-// (The quantized gate in quantized_test.cc scores int8 sessions against
-// the same fixture with a tolerance; the fp32 paths get none.)
-TEST(InferencePlanTest, GoldenEvidenceAgreesAcrossFp32Paths) {
+// explanation evidence: the fp32 session must surface exactly the tape's
+// top-window token sets on the golden samples. (The quantized gate in
+// quantized_test.cc scores int8 sessions against the same fixture with a
+// tolerance; fp32 gets none.)
+TEST(InferencePlanTest, GoldenEvidenceMatchesTape) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = explainti::testing::GoldenCorpus();
-  auto plan_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(explainti::testing::GoldenConfig(),
-                                            corpus);
-  }();
-  auto graph_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "off");
-    return std::make_unique<ExplainTiModel>(explainti::testing::GoldenConfig(),
-                                            corpus);
-  }();
-  auto fp32_model = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "fp32");
-    return std::make_unique<ExplainTiModel>(explainti::testing::GoldenConfig(),
-                                            corpus);
-  }();
-  plan_model->RefreshStores();
-  graph_model->RefreshStores();
-  fp32_model->RefreshStores();
-  ASSERT_STREQ(fp32_model->session().served_precision(), "fp32");
-
+  ExplainTiModel model(explainti::testing::GoldenConfig(),
+                       explainti::testing::GoldenCorpus());
+  model.RefreshStores();
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!plan_model->session().HasTask(kind)) continue;
-    const auto want =
-        explainti::testing::GoldenEvidence(graph_model->session(), kind);
+    if (!model.HasTask(kind)) continue;
+    const auto want = explainti::testing::GoldenEvidence(model, kind);
     ASSERT_FALSE(want.empty());
     ASSERT_FALSE(want.front().empty()) << "golden sample produced no evidence";
-    const auto from_plan =
-        explainti::testing::GoldenEvidence(plan_model->session(), kind);
-    const auto from_fp32 =
-        explainti::testing::GoldenEvidence(fp32_model->session(), kind);
-    // fp32 paths are bit-identical, so evidence agreement is exact — the
-    // Jaccard tolerance exists only for the quantized tier.
-    EXPECT_EQ(explainti::testing::MeanEvidenceAgreement(want, from_plan), 1.0);
-    EXPECT_EQ(explainti::testing::MeanEvidenceAgreement(want, from_fp32), 1.0);
-    EXPECT_EQ(want, from_plan);
-    EXPECT_EQ(want, from_fp32);
+    const auto got = explainti::testing::GoldenEvidence(model.session(), kind);
+    EXPECT_EQ(explainti::testing::MeanEvidenceAgreement(want, got), 1.0);
+    EXPECT_EQ(want, got);
   }
 }
 

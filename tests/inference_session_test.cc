@@ -228,6 +228,20 @@ TEST(InferenceSessionTest, WarmPredictDoesNoTensorHeapAllocation) {
             heap_after.bytes - heap_mid.bytes);
 }
 
+// Serving has no fallback path that could swallow a bad request: an
+// out-of-range sample id dies on the session's range CHECK, never indexes
+// past the task's samples.
+TEST(InferenceSessionDeathTest, OutOfRangeSampleIdDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const data::TableCorpus corpus = TinyCorpus();
+  ExplainTiModel model(TinyConfig("bert"), corpus);
+  const InferenceSession& session = model.session();
+  const int n =
+      static_cast<int>(model.task_data(TaskKind::kType).samples.size());
+  EXPECT_DEATH((void)session.Predict(TaskKind::kType, n), "out of range");
+  EXPECT_DEATH((void)session.Explain(TaskKind::kType, -1), "out of range");
+}
+
 // -- Satellite 3: shared-session thread-safety (exercised under TSan via
 //    the tier1 label; the tsan CI job runs this binary with 4 pool
 //    threads). ---------------------------------------------------------------

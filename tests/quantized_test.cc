@@ -1,11 +1,8 @@
-// Precision-tiered serving: int8 kernels, quantized plan builds, the
-// accuracy-driven mixed mode, fail-closed fallback, and the weight-update
-// lifecycle (quantize once, re-quantize in place).
+// Precision-tiered serving: int8 kernels, quantized plan builds, and the
+// weight-update lifecycle (quantize once, re-quantize in place).
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,35 +18,11 @@
 #include "tensor/quant.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
-#include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace explainti::core {
 namespace {
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 class GlobalPoolGuard {
  public:
@@ -59,20 +32,13 @@ class GlobalPoolGuard {
   }
 };
 
-class ArmedFault {
- public:
-  explicit ArmedFault(const std::string& site) {
-    util::fault::FaultSpec spec;
-    spec.kind = util::fault::FaultKind::kError;
-    spec.code = util::StatusCode::kInternal;
-    spec.message = "chaos: " + site;
-    util::fault::FaultRegistry::Instance().Arm(site, spec);
-  }
-  ~ArmedFault() { util::fault::FaultRegistry::Instance().DisarmAll(); }
-};
-
 data::TableCorpus TinyCorpus() { return explainti::testing::GoldenCorpus(); }
 ExplainTiConfig TinyConfig() { return explainti::testing::GoldenConfig(); }
+ExplainTiConfig Int8Config() {
+  ExplainTiConfig config = TinyConfig();
+  config.precision = "int8";
+  return config;
+}
 
 void ExpectBitEqual(const std::vector<float>& a, const std::vector<float>& b,
                     const char* what) {
@@ -201,26 +167,14 @@ TEST(QuantizedSessionTest, Int8PolicyArmsFullTierAndStaysAccurate) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  auto fp32_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto int8_model = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  const InferenceSession& int8 = int8_model->session();
-  ASSERT_TRUE(int8.plans_enabled());
-  ASSERT_TRUE(int8.precision_status().ok())
-      << int8.precision_status().ToString();
+  ExplainTiModel fp32_model(TinyConfig(), corpus);
+  ExplainTiModel int8_model(Int8Config(), corpus);
+  const InferenceSession& int8 = int8_model.session();
   EXPECT_STREQ(int8.served_precision(), "int8");
   EXPECT_EQ(int8.precision_mode(), InferenceSession::PrecisionMode::kInt8);
 
   const InferenceSession::PrecisionStats stats = int8.precision_stats();
   EXPECT_GT(stats.int8_layers, 0);
-  EXPECT_EQ(stats.fp32_fallback_layers, 0) << "int8 policy has no fallback";
-  EXPECT_TRUE(stats.head_int8);
   ASSERT_GT(stats.weight_bytes_int8, 0);
   // ~4x weight-memory reduction. The per-column dequant params (fp32
   // scale + int32 col_sum = 8 bytes) amortise over the column's rows, so
@@ -234,155 +188,19 @@ TEST(QuantizedSessionTest, Int8PolicyArmsFullTierAndStaysAccurate) {
   // Every plan carries int8 GEMMs, and the plan's quant scratch is wired.
   const std::vector<int> ids = explainti::testing::GoldenSampleIds(
       int8.task_data(TaskKind::kType));
-  const InferencePlan* plan = int8.PlanFor(TaskKind::kType, ids.front());
-  ASSERT_NE(plan, nullptr);
-  EXPECT_GT(plan->int8_gemms, 0);
-  EXPECT_GE(plan->qa_off, 0);
+  const InferencePlan& plan = int8.PlanFor(TaskKind::kType, ids.front());
+  EXPECT_GT(plan.int8_gemms, 0);
+  EXPECT_GE(plan.qa_off, 0);
 
   // Prediction agreement with the fp32 reference on the golden samples.
   int agree = 0;
   for (int id : ids) {
     agree += int8.Predict(TaskKind::kType, id) ==
-             fp32_model->session().Predict(TaskKind::kType, id);
+             fp32_model.session().Predict(TaskKind::kType, id);
   }
   EXPECT_GE(agree, static_cast<int>(ids.size()) - 1)
       << "int8 predictions diverged from fp32 on " << ids.size() - agree
       << " of " << ids.size() << " golden samples";
-}
-
-// EXPLAINTI_PRECISION=fp32 must be a true no-op: bit-identical outputs
-// and zero quantized state, indistinguishable from an unset environment.
-TEST(QuantizedSessionTest, Fp32PolicyIsBitIdenticalToDefault) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  auto default_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto fp32_model = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "fp32");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  const InferenceSession& session = fp32_model->session();
-  EXPECT_TRUE(session.precision_status().ok());
-  EXPECT_STREQ(session.served_precision(), "fp32");
-  EXPECT_EQ(session.precision_stats().weight_bytes_int8, 0);
-  for (int id : explainti::testing::GoldenSampleIds(
-           session.task_data(TaskKind::kType))) {
-    ExpectBitEqual(
-        session.PredictProbabilities(TaskKind::kType, id),
-        default_model->session().PredictProbabilities(TaskKind::kType, id),
-        "EXPLAINTI_PRECISION=fp32 changed the reference output");
-  }
-}
-
-// A quantizer fault (plan.quantize chaos site) fails closed: the session
-// keeps serving — from the all-fp32 plans, bit-identically — and reports
-// a typed status, never an error or a half-quantized mix.
-TEST(QuantizedSessionTest, QuantizeFaultFailsClosedToFp32Plans) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  auto reference = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto faulted = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
-    ArmedFault fault("plan.quantize");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  const InferenceSession& session = faulted->session();
-  ASSERT_TRUE(session.plans_enabled())
-      << "fp32 plans must survive a quantized-tier failure";
-  EXPECT_STREQ(session.served_precision(), "fp32");
-  EXPECT_FALSE(session.precision_status().ok());
-  EXPECT_EQ(session.precision_status().code(), util::StatusCode::kInternal);
-  EXPECT_EQ(session.precision_mode(), InferenceSession::PrecisionMode::kInt8)
-      << "the requested policy is still reported";
-
-  for (int id : explainti::testing::GoldenSampleIds(
-           session.task_data(TaskKind::kType))) {
-    ExpectBitEqual(
-        session.PredictProbabilities(TaskKind::kType, id),
-        reference->session().PredictProbabilities(TaskKind::kType, id),
-        "failed-closed session diverged from the fp32 reference");
-  }
-  EXPECT_EQ(session.plan_stats().graph_runs, 0)
-      << "fail-closed must land on fp32 plans, not the graph walk";
-}
-
-// Verify mode cross-checks bit-identity against the graph walk, which the
-// int8 tier deliberately breaks — so verify forces fp32 with a typed
-// status instead of CHECK-failing on the first call.
-TEST(QuantizedSessionTest, VerifyModeForcesFp32) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv plan_env("EXPLAINTI_PLAN", "verify");
-  ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
-  ExplainTiModel model(TinyConfig(), corpus);
-  const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
-  EXPECT_STREQ(session.served_precision(), "fp32");
-  EXPECT_FALSE(session.precision_status().ok());
-  // Serving a few calls exercises the verify CHECKs — they must pass,
-  // proving nothing quantized leaked into the served path.
-  for (int id : explainti::testing::GoldenSampleIds(
-           session.task_data(TaskKind::kType))) {
-    EXPECT_FALSE(session.Predict(TaskKind::kType, id).empty());
-  }
-}
-
-// Mixed mode calibrates per layer: accounting must be consistent, serving
-// must work, and whatever mask calibration picked must keep golden-sample
-// agreement at the configured threshold.
-TEST(QuantizedSessionTest, MixedModeCalibratesPerLayerMask) {
-  GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
-  const data::TableCorpus corpus = TinyCorpus();
-  auto fp32_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto mixed_model = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "mixed");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  const InferenceSession& session = mixed_model->session();
-  ASSERT_TRUE(session.plans_enabled());
-  EXPECT_EQ(session.precision_mode(), InferenceSession::PrecisionMode::kMixed);
-
-  const InferenceSession::PrecisionStats stats = session.precision_stats();
-  if (session.precision_status().ok()) {
-    // Calibration accepted a mask: layers split cleanly between tiers.
-    EXPECT_STREQ(session.served_precision(), "mixed");
-    EXPECT_GT(stats.int8_layers + (stats.head_int8 ? 1 : 0), 0);
-    const auto& config = mixed_model->config();
-    // The fp32 path still answers; agreement on the calibration metric
-    // held by construction. Spot-check label agreement end to end.
-    const std::vector<int> ids = explainti::testing::GoldenSampleIds(
-        session.task_data(TaskKind::kType));
-    int agree = 0;
-    for (int id : ids) {
-      agree += session.Predict(TaskKind::kType, id) ==
-               fp32_model->session().Predict(TaskKind::kType, id);
-    }
-    EXPECT_GE(static_cast<double>(agree),
-              config.precision_min_agreement *
-                  static_cast<double>(ids.size()) -
-                  1.0);
-  } else {
-    // Calibration rejected everything: fail-closed semantics apply.
-    EXPECT_STREQ(session.served_precision(), "fp32");
-    EXPECT_EQ(stats.int8_layers, 0);
-  }
-  // Either way the layer accounting is total.
-  EXPECT_FALSE(session.Predict(TaskKind::kType, 0).empty());
 }
 
 // -- Weight-update lifecycle ------------------------------------------------
@@ -395,12 +213,10 @@ TEST(QuantizedSessionTest, ReloadWeightsRequantizesInPlace) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-  ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
 
   // Pure-plan logits (no structural head) so the comparison below is
   // between the compiled paths alone, independent of store state.
-  ExplainTiConfig base_config = TinyConfig();
+  ExplainTiConfig base_config = Int8Config();
   base_config.use_structural = false;
   base_config.use_global = false;
 
@@ -417,8 +233,7 @@ TEST(QuantizedSessionTest, ReloadWeightsRequantizesInPlace) {
 
   const std::vector<int> ids = explainti::testing::GoldenSampleIds(
       session.task_data(TaskKind::kType));
-  const InferencePlan* plan_before = session.PlanFor(TaskKind::kType, ids[0]);
-  ASSERT_NE(plan_before, nullptr);
+  const InferencePlan* plan_before = &session.PlanFor(TaskKind::kType, ids[0]);
   const int8_t* weights_before = nullptr;
   for (const PlanInstr& instr : plan_before->instrs) {
     if (instr.dtype == tensor::DType::kI8) {
@@ -433,7 +248,7 @@ TEST(QuantizedSessionTest, ReloadWeightsRequantizesInPlace) {
   ASSERT_TRUE(model.LoadWeights(path).ok());
   session.ReloadWeights();
 
-  const InferencePlan* plan_after = session.PlanFor(TaskKind::kType, ids[0]);
+  const InferencePlan* plan_after = &session.PlanFor(TaskKind::kType, ids[0]);
   ASSERT_EQ(plan_after, plan_before)
       << "int8 fast path must not rebuild plan objects";
   const int8_t* weights_after = nullptr;
@@ -464,10 +279,8 @@ TEST(QuantizedSessionTest, LoadWeightsRearmsTheTier) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-  ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
 
-  ExplainTiConfig base_config = TinyConfig();
+  ExplainTiConfig base_config = Int8Config();
   base_config.use_structural = false;
   base_config.use_global = false;
   ExplainTiModel donor(base_config, corpus);
@@ -480,8 +293,6 @@ TEST(QuantizedSessionTest, LoadWeightsRearmsTheTier) {
   ASSERT_TRUE(model.LoadWeights(path).ok());
   const InferenceSession& session = model.session();
   EXPECT_STREQ(session.served_precision(), "int8");
-  EXPECT_TRUE(session.precision_status().ok())
-      << session.precision_status().ToString();
   for (int id : explainti::testing::GoldenSampleIds(
            session.task_data(TaskKind::kType))) {
     ExpectBitEqual(session.PredictProbabilities(TaskKind::kType, id),
@@ -499,18 +310,14 @@ TEST(QuantizedSessionTest, SteadyStateInt8RunPlanIsZeroAlloc) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-  ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
-  ExplainTiModel model(TinyConfig(), corpus);
+  ExplainTiModel model(Int8Config(), corpus);
   const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
   ASSERT_STREQ(session.served_precision(), "int8");
 
   const TaskData& task = session.task_data(TaskKind::kType);
   const int id =
       explainti::testing::GoldenSampleIds(task).front();
-  const InferencePlan* plan = session.PlanFor(TaskKind::kType, id);
-  ASSERT_NE(plan, nullptr);
+  const InferencePlan* plan = &session.PlanFor(TaskKind::kType, id);
   ASSERT_GT(plan->int8_gemms, 0);
   const TaskSample& sample = task.samples[static_cast<size_t>(id)];
 
@@ -548,22 +355,15 @@ TEST(QuantizedSessionTest, GoldenEvidenceAgreementUnderInt8) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  auto fp32_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto int8_model = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "int8");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  fp32_model->RefreshStores();
-  int8_model->RefreshStores();
-  ASSERT_STREQ(int8_model->session().served_precision(), "int8");
+  ExplainTiModel fp32_model(TinyConfig(), corpus);
+  ExplainTiModel int8_model(Int8Config(), corpus);
+  fp32_model.RefreshStores();
+  int8_model.RefreshStores();
+  ASSERT_STREQ(int8_model.session().served_precision(), "int8");
 
-  const auto want = explainti::testing::GoldenEvidence(fp32_model->session(),
+  const auto want = explainti::testing::GoldenEvidence(fp32_model.session(),
                                                        TaskKind::kType);
-  const auto got = explainti::testing::GoldenEvidence(int8_model->session(),
+  const auto got = explainti::testing::GoldenEvidence(int8_model.session(),
                                                       TaskKind::kType);
   const double agreement = explainti::testing::MeanEvidenceAgreement(want, got);
   EXPECT_GE(agreement, 0.6)
