@@ -81,9 +81,7 @@ class PathMeter {
     const tensor::WorkspaceStats arena_after =
         tensor::ThisThreadWorkspaceStats();
     allocations_ += heap_after.allocations - heap_before.allocations;
-    arena_misses_ +=
-        (arena_after.node_misses - arena_before.node_misses) +
-        (arena_after.buffer_misses - arena_before.buffer_misses);
+    arena_misses_ += arena_after.buffer_misses - arena_before.buffer_misses;
   }
 
   PathStats Stats() const {

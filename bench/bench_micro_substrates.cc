@@ -55,7 +55,7 @@ void BM_EncoderForward(benchmark::State& state) {
   std::vector<int> segments(40, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        encoder.Forward(ids, segments, /*training=*/false, rng));
+        encoder.Forward(ids, segments, nn::ExecContext::Eval(&rng)));
   }
 }
 BENCHMARK(BM_EncoderForward);
@@ -71,8 +71,8 @@ void BM_EncoderTrainStep(benchmark::State& state) {
   }
   std::vector<int> segments(40, 0);
   for (auto _ : state) {
-    tensor::Tensor out = encoder.Forward(ids, segments, /*training=*/true,
-                                         rng);
+    tensor::Tensor out =
+        encoder.Forward(ids, segments, nn::ExecContext::Train(rng));
     tensor::Tensor loss = tensor::Mean(out);
     loss.Backward();
     benchmark::DoNotOptimize(loss.item());

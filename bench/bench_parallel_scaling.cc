@@ -83,7 +83,7 @@ double RunEncoderForward() {
   }
   util::Rng fwd_rng(23);
   tensor::Tensor out =
-      encoder.Forward(ids, segments, /*training=*/false, fwd_rng);
+      encoder.Forward(ids, segments, nn::ExecContext::Eval(&fwd_rng));
   return ChecksumFloats(out.data(), out.size());
 }
 

@@ -8,22 +8,6 @@
 
 namespace explainti::baselines {
 
-namespace {
-
-std::vector<float> NormalizeToDistribution(std::vector<float> v) {
-  float total = 0.0f;
-  for (float x : v) total += x;
-  if (total <= 0.0f) {
-    const float u = 1.0f / static_cast<float>(v.size());
-    for (float& x : v) x = u;
-    return v;
-  }
-  for (float& x : v) x /= total;
-  return v;
-}
-
-}  // namespace
-
 SelfExplain::SelfExplain(TransformerBaselineConfig config, float alpha,
                          float beta, int chunk_size, int top_k)
     : TransformerBaseline("SelfExplain", std::move(config)),
@@ -103,10 +87,9 @@ tensor::Tensor SelfExplain::ExtraLoss(core::TaskKind kind,
   const std::vector<std::pair<int, int>> chunks = Chunks(sample);
   if (!chunks.empty() && heads.local != nullptr) {
     std::vector<float> ref =
-        task.multi_label
-            ? NormalizeToDistribution(
-                  tensor::SigmoidValues(final_logits.ToVector()))
-            : tensor::SoftmaxValues(final_logits.ToVector());
+        task.multi_label ? tensor::SigmoidValues(final_logits.ToVector())
+                         : tensor::SoftmaxValues(final_logits.ToVector());
+    if (task.multi_label) tensor::NormalizeToDistribution(ref);
     std::vector<tensor::Tensor> s_probs;
     std::vector<float> kls;
     for (const auto& [start, end] : chunks) {
@@ -117,7 +100,7 @@ tensor::Tensor SelfExplain::ExtraLoss(core::TaskKind kind,
       tensor::Tensor s_j = task.multi_label ? tensor::SigmoidOp(logits_j)
                                             : tensor::Softmax(logits_j);
       std::vector<float> dist = s_j.ToVector();
-      if (task.multi_label) dist = NormalizeToDistribution(dist);
+      if (task.multi_label) tensor::NormalizeToDistribution(dist);
       kls.push_back(tensor::KlDivergence(dist, ref));
       s_probs.push_back(std::move(s_j));
     }
@@ -212,7 +195,7 @@ std::vector<std::string> SelfExplain::TopLocalChunks(core::TaskKind kind,
       Encode(kind, sample_id, /*training=*/false, rng);
   tensor::Tensor cls = tensor::Row(embeddings, 0);
   std::vector<float> ref = Probabilities(kind, sample_id);
-  if (task.multi_label) ref = NormalizeToDistribution(ref);
+  if (task.multi_label) tensor::NormalizeToDistribution(ref);
 
   const std::vector<std::pair<int, int>> chunks = Chunks(sample);
   std::vector<std::pair<float, size_t>> ranked;
@@ -222,10 +205,9 @@ std::vector<std::string> SelfExplain::TopLocalChunks(core::TaskKind kind,
     tensor::Tensor logits_j =
         heads.local->Forward(tensor::Sub(cls, pooled));
     std::vector<float> dist =
-        task.multi_label
-            ? NormalizeToDistribution(
-                  tensor::SigmoidValues(logits_j.ToVector()))
-            : tensor::SoftmaxValues(logits_j.ToVector());
+        task.multi_label ? tensor::SigmoidValues(logits_j.ToVector())
+                         : tensor::SoftmaxValues(logits_j.ToVector());
+    if (task.multi_label) tensor::NormalizeToDistribution(dist);
     ranked.emplace_back(tensor::KlDivergence(dist, ref), j);
   }
   std::sort(ranked.begin(), ranked.end(),

@@ -241,8 +241,10 @@ tensor::Tensor TransformerBaseline::Encode(core::TaskKind kind, int sample_id,
   const TaskState& state = State(kind);
   const core::TaskSample& sample =
       state.data.samples[static_cast<size_t>(sample_id)];
-  return encoder_->Forward(sample.seq.ids, sample.seq.segments, training, rng,
-                           AttentionMask(kind, sample));
+  return encoder_->Forward(
+      sample.seq.ids, sample.seq.segments,
+      training ? nn::ExecContext::Train(rng) : nn::ExecContext::Eval(&rng),
+      AttentionMask(kind, sample));
 }
 
 tensor::Tensor TransformerBaseline::ForwardLogits(

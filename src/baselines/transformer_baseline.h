@@ -53,7 +53,7 @@ class TransformerBaseline : public TableInterpreter {
   /// highest-probability class (Simonyan et al. saliency maps).
   std::vector<float> TokenSaliency(core::TaskKind kind, int sample_id) const;
 
-  /// [CLS] embedding of a sample (inference mode).
+  /// [CLS] embedding of a sample (eval-mode forward).
   std::vector<float> ClsEmbedding(core::TaskKind kind, int sample_id) const;
 
   /// Per-label sigma outputs for a sample.

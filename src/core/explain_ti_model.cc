@@ -5,7 +5,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/inference_session.h"
@@ -27,19 +29,6 @@ std::vector<float> MultiHot(const std::vector<int>& labels, int num_labels) {
   std::vector<float> y(static_cast<size_t>(num_labels), 0.0f);
   for (int label : labels) y[static_cast<size_t>(label)] = 1.0f;
   return y;
-}
-
-/// Normalises a non-negative vector to sum 1 (for KL on sigmoid outputs).
-std::vector<float> NormalizeToDistribution(std::vector<float> v) {
-  float total = 0.0f;
-  for (float x : v) total += x;
-  if (total <= 0.0f) {
-    const float u = 1.0f / static_cast<float>(v.size());
-    for (float& x : v) x = u;
-    return v;
-  }
-  for (float& x : v) x /= total;
-  return v;
 }
 
 /// Window text: tokens joined, merging "##" continuations, specials kept
@@ -186,15 +175,181 @@ std::vector<tensor::Tensor> ExplainTiModel::AllParameters() const {
 }
 
 // ---------------------------------------------------------------------------
+// Explanation-tail steps (shared with the session's compiled tail)
+// ---------------------------------------------------------------------------
+
+std::vector<graph::SampledNeighbor> ExplainTiModel::SelectNeighbors(
+    const TaskData& task, int sample_id, const EmbeddingStore::View& store,
+    util::Rng& rng) const {
+  // Sample 2-hop neighbours, keeping only training samples (their
+  // embeddings live in the store Q).
+  std::vector<graph::SampledNeighbor> raw =
+      task.graph.SampleNeighbors(sample_id, 4 * config_.sample_size, rng);
+  std::vector<graph::SampledNeighbor> usable;
+  for (const graph::SampledNeighbor& n : raw) {
+    if (n.via != graph::BridgeKind::kSelf && store.Contains(n.sample_id)) {
+      usable.push_back(n);
+      if (static_cast<int>(usable.size()) == config_.sample_size) break;
+    }
+  }
+  // With-replacement padding when fewer distinct neighbours exist.
+  if (!usable.empty()) {
+    size_t i = 0;
+    while (static_cast<int>(usable.size()) < config_.sample_size) {
+      usable.push_back(usable[i++ % usable.size()]);
+    }
+  }
+  return usable;
+}
+
+std::vector<StructuralExplanation> ExplainTiModel::StructuralRecords(
+    const TaskData& task, int sample_id,
+    const std::vector<graph::SampledNeighbor>& usable,
+    const float* attention) {
+  std::vector<StructuralExplanation> records;
+  if (usable.empty()) {
+    StructuralExplanation self;
+    self.neighbor_sample_id = sample_id;
+    self.attention = 1.0f;
+    self.via = graph::BridgeKind::kSelf;
+    records.push_back(std::move(self));
+    return records;
+  }
+  // Merge repeated neighbours for the explanation record.
+  std::unordered_map<int, size_t> merged;
+  for (size_t j = 0; j < usable.size(); ++j) {
+    auto it = merged.find(usable[j].sample_id);
+    if (it != merged.end()) {
+      records[it->second].attention += attention[j];
+      continue;
+    }
+    StructuralExplanation exp;
+    exp.neighbor_sample_id = usable[j].sample_id;
+    exp.attention = attention[j];
+    exp.via = usable[j].via;
+    exp.text = task.SampleText(exp.neighbor_sample_id);
+    exp.labels =
+        task.samples[static_cast<size_t>(exp.neighbor_sample_id)].labels;
+    merged.emplace(exp.neighbor_sample_id, records.size());
+    records.push_back(std::move(exp));
+  }
+  std::sort(records.begin(), records.end(),
+            [](const StructuralExplanation& a, const StructuralExplanation& b) {
+              return a.attention > b.attention;
+            });
+  return records;
+}
+
+std::vector<ann::SearchResult> ExplainTiModel::SearchGlobal(
+    const TaskData& task, int sample_id, const EmbeddingStore::View& store,
+    const std::vector<float>& cls, bool* used_fallback) const {
+  // A training sample would otherwise retrieve itself — vacuous as an
+  // explanation and label leakage as a training signal.
+  const int exclude = task.IsTrainSample(sample_id) ? sample_id : -1;
+  return store.Search(cls, config_.top_k, exclude, used_fallback);
+}
+
+void ExplainTiModel::UnitRow(const EmbeddingStore::EmbeddingRef& e,
+                             float* out) {
+  double norm_sq = 0.0;
+  for (float v : e) norm_sq += static_cast<double>(v) * v;
+  const float inv =
+      norm_sq > 1e-24 ? static_cast<float>(1.0 / std::sqrt(norm_sq)) : 0.0f;
+  for (int64_t i = 0; i < e.size(); ++i) out[i] = e[i] * inv;
+}
+
+std::vector<GlobalExplanation> ExplainTiModel::GlobalRecords(
+    const TaskData& task, const std::vector<ann::SearchResult>& hits,
+    const float* influence) {
+  std::vector<GlobalExplanation> records;
+  for (size_t j = 0; j < hits.size(); ++j) {
+    GlobalExplanation exp;
+    exp.train_sample_id = static_cast<int>(hits[j].id);
+    exp.influence = influence[j];
+    exp.text = task.SampleText(exp.train_sample_id);
+    exp.labels = task.samples[static_cast<size_t>(exp.train_sample_id)].labels;
+    records.push_back(std::move(exp));
+  }
+  std::sort(records.begin(), records.end(),
+            [](const GlobalExplanation& a, const GlobalExplanation& b) {
+              return a.influence > b.influence;
+            });
+  return records;
+}
+
+ExplainTiModel::LocalWindows ExplainTiModel::WindowsFor(
+    TaskKind kind, const TaskSample& sample) const {
+  // Windows of width k over [begin, end): one window when the span is
+  // no wider than k, none when it is empty.
+  const int k = config_.window_size;
+  auto slide = [k](int begin, int end, std::vector<std::pair<int, int>>* ws) {
+    if (end - begin <= k) {
+      if (end > begin) ws->emplace_back(begin, end);
+    } else {
+      for (int j = begin; j + k <= end; ++j) ws->emplace_back(j, j + k);
+    }
+  };
+  // Content spans skip [CLS] and the trailing [SEP] (and, for a relation
+  // pair, the [SEP] between its two columns).
+  const int len = static_cast<int>(sample.seq.ids.size());
+  LocalWindows windows;
+  if (kind == TaskKind::kType) {
+    slide(1, len - 1, &windows.left);
+  } else {
+    slide(1, sample.seq.sep_pos, &windows.left);
+    slide(sample.seq.sep_pos + 1, len - 1, &windows.right);
+    windows.paired = true;
+  }
+  return windows;
+}
+
+std::vector<float> ExplainTiModel::Relevances(std::vector<float> kls) {
+  float total_kl = 0.0f;
+  for (float v : kls) total_kl += v;
+  if (total_kl <= 0.0f) total_kl = 1.0f;
+  for (float& v : kls) v = v / total_kl;
+  return kls;
+}
+
+std::vector<LocalExplanation> ExplainTiModel::LocalRecords(
+    const TaskSample& sample, const LocalWindows& windows,
+    const std::vector<float>& relevance) {
+  std::vector<LocalExplanation> records;
+  for (size_t j = 0; j < windows.size(); ++j) {
+    LocalExplanation exp;
+    std::tie(exp.window_start, exp.window_end) =
+        windows.left[windows.LeftOf(j)];
+    if (windows.paired) {
+      std::tie(exp.window_start2, exp.window_end2) =
+          windows.right[windows.RightOf(j)];
+    }
+    exp.relevance = relevance[j];
+    records.push_back(std::move(exp));
+  }
+  std::sort(records.begin(), records.end(),
+            [](const LocalExplanation& a, const LocalExplanation& b) {
+              return a.relevance > b.relevance;
+            });
+  for (LocalExplanation& exp : records) {
+    exp.text = WindowText(sample.seq.tokens, exp.window_start, exp.window_end);
+    if (exp.window_start2 >= 0) {
+      const std::string right =
+          WindowText(sample.seq.tokens, exp.window_start2, exp.window_end2);
+      if (!right.empty()) exp.text += " | " + right;
+    }
+  }
+  return records;
+}
+
+// ---------------------------------------------------------------------------
 // Forward
 // ---------------------------------------------------------------------------
 
 ExplainTiModel::Forward ExplainTiModel::RunForward(
     TaskKind kind, int sample_id, const nn::ExecContext& ctx, bool with_local,
-    bool with_global, const tensor::Tensor* precomputed_embeddings) const {
+    bool with_global) const {
   CHECK(ctx.rng != nullptr) << "RunForward requires an RNG (dropout and SE "
                                "neighbour sampling draw from it)";
-  util::Rng& rng = *ctx.rng;
   const TaskData& task = Task(kind);
   CHECK(sample_id >= 0 &&
         sample_id < static_cast<int>(task.samples.size()));
@@ -207,257 +362,118 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
   const EmbeddingStore::View store = Store(kind).view();
 
   Forward fwd;
-  // The compiled-plan path hands the encoder output in precomputed form
-  // (bit-identical to the encoder call by the plan contract); everything
-  // downstream is shared between the two paths.
-  fwd.embeddings =
-      precomputed_embeddings != nullptr
-          ? *precomputed_embeddings
-          : encoder_->Forward(sample.seq.ids, sample.seq.segments, ctx);
-  fwd.cls = tensor::Row(fwd.embeddings, 0);
-  const int len = static_cast<int>(sample.seq.ids.size());
+  fwd.evidence.store_empty = store.size() == 0;
+  const tensor::Tensor embeddings =
+      encoder_->Forward(sample.seq.ids, sample.seq.segments, ctx);
+  const tensor::Tensor cls = tensor::Row(embeddings, 0);
+  const int64_t d = cls.size();
 
   // -- Structural Explanations (Algorithm 4) -----------------------------
-  const bool se_ready = config_.use_structural && store.size() > 0;
-  if (se_ready) {
-    // Sample 2-hop neighbours, keeping only training samples (their
-    // embeddings live in the store Q).
-    std::vector<graph::SampledNeighbor> raw = task.graph.SampleNeighbors(
-        sample_id, 4 * config_.sample_size, rng);
-    std::vector<graph::SampledNeighbor> usable;
-    for (const graph::SampledNeighbor& n : raw) {
-      if (n.via != graph::BridgeKind::kSelf && store.Contains(n.sample_id)) {
-        usable.push_back(n);
-        if (static_cast<int>(usable.size()) == config_.sample_size) break;
-      }
-    }
-    // With-replacement padding when fewer distinct neighbours exist.
-    if (!usable.empty()) {
-      size_t i = 0;
-      while (static_cast<int>(usable.size()) < config_.sample_size) {
-        usable.push_back(usable[i++ % usable.size()]);
-      }
-    }
-
+  if (config_.use_structural && store.size() > 0) {
+    const std::vector<graph::SampledNeighbor> usable =
+        SelectNeighbors(task, sample_id, store, *ctx.rng);
+    tensor::Tensor attention;
+    tensor::Tensor contextual;
     if (usable.empty()) {
       // Degenerate: no in-store neighbours; fall back to the sample's own
       // embedding so E_s carries no extra information.
-      tensor::Tensor self = fwd.cls.Detach();
-      tensor::Tensor concat = tensor::Concat(self, fwd.cls);
-      fwd.final_logits = heads.structural->Forward(concat);
-      StructuralExplanation self_exp;
-      self_exp.neighbor_sample_id = sample_id;
-      self_exp.attention = 1.0f;
-      self_exp.via = graph::BridgeKind::kSelf;
-      fwd.neighbors.push_back(std::move(self_exp));
+      contextual = cls.Detach();
     } else {
       const int r = static_cast<int>(usable.size());
-      const int64_t d = fwd.cls.size();
       std::vector<float> nbr_data(static_cast<size_t>(r) * d);
       for (int j = 0; j < r; ++j) {
         const EmbeddingStore::EmbeddingRef e =
-            store.Embedding(usable[j].sample_id);
+            store.Embedding(usable[static_cast<size_t>(j)].sample_id);
         std::copy(e.begin(), e.end(),
                   nbr_data.begin() + static_cast<int64_t>(j) * d);
       }
       tensor::Tensor neighbors = tensor::Tensor::FromVector({r, d}, nbr_data);
       // AS = softmax(E_n . E_cls) (Eq. 5); E_s = sum AS_n E_n (Eq. 6).
-      tensor::Tensor scores = tensor::MatMul(neighbors, fwd.cls);
-      tensor::Tensor attention = tensor::Softmax(scores);
-      tensor::Tensor contextual = tensor::MatMul(attention, neighbors);
-      tensor::Tensor concat = tensor::Concat(contextual, fwd.cls);
-      fwd.final_logits = heads.structural->Forward(concat);
-
-      // Merge repeated neighbours for the explanation record.
-      std::unordered_map<int, size_t> merged;
-      for (int j = 0; j < r; ++j) {
-        const float as = attention.at(j);
-        auto it = merged.find(usable[static_cast<size_t>(j)].sample_id);
-        if (it != merged.end()) {
-          fwd.neighbors[it->second].attention += as;
-          continue;
-        }
-        StructuralExplanation exp;
-        exp.neighbor_sample_id = usable[static_cast<size_t>(j)].sample_id;
-        exp.attention = as;
-        exp.via = usable[static_cast<size_t>(j)].via;
-        exp.text = task.SampleText(exp.neighbor_sample_id);
-        exp.labels =
-            task.samples[static_cast<size_t>(exp.neighbor_sample_id)].labels;
-        merged.emplace(exp.neighbor_sample_id, fwd.neighbors.size());
-        fwd.neighbors.push_back(std::move(exp));
-      }
-      std::sort(fwd.neighbors.begin(), fwd.neighbors.end(),
-                [](const StructuralExplanation& a,
-                   const StructuralExplanation& b) {
-                  return a.attention > b.attention;
-                });
+      attention = tensor::Softmax(tensor::MatMul(neighbors, cls));
+      contextual = tensor::MatMul(attention, neighbors);
     }
+    fwd.final_logits =
+        heads.structural->Forward(tensor::Concat(contextual, cls));
+    fwd.evidence.neighbors = StructuralRecords(
+        task, sample_id, usable,
+        attention.defined() ? attention.data() : nullptr);
   } else {
-    fwd.final_logits = heads.base->Forward(fwd.cls);
+    fwd.final_logits = heads.base->Forward(cls);
   }
 
   // -- Global Explanations (Algorithm 2) ----------------------------------
   if (with_global && store.size() > 0) {
-    // A training sample would otherwise retrieve itself — vacuous as an
-    // explanation and label leakage as a training signal.
-    const int exclude = task.IsTrainSample(sample_id) ? sample_id : -1;
-    bool used_fallback = false;
-    const std::vector<ann::SearchResult> hits = store.Search(
-        fwd.cls.ToVector(), config_.top_k, exclude, &used_fallback);
-    fwd.ann_fallback = used_fallback;
+    const std::vector<ann::SearchResult> hits =
+        SearchGlobal(task, sample_id, store, cls.ToVector(),
+                     &fwd.evidence.ann_fallback);
     if (!hits.empty()) {
       const int k = static_cast<int>(hits.size());
-      const int64_t d = fwd.cls.size();
       // Raw and row-normalised copies of the retrieved embeddings.
       std::vector<float> raw(static_cast<size_t>(k) * d);
       std::vector<float> normalized(static_cast<size_t>(k) * d);
       for (int j = 0; j < k; ++j) {
         const EmbeddingStore::EmbeddingRef e =
             store.Embedding(static_cast<int>(hits[static_cast<size_t>(j)].id));
-        double norm_sq = 0.0;
-        for (float v : e) norm_sq += static_cast<double>(v) * v;
-        const float inv =
-            norm_sq > 1e-24 ? static_cast<float>(1.0 / std::sqrt(norm_sq))
-                            : 0.0f;
-        for (int64_t i = 0; i < d; ++i) {
-          raw[static_cast<int64_t>(j) * d + i] = e[static_cast<size_t>(i)];
-          normalized[static_cast<int64_t>(j) * d + i] =
-              e[static_cast<size_t>(i)] * inv;
-        }
+        std::copy(e.begin(), e.end(),
+                  raw.begin() + static_cast<int64_t>(j) * d);
+        UnitRow(e, normalized.data() + static_cast<int64_t>(j) * d);
       }
       tensor::Tensor q_raw = tensor::Tensor::FromVector({k, d}, raw);
       tensor::Tensor q_norm = tensor::Tensor::FromVector({k, d}, normalized);
       // IS = softmax(cos(E_cls, q)) (Eq. 4), differentiable through E_cls.
-      tensor::Tensor cls_norm = tensor::L2Normalize(fwd.cls);
-      tensor::Tensor cos_scores = tensor::MatMul(q_norm, cls_norm);
-      tensor::Tensor influence = tensor::Softmax(cos_scores);
-      tensor::Tensor global_embedding = tensor::MatMul(influence, q_raw);
-      fwd.global_logits = heads.global->Forward(global_embedding);
-
-      for (int j = 0; j < k; ++j) {
-        GlobalExplanation exp;
-        exp.train_sample_id = static_cast<int>(hits[static_cast<size_t>(j)].id);
-        exp.influence = influence.at(j);
-        exp.text = task.SampleText(exp.train_sample_id);
-        exp.labels =
-            task.samples[static_cast<size_t>(exp.train_sample_id)].labels;
-        fwd.retrieved.push_back(std::move(exp));
-      }
-      std::sort(fwd.retrieved.begin(), fwd.retrieved.end(),
-                [](const GlobalExplanation& a, const GlobalExplanation& b) {
-                  return a.influence > b.influence;
-                });
+      tensor::Tensor cls_norm = tensor::L2Normalize(cls);
+      tensor::Tensor influence =
+          tensor::Softmax(tensor::MatMul(q_norm, cls_norm));
+      fwd.global_logits =
+          heads.global->Forward(tensor::MatMul(influence, q_raw));
+      fwd.evidence.retrieved = GlobalRecords(task, hits, influence.data());
     }
   }
 
   // -- Local Explanations (Algorithm 1) ------------------------------------
-  if (with_local) {
-    const int k = config_.window_size;
+  const LocalWindows windows =
+      with_local ? WindowsFor(kind, sample) : LocalWindows();
+  if (windows.size() > 0) {
     // Reference distribution: the model's own prediction.
     std::vector<float> ref =
-        task.multi_label
-            ? NormalizeToDistribution(
-                  tensor::SigmoidValues(fwd.final_logits.ToVector()))
-            : tensor::SoftmaxValues(fwd.final_logits.ToVector());
-
-    struct WindowSpan {
-      int start1, end1;
-      int start2 = -1, end2 = -1;
-    };
-    std::vector<WindowSpan> spans;
-    if (kind == TaskKind::kType) {
-      const int content_begin = 1;           // Skip [CLS].
-      const int content_end = len - 1;       // Skip trailing [SEP].
-      if (content_end - content_begin <= k) {
-        spans.push_back(WindowSpan{content_begin, content_end});
-      } else {
-        for (int j = content_begin; j + k <= content_end; ++j) {
-          spans.push_back(WindowSpan{j, j + k});
-        }
+        Probabilities(kind, fwd.final_logits.ToVector());
+    if (task.multi_label) tensor::NormalizeToDistribution(ref);
+    std::vector<tensor::Tensor> s_probs;
+    std::vector<float> kls;
+    s_probs.reserve(windows.size());
+    kls.reserve(windows.size());
+    for (size_t j = 0; j < windows.size(); ++j) {
+      const auto [start1, end1] = windows.left[windows.LeftOf(j)];
+      tensor::Tensor pooled =
+          tensor::MeanRows(tensor::SliceRows(embeddings, start1, end1));
+      if (windows.paired) {
+        const auto [start2, end2] = windows.right[windows.RightOf(j)];
+        tensor::Tensor pooled2 =
+            tensor::MeanRows(tensor::SliceRows(embeddings, start2, end2));
+        pooled = tensor::Scale(tensor::Add(pooled, pooled2), 0.5f);
       }
-    } else {
-      const int sep = sample.seq.sep_pos;
-      const int left_begin = 1;
-      const int left_end = sep;
-      const int right_begin = sep + 1;
-      const int right_end = len - 1;
-      auto window_starts = [k](int begin, int end) {
-        std::vector<std::pair<int, int>> ws;
-        if (end - begin <= k) {
-          if (end > begin) ws.emplace_back(begin, end);
-        } else {
-          for (int j = begin; j + k <= end; ++j) ws.emplace_back(j, j + k);
-        }
-        return ws;
-      };
-      for (const auto& [s1, e1] : window_starts(left_begin, left_end)) {
-        for (const auto& [s2, e2] : window_starts(right_begin, right_end)) {
-          spans.push_back(WindowSpan{s1, e1, s2, e2});
-        }
-      }
+      // t_j is "the representation of the input without the concept's
+      // contribution" (Algorithm 1): occluding the window from the
+      // sample representation, so that a high KL shift marks an
+      // important window.
+      tensor::Tensor t_j = tensor::Sub(cls, pooled);
+      tensor::Tensor logits_j = heads.local->Forward(t_j);
+      tensor::Tensor s_j = task.multi_label ? tensor::SigmoidOp(logits_j)
+                                            : tensor::Softmax(logits_j);
+      // KL(s_j, logits) on detached values (Eq. 3).
+      std::vector<float> s_dist = s_j.ToVector();
+      if (task.multi_label) tensor::NormalizeToDistribution(s_dist);
+      kls.push_back(tensor::KlDivergence(s_dist, ref));
+      s_probs.push_back(std::move(s_j));
     }
-
-    if (!spans.empty()) {
-      std::vector<tensor::Tensor> s_probs;
-      std::vector<float> kls;
-      s_probs.reserve(spans.size());
-      kls.reserve(spans.size());
-      for (const WindowSpan& span : spans) {
-        tensor::Tensor pooled = tensor::MeanRows(
-            tensor::SliceRows(fwd.embeddings, span.start1, span.end1));
-        if (span.start2 >= 0) {
-          tensor::Tensor pooled2 = tensor::MeanRows(
-              tensor::SliceRows(fwd.embeddings, span.start2, span.end2));
-          pooled = tensor::Scale(tensor::Add(pooled, pooled2), 0.5f);
-        }
-        // t_j is "the representation of the input without the concept's
-        // contribution" (Algorithm 1): occluding the window from the
-        // sample representation, so that a high KL shift marks an
-        // important window.
-        tensor::Tensor t_j = tensor::Sub(fwd.cls, pooled);
-        tensor::Tensor logits_j = heads.local->Forward(t_j);
-        tensor::Tensor s_j = task.multi_label ? tensor::SigmoidOp(logits_j)
-                                              : tensor::Softmax(logits_j);
-        // KL(s_j, logits) on detached values (Eq. 3).
-        std::vector<float> s_dist = s_j.ToVector();
-        if (task.multi_label) s_dist = NormalizeToDistribution(s_dist);
-        kls.push_back(tensor::KlDivergence(s_dist, ref));
-        s_probs.push_back(std::move(s_j));
-      }
-      float total_kl = 0.0f;
-      for (float v : kls) total_kl += v;
-      if (total_kl <= 0.0f) total_kl = 1.0f;
-
-      tensor::Tensor l_local;
-      for (size_t j = 0; j < spans.size(); ++j) {
-        const float rs = kls[j] / total_kl;
-        tensor::Tensor weighted = tensor::Scale(s_probs[j], rs);
-        l_local = l_local.defined() ? tensor::Add(l_local, weighted)
-                                    : weighted;
-        LocalExplanation exp;
-        exp.window_start = spans[j].start1;
-        exp.window_end = spans[j].end1;
-        exp.window_start2 = spans[j].start2;
-        exp.window_end2 = spans[j].end2;
-        exp.relevance = rs;
-        fwd.windows.push_back(std::move(exp));
-      }
-      fwd.local_probs = l_local;
-      std::sort(fwd.windows.begin(), fwd.windows.end(),
-                [](const LocalExplanation& a, const LocalExplanation& b) {
-                  return a.relevance > b.relevance;
-                });
-      for (LocalExplanation& exp : fwd.windows) {
-        exp.text = WindowText(sample.seq.tokens, exp.window_start,
-                              exp.window_end);
-        if (exp.window_start2 >= 0) {
-          const std::string right = WindowText(
-              sample.seq.tokens, exp.window_start2, exp.window_end2);
-          if (!right.empty()) exp.text += " | " + right;
-        }
-      }
+    const std::vector<float> relevance = Relevances(std::move(kls));
+    for (size_t j = 0; j < windows.size(); ++j) {
+      tensor::Tensor weighted = tensor::Scale(s_probs[j], relevance[j]);
+      fwd.local_probs = fwd.local_probs.defined()
+                            ? tensor::Add(fwd.local_probs, weighted)
+                            : weighted;
     }
+    fwd.evidence.windows = LocalRecords(sample, windows, relevance);
   }
 
   return fwd;
@@ -894,34 +910,37 @@ std::vector<float> ExplainTiModel::PredictProbabilities(TaskKind kind,
   util::Rng rng(InferenceSeed(sample_id));
   Forward fwd = RunForward(kind, sample_id, nn::ExecContext::Eval(&rng),
                            /*with_local=*/false, /*with_global=*/false);
-  const TaskData& task = Task(kind);
-  return task.multi_label
-             ? tensor::SigmoidValues(fwd.final_logits.ToVector())
-             : tensor::SoftmaxValues(fwd.final_logits.ToVector());
+  return Probabilities(kind, fwd.final_logits.ToVector());
+}
+
+std::vector<float> ExplainTiModel::Probabilities(
+    TaskKind kind, const std::vector<float>& logits) const {
+  return Task(kind).multi_label ? tensor::SigmoidValues(logits)
+                                : tensor::SoftmaxValues(logits);
 }
 
 Explanation ExplainTiModel::Explain(TaskKind kind, int sample_id) const {
   util::Rng rng(InferenceSeed(sample_id));
   Forward fwd = RunForward(kind, sample_id, nn::ExecContext::Eval(&rng));
-  return MakeExplanation(kind, std::move(fwd));
+  return MakeExplanation(kind, fwd.final_logits.ToVector(),
+                         std::move(fwd.evidence));
 }
 
-Explanation ExplainTiModel::MakeExplanation(TaskKind kind, Forward fwd) const {
+Explanation ExplainTiModel::MakeExplanation(
+    TaskKind kind, const std::vector<float>& final_logits,
+    Evidence evidence) const {
   Explanation z;
-  z.predicted_labels = DecodeLabels(kind, fwd.final_logits.ToVector());
-  const TaskData& task = Task(kind);
-  z.probabilities = task.multi_label
-                        ? tensor::SigmoidValues(fwd.final_logits.ToVector())
-                        : tensor::SoftmaxValues(fwd.final_logits.ToVector());
-  z.local = std::move(fwd.windows);
-  z.global = std::move(fwd.retrieved);
-  z.structural = std::move(fwd.neighbors);
-  if (fwd.ann_fallback) {
+  z.predicted_labels = DecodeLabels(kind, final_logits);
+  z.probabilities = Probabilities(kind, final_logits);
+  z.local = std::move(evidence.windows);
+  z.global = std::move(evidence.retrieved);
+  z.structural = std::move(evidence.neighbors);
+  if (evidence.ann_fallback) {
     z.ann_degraded = true;
     z.degradation_note =
         "global retrieval degraded: HNSW index unavailable or failed; "
         "served exactly by the flat index";
-  } else if (config_.use_global && Store(kind).size() == 0) {
+  } else if (config_.use_global && evidence.store_empty) {
     z.degradation_note =
         "embedding store empty: global explanations unavailable";
   }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -147,21 +148,41 @@ class ExplainTiModel {
     std::unique_ptr<nn::ClassifierHead> global;      // l_G head (W_g).
   };
 
-  /// Outcome of one forward pass with the explanation modules attached.
+  /// The explanation records of one forward pass. The tape forward and
+  /// the session's compiled tail build them through the same helpers
+  /// below, so identical inputs give identical records (texts, labels and
+  /// tie order included).
+  struct Evidence {
+    std::vector<LocalExplanation> windows;         // LE, by relevance.
+    std::vector<GlobalExplanation> retrieved;      // GE, by influence.
+    std::vector<StructuralExplanation> neighbors;  // SE, by attention.
+    bool ann_fallback = false;  // GE retrieval used the flat-index fallback.
+    bool store_empty = false;   // The pinned store snapshot had no rows.
+  };
+
+  /// Outcome of one tape forward pass with the explanation modules
+  /// attached.
   struct Forward {
-    tensor::Tensor embeddings;    // E [L, d].
-    tensor::Tensor cls;           // E_[CLS].
-    tensor::Tensor final_logits;  // SE logits (Eq. 9) or base (Eq. 1).
-    // LE.
-    tensor::Tensor local_probs;   // l_L (probability vector), if LE on.
-    std::vector<LocalExplanation> windows;
-    // GE.
+    tensor::Tensor final_logits;   // SE logits (Eq. 9) or base (Eq. 1).
+    tensor::Tensor local_probs;    // l_L (probability vector), if LE on.
     tensor::Tensor global_logits;  // l_G, if GE on and store ready.
-    std::vector<GlobalExplanation> retrieved;
-    // SE.
-    std::vector<StructuralExplanation> neighbors;
-    // True when GE retrieval used the flat-index fallback.
-    bool ann_fallback = false;
+    Evidence evidence;
+  };
+
+  /// LE candidate windows of one sample (Algorithm 1), as [start, end)
+  /// token spans. Type samples slide one window over the content;
+  /// relation samples pair every left-column window with every
+  /// right-column window, left-major.
+  struct LocalWindows {
+    std::vector<std::pair<int, int>> left;
+    std::vector<std::pair<int, int>> right;  // Relation samples only.
+    bool paired = false;
+    size_t size() const {
+      return paired ? left.size() * right.size() : left.size();
+    }
+    /// Indices into `left` / `right` of window (pair) j.
+    size_t LeftOf(size_t j) const { return paired ? j / right.size() : j; }
+    size_t RightOf(size_t j) const { return j % right.size(); }
   };
 
   const TaskData& Task(TaskKind kind) const;
@@ -170,30 +191,67 @@ class ExplainTiModel {
   EmbeddingStore& Store(TaskKind kind);
   const EmbeddingStore& Store(TaskKind kind) const;
 
-  /// Full forward pass for `sample_id`. `ctx` selects the execution path
-  /// (train tape / eval tape) and carries the RNG used for dropout and SE
-  /// neighbour sampling. The three-argument form runs
+  /// Full tape forward pass for `sample_id`: the training path and the
+  /// serving oracle. `ctx` selects train or eval and carries the RNG used
+  /// for dropout and SE neighbour sampling. The three-argument form runs
   /// with the configured explanation modules; the explicit form lets
   /// Predict() skip LE/GE (they never change the final logits) without
   /// mutating shared state, which keeps concurrent Evaluate() calls
-  /// race-free. `precomputed_embeddings`, when non-null, replaces the
-  /// encoder call with an already-computed E [L, d] (the compiled-plan
-  /// path hands the encoder output here and this method runs the
-  /// SE/LE/GE/head tail exactly as before — in particular the se_ready
-  /// decision stays in one place, so plan and tape calls can never
-  /// disagree about which head ran).
+  /// race-free.
   Forward RunForward(TaskKind kind, int sample_id,
                      const nn::ExecContext& ctx) const {
     return RunForward(kind, sample_id, ctx, config_.use_local,
                       config_.use_global);
   }
   Forward RunForward(TaskKind kind, int sample_id, const nn::ExecContext& ctx,
-                     bool with_local, bool with_global,
-                     const tensor::Tensor* precomputed_embeddings =
-                         nullptr) const;
+                     bool with_local, bool with_global) const;
 
-  /// Assembles the public Explanation record from a full Forward.
-  Explanation MakeExplanation(TaskKind kind, Forward fwd) const;
+  /// Assembles the public Explanation record from the final logits and
+  /// the evidence of a forward pass (tape or compiled).
+  Explanation MakeExplanation(TaskKind kind,
+                              const std::vector<float>& final_logits,
+                              Evidence evidence) const;
+
+  // -- Explanation-tail steps shared by RunForward and the session --------
+
+  /// SE neighbour selection (Algorithm 4): samples 2-hop neighbours from
+  /// `rng`, keeps in-store training samples up to config.sample_size and
+  /// pads with replacement. Empty when no neighbour is in the store.
+  std::vector<graph::SampledNeighbor> SelectNeighbors(
+      const TaskData& task, int sample_id, const EmbeddingStore::View& store,
+      util::Rng& rng) const;
+
+  /// SE records: repeated neighbours merged, sorted by attention. With no
+  /// usable neighbour, the one self record (attention may be null then).
+  static std::vector<StructuralExplanation> StructuralRecords(
+      const TaskData& task, int sample_id,
+      const std::vector<graph::SampledNeighbor>& usable,
+      const float* attention);
+
+  /// GE retrieval: the config.top_k nearest stored samples to `cls`,
+  /// excluding the sample itself when it is a training sample.
+  std::vector<ann::SearchResult> SearchGlobal(
+      const TaskData& task, int sample_id, const EmbeddingStore::View& store,
+      const std::vector<float>& cls, bool* used_fallback) const;
+
+  /// out = e / ||e|| (double-accumulated norm; zero row for a zero
+  /// vector): a retrieved embedding's row of the GE cosine GEMM.
+  static void UnitRow(const EmbeddingStore::EmbeddingRef& e, float* out);
+
+  /// GE records, one per hit, sorted by influence.
+  static std::vector<GlobalExplanation> GlobalRecords(
+      const TaskData& task, const std::vector<ann::SearchResult>& hits,
+      const float* influence);
+
+  LocalWindows WindowsFor(TaskKind kind, const TaskSample& sample) const;
+
+  /// RS_j = KL_j / sum KL (Eq. 3), with a non-positive total read as 1.
+  static std::vector<float> Relevances(std::vector<float> kls);
+
+  /// LE records sorted by relevance, each with its window text.
+  static std::vector<LocalExplanation> LocalRecords(
+      const TaskSample& sample, const LocalWindows& windows,
+      const std::vector<float>& relevance);
 
   /// Builds the per-sample joint loss (Eq. 11) from a Forward.
   tensor::Tensor ComputeLoss(TaskKind kind, const TaskSample& sample,
@@ -206,6 +264,10 @@ class ExplainTiModel {
   /// `config_.store_dir` when set and loadable, otherwise fall back to
   /// RefreshStores() (the in-memory re-encode).
   void RestoreStores();
+
+  /// Per-label sigma outputs (sigmoid or softmax) from final logits.
+  std::vector<float> Probabilities(TaskKind kind,
+                                   const std::vector<float>& logits) const;
 
   /// Decodes predicted label ids from final logits.
   std::vector<int> DecodeLabels(TaskKind kind,

@@ -1,11 +1,13 @@
 #include "core/inference_session.h"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
-#include "nn/exec_context.h"
 #include "nn/lowering.h"
+#include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 #include "util/fault_injection.h"
@@ -161,51 +163,197 @@ const InferencePlan& InferenceSession::PlanFor(TaskKind kind,
   return it->second;
 }
 
-tensor::Tensor InferenceSession::PlanEncode(const InferencePlan& plan,
-                                            const TaskSample& sample) const {
-  // The encoder output is the one plan intermediate that must outlive the
-  // arena (the RunForward tail reads it), so it gets a pooled workspace
-  // node of its own.
-  auto node = tensor::internal::AllocNode({plan.seq_len, plan.d_model},
-                                          /*zero_init=*/false);
+std::vector<float> InferenceSession::RunTail(
+    TaskKind kind, int sample_id, ExplainTiModel::Evidence* evidence) const {
+  const ExplainTiModel& model = *model_;
+  const ExplainTiConfig& config = model.config();
+  const InferencePlan& plan = PlanFor(kind, sample_id);
+  const TaskData& task = model.Task(kind);
+  const TaskSample& sample = task.samples[static_cast<size_t>(sample_id)];
+  const ExplainTiModel::TaskHeads& heads = model.Heads(kind);
+  const bool explain = evidence != nullptr;
+  const int64_t d = plan.d_model;
+  const int64_t c = task.num_labels;
+
+  // One store snapshot for SE and GE, pinned exactly as RunForward pins
+  // it; SE neighbour selection is the only RNG draw, as on the tape.
+  const EmbeddingStore::View store = model.Store(kind).view();
+  const bool se_ready = config.use_structural && store.size() > 0;
+  const bool ge_ready = explain && config.use_global && store.size() > 0;
+  std::vector<graph::SampledNeighbor> usable;
+  if (se_ready) {
+    util::Rng rng(model.InferenceSeed(sample_id));
+    usable = model.SelectNeighbors(task, sample_id, store, rng);
+  }
+  const ExplainTiModel::LocalWindows windows =
+      explain && config.use_local ? model.WindowsFor(kind, sample)
+                                  : ExplainTiModel::LocalWindows();
+
+  // One scratch for the whole tail. LE reads every encoder row; Predict
+  // and a tail without LE read only [CLS].
+  const int64_t rows = windows.size() > 0 ? plan.seq_len : 1;
+  const int64_t r = static_cast<int64_t>(usable.size());
+  const int64_t top_k = ge_ready ? config.top_k : 0;
+  const int64_t w = static_cast<int64_t>(windows.size());
+  const int64_t means =
+      static_cast<int64_t>(windows.left.size() + windows.right.size());
+  tensor::ScratchBuffer scratch(static_cast<size_t>(
+      rows * d + 2 * d + r * d + r + top_k * d + d + top_k +
+      (w > 0 ? (means + w) * d + w * c : 0)));
+  float* next = scratch.data();
+  const auto take = [&next](int64_t n) {
+    float* p = next;
+    next += n;
+    return p;
+  };
+  // y[m, out] = x[m, in] W + b: the Linear the tape head runs, on the
+  // kernels a plan runs its folded head with.
+  const auto affine = [](const nn::ClassifierHead& head, const float* x,
+                         int64_t m, float* y) {
+    const nn::LinearLowering lin = nn::LowerLinear(head.projection());
+    tensor::ZeroRows(y, lin.out, m, lin.out);
+    tensor::ServingGemm(x, lin.in, lin.weight, lin.out, /*trans_b=*/false,
+                        y, lin.out, m, lin.in, lin.out);
+    tensor::AddBiasRows(y, lin.out, lin.bias, m, lin.out);
+  };
+
+  // -- Encoder: E [rows, d] straight into the scratch. ---------------------
+  float* e = take(rows * d);
   PlanRun run;
   run.token_ids = sample.seq.ids.data();
   run.segment_ids = plan.has_segments ? sample.seq.segments.data() : nullptr;
-  run.encoder_out = node->data.data();
-  run.encoder_out_rows = plan.seq_len;
+  run.encoder_out = e;
+  run.encoder_out_rows = rows;
   RunPlan(plan, run);
-  return tensor::Tensor(std::move(node));
-}
+  const float* cls = e;
 
-ExplainTiModel::Forward InferenceSession::PlanForward(
-    TaskKind kind, int sample_id, const InferencePlan& plan, bool with_local,
-    bool with_global) const {
-  const TaskSample& sample =
-      model_->Task(kind).samples[static_cast<size_t>(sample_id)];
-  tensor::Tensor embeddings = PlanEncode(plan, sample);
-  // The tail (SE/LE/GE and head selection) is the tape's own code: the
-  // plan replaces only the encoder. With the encoder output precomputed,
-  // RunForward reads the context only for its RNG, which SE neighbour
-  // sampling draws from exactly as the tape does.
-  util::Rng rng(model_->InferenceSeed(sample_id));
-  return model_->RunForward(kind, sample_id, nn::ExecContext::Eval(&rng),
-                            with_local, with_global, &embeddings);
+  // -- SE (Algorithm 4), or the base head. ---------------------------------
+  std::vector<float> logits(static_cast<size_t>(c));
+  if (se_ready) {
+    // [E_s | E_cls]; with no in-store neighbour E_s is the sample's own
+    // [CLS] row.
+    float* concat = take(2 * d);
+    const float* attention = nullptr;
+    if (usable.empty()) {
+      std::copy(cls, cls + d, concat);
+    } else {
+      float* gathered = take(r * d);
+      for (int64_t j = 0; j < r; ++j) {
+        const EmbeddingStore::EmbeddingRef nbr =
+            store.Embedding(usable[static_cast<size_t>(j)].sample_id);
+        std::copy(nbr.begin(), nbr.end(), gathered + j * d);
+      }
+      // AS = softmax(E_n . E_cls) (Eq. 5); E_s = sum AS_n E_n (Eq. 6).
+      float* scores = take(r);
+      tensor::ZeroRows(scores, 1, r, 1);
+      tensor::ServingGemm(gathered, d, cls, 1, /*trans_b=*/false, scores, 1,
+                          r, d, 1);
+      tensor::ScaleSoftmaxRows(scores, 1, r, 1.0f);
+      tensor::ZeroRows(concat, d, 1, d);
+      tensor::ServingGemm(scores, r, gathered, d, /*trans_b=*/false, concat,
+                          d, 1, r, d);
+      attention = scores;
+    }
+    std::copy(cls, cls + d, concat + d);
+    affine(*heads.structural, concat, 1, logits.data());
+    if (explain) {
+      evidence->neighbors =
+          ExplainTiModel::StructuralRecords(task, sample_id, usable, attention);
+    }
+  } else {
+    affine(*heads.base, cls, 1, logits.data());
+  }
+  if (!explain) return logits;
+  evidence->store_empty = store.size() == 0;
+
+  // -- GE (Algorithm 2): IS = softmax(cos(E_cls, q)) (Eq. 4). The global
+  // head only feeds the training loss, so it is not run. ------------------
+  if (ge_ready) {
+    const std::vector<ann::SearchResult> hits = model.SearchGlobal(
+        task, sample_id, store, std::vector<float>(cls, cls + d),
+        &evidence->ann_fallback);
+    const int64_t k = static_cast<int64_t>(hits.size());
+    CHECK_LE(k, top_k) << "store search returned more than top_k hits";
+    if (k > 0) {
+      float* q = take(k * d);
+      for (int64_t j = 0; j < k; ++j) {
+        ExplainTiModel::UnitRow(
+            store.Embedding(static_cast<int>(hits[static_cast<size_t>(j)].id)),
+            q + j * d);
+      }
+      float* cls_norm = take(d);
+      tensor::L2NormalizeRow(cls, cls_norm, d, /*eps=*/1e-8f);
+      float* influence = take(k);
+      tensor::ZeroRows(influence, 1, k, 1);
+      tensor::ServingGemm(q, d, cls_norm, 1, /*trans_b=*/false, influence, 1,
+                          k, d, 1);
+      tensor::ScaleSoftmaxRows(influence, 1, k, 1.0f);
+      evidence->retrieved = ExplainTiModel::GlobalRecords(task, hits, influence);
+    }
+  }
+
+  // -- LE (Algorithm 1): every t_j = E_cls - mean(window) stacked into one
+  // [W, d] block, one GEMM against the local head, then KL(s_j, ref). -----
+  if (w > 0) {
+    std::vector<float> ref = model.Probabilities(kind, logits);
+    if (task.multi_label) tensor::NormalizeToDistribution(ref);
+    // Each side's window means once; relation pairs reuse them across the
+    // W1 x W2 grid.
+    float* side_means = take(means * d);
+    int64_t slot = 0;
+    for (const auto* side : {&windows.left, &windows.right}) {
+      for (const auto& [start, end] : *side) {
+        tensor::MeanRowsInto(e + start * d, end - start, d,
+                             side_means + slot++ * d);
+      }
+    }
+    const float* right_means =
+        side_means + static_cast<int64_t>(windows.left.size()) * d;
+    float* t = take(w * d);
+    for (int64_t j = 0; j < w; ++j) {
+      const float* pooled =
+          side_means + static_cast<int64_t>(windows.LeftOf(j)) * d;
+      float* row = t + j * d;
+      if (windows.paired) {
+        const float* pooled2 =
+            right_means + static_cast<int64_t>(windows.RightOf(j)) * d;
+        for (int64_t i = 0; i < d; ++i) {
+          const float pair_mean = (pooled[i] + pooled2[i]) * 0.5f;
+          row[i] = cls[i] - pair_mean;
+        }
+      } else {
+        for (int64_t i = 0; i < d; ++i) row[i] = cls[i] - pooled[i];
+      }
+    }
+    float* probs = take(w * c);
+    affine(*heads.local, t, w, probs);
+    if (task.multi_label) {
+      tensor::SigmoidInto(probs, probs, w * c);
+    } else {
+      tensor::ScaleSoftmaxRows(probs, w, c, 1.0f);
+    }
+    std::vector<float> kls(static_cast<size_t>(w));
+    for (int64_t j = 0; j < w; ++j) {
+      const std::span<float> s_j(probs + j * c, static_cast<size_t>(c));
+      if (task.multi_label) tensor::NormalizeToDistribution(s_j);
+      kls[static_cast<size_t>(j)] = tensor::KlDivergence(s_j, ref);
+    }
+    evidence->windows = ExplainTiModel::LocalRecords(
+        sample, windows, ExplainTiModel::Relevances(std::move(kls)));
+  }
+  return logits;
 }
 
 std::vector<float> InferenceSession::FinalLogits(TaskKind kind,
                                                  int sample_id) const {
-  tensor::InferenceModeGuard guard;
-  const InferencePlan& plan = PlanFor(kind, sample_id);
-  if (model_->config().use_structural || plan.logits_off < 0) {
+  if (model_->config().use_structural) {
     // Structural logits depend on store state and sampled neighbours, so
-    // the head is not compiled in; run the compiled encoder and the
-    // shared tail.
-    return PlanForward(kind, sample_id, plan, /*with_local=*/false,
-                       /*with_global=*/false)
-        .final_logits.ToVector();
+    // the head is not compiled in; run the compiled tail.
+    return RunTail(kind, sample_id, /*evidence=*/nullptr);
   }
   // Base head: the plan covers the whole sample — one instruction-array
-  // walk, no graph dispatch at all.
+  // walk.
+  const InferencePlan& plan = PlanFor(kind, sample_id);
   const TaskSample& sample =
       model_->Task(kind).samples[static_cast<size_t>(sample_id)];
   std::vector<float> logits(static_cast<size_t>(plan.num_labels));
@@ -224,24 +372,19 @@ std::vector<int> InferenceSession::Predict(TaskKind kind,
 
 std::vector<float> InferenceSession::PredictProbabilities(
     TaskKind kind, int sample_id) const {
-  const TaskData& task = model_->Task(kind);
-  const std::vector<float> logits = FinalLogits(kind, sample_id);
-  return task.multi_label ? tensor::SigmoidValues(logits)
-                          : tensor::SoftmaxValues(logits);
+  return model_->Probabilities(kind, FinalLogits(kind, sample_id));
 }
 
 Explanation InferenceSession::Explain(TaskKind kind, int sample_id) const {
-  tensor::InferenceModeGuard guard;
-  return model_->MakeExplanation(
-      kind, PlanForward(kind, sample_id, PlanFor(kind, sample_id),
-                        model_->config().use_local,
-                        model_->config().use_global));
+  ExplainTiModel::Evidence evidence;
+  const std::vector<float> logits = RunTail(kind, sample_id, &evidence);
+  return model_->MakeExplanation(kind, logits, std::move(evidence));
 }
 
 namespace {
 
 // Shared fan-out shape for the batched serving entry points: each sample
-// is an independent single-sample call (own guard, own InferenceSeed
+// is an independent single-sample call (own scratch, own InferenceSeed
 // RNG, writes only its own output slot), so chunking over the pool keeps
 // results bit-identical to the serial per-sample loop at any thread
 // count and any batch composition.

@@ -20,28 +20,34 @@ namespace explainti::core {
 
 /// Frozen, read-only serving facade over a trained ExplainTiModel.
 ///
-/// Compiled plans. At construction the session lowers the frozen encoder
-/// once into linearized inference plans (core/inference_plan.h) — one per
-/// distinct (task, sequence length, segment use) in the task data — and
-/// serves every call from them: fused kernels, fixed workspace offsets,
-/// zero per-call dispatch. With structural explanations off the plan
-/// folds the base classifier head in, so Predict is one instruction-array
-/// walk; otherwise the SE/LE/GE tail runs the model's own RunForward code
-/// on the plan's encoder output, under an InferenceModeGuard so its
-/// tensors come from the per-thread Workspace arena. Every condition the
-/// plan builder rejects is one the tape encoder CHECK-fails on too, so a
-/// plan build failure is a CHECK, not a fallback. fp32 outputs are
-/// bit-identical to the model's tape-building Predict/Explain, which is
-/// the oracle the golden tests compare against. Plans borrow the model's
-/// weight storage (updated in place by Fit/LoadWeights), so they never go
-/// stale; they die with the session, which under serve's hot-swap means a
-/// new generation always carries freshly built plans.
+/// Compiled serving, no tensor graph. At construction the session lowers
+/// the frozen encoder once into linearized inference plans
+/// (core/inference_plan.h) — one per distinct (task, sequence length,
+/// segment use) in the task data — and serves every call from them:
+/// fused kernels, fixed workspace offsets, zero per-call dispatch. With
+/// structural explanations off the plan folds the base classifier head
+/// in, so Predict is one instruction-array walk. Otherwise the SE/GE/LE
+/// explanation tail runs as one straight-line function over raw float
+/// buffers carved from a single per-call tensor::ScratchBuffer, on the
+/// same serving kernels the plans use (tensor/plan_kernels.h); it shares
+/// neighbour selection, retrieval and record building with the model's
+/// tape RunForward, so both draw the same SE sample and emit the same
+/// records. Every condition the plan builder rejects is one the tape
+/// encoder CHECK-fails on too, so a plan build failure is a CHECK, not a
+/// fallback. fp32 outputs are bit-identical to the model's tape-building
+/// Predict/Explain, which is the oracle the golden tests compare against.
+/// Plans borrow the model's weight storage (updated in place by
+/// Fit/LoadWeights), so they never go stale; they die with the session,
+/// which under serve's hot-swap means a new generation always carries
+/// freshly built plans.
 ///
 /// Precision. config.precision ("fp32" or "int8", latched at
 /// construction) is the one setting. "int8" quantizes every encoder
 /// weight GEMM and the folded base classifier head once from the frozen
 /// fp32 storage (per-output-column symmetric int8, ServingGemmInt8);
-/// "fp32" leaves every output bit-identical to the tape. Training always
+/// "fp32" leaves every output bit-identical to the tape. The explanation
+/// tail's heads (structural, local, and the base head it falls back to)
+/// stay fp32 under both settings. Training always
 /// serves fp32: the model suspends the int8 tier over Fit and
 /// re-quantizes from the new weights afterwards.
 ///
@@ -103,7 +109,7 @@ class InferenceSession {
   Explanation Explain(TaskKind kind, int sample_id) const;
 
   /// Batched Predict: one label vector per entry of `sample_ids`, fanned
-  /// out across the pool (each chunk under its own guard/workspace).
+  /// out across the pool (each worker on its own per-thread workspace).
   /// Outputs are bit-identical to per-sample Predict — every sample still
   /// runs the same single-sample forward with its own InferenceSeed RNG,
   /// so results do not depend on batch composition or thread count. This
@@ -122,7 +128,7 @@ class InferenceSession {
       TaskKind kind, const std::vector<int>& sample_ids) const;
 
   /// [CLS] embeddings for `sample_ids`, encoded in parallel across the
-  /// pool (each worker under its own guard/workspace). Feeds the GE/SE
+  /// pool (each worker on its own per-thread workspace). Feeds the GE/SE
   /// embedding-store rebuilds.
   std::vector<std::vector<float>> EncodeBatch(
       TaskKind kind, const std::vector<int>& sample_ids) const;
@@ -169,23 +175,18 @@ class InferenceSession {
   /// CHECK-fails if any plan does not build (see the class comment).
   void BuildPlans();
 
-  /// Runs `plan`'s encoder range for `sample` and wraps the output as a
-  /// workspace tensor E [L, d] for the RunForward tail. Caller must hold
-  /// an InferenceModeGuard.
-  tensor::Tensor PlanEncode(const InferencePlan& plan,
-                            const TaskSample& sample) const;
-
-  /// Single-sample forward: compiled encoder, then the shared RunForward
-  /// tail (SE/LE/GE/head). Caller must hold an InferenceModeGuard.
-  ExplainTiModel::Forward PlanForward(TaskKind kind, int sample_id,
-                                      const InferencePlan& plan,
-                                      bool with_local,
-                                      bool with_global) const;
+  /// The compiled explanation tail for one sample: the plan's encoder,
+  /// then SE (or the base head), and — when `evidence` is non-null, for
+  /// Explain — GE and LE with their records. Returns the final logits.
+  /// Without `evidence` only the [CLS] row is encoded and no record is
+  /// built: Predict reads nothing else.
+  std::vector<float> RunTail(TaskKind kind, int sample_id,
+                             ExplainTiModel::Evidence* evidence) const;
 
   /// Final logits for one sample — the shared core of
   /// Predict/PredictProbabilities. When the model runs without structural
   /// explanations the compiled plan covers the classifier head too, so
-  /// this is the zero-dispatch path.
+  /// this is one instruction-array walk.
   std::vector<float> FinalLogits(TaskKind kind, int sample_id) const;
 
   const ExplainTiModel* model_;

@@ -27,14 +27,6 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(const TransformerConfig& config,
 
 tensor::Tensor MultiHeadSelfAttention::Forward(const tensor::Tensor& x,
                                                const tensor::Tensor& mask,
-                                               bool training,
-                                               util::Rng& rng) const {
-  return Forward(x, mask,
-                 training ? ExecContext::Train(rng) : ExecContext::Eval(&rng));
-}
-
-tensor::Tensor MultiHeadSelfAttention::Forward(const tensor::Tensor& x,
-                                               const tensor::Tensor& mask,
                                                const ExecContext& ctx) const {
   const int64_t head_dim = config_.d_model / config_.num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));

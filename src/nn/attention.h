@@ -24,10 +24,6 @@ class MultiHeadSelfAttention : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
                          const ExecContext& ctx) const;
 
-  /// Legacy entry point; forwards to the ExecContext overload.
-  tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
-                         bool training, util::Rng& rng) const;
-
  private:
   // Reads the projection weights when lowering the frozen eval graph into
   // a compiled inference plan (nn/lowering.cc).

@@ -36,14 +36,6 @@ TransformerEmbeddings::TransformerEmbeddings(const TransformerConfig& config,
 
 tensor::Tensor TransformerEmbeddings::Forward(const std::vector<int>& ids,
                                               const std::vector<int>& segments,
-                                              bool training,
-                                              util::Rng& rng) const {
-  return Forward(ids, segments,
-                 training ? ExecContext::Train(rng) : ExecContext::Eval(&rng));
-}
-
-tensor::Tensor TransformerEmbeddings::Forward(const std::vector<int>& ids,
-                                              const std::vector<int>& segments,
                                               const ExecContext& ctx) const {
   const int64_t len = static_cast<int64_t>(ids.size());
   CHECK_GT(len, 0);

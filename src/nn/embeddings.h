@@ -23,11 +23,6 @@ class TransformerEmbeddings : public Module {
                          const std::vector<int>& segments,
                          const ExecContext& ctx) const;
 
-  /// Legacy entry point; forwards to the ExecContext overload.
-  tensor::Tensor Forward(const std::vector<int>& ids,
-                         const std::vector<int>& segments, bool training,
-                         util::Rng& rng) const;
-
  private:
   // Reads the tables/LN weights when lowering the frozen eval graph into
   // a compiled inference plan (nn/lowering.cc).

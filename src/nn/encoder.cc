@@ -20,13 +20,6 @@ EncoderLayer::EncoderLayer(const TransformerConfig& config, util::Rng& rng)
 }
 
 tensor::Tensor EncoderLayer::Forward(const tensor::Tensor& x,
-                                     const tensor::Tensor& mask, bool training,
-                                     util::Rng& rng) const {
-  return Forward(x, mask,
-                 training ? ExecContext::Train(rng) : ExecContext::Eval(&rng));
-}
-
-tensor::Tensor EncoderLayer::Forward(const tensor::Tensor& x,
                                      const tensor::Tensor& mask,
                                      const ExecContext& ctx) const {
   tensor::Tensor attn = attention_.Forward(x, mask, ctx);
@@ -48,15 +41,6 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
     layers_.push_back(std::make_unique<EncoderLayer>(config, rng));
     AddChild(layers_.back().get());
   }
-}
-
-tensor::Tensor TransformerEncoder::Forward(const std::vector<int>& ids,
-                                           const std::vector<int>& segments,
-                                           bool training, util::Rng& rng,
-                                           const tensor::Tensor& mask) const {
-  return Forward(ids, segments,
-                 training ? ExecContext::Train(rng) : ExecContext::Eval(&rng),
-                 mask);
 }
 
 tensor::Tensor TransformerEncoder::Forward(const std::vector<int>& ids,

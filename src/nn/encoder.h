@@ -24,10 +24,6 @@ class EncoderLayer : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
                          const ExecContext& ctx) const;
 
-  /// Legacy entry point; forwards to the ExecContext overload.
-  tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
-                         bool training, util::Rng& rng) const;
-
  private:
   // Reads the sublayer weights when lowering the frozen eval graph into a
   // compiled inference plan (nn/lowering.cc).
@@ -54,12 +50,6 @@ class TransformerEncoder : public Module {
   tensor::Tensor Forward(const std::vector<int>& ids,
                          const std::vector<int>& segments,
                          const ExecContext& ctx,
-                         const tensor::Tensor& mask = tensor::Tensor()) const;
-
-  /// Legacy entry point; forwards to the ExecContext overload.
-  tensor::Tensor Forward(const std::vector<int>& ids,
-                         const std::vector<int>& segments, bool training,
-                         util::Rng& rng,
                          const tensor::Tensor& mask = tensor::Tensor()) const;
 
   const TransformerConfig& config() const { return config_; }

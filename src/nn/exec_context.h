@@ -15,9 +15,9 @@ enum class ExecMode {
   kEval,
 };
 
-/// Execution context threaded through the encoder stack: mode + RNG. The
-/// scratch arena is not carried here — it is per-thread (see
-/// tensor/workspace.h), so the context stays trivially copyable and safe
+/// Execution context threaded through the tape encoder stack: mode + RNG.
+/// Serving never runs this stack (it runs compiled plans), so the tape has
+/// exactly these two modes; the context stays trivially copyable and safe
 /// to share across the threads of a parallel region.
 struct ExecContext {
   ExecMode mode = ExecMode::kEval;

@@ -97,8 +97,9 @@ MlmPretrainStats PretrainMlm(TransformerEncoder* encoder,
               : static_instances[idx];
       if (instance.targets.empty()) continue;
 
-      tensor::Tensor hidden = encoder->Forward(
-          instance.ids, segment_seqs[idx], /*training=*/true, dropout_rng);
+      tensor::Tensor hidden =
+          encoder->Forward(instance.ids, segment_seqs[idx],
+                           ExecContext::Train(dropout_rng));
       // Project only the masked rows; the vocab-sized matmul dominates.
       // Each target's loss subgraph is independent (hidden is read-only,
       // each slot written once), so targets fan out across the pool; the

@@ -351,10 +351,9 @@ void InferenceServer::Shutdown() {
 
 void InferenceServer::WorkerLoop() {
   // Batch vectors live for the worker's lifetime and keep their capacity
-  // across iterations; each per-sample forward inside ExecuteBatch runs
-  // under its own InferenceModeGuard with the executing thread's
-  // Workspace arena, so the steady-state loop performs no tensor heap
-  // allocations.
+  // across iterations; each per-sample call inside ExecuteBatch takes its
+  // scratch from the executing thread's Workspace pool, so the
+  // steady-state loop performs no scratch heap allocations.
   std::vector<PendingRequest> batch;
   std::vector<PendingRequest> expired;
   while (batcher_.PopBatch(&batch, &expired)) {

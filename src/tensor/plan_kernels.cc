@@ -233,6 +233,28 @@ void ScaleSoftmaxRows(float* c, int64_t rows, int64_t cols, float scale) {
   }
 }
 
+float L2NormalizeRow(const float* x, float* out, int64_t n, float eps) {
+  float norm_sq = 0.0f;
+  for (int64_t i = 0; i < n; ++i) norm_sq += x[i] * x[i];
+  const float norm = std::max(std::sqrt(norm_sq), eps);
+  for (int64_t i = 0; i < n; ++i) out[i] = x[i] / norm;
+  return norm;
+}
+
+void MeanRowsInto(const float* a, int64_t m, int64_t n, float* out) {
+  std::fill(out, out + n, 0.0f);
+  for (int64_t i = 0; i < m; ++i) {
+    const float* EXPLAINTI_RESTRICT row = a + i * n;
+    for (int64_t j = 0; j < n; ++j) out[j] += row[j];
+  }
+  const float inv_m = 1.0f / static_cast<float>(m);
+  for (int64_t j = 0; j < n; ++j) out[j] *= inv_m;
+}
+
+void SigmoidInto(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-x[i]));
+}
+
 namespace {
 
 // The LayerNorm row body from tensor_ops.cc, normalising `out` in place.

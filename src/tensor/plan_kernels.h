@@ -57,6 +57,19 @@ void BiasGeluRows(float* c, int64_t ldc, const float* bias, int64_t m,
 /// normalisation exactly as Softmax's row loop).
 void ScaleSoftmaxRows(float* c, int64_t rows, int64_t cols, float scale);
 
+/// out = x / max(||x||_2, eps) over one length-n row; returns the clamped
+/// norm (the L2Normalize op keeps it for its backward). The squared norm
+/// accumulates in float, ascending i.
+float L2NormalizeRow(const float* x, float* out, int64_t n, float eps);
+
+/// out[j] = mean_i a[i, j] over a contiguous [m, n] block: zero-fill,
+/// add the rows in ascending i, then multiply by 1/m — MeanRows' exact
+/// order, so a window mean reads identically on both paths.
+void MeanRowsInto(const float* a, int64_t m, int64_t n, float* out);
+
+/// out[i] = 1 / (1 + exp(-x[i])) for i < n; `out` may alias `x`.
+void SigmoidInto(const float* x, float* out, int64_t n);
+
 /// out[i, :] = layernorm(x[i, :] + f[i, :]; gamma, beta, eps): the
 /// residual Add + LayerNorm chain as one pass. The row sums are written
 /// into `out` first, then normalised in place, so the mean/variance/

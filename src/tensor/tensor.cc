@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
-#include "tensor/workspace.h"
 #include "util/logging.h"
 
 namespace explainti::tensor {
@@ -33,21 +33,21 @@ std::vector<float>& Node::EnsureGrad() {
   return grad;
 }
 
-}  // namespace internal
-
-namespace {
-
-std::shared_ptr<internal::Node> MakeLeaf(const Shape& shape,
-                                         bool zero_init = true) {
-  return internal::AllocNode(shape, zero_init);
+std::shared_ptr<Node> MakeNode(Shape shape) {
+  auto node = std::make_shared<Node>();
+  node->data.assign(static_cast<size_t>(NumElements(shape)), 0.0f);
+  node->shape = std::move(shape);
+  return node;
 }
 
-}  // namespace
+}  // namespace internal
 
-Tensor Tensor::Zeros(const Shape& shape) { return Tensor(MakeLeaf(shape)); }
+Tensor Tensor::Zeros(const Shape& shape) {
+  return Tensor(internal::MakeNode(shape));
+}
 
 Tensor Tensor::Full(const Shape& shape, float value) {
-  auto node = MakeLeaf(shape, /*zero_init=*/false);
+  auto node = internal::MakeNode(shape);
   for (float& v : node->data) v = value;
   return Tensor(node);
 }
@@ -56,19 +56,19 @@ Tensor Tensor::FromVector(const Shape& shape,
                           const std::vector<float>& values) {
   CHECK_EQ(static_cast<int64_t>(values.size()), NumElements(shape))
       << "FromVector size mismatch for shape " << ShapeToString(shape);
-  auto node = MakeLeaf(shape, /*zero_init=*/false);
+  auto node = internal::MakeNode(shape);
   std::copy(values.begin(), values.end(), node->data.begin());
   return Tensor(node);
 }
 
 Tensor Tensor::Scalar(float value) {
-  auto node = MakeLeaf({}, /*zero_init=*/false);
+  auto node = internal::MakeNode({});
   node->data[0] = value;
   return Tensor(node);
 }
 
 Tensor Tensor::Randn(const Shape& shape, util::Rng& rng, float stddev) {
-  auto node = MakeLeaf(shape, /*zero_init=*/false);
+  auto node = internal::MakeNode(shape);
   for (float& v : node->data) {
     v = static_cast<float>(rng.Normal(0.0, stddev));
   }
@@ -76,7 +76,7 @@ Tensor Tensor::Randn(const Shape& shape, util::Rng& rng, float stddev) {
 }
 
 Tensor Tensor::RandUniform(const Shape& shape, util::Rng& rng, float bound) {
-  auto node = MakeLeaf(shape, /*zero_init=*/false);
+  auto node = internal::MakeNode(shape);
   for (float& v : node->data) {
     v = static_cast<float>(rng.Uniform(-bound, bound));
   }
@@ -182,7 +182,7 @@ void Tensor::ZeroGrad() {
 
 Tensor Tensor::Detach() const {
   CHECK(node_ != nullptr);
-  auto node = internal::AllocNode(node_->shape, /*zero_init=*/false);
+  auto node = internal::MakeNode(node_->shape);
   // Copy: detached view must not alias autograd.
   std::copy(node_->data.begin(), node_->data.end(), node->data.begin());
   node->requires_grad = false;

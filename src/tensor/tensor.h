@@ -38,6 +38,10 @@ struct Node {
   std::vector<float>& EnsureGrad();
 };
 
+/// A fresh heap node of `shape` with zero-filled data: every leaf and op
+/// result starts here.
+std::shared_ptr<Node> MakeNode(Shape shape);
+
 }  // namespace internal
 
 /// Dense float32 tensor with reverse-mode automatic differentiation.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "tensor/plan_kernels.h"
-#include "tensor/workspace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -20,23 +19,12 @@ namespace {
 
 using internal::Node;
 
-/// Allocates an op-result node wired to its parents. The caller fills
-/// `data` and attaches `backward_fn` when `requires_grad` is set.
-///
-/// In inference mode (see workspace.h) the node is tape-free: parents are
-/// validated but not retained, `requires_grad` stays false (so callers
-/// never attach a backward closure), and storage comes from the thread's
-/// workspace arena. `zero_init == false` marks ops that overwrite every
-/// output element; it has no effect on the tape path, which always
-/// zero-fills exactly as before.
+/// Allocates a zero-filled op-result node wired to its parents. The
+/// caller fills `data` and attaches `backward_fn` when `requires_grad` is
+/// set.
 template <typename ParentRange>
-std::shared_ptr<Node> NewNodeImpl(Shape shape, const ParentRange& parents,
-                                  bool zero_init) {
-  auto node = internal::AllocNode(std::move(shape), zero_init);
-  if (InferenceModeActive()) {
-    for (const Tensor& p : parents) CHECK(p.defined());
-    return node;
-  }
+std::shared_ptr<Node> NewNodeImpl(Shape shape, const ParentRange& parents) {
+  auto node = internal::MakeNode(std::move(shape));
   bool requires_grad = false;
   for (const Tensor& p : parents) {
     CHECK(p.defined());
@@ -47,20 +35,17 @@ std::shared_ptr<Node> NewNodeImpl(Shape shape, const ParentRange& parents,
   return node;
 }
 
-/// Fixed-arity form for the common `{a, b}` call sites. The parent list
-/// lives on the stack (reference_wrapper, no Tensor copies), so in
-/// inference mode an op performs no heap allocation beyond its node.
+/// Fixed-arity form for the common `{a, b}` call sites (the parent list
+/// lives on the stack as reference_wrappers, no Tensor copies).
 std::shared_ptr<Node> NewNode(
     Shape shape,
-    std::initializer_list<std::reference_wrapper<const Tensor>> parents,
-    bool zero_init = true) {
-  return NewNodeImpl(std::move(shape), parents, zero_init);
+    std::initializer_list<std::reference_wrapper<const Tensor>> parents) {
+  return NewNodeImpl(std::move(shape), parents);
 }
 
 /// Variable-arity form for ops with a runtime parent list (Concat*, Stack).
-std::shared_ptr<Node> NewNode(Shape shape, const std::vector<Tensor>& parents,
-                              bool zero_init = true) {
-  return NewNodeImpl(std::move(shape), parents, zero_init);
+std::shared_ptr<Node> NewNode(Shape shape, const std::vector<Tensor>& parents) {
+  return NewNodeImpl(std::move(shape), parents);
 }
 
 void Accumulate(Node* parent, const float* grad, size_t n) {
@@ -87,7 +72,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
         << "Add broadcast requires b rank-1 matching a's last dim; got "
         << ShapeToString(a.shape()) << " + " << ShapeToString(b.shape());
   }
-  auto node = NewNode(a.shape(), {a, b}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a, b});
   const int64_t n = a.size();
   const int64_t cols = broadcast ? b.size() : n;
   const float* EXPLAINTI_RESTRICT pa = a.data();
@@ -125,7 +110,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   CHECK(a.shape() == b.shape()) << "Sub shape mismatch";
-  auto node = NewNode(a.shape(), {a, b}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a, b});
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) node->data[i] = a.data()[i] - b.data()[i];
   if (node->requires_grad) {
@@ -148,7 +133,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
     CHECK(b.rank() == 1 && LastDim(a) == b.dim(0))
         << "Mul broadcast requires b rank-1 matching a's last dim";
   }
-  auto node = NewNode(a.shape(), {a, b}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a, b});
   const int64_t n = a.size();
   const int64_t cols = broadcast ? b.size() : n;
   {
@@ -188,7 +173,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Scale(const Tensor& a, float c) {
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) node->data[i] = a.data()[i] * c;
   if (node->requires_grad) {
@@ -204,7 +189,7 @@ Tensor Scale(const Tensor& a, float c) {
 }
 
 Tensor AddScalar(const Tensor& a, float c) {
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) node->data[i] = a.data()[i] + c;
   if (node->requires_grad) {
@@ -250,24 +235,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // i-k-j loop order: streams through b's rows; good locality row-major.
   // Output rows are disjoint, so chunking over i (or, for a single output
   // row, over j) keeps every element's accumulation order — and therefore
-  // the float result — identical to the serial loop.
-  //
-  // The no-grad serving path takes a register-blocked kernel (two output
-  // rows x four k steps per pass): each output element still receives its
-  // products in ascending-k order with every product and add individually
-  // rounded, so the bits match the tape kernel exactly (for finite
-  // operands; 0-coefficient terms are added as signed zeros instead of
-  // skipped, which cannot change an accumulator that is never -0.0).
-  // The kernel lives in plan_kernels.cc — ONE compiled copy shared with
-  // the compiled-inference-plan executor, so the plan path and this graph
-  // walk cannot drift by even a bit. The tape path keeps the zero-skip
-  // kernel whose structure mirrors the backward pass and profits from
-  // sparse inputs.
-  const bool serving = InferenceModeActive();
-  if (serving) {
-    ServingGemm(pa, /*lda=*/k, pb, /*ldb=*/n, /*trans_b=*/false, pc,
-                /*ldc=*/n, m, k, n);
-  } else if (m > 1) {
+  // the float result — identical to the serial loop. The zero-skip
+  // mirrors the backward pass and profits from sparse inputs; serving
+  // runs ServingGemm (plan_kernels.h) instead, which accumulates the same
+  // products in the same ascending-k order, so for finite operands the
+  // two kernels agree bit for bit.
+  if (m > 1) {
     util::ParallelFor(0, m, util::GrainForCost(k * n),
                       [&](int64_t ib, int64_t ie) {
       for (int64_t i = ib; i < ie; ++i) {
@@ -356,7 +329,7 @@ Tensor Transpose(const Tensor& a) {
   CHECK_EQ(a.rank(), 2) << "Transpose requires rank-2";
   const int64_t m = a.dim(0);
   const int64_t n = a.dim(1);
-  auto node = NewNode({n, m}, {a}, /*zero_init=*/false);
+  auto node = NewNode({n, m}, {a});
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) {
       node->data[j * m + i] = a.data()[i * n + j];
@@ -387,11 +360,8 @@ Tensor Dot(const Tensor& a, const Tensor& b) {
 Tensor L2Normalize(const Tensor& x, float eps) {
   CHECK_EQ(x.rank(), 1) << "L2Normalize requires rank-1";
   const int64_t n = x.size();
-  float norm_sq = 0.0f;
-  for (int64_t i = 0; i < n; ++i) norm_sq += x.data()[i] * x.data()[i];
-  const float norm = std::max(std::sqrt(norm_sq), eps);
-  auto node = NewNode(x.shape(), {x}, /*zero_init=*/false);
-  for (int64_t i = 0; i < n; ++i) node->data[i] = x.data()[i] / norm;
+  auto node = NewNode(x.shape(), {x});
+  const float norm = L2NormalizeRow(x.data(), node->data.data(), n, eps);
   if (node->requires_grad) {
     Node* out = node.get();
     auto nx = x.node();
@@ -415,7 +385,7 @@ Tensor L2Normalize(const Tensor& x, float eps) {
 
 Tensor Reshape(const Tensor& a, const Shape& shape) {
   CHECK_EQ(NumElements(shape), a.size()) << "Reshape element-count mismatch";
-  auto node = NewNode(shape, {a}, /*zero_init=*/false);
+  auto node = NewNode(shape, {a});
   std::copy(a.data(), a.data() + a.size(), node->data.begin());
   if (node->requires_grad) {
     Node* out = node.get();
@@ -433,7 +403,7 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t end) {
       << "SliceRows range [" << start << ", " << end << ") out of bounds";
   const int64_t n = a.dim(1);
   const int64_t rows = end - start;
-  auto node = NewNode({rows, n}, {a}, /*zero_init=*/false);
+  auto node = NewNode({rows, n}, {a});
   std::copy(a.data() + start * n, a.data() + end * n, node->data.begin());
   if (node->requires_grad) {
     Node* out = node.get();
@@ -461,7 +431,7 @@ Tensor SliceCols(const Tensor& a, int64_t start, int64_t end) {
   const int64_t m = a.dim(0);
   const int64_t n = a.dim(1);
   const int64_t w = end - start;
-  auto node = NewNode({m, w}, {a}, /*zero_init=*/false);
+  auto node = NewNode({m, w}, {a});
   for (int64_t i = 0; i < m; ++i) {
     std::copy(a.data() + i * n + start, a.data() + i * n + end,
               node->data.begin() + i * w);
@@ -490,7 +460,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     CHECK(p.rank() == 2 && p.dim(0) == m) << "ConcatCols row mismatch";
     total_cols += p.dim(1);
   }
-  auto node = NewNode({m, total_cols}, parts, /*zero_init=*/false);
+  auto node = NewNode({m, total_cols}, parts);
   int64_t col_offset = 0;
   for (const Tensor& p : parts) {
     const int64_t w = p.dim(1);
@@ -529,7 +499,7 @@ Tensor Concat(const Tensor& a, const Tensor& b) {
   CHECK(a.rank() == 1 && b.rank() == 1) << "Concat requires rank-1 inputs";
   const int64_t p = a.size();
   const int64_t q = b.size();
-  auto node = NewNode({p + q}, {a, b}, /*zero_init=*/false);
+  auto node = NewNode({p + q}, {a, b});
   std::copy(a.data(), a.data() + p, node->data.begin());
   std::copy(b.data(), b.data() + q, node->data.begin() + p);
   if (node->requires_grad) {
@@ -555,7 +525,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     CHECK(p.rank() == 2 && p.dim(1) == n) << "ConcatRows column mismatch";
     total_rows += p.dim(0);
   }
-  auto node = NewNode({total_rows, n}, parts, /*zero_init=*/false);
+  auto node = NewNode({total_rows, n}, parts);
   int64_t offset = 0;
   for (const Tensor& p : parts) {
     std::copy(p.data(), p.data() + p.size(), node->data.begin() + offset);
@@ -588,8 +558,7 @@ Tensor Stack(const std::vector<Tensor>& rows) {
   for (const Tensor& r : rows) {
     CHECK(r.rank() == 1 && r.size() == n) << "Stack requires equal rank-1";
   }
-  auto node = NewNode({static_cast<int64_t>(rows.size()), n}, rows,
-                      /*zero_init=*/false);
+  auto node = NewNode({static_cast<int64_t>(rows.size()), n}, rows);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::copy(rows[i].data(), rows[i].data() + n,
               node->data.begin() + static_cast<int64_t>(i) * n);
@@ -621,11 +590,8 @@ Tensor MeanRows(const Tensor& a) {
   const int64_t m = a.dim(0);
   const int64_t n = a.dim(1);
   auto node = NewNode({n}, {a});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) node->data[j] += a.data()[i * n + j];
-  }
+  MeanRowsInto(a.data(), m, n, node->data.data());
   const float inv_m = 1.0f / static_cast<float>(m);
-  for (int64_t j = 0; j < n; ++j) node->data[j] *= inv_m;
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
@@ -643,7 +609,7 @@ Tensor MeanRows(const Tensor& a) {
 }
 
 Tensor Sum(const Tensor& a) {
-  auto node = NewNode({}, {a}, /*zero_init=*/false);
+  auto node = NewNode({}, {a});
   float acc = 0.0f;
   for (int64_t i = 0; i < a.size(); ++i) acc += a.data()[i];
   node->data[0] = acc;
@@ -668,7 +634,7 @@ Tensor Mean(const Tensor& a) {
 // ---------------------------------------------------------------------------
 
 Tensor Relu(const Tensor& a) {
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) {
     node->data[i] = a.data()[i] > 0.0f ? a.data()[i] : 0.0f;
@@ -693,7 +659,7 @@ const float kSqrt2OverPi = std::sqrt(2.0f / static_cast<float>(M_PI));
 }  // namespace
 
 Tensor Gelu(const Tensor& a) {
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) {
     const float x = a.data()[i];
@@ -720,7 +686,7 @@ Tensor Gelu(const Tensor& a) {
 }
 
 Tensor TanhOp(const Tensor& a) {
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) node->data[i] = std::tanh(a.data()[i]);
   if (node->requires_grad) {
@@ -739,11 +705,9 @@ Tensor TanhOp(const Tensor& a) {
 }
 
 Tensor SigmoidOp(const Tensor& a) {
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
-  for (int64_t i = 0; i < n; ++i) {
-    node->data[i] = 1.0f / (1.0f + std::exp(-a.data()[i]));
-  }
+  SigmoidInto(a.data(), node->data.data(), n);
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
@@ -777,25 +741,17 @@ RowRange LastDimRows(const Tensor& a) {
 
 Tensor Softmax(const Tensor& a) {
   const RowRange rr = LastDimRows(a);
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   // Rows are independent in forward and backward; parallel chunks touch
   // disjoint rows, so results match the serial loop exactly.
   const float* pa = a.data();
   float* pout = node->data.data();
+  // The row loop is ScaleSoftmaxRows' with scale 1 (x * 1.0f == x), the
+  // one compiled copy the serving paths run too.
   util::ParallelFor(0, rr.rows, util::GrainForCost(4 * rr.cols),
                     [&](int64_t rb, int64_t re) {
-    for (int64_t r = rb; r < re; ++r) {
-      const float* in = pa + r * rr.cols;
-      float* out = pout + r * rr.cols;
-      float max_v = in[0];
-      for (int64_t j = 1; j < rr.cols; ++j) max_v = std::max(max_v, in[j]);
-      float total = 0.0f;
-      for (int64_t j = 0; j < rr.cols; ++j) {
-        out[j] = std::exp(in[j] - max_v);
-        total += out[j];
-      }
-      for (int64_t j = 0; j < rr.cols; ++j) out[j] /= total;
-    }
+    std::copy(pa + rb * rr.cols, pa + re * rr.cols, pout + rb * rr.cols);
+    ScaleSoftmaxRows(pout + rb * rr.cols, re - rb, rr.cols, 1.0f);
   });
   if (node->requires_grad) {
     Node* out = node.get();
@@ -822,7 +778,7 @@ Tensor Softmax(const Tensor& a) {
 
 Tensor LogSoftmax(const Tensor& a) {
   const RowRange rr = LastDimRows(a);
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   const float* pa = a.data();
   float* pout = node->data.data();
   util::ParallelFor(0, rr.rows, util::GrainForCost(3 * rr.cols),
@@ -870,7 +826,7 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   const RowRange rr = LastDimRows(a);
   CHECK(gamma.rank() == 1 && gamma.size() == rr.cols) << "LayerNorm gamma";
   CHECK(beta.rank() == 1 && beta.size() == rr.cols) << "LayerNorm beta";
-  auto node = NewNode(a.shape(), {a, gamma, beta}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a, gamma, beta});
   // Cache per-row mean and inverse stddev for backward — only when a
   // backward pass can happen. Rows are independent; parallel chunks write
   // disjoint rows of out/means/stds.
@@ -981,8 +937,7 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
   for (int id : ids) {
     CHECK(id >= 0 && id < vocab) << "embedding id " << id << " out of range";
   }
-  auto node = NewNode({static_cast<int64_t>(ids.size()), d}, {table},
-                      /*zero_init=*/false);
+  auto node = NewNode({static_cast<int64_t>(ids.size()), d}, {table});
   for (size_t i = 0; i < ids.size(); ++i) {
     std::copy(table.data() + ids[i] * d, table.data() + (ids[i] + 1) * d,
               node->data.begin() + static_cast<int64_t>(i) * d);
@@ -1009,9 +964,6 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
 
 Tensor Dropout(const Tensor& a, float p, util::Rng& rng, bool training) {
   if (!training || p <= 0.0f) {
-    // Off the tape there is no graph to participate in; skip the identity
-    // node entirely (x * 1.0f is bit-identical to x for every float).
-    if (InferenceModeActive()) return a;
     // Identity pass-through that still participates in the graph.
     return Scale(a, 1.0f);
   }
@@ -1031,7 +983,7 @@ Tensor DropoutWithMask(const Tensor& a,
   const int64_t n = a.size();
   CHECK_EQ(static_cast<int64_t>(mask->size()), n)
       << "DropoutWithMask: mask size mismatch";
-  auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
+  auto node = NewNode(a.shape(), {a});
   for (int64_t i = 0; i < n; ++i) node->data[i] = a.data()[i] * (*mask)[i];
   if (node->requires_grad) {
     Node* out = node.get();
@@ -1054,7 +1006,7 @@ Tensor CrossEntropyLoss(const Tensor& logits, int target) {
   CHECK(target >= 0 && target < logits.size()) << "target out of range";
   Tensor log_probs = LogSoftmax(logits);
   // loss = -log_probs[target]
-  auto node = NewNode({}, {log_probs}, /*zero_init=*/false);
+  auto node = NewNode({}, {log_probs});
   node->data[0] = -log_probs.data()[target];
   if (node->requires_grad) {
     Node* out = node.get();
@@ -1072,7 +1024,7 @@ Tensor SoftCrossEntropyLoss(const Tensor& logits,
   CHECK_EQ(logits.rank(), 1);
   CHECK_EQ(static_cast<int64_t>(target.size()), logits.size());
   Tensor log_probs = LogSoftmax(logits);
-  auto node = NewNode({}, {log_probs}, /*zero_init=*/false);
+  auto node = NewNode({}, {log_probs});
   float loss = 0.0f;
   for (size_t i = 0; i < target.size(); ++i) {
     loss -= target[i] * log_probs.data()[i];
@@ -1097,7 +1049,7 @@ Tensor BceWithLogitsLoss(const Tensor& logits,
   CHECK_EQ(logits.rank(), 1);
   CHECK_EQ(static_cast<int64_t>(target.size()), logits.size());
   const int64_t c = logits.size();
-  auto node = NewNode({}, {logits}, /*zero_init=*/false);
+  auto node = NewNode({}, {logits});
   // Stable per-element loss: max(x,0) - x*t + log(1 + exp(-|x|)).
   float total = 0.0f;
   for (int64_t i = 0; i < c; ++i) {
@@ -1126,7 +1078,7 @@ Tensor NllFromProbs(const Tensor& probs, int target) {
   CHECK_EQ(probs.rank(), 1);
   CHECK(target >= 0 && target < probs.size());
   constexpr float kEps = 1e-7f;
-  auto node = NewNode({}, {probs}, /*zero_init=*/false);
+  auto node = NewNode({}, {probs});
   const float p = std::max(probs.data()[target], kEps);
   node->data[0] = -std::log(p);
   if (node->requires_grad) {
@@ -1146,7 +1098,7 @@ Tensor BceFromProbs(const Tensor& probs, const std::vector<float>& target) {
   CHECK_EQ(static_cast<int64_t>(target.size()), probs.size());
   constexpr float kEps = 1e-7f;
   const int64_t c = probs.size();
-  auto node = NewNode({}, {probs}, /*zero_init=*/false);
+  auto node = NewNode({}, {probs});
   float total = 0.0f;
   for (int64_t i = 0; i < c; ++i) {
     const float p =
@@ -1179,27 +1131,29 @@ Tensor BceFromProbs(const Tensor& probs, const std::vector<float>& target) {
 
 std::vector<float> SoftmaxValues(const std::vector<float>& logits) {
   CHECK(!logits.empty());
-  std::vector<float> out(logits.size());
-  float max_v = logits[0];
-  for (float v : logits) max_v = std::max(max_v, v);
-  float total = 0.0f;
-  for (size_t i = 0; i < logits.size(); ++i) {
-    out[i] = std::exp(logits[i] - max_v);
-    total += out[i];
-  }
-  for (float& v : out) v /= total;
+  std::vector<float> out = logits;
+  ScaleSoftmaxRows(out.data(), 1, static_cast<int64_t>(out.size()), 1.0f);
   return out;
 }
 
 std::vector<float> SigmoidValues(const std::vector<float>& logits) {
   std::vector<float> out(logits.size());
-  for (size_t i = 0; i < logits.size(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-logits[i]));
-  }
+  SigmoidInto(logits.data(), out.data(), static_cast<int64_t>(out.size()));
   return out;
 }
 
-float KlDivergence(const std::vector<float>& p, const std::vector<float>& q) {
+void NormalizeToDistribution(std::span<float> v) {
+  float total = 0.0f;
+  for (float x : v) total += x;
+  if (total <= 0.0f) {
+    const float u = 1.0f / static_cast<float>(v.size());
+    for (float& x : v) x = u;
+    return;
+  }
+  for (float& x : v) x /= total;
+}
+
+float KlDivergence(std::span<const float> p, std::span<const float> q) {
   CHECK_EQ(p.size(), q.size());
   constexpr float kEps = 1e-9f;
   float kl = 0.0f;

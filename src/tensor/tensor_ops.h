@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -162,8 +163,12 @@ std::vector<float> SoftmaxValues(const std::vector<float>& logits);
 /// Elementwise sigmoid of a host vector (no autograd).
 std::vector<float> SigmoidValues(const std::vector<float>& logits);
 
+/// Rescales a non-negative vector in place to sum 1 (uniform when the
+/// total is not positive): the KL input for sigmoid outputs.
+void NormalizeToDistribution(std::span<float> v);
+
 /// KL(p || q) between two probability vectors; entries clamped to 1e-9.
-float KlDivergence(const std::vector<float>& p, const std::vector<float>& q);
+float KlDivergence(std::span<const float> p, std::span<const float> q);
 
 /// Cosine similarity between equal-length host vectors.
 float CosineSimilarity(const std::vector<float>& a,

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstddef>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -10,14 +9,11 @@ namespace explainti::tensor {
 
 namespace {
 
-using internal::Node;
-
 // Buffers are pooled in power-of-two capacity buckets; bucket b holds
 // vectors with capacity 2^b. Caps bound a workspace's footprint: anything
 // beyond them falls back to the regular heap.
 constexpr int kNumBuckets = 31;
 constexpr size_t kMaxBuffersPerBucket = 256;
-constexpr size_t kMaxPooledNodeBlocks = 4096;
 
 // Smallest b with (1 << b) >= n, for n >= 1.
 int BucketForAtLeast(size_t n) {
@@ -29,30 +25,11 @@ int BucketForCapacity(size_t cap) {
   return static_cast<int>(std::bit_width(cap)) - 1;
 }
 
-class Workspace;
-
-// The owning thread's workspace, registered for the workspace's lifetime.
-// Deleters compare against this to decide whether a node being destroyed
-// may return its storage to the pool: only same-thread releases recycle;
-// cross-thread (or post-thread-exit) releases free to the heap instead.
-thread_local Workspace* tls_workspace = nullptr;
-thread_local bool tls_inference_mode = false;
-
-/// Per-thread recycling arena for inference-mode tensors. Never touched by
-/// any thread other than its owner (see tls_workspace above), so it needs
-/// no locking.
+/// Per-thread recycling pool for ScratchBuffers. Never touched by any
+/// thread other than its owner (ScratchBuffers live on the stack), so it
+/// needs no locking.
 class Workspace {
  public:
-  Workspace() { tls_workspace = this; }
-
-  ~Workspace() {
-    tls_workspace = nullptr;
-    for (void* p : node_blocks_) ::operator delete(p);
-  }
-
-  Workspace(const Workspace&) = delete;
-  Workspace& operator=(const Workspace&) = delete;
-
   WorkspaceStats stats;
 
   /// Returns a vector with capacity >= 2^ceil(log2(n)) when pooled. The
@@ -81,34 +58,8 @@ class Workspace {
     // Else: dropped; the vector's destructor frees it.
   }
 
-  /// Fixed-size block pool for the allocate_shared control-block+Node
-  /// allocation. All requests have the same size (one type flows through);
-  /// a different size is served by the heap.
-  void* AcquireNodeBlock(size_t bytes) {
-    ++stats.node_acquires;
-    if (bytes == node_block_bytes_ && !node_blocks_.empty()) {
-      void* p = node_blocks_.back();
-      node_blocks_.pop_back();
-      return p;
-    }
-    ++stats.node_misses;
-    if (node_block_bytes_ == 0) node_block_bytes_ = bytes;
-    return ::operator new(bytes);
-  }
-
-  void ReleaseNodeBlock(void* p, size_t bytes) {
-    if (bytes == node_block_bytes_ &&
-        node_blocks_.size() < kMaxPooledNodeBlocks) {
-      node_blocks_.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-
  private:
   std::vector<std::vector<float>> buckets_[kNumBuckets];
-  std::vector<void*> node_blocks_;
-  size_t node_block_bytes_ = 0;
 };
 
 Workspace& ThisWorkspace() {
@@ -116,56 +67,7 @@ Workspace& ThisWorkspace() {
   return workspace;
 }
 
-/// Allocator handed to allocate_shared so pooled nodes recycle both their
-/// control block and, via the Node-specific destroy(), their data buffer.
-template <typename T>
-struct PoolAlloc {
-  using value_type = T;
-
-  Workspace* ws;
-
-  explicit PoolAlloc(Workspace* w) : ws(w) {}
-  template <typename U>
-  PoolAlloc(const PoolAlloc<U>& other) : ws(other.ws) {}  // NOLINT
-
-  T* allocate(size_t count) {
-    return static_cast<T*>(ws->AcquireNodeBlock(count * sizeof(T)));
-  }
-
-  void deallocate(T* p, size_t count) {
-    if (tls_workspace == ws) {
-      ws->ReleaseNodeBlock(p, count * sizeof(T));
-    } else {
-      ::operator delete(p);
-    }
-  }
-
-  /// Steals the node's data buffer back into the pool before destruction
-  /// (only when destruction happens on the owning thread).
-  void destroy(Node* p) {
-    if (tls_workspace == ws) ws->ReleaseBuffer(std::move(p->data));
-    p->~Node();
-  }
-  template <typename U>
-  void destroy(U* p) {
-    p->~U();
-  }
-
-  template <typename U>
-  bool operator==(const PoolAlloc<U>& other) const {
-    return ws == other.ws;
-  }
-};
-
 }  // namespace
-
-InferenceModeGuard::InferenceModeGuard() : previous_(tls_inference_mode) {
-  tls_inference_mode = true;
-}
-
-InferenceModeGuard::~InferenceModeGuard() { tls_inference_mode = previous_; }
-
-bool InferenceModeActive() { return tls_inference_mode; }
 
 WorkspaceStats ThisThreadWorkspaceStats() { return ThisWorkspace().stats; }
 
@@ -177,34 +79,5 @@ ScratchBuffer::ScratchBuffer(size_t n) : buf_(ThisWorkspace().AcquireBuffer(n)) 
 }
 
 ScratchBuffer::~ScratchBuffer() { ThisWorkspace().ReleaseBuffer(std::move(buf_)); }
-
-namespace internal {
-
-std::shared_ptr<Node> AllocNode(Shape shape, bool zero_init) {
-  const size_t n = static_cast<size_t>(NumElements(shape));
-  if (!tls_inference_mode) {
-    // Historical tape-mode behaviour, byte-for-byte: fresh heap node with
-    // zero-filled data (zero_init is an inference-only optimisation).
-    auto node = std::make_shared<Node>();
-    node->shape = std::move(shape);
-    node->data.assign(n, 0.0f);
-    return node;
-  }
-  Workspace& ws = ThisWorkspace();
-  auto node = std::allocate_shared<Node>(PoolAlloc<Node>(&ws));
-  node->shape = std::move(shape);
-  node->data = ws.AcquireBuffer(n);
-  if (zero_init) {
-    node->data.assign(n, 0.0f);
-  } else {
-    // Ops that overwrite every output element skip the zero-fill. A
-    // shrinking resize writes nothing; a growing one value-fills only the
-    // tail beyond the pooled vector's previous size.
-    node->data.resize(n);
-  }
-  return node;
-}
-
-}  // namespace internal
 
 }  // namespace explainti::tensor

@@ -3,57 +3,29 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "tensor/tensor.h"
 
 namespace explainti::tensor {
 
-/// RAII switch into no-grad ("inference") execution for the current
-/// thread. While a guard is alive, every op in tensor_ops.cc:
-///   - skips parent retention and backward-closure construction (no tape),
-///   - forces `requires_grad == false` on its result,
-///   - draws its node and `data` buffer from this thread's Workspace arena
-///     instead of the heap, and returns them to the arena on destruction.
-///
-/// Numerics are unchanged: the forward loops are the same code in both
-/// modes, so outputs are bit-identical to the tape-building path. Guards
-/// nest; the flag is thread-local, so parallel regions that should run
-/// off-tape must instantiate a guard on each executing thread.
-class InferenceModeGuard {
- public:
-  InferenceModeGuard();
-  ~InferenceModeGuard();
-  InferenceModeGuard(const InferenceModeGuard&) = delete;
-  InferenceModeGuard& operator=(const InferenceModeGuard&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// True while an InferenceModeGuard is alive on the calling thread.
-bool InferenceModeActive();
-
-/// Counters for the calling thread's Workspace arena. An "acquire" is a
-/// request served by the arena; a "miss" is an acquire that had to fall
-/// back to the heap (cold pool). Steady state on a warmed-up thread is
-/// acquires advancing with zero new misses: no tensor heap allocations.
+/// Counters for the calling thread's Workspace buffer pool. An "acquire"
+/// is a ScratchBuffer served by the pool; a "miss" is an acquire that had
+/// to fall back to the heap (cold pool). Steady state on a warmed-up
+/// thread is acquires advancing with zero new misses: no scratch heap
+/// allocations.
 struct WorkspaceStats {
-  int64_t node_acquires = 0;
-  int64_t node_misses = 0;
   int64_t buffer_acquires = 0;
   int64_t buffer_misses = 0;
 };
 
-/// Snapshot of the calling thread's arena counters.
+/// Snapshot of the calling thread's pool counters.
 WorkspaceStats ThisThreadWorkspaceStats();
 
 /// RAII raw float scratch drawn from the calling thread's Workspace
-/// buffer pool: the compiled-inference-plan executor acquires its whole
-/// arena as one ScratchBuffer per call, so a warmed-up plan run performs
-/// zero heap allocations. Contents are uninitialised (beyond what the
-/// pooled vector happened to hold); the buffer returns to the pool on
+/// buffer pool: the compiled-inference-plan executor and the session's
+/// explanation tail each acquire their whole working set as one
+/// ScratchBuffer per call, so warmed-up serving performs zero scratch
+/// heap allocations. Contents are uninitialised (beyond what the pooled
+/// vector happened to hold); the buffer returns to the pool on
 /// destruction. Must be destroyed on the thread that created it (stack
 /// use only).
 class ScratchBuffer {
@@ -69,18 +41,6 @@ class ScratchBuffer {
  private:
   std::vector<float> buf_;
 };
-
-namespace internal {
-
-/// Allocates a node for an op result or leaf. Outside inference mode this
-/// is exactly the historical behaviour (fresh heap node, data zero-filled
-/// regardless of `zero_init`, so the training tape is byte-for-byte
-/// unchanged). In inference mode the node and its data buffer come from
-/// the thread's Workspace; `zero_init == false` skips the zero-fill for
-/// ops that overwrite every output element.
-std::shared_ptr<Node> AllocNode(Shape shape, bool zero_init);
-
-}  // namespace internal
 
 }  // namespace explainti::tensor
 

@@ -17,9 +17,10 @@ namespace explainti::util {
 /// pulled in.
 ///
 /// This exists to *measure*, not to speed anything up: the zero-alloc
-/// test and bench_inference_session use it to prove that a warmed-up
-/// InferenceSession::Predict performs zero tensor heap allocations
-/// (everything comes from the per-thread Workspace arena).
+/// tests and bench_inference_session use it to prove that warmed-up
+/// serving calls take all their scratch from the per-thread Workspace
+/// pool and that the heap traffic left (result vectors, explanation
+/// records) is exactly repeatable.
 struct AllocCounts {
   int64_t allocations = 0;  // operator new / new[] calls.
   int64_t frees = 0;        // operator delete / delete[] calls.

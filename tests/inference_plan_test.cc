@@ -1,6 +1,8 @@
 #include "core/inference_plan.h"
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -8,7 +10,9 @@
 
 #include "core/explain_ti_model.h"
 #include "core/inference_session.h"
+#include "data/git_generator.h"
 #include "data/wiki_generator.h"
+#include "explanation_matchers.h"
 #include "golden_evidence.h"
 #include "nn/exec_context.h"
 #include "tensor/tensor_ops.h"
@@ -18,6 +22,9 @@
 
 namespace explainti::core {
 namespace {
+
+using explainti::testing::ExpectBitEqual;
+using explainti::testing::ExpectExplanationsBitEqual;
 
 class GlobalPoolGuard {
  public:
@@ -33,58 +40,22 @@ data::TableCorpus TinyCorpus() {
   return data::GenerateWikiTableCorpus(options);
 }
 
+// Database tables: a single-label type task (softmax LE) and no relation
+// task, where the wiki corpus is multi-label (sigmoid LE) with relations.
+data::TableCorpus TinyGitCorpus() {
+  data::GitTableOptions options;
+  options.num_tables = 10;
+  options.min_rows = 10;
+  options.max_rows = 20;
+  return data::GenerateGitTableCorpus(options);
+}
+
 ExplainTiConfig TinyConfig() {
   ExplainTiConfig config;
   config.base_model = "bert";
   config.sample_size = 4;
   config.top_k = 3;
   return config;
-}
-
-void ExpectBitEqual(const std::vector<float>& a, const std::vector<float>& b,
-                    const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-        << what;
-  }
-}
-
-uint32_t Bits(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-// Full structural comparison of two explanations: prediction, LE windows,
-// GE retrievals, and SE neighbours must all match bit for bit between the
-// compiled-plan session and the tape.
-void ExpectExplanationsBitEqual(const Explanation& want,
-                                const Explanation& got) {
-  EXPECT_EQ(want.predicted_labels, got.predicted_labels);
-  ExpectBitEqual(want.probabilities, got.probabilities, "probabilities");
-  ASSERT_EQ(want.local.size(), got.local.size());
-  for (size_t i = 0; i < want.local.size(); ++i) {
-    EXPECT_EQ(want.local[i].window_start, got.local[i].window_start);
-    EXPECT_EQ(want.local[i].window_end, got.local[i].window_end);
-    EXPECT_EQ(Bits(want.local[i].relevance), Bits(got.local[i].relevance))
-        << "LE relevance at " << i;
-  }
-  ASSERT_EQ(want.global.size(), got.global.size());
-  for (size_t i = 0; i < want.global.size(); ++i) {
-    EXPECT_EQ(want.global[i].train_sample_id, got.global[i].train_sample_id);
-    EXPECT_EQ(Bits(want.global[i].influence), Bits(got.global[i].influence))
-        << "GE influence at " << i;
-  }
-  ASSERT_EQ(want.structural.size(), got.structural.size());
-  for (size_t i = 0; i < want.structural.size(); ++i) {
-    EXPECT_EQ(want.structural[i].neighbor_sample_id,
-              got.structural[i].neighbor_sample_id);
-    EXPECT_EQ(Bits(want.structural[i].attention),
-              Bits(got.structural[i].attention))
-        << "SE attention at " << i;
-  }
-  EXPECT_EQ(want.ann_degraded, got.ann_degraded);
 }
 
 std::vector<int> SampleIds(const TaskData& task) {
@@ -99,46 +70,88 @@ std::vector<int> SampleIds(const TaskData& task) {
 // -- Golden bit-equality: compiled plans vs the tape oracle ---------------
 
 // Every fp32 serving method of `model`'s session must agree bit for bit
-// with the tape-building eval forward on every sampled id of every task:
-// Predict, PredictProbabilities and Explain against the model's own, and
-// EncodeBatch against row 0 of the tape encoder.
-void ExpectSessionMatchesTape(const ExplainTiModel& model) {
+// with the tape-building eval forward on the sampled ids of every task
+// (all of them with `every_sample`, so rare tail branches run): Predict,
+// PredictProbabilities and Explain (every field) against the model's own,
+// and EncodeBatch against row 0 of the tape encoder on the default ids
+// plus one id of every other compiled plan. Returns how many
+// explanations took SE's
+// no-usable-neighbour self branch, so a caller can report whether that
+// branch was exercised.
+int ExpectSessionMatchesTape(const ExplainTiModel& model,
+                             bool every_sample = false) {
   const InferenceSession& session = model.session();
-  ASSERT_GT(session.plans_built(), 0);
-  ASSERT_STREQ(session.served_precision(), "fp32");
+  EXPECT_GT(session.plans_built(), 0);
+  EXPECT_STREQ(session.served_precision(), "fp32");
   EXPECT_EQ(session.precision_stats().weight_bytes_int8, 0)
       << "the fp32 policy carries int8 weight bytes";
+  int self_branch = 0;
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
     if (!model.HasTask(kind)) continue;
     const TaskData& task = model.task_data(kind);
-    const std::vector<int> ids = SampleIds(task);
-    for (int id : ids) {
-      EXPECT_EQ(session.Predict(kind, id), model.Predict(kind, id))
-          << "Predict diverged, sample " << id;
-      ExpectBitEqual(session.PredictProbabilities(kind, id),
-                     model.PredictProbabilities(kind, id),
-                     "PredictProbabilities");
-      ExpectExplanationsBitEqual(model.Explain(kind, id),
-                                 session.Explain(kind, id));
+    const std::vector<int> defaults = SampleIds(task);
+    std::vector<int> ids = defaults;
+    std::vector<int> encode_ids = defaults;
+    std::set<const InferencePlan*> plans;
+    for (int id : ids) plans.insert(&session.PlanFor(kind, id));
+    if (every_sample) {
+      ids.resize(task.samples.size());
+      for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
     }
-    const auto embs = session.EncodeBatch(kind, ids);
-    ASSERT_EQ(embs.size(), ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const TaskSample& sample = task.samples[static_cast<size_t>(ids[i])];
+    for (int id : ids) {
+      SCOPED_TRACE("sample " + std::to_string(id));
+      if (plans.insert(&session.PlanFor(kind, id)).second) {
+        encode_ids.push_back(id);
+      }
+      const Explanation want = model.Explain(kind, id);
+      ExpectExplanationsBitEqual(want, session.Explain(kind, id));
+      // Beyond the default ids the tape Explain's labels and probabilities
+      // stand in for the tape Predict's (LE and GE never change the final
+      // logits), keeping the sweep at one tape forward per sample.
+      const bool is_default =
+          std::find(defaults.begin(), defaults.end(), id) != defaults.end();
+      EXPECT_EQ(session.Predict(kind, id),
+                is_default ? model.Predict(kind, id) : want.predicted_labels);
+      ExpectBitEqual(session.PredictProbabilities(kind, id),
+                     is_default ? model.PredictProbabilities(kind, id)
+                                : want.probabilities,
+                     "PredictProbabilities");
+      if (model.config().use_structural && want.structural.size() == 1 &&
+          want.structural[0].via == graph::BridgeKind::kSelf) {
+        ++self_branch;
+      }
+    }
+    const auto embs = session.EncodeBatch(kind, encode_ids);
+    if (embs.size() != encode_ids.size()) {
+      ADD_FAILURE() << "EncodeBatch returned " << embs.size() << " rows";
+      continue;
+    }
+    for (size_t i = 0; i < encode_ids.size(); ++i) {
+      const TaskSample& sample =
+          task.samples[static_cast<size_t>(encode_ids[i])];
       const tensor::Tensor hidden = model.encoder().Forward(
           sample.seq.ids, sample.seq.segments, nn::ExecContext::Eval());
       ExpectBitEqual(embs[i], tensor::Row(hidden, 0).ToVector(),
                      "EncodeBatch");
     }
   }
+  return self_branch;
 }
 
+// Both corpora (sigmoid and softmax LE), each first with empty stores —
+// SE falls back to the base head and GE carries its degradation note —
+// then with populated ones on every sample.
 TEST(InferencePlanTest, PlanServesBitIdenticalToTape) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(2);
-  ExplainTiModel model(TinyConfig(), TinyCorpus());
-  model.RefreshStores();
-  ExpectSessionMatchesTape(model);
+  int self_branch = 0;
+  for (const data::TableCorpus& corpus : {TinyCorpus(), TinyGitCorpus()}) {
+    ExplainTiModel model(TinyConfig(), corpus);
+    ExpectSessionMatchesTape(model);
+    model.RefreshStores();
+    self_branch += ExpectSessionMatchesTape(model, /*every_sample=*/true);
+  }
+  RecordProperty("se_self_branch_samples", self_branch);
 }
 
 // With structural explanations off the plan folds the classifier head in

@@ -10,12 +10,17 @@
 
 #include "core/explain_ti_model.h"
 #include "data/wiki_generator.h"
+#include "explanation_matchers.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
 #include "util/thread_pool.h"
 
 namespace explainti::core {
 namespace {
+
+using explainti::testing::Bits;
+using explainti::testing::ExpectBitEqual;
+using explainti::testing::ExpectExplanationsBitEqual;
 
 // Restores the global pool to the environment-configured size when a test
 // that sweeps thread counts finishes, so test order doesn't matter.
@@ -37,63 +42,6 @@ ExplainTiConfig TinyConfig(const std::string& base_model) {
   config.sample_size = 4;
   config.top_k = 3;
   return config;
-}
-
-// Bitwise float-vector equality: inference mode must not change numerics
-// at all, so approximate comparisons would mask real drift.
-void ExpectBitEqual(const std::vector<float>& a, const std::vector<float>& b,
-                    const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-        << what;
-  }
-}
-
-uint32_t Bits(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-// Full structural comparison of two explanations (tape vs no-grad): the
-// prediction, LE windows, GE retrievals, and SE neighbours must all match
-// bit for bit.
-void ExpectExplanationsBitEqual(const Explanation& tape,
-                                const Explanation& nograd) {
-  EXPECT_EQ(tape.predicted_labels, nograd.predicted_labels);
-  ExpectBitEqual(tape.probabilities, nograd.probabilities, "probabilities");
-
-  ASSERT_EQ(tape.local.size(), nograd.local.size());
-  for (size_t i = 0; i < tape.local.size(); ++i) {
-    EXPECT_EQ(tape.local[i].window_start, nograd.local[i].window_start);
-    EXPECT_EQ(tape.local[i].window_end, nograd.local[i].window_end);
-    EXPECT_EQ(tape.local[i].window_start2, nograd.local[i].window_start2);
-    EXPECT_EQ(tape.local[i].window_end2, nograd.local[i].window_end2);
-    EXPECT_EQ(Bits(tape.local[i].relevance), Bits(nograd.local[i].relevance))
-        << "LE relevance at " << i;
-    EXPECT_EQ(tape.local[i].text, nograd.local[i].text);
-  }
-
-  ASSERT_EQ(tape.global.size(), nograd.global.size());
-  for (size_t i = 0; i < tape.global.size(); ++i) {
-    EXPECT_EQ(tape.global[i].train_sample_id, nograd.global[i].train_sample_id);
-    EXPECT_EQ(Bits(tape.global[i].influence), Bits(nograd.global[i].influence))
-        << "GE influence at " << i;
-    EXPECT_EQ(tape.global[i].labels, nograd.global[i].labels);
-  }
-
-  ASSERT_EQ(tape.structural.size(), nograd.structural.size());
-  for (size_t i = 0; i < tape.structural.size(); ++i) {
-    EXPECT_EQ(tape.structural[i].neighbor_sample_id,
-              nograd.structural[i].neighbor_sample_id);
-    EXPECT_EQ(Bits(tape.structural[i].attention),
-              Bits(nograd.structural[i].attention))
-        << "SE attention at " << i;
-    EXPECT_EQ(tape.structural[i].via, nograd.structural[i].via);
-  }
-
-  EXPECT_EQ(tape.ann_degraded, nograd.ann_degraded);
 }
 
 std::vector<int> SampleIds(const TaskData& task) {
@@ -186,7 +134,8 @@ TEST(InferenceSessionTest, EvaluateMatchesPerSamplePredict) {
             Bits(static_cast<float>(parallel.macro)));
 }
 
-// -- Satellite 2: a warmed-up Predict allocates nothing for tensors. -------
+// -- Satellite 2: warmed-up Predict and Explain take all scratch from the
+//    per-thread pool. --------------------------------------------------------
 
 TEST(InferenceSessionTest, WarmPredictDoesNoTensorHeapAllocation) {
   GlobalPoolGuard guard;
@@ -197,35 +146,42 @@ TEST(InferenceSessionTest, WarmPredictDoesNoTensorHeapAllocation) {
   const InferenceSession& session = model.session();
   const std::vector<int> ids = SampleIds(model.task_data(TaskKind::kType));
 
-  auto run = [&] {
-    for (int id : ids) session.Predict(TaskKind::kType, id);
-  };
-  run();  // Warm-up: populates the per-thread workspace arena.
-  run();  // Second pass so every bucket has reached its high-water mark.
+  for (const bool explain : {false, true}) {
+    SCOPED_TRACE(explain ? "Explain" : "Predict");
+    auto run = [&] {
+      for (int id : ids) {
+        if (explain) {
+          session.Explain(TaskKind::kType, id);
+        } else {
+          session.Predict(TaskKind::kType, id);
+        }
+      }
+    };
+    run();  // Warm-up: populates the per-thread workspace pool.
+    run();  // Second pass so every bucket has reached its high-water mark.
 
-  // Steady state: every node block and data buffer is served from the
-  // arena — acquires advance, misses (heap fallbacks) do not.
-  const tensor::WorkspaceStats before = tensor::ThisThreadWorkspaceStats();
-  const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
-  run();
-  const util::AllocCounts heap_mid = util::ThisThreadAllocCounts();
-  run();
-  const tensor::WorkspaceStats after = tensor::ThisThreadWorkspaceStats();
-  const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
+    // Steady state: every plan arena and tail scratch is served from the
+    // pool — acquires advance, misses (heap fallbacks) do not.
+    const tensor::WorkspaceStats before = tensor::ThisThreadWorkspaceStats();
+    const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
+    run();
+    const util::AllocCounts heap_mid = util::ThisThreadAllocCounts();
+    run();
+    const tensor::WorkspaceStats after = tensor::ThisThreadWorkspaceStats();
+    const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
 
-  EXPECT_GT(after.node_acquires, before.node_acquires);
-  EXPECT_GT(after.buffer_acquires, before.buffer_acquires);
-  EXPECT_EQ(after.node_misses, before.node_misses)
-      << "tensor node fell back to the heap on a warmed-up Predict";
-  EXPECT_EQ(after.buffer_misses, before.buffer_misses)
-      << "tensor data buffer fell back to the heap on a warmed-up Predict";
+    EXPECT_GT(after.buffer_acquires, before.buffer_acquires);
+    EXPECT_EQ(after.buffer_misses - before.buffer_misses, 0)
+        << "scratch buffer fell back to the heap on a warmed-up call";
 
-  // Heap traffic that remains (result vectors, SE bookkeeping) is exactly
-  // repeatable: two identical warmed passes allocate identical counts.
-  EXPECT_EQ(heap_mid.allocations - heap_before.allocations,
-            heap_after.allocations - heap_mid.allocations);
-  EXPECT_EQ(heap_mid.bytes - heap_before.bytes,
-            heap_after.bytes - heap_mid.bytes);
+    // Heap traffic that remains (result vectors, SE bookkeeping, records)
+    // is exactly repeatable: two identical warmed passes allocate
+    // identical counts.
+    EXPECT_EQ(heap_mid.allocations - heap_before.allocations,
+              heap_after.allocations - heap_mid.allocations);
+    EXPECT_EQ(heap_mid.bytes - heap_before.bytes,
+              heap_after.bytes - heap_mid.bytes);
+  }
 }
 
 // Serving has no fallback path that could swallow a bad request: an

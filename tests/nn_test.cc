@@ -58,8 +58,8 @@ TEST(EmbeddingsTest, OutputShape) {
   TransformerEmbeddings embeddings(config, rng);
   util::Rng dropout_rng(5);
   tensor::Tensor out =
-      embeddings.Forward({5, 6, 7}, {0, 0, 1}, /*training=*/false,
-                         dropout_rng);
+      embeddings.Forward({5, 6, 7}, {0, 0, 1},
+                         ExecContext::Eval(&dropout_rng));
   EXPECT_EQ(out.shape(), (tensor::Shape{3, 16}));
 }
 
@@ -68,8 +68,10 @@ TEST(EmbeddingsTest, SegmentEmbeddingChangesOutput) {
   TransformerConfig config = SmallConfig();
   TransformerEmbeddings embeddings(config, rng);
   util::Rng dropout_rng(7);
-  tensor::Tensor a = embeddings.Forward({5, 6}, {0, 0}, false, dropout_rng);
-  tensor::Tensor b = embeddings.Forward({5, 6}, {0, 1}, false, dropout_rng);
+  tensor::Tensor a =
+      embeddings.Forward({5, 6}, {0, 0}, ExecContext::Eval(&dropout_rng));
+  tensor::Tensor b =
+      embeddings.Forward({5, 6}, {0, 1}, ExecContext::Eval(&dropout_rng));
   EXPECT_NE(a.ToVector(), b.ToVector());
 }
 
@@ -79,8 +81,10 @@ TEST(EmbeddingsTest, SegmentsIgnoredWhenDisabled) {
   config.use_segments = false;  // RoBERTa flavour.
   TransformerEmbeddings embeddings(config, rng);
   util::Rng dropout_rng(9);
-  tensor::Tensor a = embeddings.Forward({5, 6}, {0, 0}, false, dropout_rng);
-  tensor::Tensor b = embeddings.Forward({5, 6}, {0, 1}, false, dropout_rng);
+  tensor::Tensor a =
+      embeddings.Forward({5, 6}, {0, 0}, ExecContext::Eval(&dropout_rng));
+  tensor::Tensor b =
+      embeddings.Forward({5, 6}, {0, 1}, ExecContext::Eval(&dropout_rng));
   EXPECT_EQ(a.ToVector(), b.ToVector());
 }
 
@@ -90,7 +94,7 @@ TEST(AttentionTest, OutputShapePreserved) {
   util::Rng dropout_rng(11);
   tensor::Tensor x = tensor::Tensor::Randn({5, 16}, rng, 1.0f);
   tensor::Tensor out =
-      attention.Forward(x, tensor::Tensor(), /*training=*/false, dropout_rng);
+      attention.Forward(x, tensor::Tensor(), ExecContext::Eval(&dropout_rng));
   EXPECT_EQ(out.shape(), (tensor::Shape{5, 16}));
 }
 
@@ -105,9 +109,11 @@ TEST(AttentionTest, MaskBlocksInformationFlow) {
   std::vector<float> blocked = open;
   blocked[2] = -1e9f;  // (query 0, key 2).
   tensor::Tensor out_open = attention.Forward(
-      x, tensor::Tensor::FromVector({3, 3}, open), false, dropout_rng);
+      x, tensor::Tensor::FromVector({3, 3}, open),
+      ExecContext::Eval(&dropout_rng));
   tensor::Tensor out_blocked = attention.Forward(
-      x, tensor::Tensor::FromVector({3, 3}, blocked), false, dropout_rng);
+      x, tensor::Tensor::FromVector({3, 3}, blocked),
+      ExecContext::Eval(&dropout_rng));
 
   // Row 0 must change; rows 1 and 2 are untouched.
   bool row0_differs = false;
@@ -124,8 +130,8 @@ TEST(EncoderTest, ForwardDeterministicInEvalMode) {
   TransformerEncoder encoder(SmallConfig(), rng);
   util::Rng r1(1);
   util::Rng r2(2);
-  tensor::Tensor a = encoder.Forward({3, 4, 5}, {}, false, r1);
-  tensor::Tensor b = encoder.Forward({3, 4, 5}, {}, false, r2);
+  tensor::Tensor a = encoder.Forward({3, 4, 5}, {}, ExecContext::Eval(&r1));
+  tensor::Tensor b = encoder.Forward({3, 4, 5}, {}, ExecContext::Eval(&r2));
   EXPECT_EQ(a.ToVector(), b.ToVector());
 }
 
@@ -133,8 +139,8 @@ TEST(EncoderTest, DropoutMakesTrainingStochastic) {
   util::Rng rng(15);
   TransformerEncoder encoder(SmallConfig(), rng);
   util::Rng r1(1);
-  tensor::Tensor a = encoder.Forward({3, 4, 5}, {}, true, r1);
-  tensor::Tensor b = encoder.Forward({3, 4, 5}, {}, true, r1);
+  tensor::Tensor a = encoder.Forward({3, 4, 5}, {}, ExecContext::Train(r1));
+  tensor::Tensor b = encoder.Forward({3, 4, 5}, {}, ExecContext::Train(r1));
   EXPECT_NE(a.ToVector(), b.ToVector());
 }
 
@@ -144,7 +150,8 @@ TEST(EncoderTest, GradientsReachAllParameters) {
   config.dropout = 0.0f;
   TransformerEncoder encoder(config, rng);
   util::Rng fwd_rng(17);
-  tensor::Tensor out = encoder.Forward({1, 2, 3, 4}, {}, true, fwd_rng);
+  tensor::Tensor out =
+      encoder.Forward({1, 2, 3, 4}, {}, ExecContext::Train(fwd_rng));
   tensor::Mean(out).Backward();
   int with_grad = 0;
   for (const tensor::Tensor& p : encoder.Parameters()) {

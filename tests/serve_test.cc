@@ -1046,9 +1046,10 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
 
 // ---------------------------------------------------------------------------
 // Steady-state worker loop allocation discipline: the batch-execution
-// body must perform zero tensor heap allocations (all scratch comes from
-// the per-thread Workspace arena) and its remaining heap traffic
-// (response envelopes, id vectors) must be exactly repeatable.
+// body must perform zero scratch heap allocations (every plan arena and
+// tail scratch comes from the per-thread Workspace pool) and its
+// remaining heap traffic (response envelopes, id vectors) must be exactly
+// repeatable.
 // ---------------------------------------------------------------------------
 
 TEST(ServeAllocTest, SteadyStateExecuteBatchIsZeroTensorAlloc) {
@@ -1080,11 +1081,9 @@ TEST(ServeAllocTest, SteadyStateExecuteBatchIsZeroTensorAlloc) {
   const tensor::WorkspaceStats after = tensor::ThisThreadWorkspaceStats();
   const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
 
-  EXPECT_GT(after.node_acquires, before.node_acquires);
-  EXPECT_EQ(after.node_misses, before.node_misses)
-      << "tensor node fell back to the heap in the steady-state batch loop";
-  EXPECT_EQ(after.buffer_misses, before.buffer_misses)
-      << "tensor buffer fell back to the heap in the steady-state batch loop";
+  EXPECT_GT(after.buffer_acquires, before.buffer_acquires);
+  EXPECT_EQ(after.buffer_misses - before.buffer_misses, 0)
+      << "scratch buffer fell back to the heap in the steady-state batch loop";
   EXPECT_EQ(heap_mid.allocations - heap_before.allocations,
             heap_after.allocations - heap_mid.allocations);
   EXPECT_EQ(heap_mid.bytes - heap_before.bytes,

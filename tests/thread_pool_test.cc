@@ -254,7 +254,7 @@ GoldenResult RunGoldenRecipe() {
   GoldenResult result;
   util::Rng fwd_rng(99);
   tensor::Tensor out =
-      encoder.Forward(ids, segments, /*training=*/false, fwd_rng);
+      encoder.Forward(ids, segments, nn::ExecContext::Eval(&fwd_rng));
   float sum = 0.0f;
   for (int64_t i = 0; i < out.size(); ++i) sum += out.data()[i];
   result.encoder_sum = sum;
@@ -264,7 +264,7 @@ GoldenResult RunGoldenRecipe() {
   // Training-mode forward: exercises the dropout RNG stream.
   util::Rng train_rng(4242);
   tensor::Tensor tout =
-      encoder.Forward(ids, segments, /*training=*/true, train_rng);
+      encoder.Forward(ids, segments, nn::ExecContext::Train(train_rng));
   result.train_fwd_first = tout.data()[0];
   result.train_fwd_last = tout.data()[tout.size() - 1];
 
@@ -292,7 +292,7 @@ GoldenResult RunGoldenRecipe() {
 
   util::Rng fwd_rng2(99);
   tensor::Tensor out2 =
-      encoder.Forward(ids, segments, /*training=*/false, fwd_rng2);
+      encoder.Forward(ids, segments, nn::ExecContext::Eval(&fwd_rng2));
   float sum2 = 0.0f;
   for (int64_t i = 0; i < out2.size(); ++i) sum2 += out2.data()[i];
   result.post_pretrain_encoder_sum = sum2;
