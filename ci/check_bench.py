@@ -7,24 +7,6 @@ bench::HostMetaJson() embeds in every file — a 1-thread container prints
 an explicit SKIPPED line instead of silently passing, so a CI log always
 shows whether the perf gates actually ran.
 
-A file with a "quantized" object (BENCH_quantized.json, from
-bench_quantized) is gated on:
-
-  * served_precision == "int8" — an int8 policy that serves fp32 means
-    the tier never armed, and every comparison below is fp32-vs-fp32;
-  * max_f1_delta <= 0.10: macro-F1 on the tiny held-out splits moves in
-    ~0.04 steps per flipped sample, so the tolerance allows a couple of
-    flips but fails on systematic quantization damage;
-  * golden evidence agreement >= 0.6 and prediction agreement >= 0.8 on
-    the shared golden fixture (tests/golden_evidence.h);
-  * weight-memory reduction >= 3.0: int8 data plus the per-column fp32
-    scale and int32 col_sum overhead lands at ~3.4x on the d_model=64
-    test encoder (4x asymptotically as columns grow);
-  * the raw int8 plan executor performed exactly zero heap allocations
-    and zero arena misses after warm-up;
-  * int8 GEMM throughput >= 2x fp32 — armed on hosts with >= 4 hardware
-    threads (shared 1-thread containers time both kernels too noisily).
-
 A file with a "qa" object (BENCH_qa.json, from bench_qa) is gated on:
 
   * min_oracle_agreement >= 0.999 — composing an answer through QaEngine
@@ -100,79 +82,6 @@ def host_threads(bench):
     # Older BENCH_serving.json files carried the count at top level only.
     if isinstance(bench.get("hardware_threads"), int):
         return bench["hardware_threads"]
-    return 0
-
-
-def check_quantized(bench):
-    """Gates the BENCH_quantized.json 'quantized' object; returns 0/1."""
-    q = bench["quantized"]
-    failures = []
-
-    gemm = q.get("gemm", {})
-    print(f"gemm {gemm.get('m')}x{gemm.get('k')}x{gemm.get('n')}: "
-          f"fp32 {gemm.get('fp32_gflops', 0.0):.1f} GFLOP/s, "
-          f"int8 {gemm.get('int8_gflops', 0.0):.1f} GFLOP/s "
-          f"({gemm.get('int8_speedup', 0.0):.2f}x)")
-    mem = q.get("weight_memory", {})
-    print(f"weight memory: {mem.get('fp32_bytes', 0)} B fp32 -> "
-          f"{mem.get('int8_bytes', 0)} B int8 "
-          f"({mem.get('reduction', 0.0):.2f}x)")
-    for row in q.get("f1", []):
-        print(f"f1 {row['corpus']}/{row['task']}: "
-              f"fp32 {row['fp32_macro']:.3f} int8 {row['int8_macro']:.3f}")
-    print(f"max f1 delta {q.get('max_f1_delta', 1.0):.3f}, "
-          f"evidence agreement {q.get('evidence_agreement', 0.0):.3f}, "
-          f"prediction agreement {q.get('prediction_agreement', 0.0):.3f}")
-
-    if q.get("served_precision") != "int8":
-        failures.append(
-            f"served_precision is '{q.get('served_precision')}' — the int8 "
-            f"policy fell back to fp32 in the bench build")
-    if q.get("max_f1_delta", 1.0) > 0.10:
-        failures.append(
-            f"quantization moved macro-F1 by {q['max_f1_delta']:.3f} "
-            f"(tolerance 0.10)")
-    if q.get("evidence_agreement", 0.0) < 0.6:
-        failures.append(
-            f"golden evidence agreement {q.get('evidence_agreement', 0.0):.3f}"
-            f" below 0.6 — int8 explanations drifted off the fp32 evidence")
-    if q.get("prediction_agreement", 0.0) < 0.8:
-        failures.append(
-            f"golden prediction agreement "
-            f"{q.get('prediction_agreement', 0.0):.3f} below 0.8")
-    if mem.get("reduction", 0.0) < 3.0:
-        failures.append(
-            f"weight-memory reduction {mem.get('reduction', 0.0):.2f}x below "
-            f"3.0x — per-column quantization params should cost far less")
-    executor = q.get("plan_executor_int8", {})
-    if executor.get("allocations_per_call", 1) != 0:
-        failures.append(
-            f"int8 plan executor allocates "
-            f"{executor.get('allocations_per_call')}/call after warm-up "
-            f"(must be exactly 0)")
-    if executor.get("steady_state_arena_misses", 1) != 0:
-        failures.append(
-            f"int8 plan executor missed the workspace arena "
-            f"{executor.get('steady_state_arena_misses')} times after "
-            f"warm-up (must be exactly 0)")
-
-    threads = host_threads(bench)
-    if threads >= 4:
-        if gemm.get("int8_speedup", 0.0) < 2.0:
-            failures.append(
-                f"int8 GEMM speedup {gemm.get('int8_speedup', 0.0):.2f}x "
-                f"below 2.0x on a {threads}-thread host")
-    else:
-        print(f"SKIPPED: int8 GEMM >= 2x gate (host has {threads} hardware "
-              f"thread(s); needs >= 4 for stable kernel timing)")
-
-    if failures:
-        print("\ncheck_bench: FAIL", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\ncheck_bench: OK — int8 tier armed, accuracy within tolerance, "
-          "executor allocation-free")
     return 0
 
 
@@ -349,7 +258,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "bench_json",
-        help="path to a BENCH_*.json (inference, store, serving, quantized); "
+        help="path to a BENCH_*.json (inference, store, serving, qa); "
         "the gate set is picked from the file's content",
     )
     parser.add_argument(
@@ -368,9 +277,6 @@ def main():
         print(f"check_bench: cannot read {args.bench_json}: {err}",
               file=sys.stderr)
         return 1
-
-    if "quantized" in bench:
-        return check_quantized(bench)
 
     if "qa" in bench:
         return check_qa(bench)

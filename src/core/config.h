@@ -55,13 +55,6 @@ struct ExplainTiConfig {
   /// and fall back to the in-memory rebuild.
   std::string store_dir;
 
-  // -- Serving precision (see DESIGN.md "Precision-tiered serving") -------
-  /// Serving precision of the compiled plans: "fp32" (the reference —
-  /// bit-identical to the tape) or "int8" (every encoder weight GEMM and
-  /// the base classifier head run the quantized kernel). Latched at
-  /// session construction; never affects training (Fit always runs fp32).
-  std::string precision = "fp32";
-
   // -- Robustness (see DESIGN.md "Failure model & recovery") --------------
   /// Consecutive non-finite (skipped) optimiser steps tolerated before
   /// Fit() rolls the parameters back to the last-known-good snapshot and

@@ -14,12 +14,11 @@ namespace explainti::core {
 
 /// The "evidence" of an explanation: the distinct tokens inside the
 /// top-`k` local windows by relevance. This is the unit the golden
-/// explanation fixture (tests/golden_evidence.h) and the quantized
-/// accuracy gate agree on — local windows are the view most sensitive to
-/// encoder numerics (relevance scores reorder under tiny logit shifts),
-/// so token-set agreement here is a stricter check than label equality
-/// but a fairer one than bitwise relevance comparison across precision
-/// tiers.
+/// explanation fixture (tests/golden_evidence.h) pins — local windows are
+/// the view most sensitive to encoder numerics (relevance scores reorder
+/// under tiny logit shifts), so token-set agreement here is a stricter
+/// check than label equality but a fairer one than bitwise relevance
+/// comparison across numerically different encoders.
 ///
 /// Tokens are compared as a set: the top windows routinely overlap, and
 /// two explanations that highlight the same table cells are the same

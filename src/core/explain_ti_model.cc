@@ -599,12 +599,6 @@ FitStats ExplainTiModel::Fit() {
   FitStats stats;
   util::WallTimer timer;
 
-  // Training always serves fp32: mid-train evaluation, store rebuilds and
-  // model selection must see the bit-exact reference path, not a
-  // quantization of stale weights. The tier re-arms from the final
-  // weights below.
-  session_->SuspendQuantizedTier();
-
   std::vector<TaskKind> tasks = {TaskKind::kType};
   if (relation_task_.has_value()) tasks.push_back(TaskKind::kRelation);
 
@@ -863,9 +857,6 @@ FitStats ExplainTiModel::Fit() {
       for (TaskKind kind : tasks) RebuildStore(kind);
     }
   }
-  // Re-arm the precision policy from the final weights (quantize-once;
-  // no-op under the fp32 policy).
-  session_->ReloadWeights();
   return stats;
 }
 
@@ -1001,14 +992,7 @@ util::Status ExplainTiModel::LoadWeights(const std::string& path) {
   for (size_t i = 0; i < params.size(); ++i) {
     std::copy(staged[i].begin(), staged[i].end(), params[i].data());
   }
-  // Any armed quantized tier was built from the weights just overwritten;
-  // drop it before the store warm-up so the stores encode on the
-  // bit-exact fp32 path, then re-arm the policy from the fresh weights.
-  // (Hot-swap replicas land here too, so a new generation always carries
-  // a freshly quantized tier, never a stale one.)
-  session_->SuspendQuantizedTier();
   RestoreStores();
-  session_->ReloadWeights();
   return util::Status::OK();
 }
 

@@ -23,20 +23,9 @@ constexpr float kLayerNormEps = 1e-5f;  // tensor::LayerNorm's default.
 /// [first touch, last touch].
 class PlanBuilder {
  public:
-  int64_t NewBuffer(int64_t size, int64_t elem_bytes = 4) {
-    bufs_.push_back(
-        {size, std::numeric_limits<int32_t>::max(), -1, elem_bytes});
+  int64_t NewBuffer(int64_t size) {
+    bufs_.push_back({size, std::numeric_limits<int32_t>::max(), -1});
     return static_cast<int64_t>(bufs_.size()) - 1;
-  }
-
-  /// Pins `buf` live over the whole program without tying it to any
-  /// instruction operand — the int8 quantization scratch is written and
-  /// consumed inside a single kGemm execution, so it must never alias an
-  /// activation buffer at any point in the stream.
-  void PinWholeProgram(int64_t buf) {
-    tensor::PlannedBuffer& b = bufs_[static_cast<size_t>(buf)];
-    b.first_def = 0;
-    b.last_use = static_cast<int32_t>(instrs_.size());
   }
 
   /// Appends `instr` and extends the liveness of its arena operands to
@@ -61,12 +50,12 @@ class PlanBuilder {
 
   /// Plans arena offsets and patches every instruction's logical buffer
   /// ids (plus the given per-instruction column extras, in elements of
-  /// the operand buffer) into arena BYTE offsets. `extras` is parallel
-  /// to the instruction stream.
+  /// the operand buffer) into arena offsets. `extras` is parallel to the
+  /// instruction stream.
   struct Patched {
     std::vector<PlanInstr> instrs;
-    std::vector<int64_t> offsets;  ///< Bytes, per logical buffer.
-    int64_t arena_bytes = 0;
+    std::vector<int64_t> offsets;  ///< Floats, per logical buffer.
+    int64_t arena_size = 0;
   };
   struct OperandExtras {
     int64_t a = 0, b = 0, out = 0;
@@ -77,13 +66,12 @@ class PlanBuilder {
     Patched out;
     out.instrs = instrs_;
     out.offsets = layout.offsets;
-    out.arena_bytes = layout.arena_bytes;
+    out.arena_size = layout.arena_size;
     for (size_t i = 0; i < out.instrs.size(); ++i) {
       PlanInstr& instr = out.instrs[i];
       auto patch = [&](int64_t& field, int64_t extra) {
         if (field >= 0) {
-          const size_t buf = static_cast<size_t>(field);
-          field = layout.offsets[buf] + extra * bufs_[buf].elem_bytes;
+          field = layout.offsets[static_cast<size_t>(field)] + extra;
         }
       };
       patch(instr.a_off, extras[i].a);
@@ -104,7 +92,7 @@ class PlanBuilder {
 
 util::StatusOr<InferencePlan> BuildInferencePlan(
     const nn::EncoderLowering& encoder, const nn::LinearLowering* head,
-    int64_t seq_len, bool has_segments, const PlanQuantSpec* quant) {
+    int64_t seq_len, bool has_segments) {
   const int64_t L = seq_len;
   const int64_t d = encoder.d_model;
   const int64_t ffn = encoder.ffn_dim;
@@ -130,23 +118,6 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
   }
   const int64_t head_dim = d / heads;
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-
-  // Validate the quant spec up front: a malformed spec is a typed error
-  // the session fails closed on, never a partially-quantized plan.
-  const nn::QuantizedEncoder* qenc =
-      quant != nullptr ? quant->encoder : nullptr;
-  const nn::QuantizedLinear* qhead = quant != nullptr ? quant->head : nullptr;
-  if (qenc != nullptr && qenc->layers.size() != encoder.layers.size()) {
-    return util::Status::InvalidArgument(
-        "plan: quantized encoder has " + std::to_string(qenc->layers.size()) +
-        " layers, lowered encoder has " +
-        std::to_string(encoder.layers.size()));
-  }
-  if (qhead != nullptr &&
-      (head == nullptr || qhead->in != head->in || qhead->out != head->out)) {
-    return util::Status::InvalidArgument(
-        "plan: quantized head does not match the folded classifier head");
-  }
 
   PlanBuilder b;
   std::vector<PlanBuilder::OperandExtras> extras;
@@ -181,43 +152,12 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
     instr.scale = scale;
     emit(instr, {a_col, b_col, out_col});
   };
-  // y[L, out] = x W + b: the fused Linear (contiguous operands). When a
-  // quantized view `q` is supplied the GEMM is stamped kI8: the executor
-  // quantizes the A rows into the plan's shared scratch, accumulates
-  // int8 x int8 -> int32 against q's weights, and the dequant epilogue is
-  // fused into the C write; the bias/GELU post-op still applies in fp32.
-  int64_t int8_gemms = 0;
-  int64_t int8_max_elems = 0;  // max m*k over int8 GEMMs (qa scratch).
-  int64_t int8_max_rows = 0;   // max m (per-row scale/zero-point scratch).
+  // y[m, out] = x W + b: the fused Linear (contiguous operands).
   auto linear = [&](int64_t x_buf, const nn::LinearLowering& lin,
-                    const nn::QuantizedLinear* q, int64_t out_buf, int64_t m,
-                    PlanPostOp post) {
-    if (q == nullptr) {
-      gemm(x_buf, 0, lin.in, /*b_buf=*/-1, 0, lin.out, /*trans_b=*/false,
-           lin.weight, out_buf, 0, lin.out, m, lin.in, lin.out, post,
-           lin.bias, 1.0f);
-      return;
-    }
-    PlanInstr instr;
-    instr.op = PlanOpCode::kGemm;
-    instr.post = post;
-    instr.dtype = tensor::DType::kI8;
-    instr.m = m;
-    instr.k = lin.in;
-    instr.n = lin.out;
-    instr.lda = lin.in;
-    instr.ldb = lin.out;
-    instr.ldc = lin.out;
-    instr.a_off = x_buf;
-    instr.out_off = out_buf;
-    instr.weight_q = q->weight.data.data();
-    instr.wq_scales = q->weight.params.scales.data();
-    instr.wq_col_sums = q->weight.col_sums.data();
-    instr.bias = lin.bias;
-    emit(instr);
-    ++int8_gemms;
-    int8_max_elems = std::max(int8_max_elems, m * lin.in);
-    int8_max_rows = std::max(int8_max_rows, m);
+                    int64_t out_buf, int64_t m, PlanPostOp post) {
+    gemm(x_buf, 0, lin.in, /*b_buf=*/-1, 0, lin.out, /*trans_b=*/false,
+         lin.weight, out_buf, 0, lin.out, m, lin.in, lin.out, post, lin.bias,
+         1.0f);
   };
   auto residual_ln = [&](int64_t x_buf, int64_t f_buf, int64_t out_buf,
                          int64_t rows, int64_t cols, const float* gamma,
@@ -253,20 +193,13 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
   }
 
   // -- Encoder layers -----------------------------------------------------
-  for (size_t li = 0; li < encoder.layers.size(); ++li) {
-    const nn::EncoderLayerLowering& layer = encoder.layers[li];
-    // This layer's quantized views, or null for an fp32 plan.
-    const nn::QuantizedEncoderLayer* ql =
-        qenc != nullptr ? &qenc->layers[li] : nullptr;
+  for (const nn::EncoderLayerLowering& layer : encoder.layers) {
     const int64_t q = b.NewBuffer(L * d);
     const int64_t k = b.NewBuffer(L * d);
     const int64_t v = b.NewBuffer(L * d);
-    linear(x, layer.wq, ql != nullptr ? &ql->wq : nullptr, q, L,
-           PlanPostOp::kBias);
-    linear(x, layer.wk, ql != nullptr ? &ql->wk : nullptr, k, L,
-           PlanPostOp::kBias);
-    linear(x, layer.wv, ql != nullptr ? &ql->wv : nullptr, v, L,
-           PlanPostOp::kBias);
+    linear(x, layer.wq, q, L, PlanPostOp::kBias);
+    linear(x, layer.wk, k, L, PlanPostOp::kBias);
+    linear(x, layer.wv, v, L, PlanPostOp::kBias);
 
     // One scores buffer and one k^T buffer serve every head in sequence;
     // the context buffer collects per-head columns in place (the graph
@@ -299,17 +232,14 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
     }
 
     const int64_t attn = b.NewBuffer(L * d);
-    linear(ctx, layer.wo, ql != nullptr ? &ql->wo : nullptr, attn, L,
-           PlanPostOp::kBias);
+    linear(ctx, layer.wo, attn, L, PlanPostOp::kBias);
     const int64_t h1 = b.NewBuffer(L * d);
     residual_ln(x, attn, h1, L, d, layer.ln1_gamma, layer.ln1_beta);
 
     const int64_t f1 = b.NewBuffer(L * ffn);
-    linear(h1, layer.ffn_in, ql != nullptr ? &ql->ffn_in : nullptr, f1, L,
-           PlanPostOp::kBiasGelu);
+    linear(h1, layer.ffn_in, f1, L, PlanPostOp::kBiasGelu);
     const int64_t f2 = b.NewBuffer(L * d);
-    linear(f1, layer.ffn_out, ql != nullptr ? &ql->ffn_out : nullptr, f2, L,
-           PlanPostOp::kBias);
+    linear(f1, layer.ffn_out, f2, L, PlanPostOp::kBias);
     const int64_t x_next = b.NewBuffer(L * d);
     residual_ln(h1, f2, x_next, L, d, layer.ln2_gamma, layer.ln2_beta);
     x = x_next;
@@ -323,42 +253,21 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
     logits = b.NewBuffer(head->out);
     // m == 1 from row 0 of x: the rank-1 cls GEMM, same kernel branch the
     // tape's MatMul(cls, W) takes.
-    linear(x, *head, qhead, logits, 1, PlanPostOp::kBias);
+    linear(x, *head, logits, 1, PlanPostOp::kBias);
     b.KeepToEnd(logits);
-  }
-
-  // -- Shared int8 quantization scratch ------------------------------------
-  // One qa/scales/zero-points block serves every int8 GEMM: each use is
-  // produce-then-consume inside a single instruction, so the block only
-  // needs to be wide enough for the largest A view. Pinned across the
-  // whole program so the byte planner never overlays an activation on it.
-  int64_t qa = -1, qs = -1, qzp = -1;
-  if (int8_gemms > 0) {
-    qa = b.NewBuffer(int8_max_elems, /*elem_bytes=*/1);
-    qs = b.NewBuffer(int8_max_rows, /*elem_bytes=*/4);
-    qzp = b.NewBuffer(int8_max_rows, /*elem_bytes=*/4);
-    b.PinWholeProgram(qa);
-    b.PinWholeProgram(qs);
-    b.PinWholeProgram(qzp);
   }
 
   PlanBuilder::Patched patched = b.Finalize(extras);
   InferencePlan plan;
   plan.instrs = std::move(patched.instrs);
   plan.encoder_end = encoder_end;
-  plan.arena_bytes = patched.arena_bytes;
+  plan.arena_size = patched.arena_size;
   plan.enc_out_off = patched.offsets[static_cast<size_t>(x)];
   plan.logits_off =
       logits >= 0 ? patched.offsets[static_cast<size_t>(logits)] : -1;
-  if (int8_gemms > 0) {
-    plan.qa_off = patched.offsets[static_cast<size_t>(qa)];
-    plan.qs_off = patched.offsets[static_cast<size_t>(qs)];
-    plan.qzp_off = patched.offsets[static_cast<size_t>(qzp)];
-  }
   plan.seq_len = L;
   plan.d_model = d;
   plan.num_labels = head != nullptr ? head->out : 0;
-  plan.int8_gemms = int8_gemms;
   plan.has_segments = has_segments;
   return plan;
 }
@@ -374,14 +283,9 @@ void RunPlan(const InferencePlan& plan, const PlanRun& run) {
   // The whole scratch arena comes from the per-thread workspace buffer
   // pool: steady state is zero heap allocations, and nested ParallelFor
   // workers never touch it (GEMM chunks write disjoint rows of views
-  // passed by pointer). Offsets are bytes (the arena is mixed-width when
-  // the plan carries int8 scratch); the float pool is rounded up.
-  tensor::ScratchBuffer arena(
-      static_cast<size_t>((plan.arena_bytes + 3) / 4));
-  char* base = reinterpret_cast<char*>(arena.data());
-  auto f32 = [base](int64_t off) {
-    return reinterpret_cast<float*>(base + off);
-  };
+  // passed by pointer).
+  tensor::ScratchBuffer arena(static_cast<size_t>(plan.arena_size));
+  float* base = arena.data();
 
   const size_t end = want_logits ? plan.instrs.size()
                                  : static_cast<size_t>(plan.encoder_end);
@@ -392,31 +296,16 @@ void RunPlan(const InferencePlan& plan, const PlanRun& run) {
         tensor::EmbedLayerNormRows(
             instr.weight, instr.bias, instr.aux, run.token_ids,
             instr.aux != nullptr ? run.segment_ids : nullptr,
-            f32(instr.out_off), instr.m, instr.n, instr.gamma, instr.beta,
+            base + instr.out_off, instr.m, instr.n, instr.gamma, instr.beta,
             instr.eps);
         break;
       case PlanOpCode::kGemm: {
-        const float* a = f32(instr.a_off);
-        float* c = f32(instr.out_off);
-        if (instr.dtype == tensor::DType::kI8) {
-          // Quantize the A rows into the plan's shared scratch, then the
-          // int8 GEMM overwrites C with dequantized results (no ZeroRows:
-          // the int32 accumulation starts from zero internally).
-          int8_t* qa = reinterpret_cast<int8_t*>(base + plan.qa_off);
-          float* qs = f32(plan.qs_off);
-          int32_t* qzp = reinterpret_cast<int32_t*>(base + plan.qzp_off);
-          tensor::QuantizeRowsInt8(a, instr.lda, instr.m, instr.k, qa, qs,
-                                   qzp);
-          tensor::ServingGemmInt8(qa, qs, qzp, instr.weight_q,
-                                  instr.wq_scales, instr.wq_col_sums, c,
-                                  instr.ldc, instr.m, instr.k, instr.n);
-        } else {
-          const float* bm =
-              instr.b_off >= 0 ? f32(instr.b_off) : instr.weight;
-          tensor::ZeroRows(c, instr.ldc, instr.m, instr.n);
-          tensor::ServingGemm(a, instr.lda, bm, instr.ldb, instr.trans_b, c,
-                              instr.ldc, instr.m, instr.k, instr.n);
-        }
+        const float* a = base + instr.a_off;
+        float* c = base + instr.out_off;
+        const float* bm = instr.b_off >= 0 ? base + instr.b_off : instr.weight;
+        tensor::ZeroRows(c, instr.ldc, instr.m, instr.n);
+        tensor::ServingGemm(a, instr.lda, bm, instr.ldb, instr.trans_b, c,
+                            instr.ldc, instr.m, instr.k, instr.n);
         switch (instr.post) {
           case PlanPostOp::kNone:
             break;
@@ -433,13 +322,13 @@ void RunPlan(const InferencePlan& plan, const PlanRun& run) {
         break;
       }
       case PlanOpCode::kResidualLayerNorm:
-        tensor::ResidualLayerNormRows(f32(instr.a_off), f32(instr.b_off),
-                                      f32(instr.out_off), instr.m, instr.n,
+        tensor::ResidualLayerNormRows(base + instr.a_off, base + instr.b_off,
+                                      base + instr.out_off, instr.m, instr.n,
                                       instr.gamma, instr.beta, instr.eps);
         break;
       case PlanOpCode::kTranspose: {
-        const float* a = f32(instr.a_off);
-        float* c = f32(instr.out_off);
+        const float* a = base + instr.a_off;
+        float* c = base + instr.out_off;
         for (int64_t r = 0; r < instr.m; ++r) {
           for (int64_t j = 0; j < instr.n; ++j) {
             c[j * instr.ldc + r] = a[r * instr.lda + j];
@@ -452,12 +341,12 @@ void RunPlan(const InferencePlan& plan, const PlanRun& run) {
 
   if (run.encoder_out != nullptr && run.encoder_out_rows > 0) {
     CHECK_LE(run.encoder_out_rows, plan.seq_len);
-    std::memcpy(run.encoder_out, f32(plan.enc_out_off),
+    std::memcpy(run.encoder_out, base + plan.enc_out_off,
                 sizeof(float) *
                     static_cast<size_t>(run.encoder_out_rows * plan.d_model));
   }
   if (want_logits) {
-    std::memcpy(run.logits, f32(plan.logits_off),
+    std::memcpy(run.logits, base + plan.logits_off,
                 sizeof(float) * static_cast<size_t>(plan.num_labels));
   }
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/lowering.h"
-#include "tensor/dtype.h"
 #include "util/status.h"
 
 namespace explainti::core {
@@ -32,19 +31,15 @@ namespace explainti::core {
 ///     GEMM kernel vectorises its contiguous inner loop, while the
 ///     trans_b strided-gather path does not — the 16x64-float copy is far
 ///     cheaper than running the scores GEMM scalar;
-///   * fixed offsets: every intermediate lives at a liveness-planned
-///     byte offset (tensor::PlanBufferOffsets — byte-granular so fp32
-///     activations and int8 quantization scratch share one mixed-width
-///     arena) in one flat arena, so steady-state execution performs zero
-///     tensor dispatch and zero heap allocation — the executor acquires
-///     the arena from the per-thread workspace pool and walks the array;
-///   * per-tensor precision: each kGemm is stamped with a tensor::DType.
-///     A quantized build (PlanQuantSpec) lowers selected weight GEMMs to
-///     int8 (quantize activations per row, int32-accumulate against the
-///     prebuilt int8 weights, fused dequant epilogue); activation x
-///     activation GEMMs and every normalisation stay fp32. A plan with no
-///     quant spec is the all-fp32 stream, bit-identical to the tape
-///     encoder.
+///   * fixed offsets: every intermediate lives at a liveness-planned,
+///     cache-line-aligned float offset (tensor::PlanBufferOffsets) in one
+///     flat fp32 arena, so steady-state execution performs zero tensor
+///     dispatch and zero heap allocation — the executor acquires the
+///     arena from the per-thread workspace pool and walks the array;
+///   * borrowed weights: every GEMM reads the model's fp32 parameter
+///     storage in place, so a plan stays current across Fit and
+///     LoadWeights (both write into the existing buffers) with no
+///     rebuild.
 ///
 /// Bit-identity with the tape encoder is structural, not approximate:
 /// both paths call the one compiled copy of each serving kernel
@@ -82,47 +77,27 @@ enum class PlanPostOp : uint8_t {
   kScaleSoftmax,  ///< C = softmax(C * scale) per row (attention scores).
 };
 
-/// One instruction. POD: fixed dims and strides, arena BYTE offsets for
+/// One instruction. POD: fixed dims and strides, arena float offsets for
 /// activation operands (b_off < 0 selects the `weight` pointer instead),
-/// and raw parameter pointers that borrow the model's storage (and, for
-/// int8 GEMMs, the session's quantized weight storage). During building
-/// the *_off fields hold logical buffer ids; Finalize patches them to
-/// arena byte offsets (folding per-head column offsets in).
+/// and raw parameter pointers that borrow the model's storage. During
+/// building the *_off fields hold logical buffer ids; Finalize patches
+/// them to arena offsets (folding per-head column offsets in).
 struct PlanInstr {
   PlanOpCode op = PlanOpCode::kGemm;
   PlanPostOp post = PlanPostOp::kNone;
   bool trans_b = false;
-  /// Precision of a kGemm's inner product. kF32 runs ServingGemm on the
-  /// borrowed fp32 weights; kI8 quantizes the A rows into the plan's
-  /// shared scratch and runs ServingGemmInt8 against weight_q, then the
-  /// post-op epilogue applies in fp32 exactly as on the kF32 path.
-  tensor::DType dtype = tensor::DType::kF32;
   int64_t m = 0, k = 0, n = 0;        ///< GEMM dims; LN ops use m rows, n cols.
   int64_t lda = 0, ldb = 0, ldc = 0;  ///< Row strides of A / B / C views.
-  int64_t a_off = -1;                 ///< Arena byte offset of A (LN input x).
-  int64_t b_off = -1;                 ///< Arena byte offset of B (LN input f).
-  int64_t out_off = -1;               ///< Arena byte offset of C / out.
+  int64_t a_off = -1;                 ///< Arena offset of A (LN input x).
+  int64_t b_off = -1;                 ///< Arena offset of B (LN input f).
+  int64_t out_off = -1;               ///< Arena offset of C / out.
   const float* weight = nullptr;  ///< GEMM B weight; token table for embed.
   const float* bias = nullptr;    ///< Post-op bias; position table for embed.
   const float* aux = nullptr;     ///< Segment table for embed (may be null).
   const float* gamma = nullptr;   ///< LayerNorm gain.
   const float* beta = nullptr;    ///< LayerNorm bias.
-  /// kI8 only: the quantized weight [k, n] and its per-column dequant
-  /// parameters, borrowing the session's QuantizedLinear storage.
-  const int8_t* weight_q = nullptr;
-  const float* wq_scales = nullptr;
-  const int32_t* wq_col_sums = nullptr;
   float scale = 1.0f;             ///< kScaleSoftmax multiplier.
   float eps = 0.0f;               ///< LayerNorm epsilon.
-};
-
-/// Selects the precision of a plan's weight GEMMs. Null `encoder` (or a
-/// null spec) builds the all-fp32 plan; non-null lowers every encoder
-/// layer's weight GEMMs to int8. `head`, when non-null, lowers the folded
-/// classifier head to int8 too.
-struct PlanQuantSpec {
-  const nn::QuantizedEncoder* encoder = nullptr;
-  const nn::QuantizedLinear* head = nullptr;
 };
 
 /// A compiled plan for one (task, seq_len, has_segments) key.
@@ -131,19 +106,12 @@ struct InferencePlan {
   /// Instructions [0, encoder_end) compute the encoder; the remainder
   /// (present when a head was folded in) compute classifier logits.
   int32_t encoder_end = 0;
-  int64_t arena_bytes = 0;   ///< Scratch bytes the executor needs.
-  int64_t enc_out_off = 0;   ///< Arena byte offset of encoder output [L, d].
-  int64_t logits_off = -1;   ///< Arena byte offset of the logits; -1 if none.
-  /// Shared int8 quantization scratch (one block serves every int8 GEMM
-  /// in sequence): quantized A rows, per-row scales, per-row zero
-  /// points. -1 when the plan has no int8 instructions.
-  int64_t qa_off = -1;
-  int64_t qs_off = -1;
-  int64_t qzp_off = -1;
+  int64_t arena_size = 0;    ///< Scratch floats the executor needs.
+  int64_t enc_out_off = 0;   ///< Arena offset of encoder output [L, d].
+  int64_t logits_off = -1;   ///< Arena offset of the logits; -1 if none.
   int64_t seq_len = 0;
   int64_t d_model = 0;
   int64_t num_labels = 0;    ///< 0 when no head was folded in.
-  int64_t int8_gemms = 0;    ///< kGemm instructions stamped kI8.
   bool has_segments = false;
 };
 
@@ -167,13 +135,10 @@ struct PlanRun {
 /// plan; `head` (optional) folds a classifier into the stream. Returns an
 /// error when the shape is outside the encoder's envelope (seq_len out of
 /// [1, max_len], d_model not divisible by num_heads, segment request
-/// without a table). `quant` (optional) stamps every weight GEMM kI8; a
-/// malformed spec (layer count or shape mismatch) returns a typed
-/// InvalidArgument.
+/// without a table).
 util::StatusOr<InferencePlan> BuildInferencePlan(
     const nn::EncoderLowering& encoder, const nn::LinearLowering* head,
-    int64_t seq_len, bool has_segments,
-    const PlanQuantSpec* quant = nullptr);
+    int64_t seq_len, bool has_segments);
 
 /// Executes `plan` on the calling thread (GEMMs fan out across the pool
 /// exactly like the tape's MatMul). Zero heap allocations once the

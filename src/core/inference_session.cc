@@ -33,49 +33,22 @@ int64_t PlanKey(const TaskSample& sample, bool encoder_uses_segments) {
 
 InferenceSession::InferenceSession(const ExplainTiModel& model)
     : model_(&model) {
-  // Latched once, at construction: the session rebuilds its plans across
-  // the weights lifecycle (SuspendQuantizedTier / ReloadWeights), and a
-  // rebuild must keep the policy it was created with.
-  const std::string& precision = model.config().precision;
-  if (precision == "int8") {
-    precision_policy_ = PrecisionMode::kInt8;
-  } else if (precision != "fp32") {
-    LOG(WARNING) << "unknown precision value \"" << precision
-                 << "\" (expected fp32/int8); serving fp32";
-  }
-  BuildPlans();
-}
-
-void InferenceSession::BuildPlans() {
-  type_plans_.clear();
-  relation_plans_.clear();
-  plans_built_ = 0;
+  // Lowers the model and compiles one plan per distinct (task, seq_len,
+  // has_segments) key. The plans borrow the model's weight storage, so
+  // they are built exactly once.
   const nn::EncoderLowering lowered = nn::LowerEncoder(*model_->encoder_);
-  const bool quantized =
-      precision_policy_ == PrecisionMode::kInt8 && !suppress_quant_;
-  if (quantized) {
-    qencoder_ =
-        std::make_unique<nn::QuantizedEncoder>(nn::QuantizeEncoder(lowered));
-  }
   const bool use_segments = model_->encoder_->config().use_segments;
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
     if (!model_->HasTask(kind)) continue;
     auto& plans = kind == TaskKind::kType ? type_plans_ : relation_plans_;
     const nn::LinearLowering head =
         nn::LowerLinear(model_->Heads(kind).base->projection());
-    PlanQuantSpec spec;
-    if (quantized) {
-      auto& qhead = kind == TaskKind::kType ? qhead_type_ : qhead_relation_;
-      qhead = std::make_unique<nn::QuantizedLinear>(nn::QuantizeLinear(head));
-      spec.encoder = qencoder_.get();
-      spec.head = qhead.get();
-    }
     for (const TaskSample& sample : model_->Task(kind).samples) {
       const int64_t key = PlanKey(sample, use_segments);
       if (plans.find(key) != plans.end()) continue;
       util::StatusOr<InferencePlan> plan = BuildInferencePlan(
           lowered, &head, static_cast<int64_t>(sample.seq.ids.size()),
-          /*has_segments=*/(key & 1) != 0, quantized ? &spec : nullptr);
+          /*has_segments=*/(key & 1) != 0);
       // Every shape the builder rejects, the tape encoder CHECK-fails on
       // too (sequence longer than max_len, d_model not divisible by the
       // head count); the rest is fixed by the model's own construction.
@@ -84,64 +57,6 @@ void InferenceSession::BuildPlans() {
       plans.emplace(key, std::move(plan).value());
       ++plans_built_;
     }
-  }
-}
-
-InferenceSession::PrecisionStats InferenceSession::precision_stats() const {
-  PrecisionStats s;
-  s.policy = precision_policy_;
-  s.served = served_precision();
-  if (qencoder_ == nullptr) return s;
-  s.int8_layers = static_cast<int64_t>(qencoder_->layers.size());
-  const auto add = [&s](const nn::QuantizedLinear& q) {
-    s.weight_bytes_fp32 += q.Fp32Bytes();
-    s.weight_bytes_int8 += q.Int8Bytes();
-  };
-  for (const nn::QuantizedEncoderLayer& ql : qencoder_->layers) {
-    add(ql.wq);
-    add(ql.wk);
-    add(ql.wv);
-    add(ql.wo);
-    add(ql.ffn_in);
-    add(ql.ffn_out);
-  }
-  if (qhead_type_ != nullptr) add(*qhead_type_);
-  if (qhead_relation_ != nullptr) add(*qhead_relation_);
-  return s;
-}
-
-void InferenceSession::SuspendQuantizedTier() {
-  suppress_quant_ = true;
-  if (qencoder_ == nullptr) return;
-  // The int8 plans borrow the quantized storage by pointer, so the fp32
-  // rebuild replaces them before the storage is released.
-  BuildPlans();
-  qencoder_.reset();
-  qhead_type_.reset();
-  qhead_relation_.reset();
-}
-
-void InferenceSession::ReloadWeights() {
-  suppress_quant_ = false;
-  // fp32 plans borrow the model's weight storage by pointer — a weight
-  // update never staled them, so the reference policy stays zero-cost.
-  if (precision_policy_ == PrecisionMode::kFp32) return;
-  if (qencoder_ == nullptr) {
-    BuildPlans();  // First arm after a suspension.
-    return;
-  }
-  // New weights only need their int8 bytes rewritten in place. The
-  // installed plans borrow the quantized storage by pointer
-  // (borrowed-pointer contract) and stay exactly as compiled.
-  const nn::EncoderLowering lowered = nn::LowerEncoder(*model_->encoder_);
-  nn::RequantizeEncoder(lowered, qencoder_.get());
-  for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!model_->HasTask(kind)) continue;
-    nn::QuantizedLinear* qhead = kind == TaskKind::kType
-                                     ? qhead_type_.get()
-                                     : qhead_relation_.get();
-    nn::RequantizeLinear(
-        nn::LowerLinear(model_->Heads(kind).base->projection()), qhead);
   }
 }
 

@@ -36,20 +36,12 @@ namespace explainti::core {
 /// encoder CHECK-fails on too, so a plan build failure is a CHECK, not a
 /// fallback. fp32 outputs are bit-identical to the model's tape-building
 /// Predict/Explain, which is the oracle the golden tests compare against.
-/// Plans borrow the model's weight storage (updated in place by
-/// Fit/LoadWeights), so they never go stale; they die with the session,
-/// which under serve's hot-swap means a new generation always carries
-/// freshly built plans.
-///
-/// Precision. config.precision ("fp32" or "int8", latched at
-/// construction) is the one setting. "int8" quantizes every encoder
-/// weight GEMM and the folded base classifier head once from the frozen
-/// fp32 storage (per-output-column symmetric int8, ServingGemmInt8);
-/// "fp32" leaves every output bit-identical to the tape. The explanation
-/// tail's heads (structural, local, and the base head it falls back to)
-/// stay fp32 under both settings. Training always
-/// serves fp32: the model suspends the int8 tier over Fit and
-/// re-quantizes from the new weights afterwards.
+/// Serving is fp32 throughout: encoder, folded head and every tail head
+/// read the model's fp32 parameters. Plans borrow that weight storage
+/// (updated in place by Fit/LoadWeights), so they never go stale and are
+/// built once, at construction; they die with the session, which under
+/// serve's hot-swap means a new generation always carries freshly built
+/// plans.
 ///
 /// All methods are const and touch no mutable model state (per-call RNGs
 /// are derived from ExplainTiModel::InferenceSeed), so one session may be
@@ -66,28 +58,6 @@ namespace explainti::core {
 ///   Explanation z = session.Explain(TaskKind::kType, id);
 class InferenceSession {
  public:
-  /// Precision policy requested for this session (config.precision,
-  /// latched at construction).
-  enum class PrecisionMode {
-    kFp32,  ///< Reference tier; bit-identical to the tape.
-    kInt8,  ///< Every encoder weight GEMM + base head quantized.
-  };
-
-  /// Quantized-tier summary, for tests and the bench gate.
-  struct PrecisionStats {
-    PrecisionMode policy = PrecisionMode::kFp32;
-    /// What calls actually run: "fp32" (policy fp32, or int8 suspended
-    /// for training) or "int8". Static storage — safe to stamp into
-    /// responses without copying.
-    const char* served = "fp32";
-    int64_t int8_layers = 0;  ///< Encoder layers running int8.
-    /// Fp32 bytes of the weights the armed tier replaced, and the int8
-    /// bytes (data + dequant params) replacing them. Both 0 when the tier
-    /// is not armed.
-    int64_t weight_bytes_fp32 = 0;
-    int64_t weight_bytes_int8 = 0;
-  };
-
   explicit InferenceSession(const ExplainTiModel& model);
 
   InferenceSession(const InferenceSession&) = delete;
@@ -144,37 +114,7 @@ class InferenceSession {
   /// Distinct plans compiled at construction.
   int64_t plans_built() const { return plans_built_; }
 
-  PrecisionMode precision_mode() const { return precision_policy_; }
-
-  /// The precision calls actually serve at right now ("fp32"/"int8");
-  /// static storage, stable for the session's lifetime between
-  /// weight-mutating calls.
-  const char* served_precision() const {
-    return qencoder_ != nullptr ? "int8" : "fp32";
-  }
-
-  PrecisionStats precision_stats() const;
-
-  /// Drops the quantized tier and serves fp32 until ReloadWeights(); the
-  /// model calls this at Fit() entry so training-time evaluation is
-  /// always the bit-exact fp32 path. Idempotent; no-op when no tier is
-  /// armed.
-  void SuspendQuantizedTier();
-
-  /// Re-arms the precision policy after the model's weights changed
-  /// (Fit() end, LoadWeights()). fp32 policy: no-op — fp32 plans borrow
-  /// the model's storage and are never stale. int8 policy with a live
-  /// tier: re-quantizes the int8 bytes in place WITHOUT rebuilding plans
-  /// (plans borrow the session's quantized storage by pointer, so the
-  /// rewrite is all they need). A suspended tier is rebuilt.
-  void ReloadWeights();
-
  private:
-  /// Lowers the model, quantizes its weights when the int8 tier is armed,
-  /// and compiles one plan per distinct (task, seq_len, has_segments) key.
-  /// CHECK-fails if any plan does not build (see the class comment).
-  void BuildPlans();
-
   /// The compiled explanation tail for one sample: the plan's encoder,
   /// then SE (or the base head), and — when `evidence` is non-null, for
   /// Explain — GE and LE with their records. Returns the final logits.
@@ -190,23 +130,11 @@ class InferenceSession {
   std::vector<float> FinalLogits(TaskKind kind, int sample_id) const;
 
   const ExplainTiModel* model_;
-  /// Keyed by seq_len * 2 + has_segments; mutated only by the
-  /// weights-lifecycle calls (construction, SuspendQuantizedTier,
-  /// ReloadWeights), which the session contract already serializes
-  /// against serving.
+  /// Keyed by seq_len * 2 + has_segments; built by the constructor and
+  /// immutable afterwards.
   std::unordered_map<int64_t, InferencePlan> type_plans_;
   std::unordered_map<int64_t, InferencePlan> relation_plans_;
   int64_t plans_built_ = 0;
-
-  // -- Quantized tier state (see class comment "Precision") --------------
-  PrecisionMode precision_policy_ = PrecisionMode::kFp32;
-  bool suppress_quant_ = false;  ///< Armed by SuspendQuantizedTier().
-  /// Quantized weight storage the int8 plan instructions borrow by
-  /// pointer; pointer-stable across ReloadWeights()'s in-place
-  /// re-quantization. Non-null exactly while the int8 tier is armed.
-  std::unique_ptr<nn::QuantizedEncoder> qencoder_;
-  std::unique_ptr<nn::QuantizedLinear> qhead_type_;
-  std::unique_ptr<nn::QuantizedLinear> qhead_relation_;
 };
 
 /// Loads a complete serving replica for a model hot-swap: constructs a

@@ -61,77 +61,6 @@ LinearLowering LowerLinear(const Linear& linear) {
   return out;
 }
 
-int64_t QuantizedEncoder::Fp32Bytes() const {
-  int64_t total = 0;
-  for (const QuantizedEncoderLayer& layer : layers) {
-    for (const QuantizedLinear* lin :
-         {&layer.wq, &layer.wk, &layer.wv, &layer.wo, &layer.ffn_in,
-          &layer.ffn_out}) {
-      total += lin->Fp32Bytes();
-    }
-  }
-  return total;
-}
-
-int64_t QuantizedEncoder::Int8Bytes() const {
-  int64_t total = 0;
-  for (const QuantizedEncoderLayer& layer : layers) {
-    for (const QuantizedLinear* lin :
-         {&layer.wq, &layer.wk, &layer.wv, &layer.wo, &layer.ffn_in,
-          &layer.ffn_out}) {
-      total += lin->Int8Bytes();
-    }
-  }
-  return total;
-}
-
-QuantizedLinear QuantizeLinear(const LinearLowering& lin) {
-  QuantizedLinear q;
-  q.weight = tensor::QuantizeWeightMatrix(lin.weight, lin.in, lin.out);
-  q.bias = lin.bias;
-  q.in = lin.in;
-  q.out = lin.out;
-  return q;
-}
-
-void RequantizeLinear(const LinearLowering& lin, QuantizedLinear* q) {
-  CHECK_EQ(lin.in, q->in);
-  CHECK_EQ(lin.out, q->out);
-  tensor::RequantizeWeightMatrix(lin.weight, lin.in, lin.out, &q->weight);
-  q->bias = lin.bias;
-}
-
-QuantizedEncoder QuantizeEncoder(const EncoderLowering& encoder) {
-  QuantizedEncoder q;
-  q.layers.reserve(encoder.layers.size());
-  for (const EncoderLayerLowering& layer : encoder.layers) {
-    QuantizedEncoderLayer ql;
-    ql.wq = QuantizeLinear(layer.wq);
-    ql.wk = QuantizeLinear(layer.wk);
-    ql.wv = QuantizeLinear(layer.wv);
-    ql.wo = QuantizeLinear(layer.wo);
-    ql.ffn_in = QuantizeLinear(layer.ffn_in);
-    ql.ffn_out = QuantizeLinear(layer.ffn_out);
-    q.layers.push_back(std::move(ql));
-  }
-  return q;
-}
-
-void RequantizeEncoder(const EncoderLowering& encoder, QuantizedEncoder* q) {
-  CHECK_EQ(encoder.layers.size(), q->layers.size())
-      << "re-quantize must preserve the layer stack";
-  for (size_t i = 0; i < encoder.layers.size(); ++i) {
-    const EncoderLayerLowering& layer = encoder.layers[i];
-    QuantizedEncoderLayer& ql = q->layers[i];
-    RequantizeLinear(layer.wq, &ql.wq);
-    RequantizeLinear(layer.wk, &ql.wk);
-    RequantizeLinear(layer.wv, &ql.wv);
-    RequantizeLinear(layer.wo, &ql.wo);
-    RequantizeLinear(layer.ffn_in, &ql.ffn_in);
-    RequantizeLinear(layer.ffn_out, &ql.ffn_out);
-  }
-}
-
 EncoderLowering LowerEncoder(const TransformerEncoder& encoder) {
   EncoderLowering out;
   out.embeddings =

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <condition_variable>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -453,12 +452,6 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
   batch.resize(keep);
   if (batch.empty()) return;
 
-  // Quantized-tier visibility: batches served below fp32.
-  if (metrics != nullptr &&
-      std::strcmp(session.served_precision(), "fp32") != 0) {
-    metrics->GetCounter("serve.int8_batches")->Increment();
-  }
-
   const int64_t dispatch_us = util::MonotonicNowUs();
 
   std::vector<int> ids;
@@ -576,7 +569,6 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
     response.total_us = done_us - pending.request.arrival_us;
     response.batch_size = static_cast<int>(batch.size());
     response.model_generation = generation;
-    response.precision = session.served_precision();
     if (queue_wait != nullptr) queue_wait->Record(response.queue_wait_us);
     if (e2e != nullptr) e2e->Record(response.total_us);
     if (entry_ok && cache != nullptr && pending.input_hash != 0) {

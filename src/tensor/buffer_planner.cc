@@ -35,10 +35,9 @@ BufferPlan PlanBufferOffsets(const std::vector<PlannedBuffer>& buffers,
   for (size_t i = 0; i < buffers.size(); ++i) {
     const PlannedBuffer& buf = buffers[i];
     CHECK_GT(buf.size, 0) << "buffer " << i << " has no extent";
-    CHECK_GT(buf.elem_bytes, 0) << "buffer " << i << " has no width";
     CHECK_LE(buf.first_def, buf.last_use) << "buffer " << i << " dies "
                                              "before it is defined";
-    const int64_t size = AlignUp(buf.size * buf.elem_bytes, alignment);
+    const int64_t size = AlignUp(buf.size, alignment);
 
     // Candidate offsets: 0 and the end of every live-conflicting placed
     // buffer. The smallest candidate where the extent is conflict-free
@@ -73,7 +72,7 @@ BufferPlan PlanBufferOffsets(const std::vector<PlannedBuffer>& buffers,
     plan.offsets[i] = offset;
     placed.push_back(
         {offset, offset + size, buf.first_def, buf.last_use});
-    plan.arena_bytes = std::max(plan.arena_bytes, offset + size);
+    plan.arena_size = std::max(plan.arena_size, offset + size);
   }
   return plan;
 }

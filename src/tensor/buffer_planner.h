@@ -7,39 +7,33 @@
 namespace explainti::tensor {
 
 /// One logical intermediate of a linearized plan: its element count and
-/// width, and its liveness interval over the instruction stream.
+/// its liveness interval over the instruction stream.
 /// `first_def` is the index of the instruction that writes it;
 /// `last_use` the index of the last instruction reading it (inclusive).
 /// A buffer that must survive the whole program (a plan output) simply
 /// sets `last_use` past the last instruction.
-///
-/// Buffers are planned at byte granularity: `elem_bytes` defaults to 4
-/// (fp32, the historical single-dtype case), and mixed-precision plans
-/// set 1 for int8 quantization scratch so narrow buffers pack into the
-/// same arena as the fp32 activations.
 struct PlannedBuffer {
-  int64_t size = 0;        ///< Element count.
+  int64_t size = 0;  ///< Element count.
   int32_t first_def = 0;
   int32_t last_use = 0;
-  int64_t elem_bytes = 4;  ///< Bytes per element (4 = fp32, 1 = int8).
 };
 
-/// Fixed byte offsets for every logical buffer inside one flat arena.
+/// Fixed element offsets for every logical buffer inside one flat arena.
 struct BufferPlan {
-  std::vector<int64_t> offsets;  ///< Bytes; parallel to the input buffers.
-  int64_t arena_bytes = 0;       ///< Total bytes required.
+  std::vector<int64_t> offsets;  ///< Elements; parallel to the input buffers.
+  int64_t arena_size = 0;        ///< Total elements required.
 };
 
-/// Assigns each logical buffer a fixed byte offset in a single flat
+/// Assigns each logical buffer a fixed element offset in a single flat
 /// arena, reusing storage between buffers whose liveness intervals do
 /// not overlap. Greedy first-fit in declaration order: deterministic,
 /// and on the encoder's ping-pong access pattern within ~10% of optimal
 /// — the point is that the plan executor never allocates, not a perfect
-/// packing. Offsets are aligned to `alignment` bytes (default 64 == one
-/// cache line) so vectorized kernels start aligned regardless of the
-/// element widths planned before them.
+/// packing. Offsets are aligned to `alignment` elements (default 16
+/// floats == 64 bytes == one cache line) so vectorized kernels start
+/// aligned.
 BufferPlan PlanBufferOffsets(const std::vector<PlannedBuffer>& buffers,
-                             int64_t alignment = 64);
+                             int64_t alignment = 16);
 
 }  // namespace explainti::tensor
 

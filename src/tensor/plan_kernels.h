@@ -88,35 +88,6 @@ void EmbedLayerNormRows(const float* token_table, const float* position_table,
                         int64_t cols, const float* gamma, const float* beta,
                         float eps);
 
-/// Asymmetric per-row int8 quantization of the activation view
-/// A [m, k] (row stride lda) into contiguous aq [m, k]:
-///   scale[i] = (max(A[i,:]) - min(A[i,:])) / 255
-///   zp[i]    = -128 - round(min / scale)
-///   aq[i,kk] = clamp(round(A[i,kk] / scale) + zp, -128, 127)
-/// so the full row range maps onto [-128, 127]. A constant row gets
-/// scale 1 (any scale represents it exactly through the zero point).
-/// Runs on the calling thread: m is a sequence length (tiny next to the
-/// GEMM it feeds) and the pass is memory-bound.
-void QuantizeRowsInt8(const float* a, int64_t lda, int64_t m, int64_t k,
-                      int8_t* aq, float* scales, int32_t* zero_points);
-
-/// C[m,n] = dequant(Aq[m,k] * Bq[k,n]): the int8 serving GEMM.
-/// Aq is the contiguous per-row-quantized activation block from
-/// QuantizeRowsInt8; Bq is a row-major symmetric per-column-quantized
-/// weight (tensor/quant.h). Products accumulate in int32 — exact, so
-/// bits never depend on blocking or chunking — and the dequant epilogue
-/// is fused into the output write:
-///   C[i,j] = (acc[i,j] - a_zp[i] * b_col_sums[j])
-///            * a_scales[i] * b_scales[j]
-/// (the col_sums term cancels the activation zero point analytically).
-/// C is overwritten, not accumulated; bias/activation epilogues apply
-/// afterwards exactly as on the fp32 path. Chunks over the thread pool
-/// like ServingGemm (disjoint output rows / columns).
-void ServingGemmInt8(const int8_t* a, const float* a_scales,
-                     const int32_t* a_zero_points, const int8_t* b,
-                     const float* b_scales, const int32_t* b_col_sums,
-                     float* c, int64_t ldc, int64_t m, int64_t k, int64_t n);
-
 }  // namespace explainti::tensor
 
 #endif  // EXPLAINTI_TENSOR_PLAN_KERNELS_H_

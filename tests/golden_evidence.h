@@ -20,10 +20,10 @@ namespace explainti::testing {
 /// Shared golden explanation-evidence fixture.
 ///
 /// One canonical (corpus, config, sample set, window count) consumed by
-/// every suite that scores explanation evidence — the plan-vs-tape tests
-/// and the quantized accuracy gate — so "the paths agree on the golden
-/// evidence" means the same thing everywhere: same tables, same samples,
-/// same top-k windows, same token-set comparison (core/evidence.h).
+/// every suite that scores explanation evidence, so "the paths agree on
+/// the golden evidence" means the same thing everywhere: same tables,
+/// same samples, same top-k windows, same token-set comparison
+/// (core/evidence.h).
 
 /// Deterministic generator: same options → same tables, every consumer.
 inline data::TableCorpus GoldenCorpus() {

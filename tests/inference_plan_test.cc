@@ -82,9 +82,6 @@ int ExpectSessionMatchesTape(const ExplainTiModel& model,
                              bool every_sample = false) {
   const InferenceSession& session = model.session();
   EXPECT_GT(session.plans_built(), 0);
-  EXPECT_STREQ(session.served_precision(), "fp32");
-  EXPECT_EQ(session.precision_stats().weight_bytes_int8, 0)
-      << "the fp32 policy carries int8 weight bytes";
   int self_branch = 0;
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
     if (!model.HasTask(kind)) continue;
@@ -168,6 +165,30 @@ TEST(InferencePlanTest, FullPlanWithFoldedHeadWhenStructuralOff) {
       TaskKind::kType, SampleIds(model.task_data(TaskKind::kType)).front());
   EXPECT_GE(compiled.logits_off, 0) << "head was not folded into the plan";
   EXPECT_GT(compiled.num_labels, 0);
+  ExpectSessionMatchesTape(model);
+}
+
+// -- Weight updates: plans borrow the model's parameters -------------------
+
+// The session compiles its plans when the model is constructed, before
+// any training. Fit writes the trained weights into the same parameter
+// storage the plans borrow, so the untouched session must serve the
+// trained model bit-identically to the tape with no rebuild.
+TEST(InferencePlanTest, PlansServeTrainedWeightsAfterFit) {
+  GlobalPoolGuard guard;
+  util::SetGlobalThreadCount(1);
+  ExplainTiConfig config = TinyConfig();
+  config.epochs = 1;
+  config.pretrain_epochs = 1;
+  ExplainTiModel model(config, TinyCorpus());
+  const InferenceSession* session = &model.session();
+  const int id = SampleIds(model.task_data(TaskKind::kType)).front();
+  const std::vector<float> untrained =
+      session->PredictProbabilities(TaskKind::kType, id);
+  model.Fit();
+  ASSERT_EQ(&model.session(), session) << "Fit replaced the session";
+  EXPECT_NE(model.PredictProbabilities(TaskKind::kType, id), untrained)
+      << "Fit left the weights unchanged; the test proves nothing";
   ExpectSessionMatchesTape(model);
 }
 
@@ -329,9 +350,7 @@ TEST(InferencePlanTest, SteadyStateRunPlanIsZeroAlloc) {
 
 // The shared golden-evidence fixture (tests/golden_evidence.h) pins the
 // explanation evidence: the fp32 session must surface exactly the tape's
-// top-window token sets on the golden samples. (The quantized gate in
-// quantized_test.cc scores int8 sessions against the same fixture with a
-// tolerance; fp32 gets none.)
+// top-window token sets on the golden samples.
 TEST(InferencePlanTest, GoldenEvidenceMatchesTape) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
