@@ -7,9 +7,10 @@
 // It also measures plan-vs-tape: the session's batched entry points
 // against the tape oracle (ExplainTiModel::Predict/PredictProbabilities/
 // Explain looped over the same batch), per method and per batch size,
-// plus a raw plan-executor section (RunPlan on caller-owned buffers). The
+// plus a raw encoder section (nn::TransformerEncoder::Serve on
+// caller-owned buffers, reported under the "plan_executor" key). The
 // "plan_vs_tape" JSON object is the input to ci/check_bench.py, which
-// fails the release CI job if the plan path falls behind the tape at any
+// fails the release CI job if the session falls behind the tape at any
 // (method, batch_size) or stops being allocation-free.
 //
 // Besides timing, the run asserts the session is bit-identical to the
@@ -26,9 +27,9 @@
 
 #include "bench/bench_common.h"
 #include "core/explain_ti_model.h"
-#include "core/inference_plan.h"
 #include "core/inference_session.h"
 #include "data/wiki_generator.h"
+#include "nn/encoder.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
 #include "util/logging.h"
@@ -191,7 +192,7 @@ int main() {
     CHECK_EQ(tape, nograd) << "no-grad probabilities drifted on sample " << id;
     CHECK(session.Predict(core::TaskKind::kType, id) ==
           model.Predict(core::TaskKind::kType, id))
-        << "plan Predict diverged on sample " << id;
+        << "session Predict diverged on sample " << id;
   }
 
   auto tape_predict_call = [&](int id) { model.Predict(core::TaskKind::kType, id); };
@@ -263,31 +264,27 @@ int main() {
         tape_explain_call));
   }
 
-  // -- Raw plan executor: RunPlan on caller-owned buffers -----------------
+  // -- Raw encoder: Serve on caller-owned buffers --------------------------
   // Serving entry points return freshly allocated result vectors, so the
   // zero-allocation property is asserted where it holds by construction:
-  // the executor itself. Warm the arena bucket, then demand zero heap
+  // the encoder's raw-buffer forward. Warm up, then demand zero heap
   // traffic and zero pool misses.
   PathStats plan_executor;
   {
-    const core::InferencePlan* plan =
-        &session.PlanFor(core::TaskKind::kType, ids.front());
+    const nn::TransformerEncoder& encoder = model.encoder();
     const core::TaskSample& sample =
         task.samples[static_cast<size_t>(ids.front())];
+    const int64_t len = static_cast<int64_t>(sample.seq.ids.size());
+    std::vector<float> scratch(
+        static_cast<size_t>(encoder.ServeScratchFloats(len)));
     std::vector<float> encoder_out(
-        static_cast<size_t>(plan->seq_len * plan->d_model));
-    std::vector<float> logits(
-        static_cast<size_t>(std::max<int64_t>(plan->num_labels, 1)));
-    core::PlanRun run;
-    run.token_ids = sample.seq.ids.data();
-    run.segment_ids =
-        plan->has_segments ? sample.seq.segments.data() : nullptr;
-    run.encoder_out = encoder_out.data();
-    run.encoder_out_rows = plan->seq_len;
-    run.logits = plan->logits_off >= 0 ? logits.data() : nullptr;
-
-    core::RunPlan(*plan, run);  // Warm-up.
-    core::RunPlan(*plan, run);
+        static_cast<size_t>(len * encoder.config().d_model));
+    const auto serve = [&] {
+      encoder.Serve(sample.seq.ids, sample.seq.segments, scratch.data(),
+                    encoder_out.data(), len);
+    };
+    serve();  // Warm-up.
+    serve();
 
     const int kExecRounds = 200;
     std::vector<double> lat_us;
@@ -297,7 +294,7 @@ int main() {
     const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
     for (int r = 0; r < kExecRounds; ++r) {
       util::WallTimer timer;
-      core::RunPlan(*plan, run);
+      serve();
       lat_us.push_back(timer.ElapsedSeconds() * 1e6);
     }
     const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
@@ -314,9 +311,9 @@ int main() {
     plan_executor.arena_misses = static_cast<int64_t>(
         ws_after.buffer_misses - ws_before.buffer_misses);
     CHECK_EQ(heap_after.allocations, heap_before.allocations)
-        << "warmed-up RunPlan allocated on the heap";
+        << "warmed-up Serve allocated on the heap";
     CHECK_EQ(plan_executor.arena_misses, 0)
-        << "warmed-up RunPlan missed the workspace buffer pool";
+        << "warmed-up Serve missed the workspace buffer pool";
   }
 
   const double predict_speedup = tape_predict.p50_us / nograd_predict.p50_us;
@@ -341,7 +338,7 @@ int main() {
                 << cell.tape.p50_us / cell.plan.p50_us << "x)\n";
     }
   }
-  std::cerr << "[inference] plan executor p50=" << plan_executor.p50_us
+  std::cerr << "[inference] encoder Serve p50=" << plan_executor.p50_us
             << "us allocations/call=" << plan_executor.allocs_per_call
             << "\n";
 

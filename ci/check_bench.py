@@ -44,8 +44,9 @@ from bench_embedding_store) is gated on:
     (segments_built < shards when shards > 1).
 
 A file with a "plan_vs_tape" object (BENCH_inference.json) fails the
-job (exit 1) if the compiled-plan serving path has fallen behind the
-tape oracle (ExplainTiModel's eval forward, looped over each batch):
+job (exit 1) if the InferenceSession serving path ("plan" in the JSON)
+has fallen behind the tape oracle (ExplainTiModel's eval forward,
+looped over each batch):
 
   * plan p50 must not exceed tape p50 by more than --max-ratio for any
     (method, batch_size) cell. Both paths are bound by the same shared
@@ -54,11 +55,12 @@ tape oracle (ExplainTiModel's eval forward, looped over each batch):
     allocation shows up as tens of percent, not two).
   * plan allocations/call must not exceed tape allocations/call in any
     cell — this is deterministic (allocation counts don't jitter), so it
-    is checked strictly. The plan path exists to allocate less.
-  * the raw plan executor must be allocation-free after warm-up:
-    allocations_per_call == 0 and steady_state_arena_misses == 0,
-    exactly. One stray allocation per RunPlan means an instruction
-    escaped the planned arena.
+    is checked strictly. The serving path exists to allocate less.
+  * the raw encoder forward ("plan_executor": nn::TransformerEncoder::
+    Serve on caller-owned buffers) must be allocation-free after
+    warm-up: allocations_per_call == 0 and steady_state_arena_misses ==
+    0, exactly. One stray allocation per Serve means a stage escaped the
+    caller's buffers.
 
 Stdlib only; CI calls it as
   python3 ci/check_bench.py <build_dir>/BENCH_inference.json
@@ -332,18 +334,18 @@ def main():
     if not isinstance(executor, dict):
         failures.append("'plan_vs_tape.plan_executor' section missing")
     else:
-        print(f"\nplan executor: p50 {executor['p50_us']:.1f}us, "
+        print(f"\nencoder Serve: p50 {executor['p50_us']:.1f}us, "
               f"p99 {executor['p99_us']:.1f}us, "
               f"{executor['allocations_per_call']:.2f} allocations/call, "
               f"{executor['steady_state_arena_misses']} arena misses")
         if executor["allocations_per_call"] != 0:
             failures.append(
-                f"plan executor allocates "
+                f"encoder Serve allocates "
                 f"{executor['allocations_per_call']:.2f}/call after warm-up "
                 f"(must be exactly 0)")
         if executor["steady_state_arena_misses"] != 0:
             failures.append(
-                f"plan executor missed the workspace arena "
+                f"encoder Serve missed the workspace arena "
                 f"{executor['steady_state_arena_misses']} times after "
                 f"warm-up (must be exactly 0)")
 

@@ -63,15 +63,15 @@ case "$JOB" in
     echo "BENCH_parallel.json:"
     cat "$BUILD/BENCH_parallel.json"
     # Serving benchmark: tape vs no-grad per-call latency and allocation
-    # counts, plus the compiled-plan-vs-tape matrix. It hard-fails if the
+    # counts, plus the session-vs-tape matrix. It hard-fails if the
     # session's outputs are not bit-identical to the tape or a warmed-up
     # fast path misses the arena.
     (cd "$BUILD" && ./bench/bench_inference_session)
     echo "BENCH_inference.json:"
     cat "$BUILD/BENCH_inference.json"
-    # Bench-regression gate: the compiled-plan path must not fall behind
-    # the tape (p50 within tolerance, never more allocations) and the raw
-    # plan executor must stay allocation-free after warm-up.
+    # Bench-regression gate: the session must not fall behind the tape
+    # (p50 within tolerance, never more allocations) and the raw encoder
+    # Serve must stay allocation-free after warm-up.
     python3 "$ROOT/ci/check_bench.py" "$BUILD/BENCH_inference.json"
     # Embedding-store benchmark: sharded search, copy-on-write rebuilds,
     # and the persisted-store roundtrip (which hard-fails inside the

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "nn/lowering.h"
 #include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
@@ -19,75 +18,29 @@ namespace explainti::core {
 
 namespace {
 
-// Plans are keyed by the only two shape-relevant properties of a sample:
-// its (unpadded) sequence length and whether the embedding stack adds a
-// segment term (config-enabled AND the sample carries segment ids —
-// mirroring TransformerEmbeddings::Forward's condition).
-int64_t PlanKey(const TaskSample& sample, bool encoder_uses_segments) {
-  const bool has_seg =
-      encoder_uses_segments && !sample.seq.segments.empty();
-  return static_cast<int64_t>(sample.seq.ids.size()) * 2 + (has_seg ? 1 : 0);
-}
-
-}  // namespace
-
-InferenceSession::InferenceSession(const ExplainTiModel& model)
-    : model_(&model) {
-  // Lowers the model and compiles one plan per distinct (task, seq_len,
-  // has_segments) key. The plans borrow the model's weight storage, so
-  // they are built exactly once.
-  const nn::EncoderLowering lowered = nn::LowerEncoder(*model_->encoder_);
-  const bool use_segments = model_->encoder_->config().use_segments;
-  for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!model_->HasTask(kind)) continue;
-    auto& plans = kind == TaskKind::kType ? type_plans_ : relation_plans_;
-    const nn::LinearLowering head =
-        nn::LowerLinear(model_->Heads(kind).base->projection());
-    for (const TaskSample& sample : model_->Task(kind).samples) {
-      const int64_t key = PlanKey(sample, use_segments);
-      if (plans.find(key) != plans.end()) continue;
-      util::StatusOr<InferencePlan> plan = BuildInferencePlan(
-          lowered, &head, static_cast<int64_t>(sample.seq.ids.size()),
-          /*has_segments=*/(key & 1) != 0);
-      // Every shape the builder rejects, the tape encoder CHECK-fails on
-      // too (sequence longer than max_len, d_model not divisible by the
-      // head count); the rest is fixed by the model's own construction.
-      CHECK(plan.ok()) << "inference plan build failed: "
-                       << plan.status().ToString();
-      plans.emplace(key, std::move(plan).value());
-      ++plans_built_;
-    }
-  }
-}
-
-const InferencePlan& InferenceSession::PlanFor(TaskKind kind,
-                                               int sample_id) const {
-  const TaskData& task = model_->Task(kind);
+// The one place the session indexes a task's samples: an out-of-range id
+// dies here, before any SE draw, as it does on the tape's RunForward.
+const TaskSample& CheckedSample(const TaskData& task, int sample_id) {
   const int num_samples = static_cast<int>(task.samples.size());
   CHECK(sample_id >= 0 && sample_id < num_samples)
       << "sample id " << sample_id << " out of range [0, " << num_samples
       << ")";
-  const auto& plans =
-      kind == TaskKind::kType ? type_plans_ : relation_plans_;
-  // Plans are built eagerly over every sample of the task, so a lookup
-  // miss would be a builder bug, not a request error.
-  const auto it =
-      plans.find(PlanKey(task.samples[static_cast<size_t>(sample_id)],
-                         model_->encoder_->config().use_segments));
-  CHECK(it != plans.end()) << "no compiled plan for sample " << sample_id;
-  return it->second;
+  return task.samples[static_cast<size_t>(sample_id)];
 }
+
+}  // namespace
 
 std::vector<float> InferenceSession::RunTail(
     TaskKind kind, int sample_id, ExplainTiModel::Evidence* evidence) const {
   const ExplainTiModel& model = *model_;
   const ExplainTiConfig& config = model.config();
-  const InferencePlan& plan = PlanFor(kind, sample_id);
   const TaskData& task = model.Task(kind);
-  const TaskSample& sample = task.samples[static_cast<size_t>(sample_id)];
+  const TaskSample& sample = CheckedSample(task, sample_id);
   const ExplainTiModel::TaskHeads& heads = model.Heads(kind);
+  const nn::TransformerEncoder& encoder = model.encoder();
   const bool explain = evidence != nullptr;
-  const int64_t d = plan.d_model;
+  const int64_t len = static_cast<int64_t>(sample.seq.ids.size());
+  const int64_t d = encoder.config().d_model;
   const int64_t c = task.num_labels;
 
   // One store snapshot for SE and GE, pinned exactly as RunForward pins
@@ -104,16 +57,18 @@ std::vector<float> InferenceSession::RunTail(
       explain && config.use_local ? model.WindowsFor(kind, sample)
                                   : ExplainTiModel::LocalWindows();
 
-  // One scratch for the whole tail. LE reads every encoder row; Predict
-  // and a tail without LE read only [CLS].
-  const int64_t rows = windows.size() > 0 ? plan.seq_len : 1;
+  // One scratch for the whole call, the encoder's working set included.
+  // LE reads every encoder row; Predict and a tail without LE read only
+  // [CLS].
+  const int64_t rows = windows.size() > 0 ? len : 1;
   const int64_t r = static_cast<int64_t>(usable.size());
   const int64_t top_k = ge_ready ? config.top_k : 0;
   const int64_t w = static_cast<int64_t>(windows.size());
   const int64_t means =
       static_cast<int64_t>(windows.left.size() + windows.right.size());
+  const int64_t encoder_scratch = encoder.ServeScratchFloats(len);
   tensor::ScratchBuffer scratch(static_cast<size_t>(
-      rows * d + 2 * d + r * d + r + top_k * d + d + top_k +
+      rows * d + encoder_scratch + 2 * d + r * d + r + top_k * d + d + top_k +
       (w > 0 ? (means + w) * d + w * c : 0)));
   float* next = scratch.data();
   const auto take = [&next](int64_t n) {
@@ -121,25 +76,11 @@ std::vector<float> InferenceSession::RunTail(
     next += n;
     return p;
   };
-  // y[m, out] = x[m, in] W + b: the Linear the tape head runs, on the
-  // kernels a plan runs its folded head with.
-  const auto affine = [](const nn::ClassifierHead& head, const float* x,
-                         int64_t m, float* y) {
-    const nn::LinearLowering lin = nn::LowerLinear(head.projection());
-    tensor::ZeroRows(y, lin.out, m, lin.out);
-    tensor::ServingGemm(x, lin.in, lin.weight, lin.out, /*trans_b=*/false,
-                        y, lin.out, m, lin.in, lin.out);
-    tensor::AddBiasRows(y, lin.out, lin.bias, m, lin.out);
-  };
 
-  // -- Encoder: E [rows, d] straight into the scratch. ---------------------
+  // -- Encoder: E [rows, d] into the scratch. ------------------------------
   float* e = take(rows * d);
-  PlanRun run;
-  run.token_ids = sample.seq.ids.data();
-  run.segment_ids = plan.has_segments ? sample.seq.segments.data() : nullptr;
-  run.encoder_out = e;
-  run.encoder_out_rows = rows;
-  RunPlan(plan, run);
+  float* encoder_work = take(encoder_scratch);
+  encoder.Serve(sample.seq.ids, sample.seq.segments, encoder_work, e, rows);
   const float* cls = e;
 
   // -- SE (Algorithm 4), or the base head. ---------------------------------
@@ -170,13 +111,13 @@ std::vector<float> InferenceSession::RunTail(
       attention = scores;
     }
     std::copy(cls, cls + d, concat + d);
-    affine(*heads.structural, concat, 1, logits.data());
+    heads.structural->projection().Serve(concat, 1, logits.data());
     if (explain) {
       evidence->neighbors =
           ExplainTiModel::StructuralRecords(task, sample_id, usable, attention);
     }
   } else {
-    affine(*heads.base, cls, 1, logits.data());
+    heads.base->projection().Serve(cls, 1, logits.data());
   }
   if (!explain) return logits;
   evidence->store_empty = store.size() == 0;
@@ -241,7 +182,7 @@ std::vector<float> InferenceSession::RunTail(
       }
     }
     float* probs = take(w * c);
-    affine(*heads.local, t, w, probs);
+    heads.local->projection().Serve(t, w, probs);
     if (task.multi_label) {
       tensor::SigmoidInto(probs, probs, w * c);
     } else {
@@ -259,35 +200,14 @@ std::vector<float> InferenceSession::RunTail(
   return logits;
 }
 
-std::vector<float> InferenceSession::FinalLogits(TaskKind kind,
-                                                 int sample_id) const {
-  if (model_->config().use_structural) {
-    // Structural logits depend on store state and sampled neighbours, so
-    // the head is not compiled in; run the compiled tail.
-    return RunTail(kind, sample_id, /*evidence=*/nullptr);
-  }
-  // Base head: the plan covers the whole sample — one instruction-array
-  // walk.
-  const InferencePlan& plan = PlanFor(kind, sample_id);
-  const TaskSample& sample =
-      model_->Task(kind).samples[static_cast<size_t>(sample_id)];
-  std::vector<float> logits(static_cast<size_t>(plan.num_labels));
-  PlanRun run;
-  run.token_ids = sample.seq.ids.data();
-  run.segment_ids = plan.has_segments ? sample.seq.segments.data() : nullptr;
-  run.logits = logits.data();
-  RunPlan(plan, run);
-  return logits;
-}
-
 std::vector<int> InferenceSession::Predict(TaskKind kind,
                                            int sample_id) const {
-  return model_->DecodeLabels(kind, FinalLogits(kind, sample_id));
+  return model_->DecodeLabels(kind, RunTail(kind, sample_id, nullptr));
 }
 
 std::vector<float> InferenceSession::PredictProbabilities(
     TaskKind kind, int sample_id) const {
-  return model_->Probabilities(kind, FinalLogits(kind, sample_id));
+  return model_->Probabilities(kind, RunTail(kind, sample_id, nullptr));
 }
 
 Explanation InferenceSession::Explain(TaskKind kind, int sample_id) const {
@@ -340,30 +260,19 @@ std::vector<Explanation> InferenceSession::ExplainBatch(
 std::vector<std::vector<float>> InferenceSession::EncodeBatch(
     TaskKind kind, const std::vector<int>& sample_ids) const {
   const TaskData& task = model_->Task(kind);
-  std::vector<std::vector<float>> embeddings(sample_ids.size());
-  // Every sample writes only its own slot, so batched encoding fans out
-  // across the pool with results identical to the serial loop. The store
-  // rebuild only needs the [CLS] row: each plan run copies out row 0
+  const nn::TransformerEncoder& encoder = model_->encoder();
+  // The store rebuild only needs the [CLS] row, which Serve copies out
   // directly.
-  util::ParallelFor(
-      0, static_cast<int64_t>(sample_ids.size()), 1,
-      [&](int64_t ib, int64_t ie) {
-        for (int64_t i = ib; i < ie; ++i) {
-          const int id = sample_ids[static_cast<size_t>(i)];
-          const InferencePlan& plan = PlanFor(kind, id);
-          const TaskSample& sample = task.samples[static_cast<size_t>(id)];
-          std::vector<float>& out = embeddings[static_cast<size_t>(i)];
-          out.resize(static_cast<size_t>(plan.d_model));
-          PlanRun run;
-          run.token_ids = sample.seq.ids.data();
-          run.segment_ids =
-              plan.has_segments ? sample.seq.segments.data() : nullptr;
-          run.encoder_out = out.data();
-          run.encoder_out_rows = 1;
-          RunPlan(plan, run);
-        }
-      });
-  return embeddings;
+  return ForEachSample<std::vector<float>>(sample_ids, [&](int id) {
+    const TaskSample& sample = CheckedSample(task, id);
+    const int64_t len = static_cast<int64_t>(sample.seq.ids.size());
+    tensor::ScratchBuffer scratch(
+        static_cast<size_t>(encoder.ServeScratchFloats(len)));
+    std::vector<float> cls(static_cast<size_t>(encoder.config().d_model));
+    encoder.Serve(sample.seq.ids, sample.seq.segments, scratch.data(),
+                  cls.data(), /*rows=*/1);
+    return cls;
+  });
 }
 
 eval::F1Scores InferenceSession::Evaluate(TaskKind kind,
@@ -390,7 +299,7 @@ eval::F1Scores InferenceSession::Evaluate(TaskKind kind,
         for (int64_t i = ib; i < ie; ++i) {
           const int id = (*ids)[static_cast<size_t>(i)];
           eval::LabeledPrediction& p = predictions[static_cast<size_t>(i)];
-          p.gold = task.samples[static_cast<size_t>(id)].labels;
+          p.gold = CheckedSample(task, id).labels;
           p.predicted = Predict(kind, id);
         }
       });

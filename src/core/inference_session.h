@@ -4,13 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
 #include "core/explain_ti_model.h"
 #include "core/explanation.h"
-#include "core/inference_plan.h"
 #include "core/task_data.h"
 #include "data/corpus.h"
 #include "eval/f1_metrics.h"
@@ -20,28 +18,20 @@ namespace explainti::core {
 
 /// Frozen, read-only serving facade over a trained ExplainTiModel.
 ///
-/// Compiled serving, no tensor graph. At construction the session lowers
-/// the frozen encoder once into linearized inference plans
-/// (core/inference_plan.h) — one per distinct (task, sequence length,
-/// segment use) in the task data — and serves every call from them:
-/// fused kernels, fixed workspace offsets, zero per-call dispatch. With
-/// structural explanations off the plan folds the base classifier head
-/// in, so Predict is one instruction-array walk. Otherwise the SE/GE/LE
-/// explanation tail runs as one straight-line function over raw float
-/// buffers carved from a single per-call tensor::ScratchBuffer, on the
-/// same serving kernels the plans use (tensor/plan_kernels.h); it shares
-/// neighbour selection, retrieval and record building with the model's
-/// tape RunForward, so both draw the same SE sample and emit the same
-/// records. Every condition the plan builder rejects is one the tape
-/// encoder CHECK-fails on too, so a plan build failure is a CHECK, not a
-/// fallback. fp32 outputs are bit-identical to the model's tape-building
-/// Predict/Explain, which is the oracle the golden tests compare against.
-/// Serving is fp32 throughout: encoder, folded head and every tail head
-/// read the model's fp32 parameters. Plans borrow that weight storage
-/// (updated in place by Fit/LoadWeights), so they never go stale and are
-/// built once, at construction; they die with the session, which under
-/// serve's hot-swap means a new generation always carries freshly built
-/// plans.
+/// Straight-line serving, no tensor graph. Every call runs one function,
+/// RunTail, on raw float buffers carved from a single per-call
+/// tensor::ScratchBuffer: the encoder's raw-buffer forward
+/// (nn::TransformerEncoder::Serve), then SE or the base head, and for
+/// Explain the GE/LE views, all on the shared serving kernels
+/// (tensor/plan_kernels.h). The tail shares neighbour selection,
+/// retrieval and record building with the model's tape RunForward, so
+/// both draw the same SE sample and emit the same records. fp32 outputs
+/// are bit-identical to the model's tape-building Predict/Explain, which
+/// is the oracle the golden tests compare against. Serving reads the
+/// model's parameter storage in place (updated in place by Fit and
+/// LoadWeights), so the session holds no compiled state and never goes
+/// stale; under serve's hot-swap a new generation is simply a new model
+/// with its own session.
 ///
 /// All methods are const and touch no mutable model state (per-call RNGs
 /// are derived from ExplainTiModel::InferenceSeed), so one session may be
@@ -58,7 +48,7 @@ namespace explainti::core {
 ///   Explanation z = session.Explain(TaskKind::kType, id);
 class InferenceSession {
  public:
-  explicit InferenceSession(const ExplainTiModel& model);
+  explicit InferenceSession(const ExplainTiModel& model) : model_(&model) {}
 
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
@@ -107,34 +97,16 @@ class InferenceSession {
   /// pool.
   eval::F1Scores Evaluate(TaskKind kind, data::SplitPart part) const;
 
-  /// The compiled plan that serves `sample_id`. CHECK-fails on an
-  /// out-of-range id, like the tape's RunForward.
-  const InferencePlan& PlanFor(TaskKind kind, int sample_id) const;
-
-  /// Distinct plans compiled at construction.
-  int64_t plans_built() const { return plans_built_; }
-
  private:
-  /// The compiled explanation tail for one sample: the plan's encoder,
-  /// then SE (or the base head), and — when `evidence` is non-null, for
-  /// Explain — GE and LE with their records. Returns the final logits.
-  /// Without `evidence` only the [CLS] row is encoded and no record is
+  /// The explanation tail for one sample: the encoder, then SE (or the
+  /// base head), and — when `evidence` is non-null, for Explain — GE and
+  /// LE with their records. Returns the final logits. Without `evidence`
+  /// only the [CLS] row is copied out of the encoder and no record is
   /// built: Predict reads nothing else.
   std::vector<float> RunTail(TaskKind kind, int sample_id,
                              ExplainTiModel::Evidence* evidence) const;
 
-  /// Final logits for one sample — the shared core of
-  /// Predict/PredictProbabilities. When the model runs without structural
-  /// explanations the compiled plan covers the classifier head too, so
-  /// this is one instruction-array walk.
-  std::vector<float> FinalLogits(TaskKind kind, int sample_id) const;
-
   const ExplainTiModel* model_;
-  /// Keyed by seq_len * 2 + has_segments; built by the constructor and
-  /// immutable afterwards.
-  std::unordered_map<int64_t, InferencePlan> type_plans_;
-  std::unordered_map<int64_t, InferencePlan> relation_plans_;
-  int64_t plans_built_ = 0;
 };
 
 /// Loads a complete serving replica for a model hot-swap: constructs a
@@ -142,12 +114,10 @@ class InferenceSession {
 /// warms its GE/SE embedding stores — entirely off to the side, touching
 /// no live state, so the currently-serving model keeps answering while
 /// the replica loads. On success the replica's session() is ready to hand
-/// to serve::InferenceServer::SwapSession (with freshly compiled plans of
-/// its own — plans are per-session, so the drained generation's plans die
-/// with it); on any failure (unreadable or corrupt checkpoint, or the
-/// "swap.load_weights" chaos fault) the error Status is returned and
-/// there is nothing to roll back — the caller simply keeps the old
-/// generation.
+/// to serve::InferenceServer::SwapSession; on any failure (unreadable or
+/// corrupt checkpoint, or the "swap.load_weights" chaos fault) the error
+/// Status is returned and there is nothing to roll back — the caller
+/// simply keeps the old generation.
 util::StatusOr<std::unique_ptr<ExplainTiModel>> LoadReplicaForSwap(
     const ExplainTiConfig& config, const data::TableCorpus& corpus,
     const std::string& weights_path);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -86,6 +87,50 @@ tensor::Tensor MultiHeadSelfAttention::Forward(const tensor::Tensor& x,
 
   tensor::Tensor context = tensor::ConcatCols(head_outputs);
   return wo_.Forward(context);
+}
+
+int64_t MultiHeadSelfAttention::ServeScratchFloats(int64_t len) const {
+  const int64_t head_dim = config_.d_model / config_.num_heads;
+  return 4 * len * config_.d_model + len * len + head_dim * len;
+}
+
+void MultiHeadSelfAttention::Serve(const float* x, int64_t len,
+                                   float* scratch, float* out) const {
+  const int64_t d = config_.d_model;
+  const int64_t head_dim = d / config_.num_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  float* q = scratch;
+  float* k = q + len * d;
+  float* v = k + len * d;
+  float* context = v + len * d;
+  float* scores = context + len * d;
+  float* kt = scores + len * len;
+
+  wq_.Serve(x, len, q);
+  wk_.Serve(x, len, k);
+  wv_.Serve(x, len, v);
+  // Heads run in turn over one scores block and one k_h^T block, reading
+  // q/k/v column slices in place and writing each head's context straight
+  // into its column block: Forward's SliceCols/ConcatCols without the
+  // copies. k_h^T is the one copy kept, because with it the scores GEMM
+  // runs the vectorised non-transposed kernel instead of the scalar
+  // trans_b gather.
+  for (int64_t h = 0; h < config_.num_heads; ++h) {
+    const int64_t col = h * head_dim;
+    for (int64_t r = 0; r < len; ++r) {
+      for (int64_t j = 0; j < head_dim; ++j) {
+        kt[j * len + r] = k[r * d + col + j];
+      }
+    }
+    tensor::ZeroRows(scores, len, len, len);
+    tensor::ServingGemm(q + col, d, kt, len, /*trans_b=*/false, scores, len,
+                        len, head_dim, len);
+    tensor::ScaleSoftmaxRows(scores, len, len, scale);
+    tensor::ZeroRows(context + col, d, len, head_dim);
+    tensor::ServingGemm(scores, len, v + col, d, /*trans_b=*/false,
+                        context + col, d, len, len, head_dim);
+  }
+  wo_.Serve(context, len, out);
 }
 
 }  // namespace explainti::nn

@@ -24,11 +24,13 @@ class MultiHeadSelfAttention : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
                          const ExecContext& ctx) const;
 
- private:
-  // Reads the projection weights when lowering the frozen eval graph into
-  // a compiled inference plan (nn/lowering.cc).
-  friend struct LoweringAccess;
+  /// Serving forward on raw buffers, unmasked: out [len, d] receives what
+  /// the eval-mode Forward returns for x [len, d]. `scratch` must hold
+  /// ServeScratchFloats(len) floats.
+  void Serve(const float* x, int64_t len, float* scratch, float* out) const;
+  int64_t ServeScratchFloats(int64_t len) const;
 
+ private:
   TransformerConfig config_;
   Linear wq_;
   Linear wk_;

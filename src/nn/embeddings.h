@@ -23,10 +23,17 @@ class TransformerEmbeddings : public Module {
                          const std::vector<int>& segments,
                          const ExecContext& ctx) const;
 
+  /// Serving forward on a raw buffer: out [L, d] receives what the
+  /// eval-mode Forward returns, from one fused gather + LayerNorm pass.
+  /// Same guards as Forward.
+  void Serve(const std::vector<int>& ids, const std::vector<int>& segments,
+             float* out) const;
+
  private:
-  // Reads the tables/LN weights when lowering the frozen eval graph into
-  // a compiled inference plan (nn/lowering.cc).
-  friend struct LoweringAccess;
+  /// CHECKs `ids` (and `segments`) the way both forwards require; returns
+  /// whether the segment term applies.
+  bool UsesSegments(const std::vector<int>& ids,
+                    const std::vector<int>& segments) const;
 
   TransformerConfig config_;
   tensor::Tensor token_table_;

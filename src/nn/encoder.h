@@ -24,11 +24,13 @@ class EncoderLayer : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
                          const ExecContext& ctx) const;
 
- private:
-  // Reads the sublayer weights when lowering the frozen eval graph into a
-  // compiled inference plan (nn/lowering.cc).
-  friend struct LoweringAccess;
+  /// Serving forward on raw buffers, unmasked: replaces x [len, d] in
+  /// place with what the eval-mode Forward returns. `scratch` must hold
+  /// ServeScratchFloats(len) floats.
+  void Serve(float* x, int64_t len, float* scratch) const;
+  int64_t ServeScratchFloats(int64_t len) const;
 
+ private:
   TransformerConfig config_;
   MultiHeadSelfAttention attention_;
   Linear ffn_in_;
@@ -52,13 +54,19 @@ class TransformerEncoder : public Module {
                          const ExecContext& ctx,
                          const tensor::Tensor& mask = tensor::Tensor()) const;
 
+  /// Serving forward on raw buffers: runs the eval-mode Forward's
+  /// arithmetic (no mask) with no tensor graph and no allocation, and
+  /// copies the first `rows` rows of E into `out` [rows, d]. Outputs are
+  /// bit-identical to Forward's. `scratch` must hold
+  /// ServeScratchFloats(ids.size()) floats; its regions are fixed and
+  /// reused layer after layer. Same guards as Forward.
+  void Serve(const std::vector<int>& ids, const std::vector<int>& segments,
+             float* scratch, float* out, int64_t rows) const;
+  int64_t ServeScratchFloats(int64_t len) const;
+
   const TransformerConfig& config() const { return config_; }
 
  private:
-  // Walks the layer stack when lowering the frozen eval graph into a
-  // compiled inference plan (nn/lowering.cc).
-  friend struct LoweringAccess;
-
   TransformerConfig config_;
   TransformerEmbeddings embeddings_;
   std::vector<std::unique_ptr<EncoderLayer>> layers_;

@@ -11,9 +11,7 @@ tensor::Tensor ApplyDropout(const tensor::Tensor& x, float p,
     CHECK(ctx.rng != nullptr) << "training dropout requires an RNG";
     return tensor::Dropout(x, p, *ctx.rng, /*training=*/true);
   }
-  // Tape-eval: keep the identity node the legacy path built so eval graphs
-  // (and anything walking them) are unchanged.
-  return tensor::Scale(x, 1.0f);
+  return x;
 }
 
 }  // namespace explainti::nn

@@ -10,15 +10,15 @@ namespace explainti::nn {
 enum class ExecMode {
   /// Builds the autograd tape; dropout active. Requires an RNG.
   kTrain,
-  /// Builds the tape (no Backward expected) with dropout disabled as
-  /// identity ops — the historical eval path, kept byte-for-byte.
+  /// Builds the tape (no Backward expected) with dropout disabled.
   kEval,
 };
 
 /// Execution context threaded through the tape encoder stack: mode + RNG.
-/// Serving never runs this stack (it runs compiled plans), so the tape has
-/// exactly these two modes; the context stays trivially copyable and safe
-/// to share across the threads of a parallel region.
+/// Serving never runs this stack (it runs the modules' raw-buffer Serve
+/// forwards), so the tape has exactly these two modes; the context stays
+/// trivially copyable and safe to share across the threads of a parallel
+/// region.
 struct ExecContext {
   ExecMode mode = ExecMode::kEval;
   util::Rng* rng = nullptr;
@@ -33,8 +33,8 @@ struct ExecContext {
   bool training() const { return mode == ExecMode::kTrain; }
 };
 
-/// Dropout dispatch on the execution mode: real dropout when training, the
-/// legacy identity node in tape-eval (keeps eval graphs unchanged).
+/// Dropout dispatch on the execution mode: real dropout when training,
+/// `x` itself in tape-eval.
 tensor::Tensor ApplyDropout(const tensor::Tensor& x, float p,
                             const ExecContext& ctx);
 

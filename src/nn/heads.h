@@ -30,8 +30,7 @@ class ClassifierHead : public Module {
 
   int64_t num_labels() const { return projection_.out_features(); }
 
-  /// The underlying affine map — read by plan lowering (the head is one
-  /// Linear, so serving can fold it into the compiled instruction stream).
+  /// The underlying affine map; serving runs it through Linear::Serve.
   const Linear& projection() const { return projection_; }
 
  private:

@@ -17,6 +17,12 @@ class Linear : public Module {
 
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
+  /// Serving forward on raw row-major buffers: y[m, out] = x[m, in] W + b,
+  /// bit-identical to Forward (the same GEMM kernel, then the bias add).
+  /// With `gelu`, y = gelu(x W + b), the bias add and GELU fused into one
+  /// pass, bit-identical to Gelu(Forward(x)).
+  void Serve(const float* x, int64_t m, float* y, bool gelu = false) const;
+
   int64_t in_features() const { return weight_.dim(0); }
   int64_t out_features() const { return weight_.dim(1); }
   const tensor::Tensor& weight() const { return weight_; }

@@ -59,7 +59,7 @@ util::StatusOr<int> ResolveLabel(const core::TaskData& task,
 
 /// Which tier produced a composed prediction step.
 enum class QaTier {
-  kTeacher = 0,    ///< Full InferenceSession (compiled-plan transformer).
+  kTeacher = 0,    ///< Full InferenceSession (transformer + explanation tail).
   kSurrogate = 1,  ///< Explanation-distilled linear surrogate.
 };
 

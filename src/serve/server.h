@@ -66,7 +66,7 @@ struct ServerOptions {
 ///              worker 0              worker 1   ...       worker N-1
 ///         (pin current generation -> ExecuteBatch: batched
 ///          InferenceSession entry points; each per-sample call runs
-///          compiled plans + tail on per-thread Workspace scratch)
+///          the straight-line RunTail on per-thread Workspace scratch)
 ///
 /// Admission control: Submit validates the request and rejects
 /// immediately — kInvalidArgument for unknown task/sample/tenant,

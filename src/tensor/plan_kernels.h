@@ -6,14 +6,16 @@
 namespace explainti::tensor {
 
 /// Shared serving kernels: the register-blocked no-grad GEMM plus the
-/// fused elementwise chains executed by compiled inference plans.
+/// fused elementwise chains of the raw-buffer serving forwards (the
+/// modules' Serve methods in src/nn and InferenceSession's explanation
+/// tail).
 ///
 /// Bit-identity is the whole point of this file. The tape ops
-/// (tensor_ops.cc) and the plan executor (core/inference_plan.cc) both
-/// call ONE compiled copy of each kernel, built once with this library's
-/// vectorization flags and no fast-math, so the two execution paths
-/// cannot drift: every output element receives the same individually
-/// rounded float operations in the same order on both. Fusions below are
+/// (tensor_ops.cc) and the serving forwards both call ONE compiled copy
+/// of each kernel, built once with this library's vectorization flags
+/// and no fast-math, so the two execution paths cannot drift: every
+/// output element receives the same individually rounded float
+/// operations in the same order on both. Fusions below are
 /// chosen so that folding ops into one pass never reassociates a float
 /// expression — they only skip materialising intermediates (slice /
 /// transpose / concat copies, separate bias and activation passes).
@@ -24,9 +26,9 @@ namespace explainti::tensor {
 
 /// C[m,n] += A[m,k] * B[k,n], with C pre-zeroed by the caller (see
 /// ZeroRows). Row strides lda/ldb/ldc express sub-matrix views: the
-/// plan executor reads per-head q/k/v slices and writes per-head context
-/// columns in place, eliminating the SliceCols/ConcatCols copies of the
-/// tape encoder. `trans_b` reads B as B^T (element [kk, j] at
+/// serving attention reads per-head q/k/v slices and writes per-head
+/// context columns in place, eliminating the SliceCols/ConcatCols copies
+/// of the tape encoder. `trans_b` reads B as B^T (element [kk, j] at
 /// b[j * ldb + kk]), folding the materialised Transpose(kh) of the
 /// attention-score GEMM. Accumulation order per output element is
 /// ascending-k with every product and add individually rounded —

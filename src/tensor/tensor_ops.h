@@ -105,10 +105,14 @@ Tensor LogSoftmax(const Tensor& a);
 
 // -- Normalisation ----------------------------------------------------------
 
+/// LayerNorm's default epsilon, shared with the raw-buffer serving
+/// forwards so both paths normalise identically.
+inline constexpr float kLayerNormEps = 1e-5f;
+
 /// Layer normalisation over the last dimension with learnable gain/bias.
 /// `gamma` and `beta` are rank-1 of length a.dim(-1).
 Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
-                 float eps = 1e-5f);
+                 float eps = kLayerNormEps);
 
 // -- Embeddings ---------------------------------------------------------------
 

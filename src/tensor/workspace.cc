@@ -74,7 +74,7 @@ WorkspaceStats ThisThreadWorkspaceStats() { return ThisWorkspace().stats; }
 ScratchBuffer::ScratchBuffer(size_t n) : buf_(ThisWorkspace().AcquireBuffer(n)) {
   // A shrinking resize writes nothing; a growing one value-fills only the
   // tail beyond the pooled vector's previous size. Steady state (same
-  // plan, warmed pool) is a same-size no-op.
+  // sample shape, warmed pool) is a same-size no-op.
   buf_.resize(n);
 }
 

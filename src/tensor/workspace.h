@@ -21,13 +21,12 @@ struct WorkspaceStats {
 WorkspaceStats ThisThreadWorkspaceStats();
 
 /// RAII raw float scratch drawn from the calling thread's Workspace
-/// buffer pool: the compiled-inference-plan executor and the session's
-/// explanation tail each acquire their whole working set as one
-/// ScratchBuffer per call, so warmed-up serving performs zero scratch
-/// heap allocations. Contents are uninitialised (beyond what the pooled
-/// vector happened to hold); the buffer returns to the pool on
-/// destruction. Must be destroyed on the thread that created it (stack
-/// use only).
+/// buffer pool: each InferenceSession call acquires its whole working
+/// set, the encoder's included, as one ScratchBuffer, so warmed-up
+/// serving performs zero scratch heap allocations. Contents are
+/// uninitialised (beyond what the pooled vector happened to hold); the
+/// buffer returns to the pool on destruction. Must be destroyed on the
+/// thread that created it (stack use only).
 class ScratchBuffer {
  public:
   explicit ScratchBuffer(size_t n);

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +165,27 @@ TEST(EncoderTest, GradientsReachAllParameters) {
   // All parameter tensors except unused position/segment rows get signal.
   EXPECT_GT(with_grad,
             static_cast<int>(encoder.Parameters().size()) * 3 / 4);
+}
+
+// Serve keeps the tape's input guards: a length outside [1, max_len] and
+// a segment vector of the wrong length die, as Forward does.
+TEST(EncoderDeathTest, ServeRejectsWhatForwardRejects) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  util::Rng rng(23);
+  const TransformerConfig config = SmallConfig();
+  TransformerEncoder encoder(config, rng);
+  const std::vector<int> too_long(static_cast<size_t>(config.max_len + 1), 5);
+  std::vector<float> scratch(
+      static_cast<size_t>(encoder.ServeScratchFloats(config.max_len + 1)));
+  std::vector<float> out(static_cast<size_t>(config.d_model));
+  EXPECT_DEATH(encoder.Serve({}, {}, scratch.data(), out.data(), 1),
+               "Check failed");
+  EXPECT_DEATH(
+      encoder.Serve(too_long, {}, scratch.data(), out.data(), 1),
+      "longer than max_len");
+  EXPECT_DEATH(
+      encoder.Serve({5, 6, 7}, {0, 1}, scratch.data(), out.data(), 1),
+      "Check failed");
 }
 
 TEST(HeadsTest, ClassifierOutputsNumLabels) {

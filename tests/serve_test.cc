@@ -1046,8 +1046,8 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
 
 // ---------------------------------------------------------------------------
 // Steady-state worker loop allocation discipline: the batch-execution
-// body must perform zero scratch heap allocations (every plan arena and
-// tail scratch comes from the per-thread Workspace pool) and its
+// body must perform zero scratch heap allocations (every per-call scratch
+// comes from the per-thread Workspace pool) and its
 // remaining heap traffic (response envelopes, id vectors) must be exactly
 // repeatable.
 // ---------------------------------------------------------------------------
