@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI driver: one job per invocation, mirroring .github/workflows/ci.yml.
 #
-#   ci/run_ci.sh release      Release build (warnings-as-errors), full
+#   ci/run_ci.sh release      Fault-site guard (check_fault_sites.sh),
+#                             Release build (warnings-as-errors), full
 #                             ctest suite, the end-to-end serving smoke,
 #                             benchmarks, the check_bench.py plan-vs-tape
 #                             regression gate, and the bench-artifacts
@@ -48,6 +49,10 @@ report_ccache() {
 
 case "$JOB" in
   release)
+    # Fault-site guard: every FAULT_POINT/ShouldInject site planted in
+    # src/ must be armed by at least one test, so no recovery path ships
+    # that nothing exercises.
+    "$ROOT/ci/check_fault_sites.sh"
     BUILD="$ROOT/build-ci-release"
     configure_and_build "$BUILD" -DCMAKE_BUILD_TYPE=Release
     (cd "$BUILD" && ctest --output-on-failure --timeout "$CTEST_TIMEOUT" \

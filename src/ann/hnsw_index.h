@@ -49,10 +49,10 @@ inline uint64_t SeedForSegment(uint64_t base_seed, int64_t segment_index) {
 /// Storage modes mirror FlatIndex: `Add()` copies + normalises and inserts
 /// in one step (owned mode), while a store segment attaches its shared
 /// normalised payload with `AttachStorage()` and then either inserts rows
-/// one at a time with `InsertNode()` (fresh build, with the caller free to
-/// abort between rows) or restores a previously serialised graph with
-/// `LoadGraph()`. Graph adjacency is the only state `SerializeGraph()`
-/// emits — vectors travel in the segment payload, not here.
+/// one at a time with `InsertNode()` (fresh build) or restores a
+/// previously serialised graph with `LoadGraph()`. Graph adjacency is the
+/// only state `SerializeGraph()` emits — vectors travel in the segment
+/// payload, not here.
 class HnswIndex : public VectorIndex {
  public:
   explicit HnswIndex(HnswOptions options = HnswOptions());
@@ -76,9 +76,8 @@ class HnswIndex : public VectorIndex {
                      int64_t dim);
 
   /// Inserts the next attached row (rows enter the graph in storage
-  /// order). Segment builds call this once per row so a build can be
-  /// abandoned mid-way — the embedding store's "store.build" fault site
-  /// sits between calls. Requires graph_size() < size().
+  /// order); segment builds call this once per row. Requires
+  /// graph_size() < size().
   void InsertNode();
 
   /// Rows inserted into the graph so far (== size() once a build or

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/fault_injection.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace explainti::ann {
@@ -102,23 +100,11 @@ void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
       std::vector<SearchResult>& hits = s.hits[static_cast<size_t>(i)];
       SearchScratch& scratch = s.search[static_cast<size_t>(i)];
       const ShardRef& shard = shards[i];
-      hits.clear();
-      bool degraded = shard.hnsw == nullptr;
-      if (!degraded) {
-        if (util::Status fault = FAULT_POINT("ann.query"); !fault.ok()) {
-          LOG(WARNING) << "ANN query failed on shard " << i
-                       << ", falling back to flat tier: "
-                       << fault.ToString();
-          degraded = true;
-        } else {
-          shard.hnsw->SearchNormalized(qnorm, fetch, &scratch, &hits);
-          // A partially built graph can come back empty on a non-empty
-          // shard.
-          if (hits.empty() && shard.flat->size() > 0) degraded = true;
-        }
-      }
+      const bool degraded = shard.hnsw == nullptr;
       if (degraded) {
         shard.flat->SearchNormalized(qnorm, fetch, &scratch, &hits);
+      } else {
+        shard.hnsw->SearchNormalized(qnorm, fetch, &scratch, &hits);
       }
       s.degraded[static_cast<size_t>(i)] = degraded ? 1 : 0;
     }

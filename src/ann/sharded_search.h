@@ -12,7 +12,7 @@ namespace explainti::ann {
 
 /// One searchable store segment as the fan-out sees it. `flat` is the
 /// exact tier and is always present; `hnsw` is the fast tier, or null
-/// when the segment's graph build was aborted and the segment serves
+/// when the segment was loaded from a flat-only segment file and serves
 /// flat. Both point into the owning Segment, which the caller keeps
 /// pinned for the duration of the query.
 struct ShardRef {
@@ -22,9 +22,8 @@ struct ShardRef {
 
 /// Per-query degradation telemetry from one sharded search.
 struct ShardedQueryStats {
-  /// Shards whose answer came from the exact flat tier instead of HNSW —
-  /// missing/aborted graph, an injected "ann.query" fault, or an empty
-  /// HNSW result on a non-empty shard.
+  /// Shards whose answer came from the exact flat tier because they have
+  /// no HNSW graph.
   int shards_degraded = 0;
   bool any_fallback() const { return shards_degraded > 0; }
 };
@@ -40,8 +39,8 @@ void MergeTopK(const std::vector<SearchResult>* shard_hits,
 
 /// Fans one top-k query across `shards` and merges the per-shard answers.
 ///
-/// Each shard runs the degradation ladder independently (HNSW -> exact
-/// flat; see ShardRef), over-fetching k+1 so the excluded id cannot
+/// Each shard answers from its own tier (HNSW, or exact flat when it has
+/// no graph; see ShardRef), over-fetching k+1 so the excluded id cannot
 /// displace a real hit. Shard queries run over util/thread_pool with
 /// grain 1 — each shard's hits land in that shard's own slot, so the
 /// merged result is bit-identical at any thread count. `query` is raw

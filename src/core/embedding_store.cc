@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/store_persistence.h"
-#include "util/fault_injection.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -67,19 +66,9 @@ std::shared_ptr<const EmbeddingStore::Segment> EmbeddingStore::BuildSegment(
   hnsw_options.seed = ann::SeedForSegment(options_.hnsw.seed, segment_index);
   auto hnsw = std::make_unique<ann::HnswIndex>(hnsw_options);
   hnsw->AttachStorage(segment->ids, segment->norm, segment->count, dim);
-  segment->hnsw_ready = true;
-  for (int64_t row = 0; row < segment->count; ++row) {
-    if (util::Status fault = FAULT_POINT("store.build"); !fault.ok()) {
-      LOG(WARNING) << "HNSW build aborted after " << row
-                   << " inserts in segment " << segment_index
-                   << "; segment degrades to flat tier: " << fault.ToString();
-      hnsw.reset();
-      segment->hnsw_ready = false;
-      break;
-    }
-    hnsw->InsertNode();
-  }
+  for (int64_t row = 0; row < segment->count; ++row) hnsw->InsertNode();
   segment->hnsw = std::move(hnsw);
+  segment->hnsw_ready = true;
   return segment;
 }
 
@@ -165,9 +154,10 @@ void EmbeddingStore::Rebuild(
       h = util::HashBytes(row->data(), row->size() * sizeof(float), h);
     }
     range_hash[static_cast<size_t>(r)] = h;
-    // Reuse requires a healthy segment: a degraded one (aborted HNSW
-    // build) is rebuilt even when its content is unchanged, so the next
-    // refresh heals the degradation instead of pinning it forever.
+    // Reuse requires a segment with a graph: a flat-only one (loaded
+    // from a file saved without its graph) is rebuilt even when its
+    // content is unchanged, so the next refresh heals the degradation
+    // instead of pinning it forever.
     if (comparable && static_cast<size_t>(r) < previous->segments.size() &&
         previous->segments[static_cast<size_t>(r)] != nullptr &&
         previous->segments[static_cast<size_t>(r)]->hnsw_ready &&

@@ -23,10 +23,11 @@ namespace explainti::core {
 /// Segmented architecture: a published Snapshot is a set of immutable
 /// Segments — contiguous id-ranges, each carrying the raw embeddings, an
 /// L2-normalised copy shared by both index tiers, an exact FlatIndex and
-/// (when its build succeeded) an HNSW graph. Search() fans the query over
-/// the segments through ann::ShardedSearchInto and merges with a bounded
-/// heap under a total order, so results are bit-identical at any shard
-/// count and thread count.
+/// an HNSW graph (absent only in a segment loaded from a flat-only file).
+/// Search() fans the query over the segments through
+/// ann::ShardedSearchInto and merges with a bounded heap under a total
+/// order, so results are bit-identical at any shard count and thread
+/// count.
 ///
 /// Copy-on-write rebuilds: Rebuild() hashes each id-range and reuses the
 /// previous snapshot's segment by pointer when the range's content is
@@ -34,12 +35,12 @@ namespace explainti::core {
 /// the new snapshot atomically. Readers pin one generation through a View
 /// and keep answering from it while the next rebuild runs.
 ///
-/// Degradation ladder, per segment: HNSW is the fast tier; when a
-/// segment's build was aborted (fault site "store.build"), its query
-/// fails (fault site "ann.query"), or a partial graph returns nothing for
-/// a non-empty segment, that segment — and only that segment — answers
-/// from its exact FlatIndex. `used_fallback` / `degraded_searches()`
-/// report queries where any segment degraded.
+/// Degradation ladder, per segment: HNSW is the fast tier. Rebuild()
+/// always completes every segment's graph, so the one way a segment can
+/// lack one is Load() of a segment file whose header says it was saved
+/// without its graph (flag bit clear). That segment — and only that
+/// segment — answers from its exact FlatIndex. `used_fallback` /
+/// `degraded_searches()` report queries where any segment degraded.
 ///
 /// Persistence: Save() writes one CRC32-footed file per segment plus a
 /// manifest (see store_persistence.h); Load() reopens them via mmap (with
@@ -101,7 +102,7 @@ class EmbeddingStore {
     const float* norm = nullptr;  ///< count x dim, L2-normalised.
 
     ann::FlatIndex flat;
-    std::unique_ptr<ann::HnswIndex> hnsw;  ///< Null when build aborted.
+    std::unique_ptr<ann::HnswIndex> hnsw;  ///< Null when loaded flat-only.
 
     /// Row index of `id` (binary search over the sorted ids), -1 if absent.
     int64_t RowOf(int64_t id) const;
@@ -165,8 +166,8 @@ class EmbeddingStore {
     /// Embedding dimensionality (0 when empty).
     int64_t dim() const { return snapshot_ == nullptr ? 0 : snapshot_->dim; }
 
-    /// False when any segment's HNSW build was aborted and that segment
-    /// serves flat. Vacuously true for an empty store.
+    /// False when any segment was loaded flat-only and serves flat.
+    /// Vacuously true for an empty store.
     bool hnsw_ready() const;
 
     /// Non-empty segments in this snapshot.
@@ -208,8 +209,8 @@ class EmbeddingStore {
   /// must share one dimensionality. Copy-on-write: id-ranges whose
   /// content hash matches the previous snapshot reuse that segment by
   /// pointer; only dirty ranges build, in parallel over the thread pool.
-  /// The flat tier always builds; an injected "store.build" fault aborts
-  /// one segment's HNSW build and degrades that segment alone.
+  /// Every built segment gets both tiers. A flat-only segment is never
+  /// reused, so an identical-content Rebuild gives it its graph.
   void Rebuild(const std::vector<int>& ids,
                const std::vector<std::vector<float>>& embeddings);
 
@@ -255,7 +256,8 @@ class EmbeddingStore {
   const Options& options() const { return options_; }
 
  private:
-  /// Builds one segment from rows (sorted by id) of the rebuild input.
+  /// Builds one segment — flat tier and complete HNSW graph — from rows
+  /// (sorted by id) of the rebuild input.
   std::shared_ptr<const Segment> BuildSegment(
       int64_t segment_index, const std::vector<int64_t>& seg_ids,
       const std::vector<const std::vector<float>*>& seg_rows, int64_t dim,

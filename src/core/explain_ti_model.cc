@@ -929,7 +929,7 @@ Explanation ExplainTiModel::MakeExplanation(
   if (evidence.ann_fallback) {
     z.ann_degraded = true;
     z.degradation_note =
-        "global retrieval degraded: HNSW index unavailable or failed; "
+        "global retrieval degraded: a store segment has no HNSW graph; "
         "served exactly by the flat index";
   } else if (config_.use_global && evidence.store_empty) {
     z.degradation_note =

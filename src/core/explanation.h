@@ -47,8 +47,9 @@ struct Explanation {
   std::vector<GlobalExplanation> global;          ///< Sorted by IS desc.
   std::vector<StructuralExplanation> structural;  ///< Sorted by AS desc.
   /// True when GE retrieval fell back from HNSW to the exact flat index
-  /// (index absent, partially built, or the query failed). The results
-  /// are still correct — the flat tier is exact — only slower.
+  /// because a store segment has no graph (it was loaded from a flat-only
+  /// segment file). The results are still correct — the flat tier is
+  /// exact — only slower.
   bool ann_degraded = false;
   /// Human-readable account of any degradation; empty when healthy.
   std::string degradation_note;

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/fault_injection.h"
 #include "util/logging.h"
 
 namespace explainti::qa {
@@ -130,7 +129,6 @@ QaEngine::QaEngine(const core::InferenceSession* session,
       surrogate_status_ = built.status();
       type_surrogate_.reset();
       relation_surrogate_.reset();
-      tripped_.store(true, std::memory_order_release);
       return;
     }
     if (kind == core::TaskKind::kType) {
@@ -141,32 +139,9 @@ QaEngine::QaEngine(const core::InferenceSession* session,
   }
 }
 
-bool QaEngine::surrogate_active() const {
-  return options_.enable_surrogate &&
-         !tripped_.load(std::memory_order_acquire) &&
-         (type_surrogate_ != nullptr || relation_surrogate_ != nullptr);
-}
-
-util::Status QaEngine::surrogate_status() const {
-  std::lock_guard<std::mutex> lock(status_mu_);
-  return surrogate_status_;
-}
-
 const SurrogateModel* QaEngine::surrogate(core::TaskKind kind) const {
-  if (!surrogate_active()) return nullptr;
   return kind == core::TaskKind::kType ? type_surrogate_.get()
                                        : relation_surrogate_.get();
-}
-
-void QaEngine::TripSurrogate(const util::Status& status) const {
-  std::lock_guard<std::mutex> lock(status_mu_);
-  if (!tripped_.load(std::memory_order_relaxed) || surrogate_status_.ok()) {
-    surrogate_status_ = status;
-  }
-  tripped_.store(true, std::memory_order_release);
-  LOG(WARNING) << "qa: surrogate tier tripped, all answers now "
-                  "teacher-only: "
-               << status.ToString();
 }
 
 util::StatusOr<QaAnswer> QaEngine::Answer(const QaQuery& query) const {
@@ -175,33 +150,11 @@ util::StatusOr<QaAnswer> QaEngine::Answer(const QaQuery& query) const {
 
 util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
                                                        float threshold) const {
-  // The compose fault fails the whole answer up front — a typed error,
-  // never a partial answer.
-  if (auto s = FAULT_POINT("qa.compose"); !s.ok()) return s;
   if (auto s = ValidateQuery(*session_, query); !s.ok()) return s;
-  if (surrogate_active()) {
-    auto cascaded = Compose(query, /*use_surrogate=*/true, threshold);
-    if (cascaded.ok()) return cascaded;
-    // A scoring failure mid-cascade: abandon the partial answer, trip the
-    // tier, and recompose the same query teacher-only below.
-    TripSurrogate(cascaded.status());
-  }
-  auto answer = Compose(query, /*use_surrogate=*/false, threshold);
-  if (answer.ok()) answer->surrogate_status = surrogate_status();
-  return answer;
-}
-
-util::StatusOr<QaAnswer> QaEngine::Compose(const QaQuery& query,
-                                           bool use_surrogate,
-                                           float threshold) const {
   const core::TaskKind task_kind = QaTaskOf(query.kind);
   const core::TaskData& task = session_->task_data(task_kind);
   const bool find = IsFindKind(query.kind);
-  const SurrogateModel* surrogate =
-      use_surrogate ? (task_kind == core::TaskKind::kType
-                           ? type_surrogate_.get()
-                           : relation_surrogate_.get())
-                    : nullptr;
+  const SurrogateModel* surrogate = this->surrogate(task_kind);
 
   // Stage 1: score every candidate — surrogate first when armed for this
   // task, escalating below-threshold scores to the teacher.
@@ -214,8 +167,11 @@ util::StatusOr<QaAnswer> QaEngine::Compose(const QaQuery& query,
     bool need_teacher = true;
     if (surrogate != nullptr) {
       float confidence = 0.0f;
+      // ValidateQuery range-checked `id` against the same samples, so
+      // this cannot fail for a validated query; if it ever does, the
+      // answer is a typed error, never a partial one.
       if (auto s = surrogate->ScoreInto(id, &scratch, &confidence); !s.ok()) {
-        return s;  // Caller trips the latch and recomposes teacher-only.
+        return s;
       }
       if (confidence >= threshold) {
         c.tier = QaTier::kSurrogate;
@@ -345,7 +301,7 @@ util::StatusOr<QaAnswer> QaEngine::Compose(const QaQuery& query,
       answer.justification.items.push_back(std::move(item));
     }
   }
-  answer.surrogate_status = util::Status::OK();
+  answer.surrogate_status = surrogate_status_;
   return answer;
 }
 

@@ -1,9 +1,7 @@
 #ifndef EXPLAINTI_QA_ENGINE_H_
 #define EXPLAINTI_QA_ENGINE_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 
 #include "core/inference_session.h"
 #include "qa/query.h"
@@ -32,16 +30,14 @@ util::Status ValidateQuery(const core::InferenceSession& session,
 /// one SurrogateModel per served task and stage 1 scores candidates there
 /// first; scores at or above `options.confidence_threshold` are answered
 /// at the surrogate tier, the rest escalate to the teacher. Fail-closed:
-/// a distillation failure (or the "qa.surrogate_build" fault) keeps the
-/// engine teacher-only with a typed surrogate_status(); a scoring failure
-/// (or "qa.surrogate_score") abandons the partial cascade answer, trips
-/// the surrogate permanently, and recomposes the SAME query teacher-only
-/// — so a faulted engine's answers are bit-identical to a cascade-off
-/// build, never wrong or partial. The "qa.compose" fault site fails the
-/// whole Answer() with a typed error before any work.
+/// a distillation failure (e.g. `surrogate_epochs <= 0` or an empty
+/// training split) keeps the engine teacher-only for its whole lifetime,
+/// with the typed cause in surrogate_status(), so its answers are
+/// bit-identical to a cascade-off build. A query that fails validation
+/// is a typed error, never a partial answer.
 ///
-/// Thread-safe after construction: Answer() is const, the trip latch is
-/// atomic, and the underlying session is already concurrent.
+/// Thread-safe after construction: Answer() is const, the engine holds
+/// no mutable state, and the underlying session is already concurrent.
 class QaEngine {
  public:
   /// `session` is borrowed and must outlive the engine (under serve each
@@ -59,12 +55,14 @@ class QaEngine {
   util::StatusOr<QaAnswer> AnswerWithThreshold(const QaQuery& query,
                                                float threshold) const;
 
-  /// True while the surrogate tier is armed, built, and not tripped.
-  bool surrogate_active() const;
+  /// True when the surrogate tier is enabled and distilled.
+  bool surrogate_active() const {
+    return type_surrogate_ != nullptr || relation_surrogate_ != nullptr;
+  }
 
-  /// OK while healthy (or disabled by options); the typed build/score
+  /// OK while healthy (or disabled by options); the typed distillation
   /// failure that routed the cascade 100% to the teacher otherwise.
-  util::Status surrogate_status() const;
+  const util::Status& surrogate_status() const { return surrogate_status_; }
 
   /// The distilled surrogate for `kind`, or null (disabled, failed, or
   /// task absent). For bench agreement sweeps and tests; Answer() owns
@@ -75,28 +73,12 @@ class QaEngine {
   const core::InferenceSession& session() const { return *session_; }
 
  private:
-  /// Composes the full answer. With `use_surrogate`, stage 1 scores
-  /// through the surrogate and escalates below `threshold`; any surrogate
-  /// scoring error aborts composition (the caller trips the latch and
-  /// recomposes teacher-only).
-  util::StatusOr<QaAnswer> Compose(const QaQuery& query, bool use_surrogate,
-                                   float threshold) const;
-
-  /// Records `status` and flips the trip latch (idempotent; first error
-  /// wins so the status names the root cause).
-  void TripSurrogate(const util::Status& status) const;
-
   const core::InferenceSession* session_;
   QaOptions options_;
   std::unique_ptr<SurrogateModel> type_surrogate_;
   std::unique_ptr<SurrogateModel> relation_surrogate_;
-  /// Sticky fail-closed latch: set on the first scoring failure, checked
-  /// before every cascade attempt.
-  mutable std::atomic<bool> tripped_{false};
-  mutable std::mutex status_mu_;
-  /// Guarded by status_mu_ after the ctor; mutable because a scoring
-  /// fault during a const Answer() must record its typed root cause.
-  mutable util::Status surrogate_status_;
+  /// Set once by the constructor.
+  util::Status surrogate_status_;
 };
 
 }  // namespace explainti::qa

@@ -121,9 +121,9 @@ struct QaAnswerEntry {
 };
 
 /// The full answer envelope. `entries`/`justification` are the answer
-/// proper (bit-identical across cascade-off and fault-degraded builds —
-/// see SameAnswer); the tier counters and surrogate_status are serving
-/// telemetry.
+/// proper (bit-identical across cascade-off and fail-closed teacher-only
+/// builds — see SameAnswer); the tier counters and surrogate_status are
+/// serving telemetry.
 struct QaAnswer {
   QaQuery query;
   /// Highest confidence first for kFind* queries; single entry for the
@@ -140,8 +140,9 @@ struct QaAnswer {
 
 /// Bitwise answer identity: query, entries and justification (floats
 /// compared exactly). Telemetry (tier counters, surrogate_status) is
-/// deliberately excluded — a fault-degraded answer must equal the
-/// cascade-off answer even though its telemetry explains the degradation.
+/// deliberately excluded — an answer from an engine whose distillation
+/// failed must equal the cascade-off answer even though its telemetry
+/// explains why the surrogate tier is absent.
 bool SameAnswer(const QaAnswer& a, const QaAnswer& b);
 
 }  // namespace explainti::qa

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "util/fault_injection.h"
 #include "util/logging.h"
 
 namespace explainti::qa {
@@ -24,7 +23,6 @@ float Sigmoid(float x) {
 util::StatusOr<std::unique_ptr<SurrogateModel>> SurrogateModel::Distill(
     const core::InferenceSession& session, core::TaskKind kind,
     const QaOptions& options) {
-  if (auto s = FAULT_POINT("qa.surrogate_build"); !s.ok()) return s;
   if (!session.HasTask(kind)) {
     return util::Status::InvalidArgument(
         std::string("surrogate distillation: session has no ") +
@@ -229,7 +227,6 @@ void SurrogateModel::Train(const core::TaskData& task,
 
 util::Status SurrogateModel::ScoreInto(int sample_id, Scratch* scratch,
                                        float* confidence) const {
-  if (auto s = FAULT_POINT("qa.surrogate_score"); !s.ok()) return s;
   if (sample_id < 0 || sample_id >= num_samples_) {
     return util::Status::InvalidArgument("surrogate score: sample " +
                                          std::to_string(sample_id) +

@@ -71,9 +71,9 @@ class SurrogateModel {
     std::vector<int> labels;
   };
 
-  /// Distils a surrogate from `session`'s task `kind`. Fault site
-  /// "qa.surrogate_build". Returns InvalidArgument for an absent task or
-  /// an empty training split.
+  /// Distils a surrogate from `session`'s task `kind`. Returns
+  /// InvalidArgument for an absent task, an empty training split, or a
+  /// non-positive `surrogate_hash_dim` / `surrogate_epochs`.
   static util::StatusOr<std::unique_ptr<SurrogateModel>> Distill(
       const core::InferenceSession& session, core::TaskKind kind,
       const QaOptions& options);
@@ -82,8 +82,8 @@ class SurrogateModel {
   /// under the trained head, decoded labels — same decode rule as the
   /// teacher) and sets
   /// `confidence` (multiclass: top probability; multi-label: mean
-  /// per-label certainty max(p, 1-p)). Fault site "qa.surrogate_score".
-  /// Allocation-free once `scratch` is warm.
+  /// per-label certainty max(p, 1-p)). InvalidArgument when `sample_id`
+  /// is outside the task. Allocation-free once `scratch` is warm.
   util::Status ScoreInto(int sample_id, Scratch* scratch,
                          float* confidence) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/fault_injection.h"
 #include "util/logging.h"
 
 namespace explainti::serve {
@@ -33,13 +32,6 @@ ResponseCache::Shard& ResponseCache::ShardFor(const Key& key) {
 
 bool ResponseCache::Lookup(const Key& key, const text::EncodedSequence& input,
                            const qa::QaQuery* query, ServeResponse* out) {
-  // A faulted cache must degrade to recomputation, never wrong data:
-  // report a miss and let the request take the normal batched path.
-  if (util::fault::ShouldInject("serve.cache.lookup",
-                               util::fault::FaultKind::kError)) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);

@@ -51,9 +51,6 @@ struct CacheOptions {
 /// the entry was inserted; the serving layer clears the cache on model
 /// hot-swap (see InferenceServer::SwapSession) so no entry outlives the
 /// generation that computed it.
-///
-/// Fault site "serve.cache.lookup": when armed, lookups report a miss —
-/// a broken cache degrades to recomputation, never to wrong data.
 class ResponseCache {
  public:
   /// One cache key. `method`/`task` are part of the key because the same
@@ -85,8 +82,8 @@ class ResponseCache {
   /// the primary candidate — so a QA entry can never answer a different
   /// query, nor collide with an Explain entry for the same table (the
   /// method is part of the key AND a QA lookup without a stored query is
-  /// a miss). Also returns false on a plain miss and when the
-  /// "serve.cache.lookup" fault fires, leaving `*out` untouched.
+  /// a miss). Also returns false on a plain miss, leaving `*out`
+  /// untouched.
   bool Lookup(const Key& key, const text::EncodedSequence& input,
               ServeResponse* out) {
     return Lookup(key, input, /*query=*/nullptr, out);

@@ -389,22 +389,6 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
                                    ResponseCache* cache, uint64_t generation,
                                    const qa::QaEngine* qa_engine) {
   if (batch.empty()) return;
-  // Chaos site: an armed "serve.dispatch" fault fails the whole batch
-  // with its injected status (modelling a backend executor crash) —
-  // every callback still fires exactly once, with a typed error.
-  if (util::Status fault = FAULT_POINT("serve.dispatch"); !fault.ok()) {
-    if (metrics != nullptr) {
-      metrics->GetCounter("serve.dispatch_failed")
-          ->Increment(static_cast<int64_t>(batch.size()));
-    }
-    for (PendingRequest& pending : batch) {
-      ServeResponse response;
-      response.status = fault;
-      response.trace_id = pending.request.trace_id;
-      pending.on_done(std::move(response));
-    }
-    return;
-  }
   const ServeMethod method = batch.front().request.method;
   const core::TaskKind task = batch.front().request.task;
 
@@ -484,15 +468,17 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
           session.ExplainBatch(task, ids);
       for (size_t i = 0; i < batch.size(); ++i) {
         // Whole-struct move: the ann_degraded flag and degradation_note
-        // ride along with the views, per request.
+        // (set when a store segment serves flat) ride along with the
+        // views, per request.
         responses[i].explanation = std::move(explanations[i]);
       }
       break;
     }
     case ServeMethod::kQaAnswer: {
-      // Each query is planned and answered individually: a malformed or
-      // faulted query completes alone with its typed status — the rest of
-      // the batch (and the callback-exactly-once guarantee) is untouched.
+      // Each query is planned and answered individually: a query that
+      // fails validation against the executing generation completes alone
+      // with its typed status — the rest of the batch (and the
+      // callback-exactly-once guarantee) is untouched.
       Histogram* surrogate_us = nullptr;
       Histogram* teacher_us = nullptr;
       if (metrics != nullptr) {

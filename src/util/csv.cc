@@ -110,10 +110,7 @@ StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
   if (in.bad()) {
     return Status::IoError("read failed for " + path);
   }
-  std::string content = buffer.str();
-  // Simulates a short read (torn file, interrupted transfer) under test.
-  fault::MaybeTruncate("csv.read.truncate", &content);
-  return ParseCsv(content);
+  return ParseCsv(buffer.str());
 }
 
 std::string WriteCsv(const std::vector<std::vector<std::string>>& rows) {

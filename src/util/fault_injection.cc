@@ -1,7 +1,5 @@
 #include "util/fault_injection.h"
 
-#include <limits>
-
 namespace explainti::util::fault {
 
 FaultRegistry& FaultRegistry::Instance() {
@@ -33,11 +31,6 @@ void FaultRegistry::DisarmAll() {
   armed_count_.store(0, std::memory_order_relaxed);
 }
 
-void FaultRegistry::Reseed(uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rng_ = Rng(seed);
-}
-
 std::optional<FaultSpec> FaultRegistry::Check(const char* site) {
   if (!AnyArmed()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
@@ -47,10 +40,6 @@ std::optional<FaultSpec> FaultRegistry::Check(const char* site) {
   ++state.hits;
   const int every_n = state.spec.every_n > 0 ? state.spec.every_n : 1;
   if (state.hits % every_n != 0) return std::nullopt;
-  if (state.spec.probability < 1.0 &&
-      !rng_.Bernoulli(state.spec.probability)) {
-    return std::nullopt;
-  }
   ++state.fires;
   FaultSpec fired = state.spec;
   if (state.spec.max_fires >= 0 && state.fires >= state.spec.max_fires) {
@@ -88,19 +77,6 @@ bool ShouldInject(const char* site, FaultKind kind) {
   if (!registry.AnyArmed()) return false;
   std::optional<FaultSpec> fired = registry.Check(site);
   return fired.has_value() && fired->kind == kind;
-}
-
-bool MaybeCorrupt(const char* site, float* data, int64_t n) {
-  if (!ShouldInject(site, FaultKind::kNan)) return false;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (int64_t i = 0; i < n; ++i) data[i] = nan;
-  return true;
-}
-
-bool MaybeTruncate(const char* site, std::string* buffer) {
-  if (!ShouldInject(site, FaultKind::kTruncate)) return false;
-  buffer->resize(buffer->size() / 2);
-  return true;
 }
 
 }  // namespace explainti::util::fault

@@ -8,29 +8,25 @@
 #include <string>
 #include <unordered_map>
 
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace explainti::util::fault {
 
 /// What an armed site does when it fires.
 enum class FaultKind {
-  kError,     ///< Production code receives an error Status.
-  kNan,       ///< Caller poisons a float buffer with quiet NaNs.
-  kTruncate,  ///< Caller truncates a byte buffer mid-way.
+  kError,  ///< Production code receives an error Status.
+  kNan,    ///< Caller poisons its values with NaNs.
 };
 
 /// Arms one named fault site. The schedule is deterministic: the site
-/// fires on every `every_n`-th hit (1 = every hit), optionally gated by a
-/// Bernoulli draw from the registry's seeded Rng, and disarms itself after
-/// `max_fires` firings.
+/// fires on every `every_n`-th hit (1 = every hit) and disarms itself
+/// after `max_fires` firings.
 struct FaultSpec {
   FaultKind kind = FaultKind::kError;
   StatusCode code = StatusCode::kIoError;
   std::string message = "injected fault";
   int every_n = 1;
-  int max_fires = -1;       ///< -1 = unlimited.
-  double probability = 1.0; ///< <1 adds a seeded stochastic gate.
+  int max_fires = -1;  ///< -1 = unlimited.
 };
 
 /// Process-wide deterministic fault-injection registry.
@@ -39,8 +35,8 @@ struct FaultSpec {
 /// `ShouldInject("optimizer.step", FaultKind::kNan)` — that are inert
 /// (one relaxed atomic load) until a test arms them. Tests arm a site,
 /// run the pipeline, and assert the recovery path; `DisarmAll()` restores
-/// normal operation. All scheduling is counter-based (plus the seeded
-/// Rng for probabilistic specs), so runs are reproducible.
+/// normal operation. All scheduling is counter-based, so runs are
+/// reproducible.
 class FaultRegistry {
  public:
   /// The process-wide registry.
@@ -54,9 +50,6 @@ class FaultRegistry {
 
   /// Disarms every site and clears all counters.
   void DisarmAll();
-
-  /// Reseeds the Rng behind probabilistic specs.
-  void Reseed(uint64_t seed);
 
   /// Records a hit at `site`; returns the armed spec when the site fires
   /// this hit, nullopt otherwise. Unarmed sites return nullopt without
@@ -75,7 +68,7 @@ class FaultRegistry {
   }
 
  private:
-  FaultRegistry() : rng_(0xFA017FA017ULL) {}
+  FaultRegistry() = default;
 
   struct SiteState {
     FaultSpec spec;
@@ -86,7 +79,6 @@ class FaultRegistry {
 
   mutable std::mutex mu_;
   std::atomic<int> armed_count_{0};
-  Rng rng_;
   std::unordered_map<std::string, SiteState> sites_;
 };
 
@@ -97,14 +89,6 @@ Status InjectionPoint(const char* site);
 
 /// True when `site` is armed with `kind` and fires this hit.
 bool ShouldInject(const char* site, FaultKind kind);
-
-/// Poisons `data[0..n)` with quiet NaNs when `site` (armed as kNan)
-/// fires; returns whether it did.
-bool MaybeCorrupt(const char* site, float* data, int64_t n);
-
-/// Truncates `buffer` to half its length when `site` (armed as kTruncate)
-/// fires; returns whether it did.
-bool MaybeTruncate(const char* site, std::string* buffer);
 
 }  // namespace explainti::util::fault
 

@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -107,16 +109,42 @@ TEST(CsvLoaderTest, MaxRowsCapsLoading) {
   EXPECT_EQ(table->num_rows(), 4);
 }
 
+/// Writes `content` to a fresh file under the test temp dir.
+std::string WriteTempFile(const std::string& name, const std::string& content) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+  return path;
+}
+
 TEST(CsvLoaderTest, RejectsEmptyInput) {
   EXPECT_FALSE(data::TableFromCsvRows({}, {}).ok());
   EXPECT_FALSE(
       data::TableFromCsvRows({{"only", "headers"}}, {}).ok());
+  // A file cut short inside a quoted field (a torn download) is rejected
+  // with a typed error, never half-loaded.
+  auto torn = data::LoadTableFromCsv(WriteTempFile(
+      "torn.csv", "player,team\n\"james smith\",lakers\n\"mary jo"));
+  ASSERT_FALSE(torn.ok());
+  EXPECT_EQ(torn.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(CsvLoaderTest, MissingFileIsIoError) {
   auto table = data::LoadTableFromCsv("/nonexistent/file.csv");
   ASSERT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), util::StatusCode::kIoError);
+
+  // A file that exists but cannot be read gives the same typed error.
+  const std::string path =
+      WriteTempFile("readable.csv", "player,team\njames smith,lakers\n");
+  util::fault::FaultSpec spec;
+  spec.code = util::StatusCode::kIoError;
+  util::fault::FaultRegistry::Instance().Arm("csv.read", spec);
+  auto unreadable = data::LoadTableFromCsv(path);
+  util::fault::FaultRegistry::Instance().DisarmAll();
+  ASSERT_FALSE(unreadable.ok());
+  EXPECT_EQ(unreadable.status().code(), util::StatusCode::kIoError);
+  EXPECT_TRUE(data::LoadTableFromCsv(path).ok());
 }
 
 TEST(WeightsIoTest, SaveLoadRoundTripPreservesPredictions) {

@@ -13,7 +13,6 @@
 #include "qa/query.h"
 #include "qa/surrogate.h"
 #include "serve/server.h"
-#include "util/fault_injection.h"
 
 namespace explainti::qa {
 namespace {
@@ -528,64 +527,25 @@ TEST(QaServeTest, PerTenantQaCounter) {
       1);
 }
 
-// Tier-1 fail-closed smoke (the full storm lives in qa_chaos_test.cc):
-// a compose fault is a typed error, never a partial answer, and a score
-// fault degrades to teacher-identical answers.
-TEST(QaFaultTest, ComposeFaultIsTypedNeverPartial) {
+// Tier-1 fail-closed smoke (failed distillation lives in
+// qa_chaos_test.cc): a query that fails validation is a typed error,
+// never a partial answer.
+TEST(QaFaultTest, InvalidQueryIsTypedNeverPartial) {
   const InferenceSession& session = Shared().model.session();
   QaEngine engine(&session, QaOptions{});
   QaQuery query;
   query.kind = QaQueryKind::kColumnType;
+  query.sample_ids = {static_cast<int>(
+      session.task_data(TaskKind::kType).samples.size())};
+
+  auto rejected = engine.Answer(query);
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+
   query.sample_ids = {0};
-
-  util::fault::FaultSpec spec;
-  spec.kind = util::fault::FaultKind::kError;
-  spec.code = util::StatusCode::kInternal;
-  spec.message = "chaos: qa.compose";
-  util::fault::FaultRegistry::Instance().Arm("qa.compose", spec);
-  auto faulted = engine.Answer(query);
-  util::fault::FaultRegistry::Instance().DisarmAll();
-  EXPECT_FALSE(faulted.ok());
-  EXPECT_EQ(faulted.status().code(), util::StatusCode::kInternal);
-
   auto healthy = engine.Answer(query);
   ASSERT_TRUE(healthy.ok());
   EXPECT_FALSE(healthy.value().entries.empty());
-}
-
-TEST(QaFaultTest, ScoreFaultDegradesToTeacherIdenticalAnswers) {
-  const InferenceSession& session = Shared().model.session();
-  QaEngine teacher_only(&session, QaOptions{});
-  QaEngine cascade(&session, CascadeOptions());
-  ASSERT_TRUE(cascade.surrogate_active());
-
-  QaQuery query;
-  query.kind = QaQueryKind::kFindColumnsOfType;
-  query.sample_ids = CandidateIds(TaskKind::kType, 6);
-  query.label_id = session.Predict(TaskKind::kType, 0)[0];
-  auto reference = teacher_only.Answer(query);
-  ASSERT_TRUE(reference.ok());
-
-  util::fault::FaultSpec spec;
-  spec.kind = util::fault::FaultKind::kError;
-  spec.code = util::StatusCode::kInternal;
-  spec.message = "chaos: qa.surrogate_score";
-  util::fault::FaultRegistry::Instance().Arm("qa.surrogate_score", spec);
-  auto degraded = cascade.Answer(query);
-  util::fault::FaultRegistry::Instance().DisarmAll();
-
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(SameAnswer(reference.value(), degraded.value()));
-  EXPECT_EQ(degraded.value().surrogate_steps, 0);
-  EXPECT_FALSE(degraded.value().surrogate_status.ok());
-
-  // The trip is sticky: even disarmed, the tier stays down with its
-  // typed root cause, and answers stay teacher-identical.
-  EXPECT_FALSE(cascade.surrogate_active());
-  auto after = cascade.Answer(query);
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(SameAnswer(reference.value(), after.value()));
-  EXPECT_EQ(cascade.surrogate_status().code(), util::StatusCode::kInternal);
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include "core/checkpoint.h"
 #include "core/embedding_store.h"
 #include "core/explain_ti_model.h"
+#include "core/inference_session.h"
+#include "core/store_persistence.h"
 #include "data/wiki_generator.h"
+#include "segment_files.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -104,20 +107,6 @@ TEST_F(RobustnessTest, DisarmRestoresNormalOperation) {
   EXPECT_TRUE(FAULT_POINT("test.off").ok());
 }
 
-TEST_F(RobustnessTest, MaybeCorruptPoisonsTheBuffer) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kNan;
-  FaultRegistry::Instance().Arm("test.nan", spec);
-  std::vector<float> buffer(4, 1.0f);
-  EXPECT_TRUE(util::fault::MaybeCorrupt("test.nan", buffer.data(),
-                                        static_cast<int64_t>(buffer.size())));
-  for (float v : buffer) EXPECT_TRUE(std::isnan(v));
-  // A site armed with a different kind never corrupts.
-  std::vector<float> safe(4, 1.0f);
-  EXPECT_FALSE(util::fault::MaybeCorrupt("test.sched2", safe.data(), 4));
-  EXPECT_EQ(safe[0], 1.0f);
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint integrity.
 // ---------------------------------------------------------------------------
@@ -203,7 +192,8 @@ TEST_F(RobustnessTest, CheckpointWriteFaultLeavesNoPartialFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Embedding-store degradation ladder.
+// Embedding-store degradation ladder. Its one trigger is a segment file
+// saved without its HNSW graph, which MakeSegmentFlatOnly writes.
 // ---------------------------------------------------------------------------
 
 void FillStore(EmbeddingStore& store, std::vector<int>& ids,
@@ -218,7 +208,20 @@ void FillStore(EmbeddingStore& store, std::vector<int>& ids,
   store.Rebuild(ids, embeddings);
 }
 
-TEST_F(RobustnessTest, QueryFaultFallsBackToExactFlatSearch) {
+/// Saves `store` under the test temp dir as `name`, rewrites segment
+/// `flat_segment` as flat-only, and loads the directory into `*loaded`.
+void LoadWithFlatOnlySegment(const EmbeddingStore& store,
+                             const std::string& name, int64_t flat_segment,
+                             EmbeddingStore* loaded) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  ASSERT_TRUE(store.Save(dir).ok());
+  ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
+      dir + "/" + SegmentFileName(flat_segment)));
+  const util::Status status = loaded->Load(dir);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(RobustnessTest, FlatOnlySegmentServesExactFlatSearch) {
   EmbeddingStore store;
   std::vector<int> ids;
   std::vector<std::vector<float>> embeddings;
@@ -227,76 +230,51 @@ TEST_F(RobustnessTest, QueryFaultFallsBackToExactFlatSearch) {
 
   const std::vector<float>& query = embeddings[3];
   bool used_fallback = true;
-  const auto healthy = store.Search(query, 3, /*exclude_id=*/-1,
-                                    &used_fallback);
+  ASSERT_FALSE(
+      store.Search(query, 3, /*exclude_id=*/-1, &used_fallback).empty());
   EXPECT_FALSE(used_fallback);
-  ASSERT_FALSE(healthy.empty());
 
-  FaultSpec spec;
-  FaultRegistry::Instance().Arm("ann.query", spec);
-  const auto degraded = store.Search(query, 3, /*exclude_id=*/-1,
-                                     &used_fallback);
+  EmbeddingStore loaded;
+  LoadWithFlatOnlySegment(store, "robustness_flat_tier", 0, &loaded);
+  EXPECT_FALSE(loaded.hnsw_ready());
+  EXPECT_EQ(loaded.size(), 32);  // The flat tier holds everything.
+  const auto degraded = loaded.Search(query, 3, /*exclude_id=*/-1,
+                                      &used_fallback);
   EXPECT_TRUE(used_fallback);
-  EXPECT_GE(store.degraded_searches(), 1);
-  ASSERT_FALSE(degraded.empty());
+  EXPECT_GE(loaded.degraded_searches(), 1);
 
-  // The fallback is the exact index: its top-1 matches a reference
+  // The flat tier is exact: the same hits, bit for bit, as a reference
   // FlatIndex built over the same vectors.
   ann::FlatIndex reference;
   for (size_t i = 0; i < ids.size(); ++i) {
     reference.Add(ids[i], embeddings[i]);
   }
   const auto expected = reference.Search(query, 3);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(degraded[0].id, expected[0].id);
+  ASSERT_EQ(degraded.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(degraded[i].id, expected[i].id) << "hit " << i;
+    EXPECT_EQ(degraded[i].similarity, expected[i].similarity) << "hit " << i;
+  }
 }
 
-TEST_F(RobustnessTest, AbortedHnswBuildServesFromFlatTier) {
-  FaultSpec spec;
-  spec.every_n = 10;  // Abort the HNSW build on its 10th insertion.
-  FaultRegistry::Instance().Arm("store.build", spec);
-
-  EmbeddingStore store;
-  std::vector<int> ids;
-  std::vector<std::vector<float>> embeddings;
-  FillStore(store, ids, embeddings);
-  FaultRegistry::Instance().DisarmAll();
-
-  EXPECT_FALSE(store.hnsw_ready());
-  EXPECT_EQ(store.size(), 32);  // The flat tier stored everything.
-  bool used_fallback = false;
-  const auto hits = store.Search(embeddings[0], 3, /*exclude_id=*/-1,
-                                 &used_fallback);
-  EXPECT_TRUE(used_fallback);
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 0);  // Exact search finds the query itself first.
-}
-
-TEST_F(RobustnessTest, BuildFaultDegradesOneSegmentNotTheStore) {
-  // Segment-granular degradation: a "store.build" fault that fires once
-  // during a 4-segment rebuild aborts exactly one segment's HNSW build.
-  // The other segments keep their graphs, and the store keeps answering
-  // (flagged as fallback, since one shard serves flat).
-  FaultSpec spec;
-  spec.every_n = 10;
-  spec.max_fires = 1;
-  FaultRegistry::Instance().Arm("store.build", spec);
-
+TEST_F(RobustnessTest, FlatOnlySegmentDegradesAloneAndRebuildHealsIt) {
+  // Segment-granular degradation: one flat-only segment file in a
+  // 4-segment store. The other segments keep their graphs, and the store
+  // keeps answering (flagged as fallback, since one shard serves flat).
   EmbeddingStore::Options options;
   options.num_segments = 4;
   EmbeddingStore store(options);
   std::vector<int> ids;
   std::vector<std::vector<float>> embeddings;
   FillStore(store, ids, embeddings);
-  FaultRegistry::Instance().DisarmAll();
 
-  const EmbeddingStore::View view = store.view();
+  EmbeddingStore loaded(options);
+  LoadWithFlatOnlySegment(store, "robustness_flat_segment", 1, &loaded);
+  const EmbeddingStore::View view = loaded.view();
   ASSERT_EQ(view.num_segments(), 4);
-  int degraded_segments = 0;
   for (int shard = 0; shard < 4; ++shard) {
-    if (!view.segment_hnsw_ready(shard)) ++degraded_segments;
+    EXPECT_EQ(view.segment_hnsw_ready(shard), shard != 1) << shard;
   }
-  EXPECT_EQ(degraded_segments, 1);
   EXPECT_FALSE(view.hnsw_ready());
 
   // Every query still answers; any query is flagged because one shard of
@@ -308,37 +286,14 @@ TEST_F(RobustnessTest, BuildFaultDegradesOneSegmentNotTheStore) {
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].id, 5);
 
-  // A fault-free rebuild with identical content heals the degraded
-  // segment (it is NOT copy-on-write-reused in its broken state) and
-  // reuses the three healthy ones.
-  store.Rebuild(ids, embeddings);
-  EXPECT_TRUE(store.hnsw_ready());
-  EXPECT_EQ(store.last_rebuild_stats().segments_built, 1);
-  EXPECT_EQ(store.last_rebuild_stats().segments_reused, 3);
-}
-
-TEST_F(RobustnessTest, QueryFaultDegradesShardsIndependently) {
-  EmbeddingStore::Options options;
-  options.num_segments = 4;
-  EmbeddingStore store(options);
-  std::vector<int> ids;
-  std::vector<std::vector<float>> embeddings;
-  FillStore(store, ids, embeddings);
-  ASSERT_TRUE(store.hnsw_ready());
-
-  // Fire on every second shard query: some shards of each fan-out answer
-  // from HNSW, some from flat — the merged result must still be correct.
-  FaultSpec spec;
-  spec.every_n = 2;
-  FaultRegistry::Instance().Arm("ann.query", spec);
-  bool used_fallback = false;
-  const auto hits = store.Search(embeddings[9], 3, /*exclude_id=*/-1,
-                                 &used_fallback);
-  FaultRegistry::Instance().DisarmAll();
-  EXPECT_TRUE(used_fallback);
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 9);
-  EXPECT_GE(store.degraded_searches(), 1);
+  // A rebuild with identical content heals the flat-only segment (it is
+  // NOT copy-on-write-reused without its graph) and reuses the three
+  // healthy ones.
+  loaded.Rebuild(ids, embeddings);
+  EXPECT_TRUE(loaded.hnsw_ready());
+  EXPECT_TRUE(loaded.view().segment_hnsw_ready(1));
+  EXPECT_EQ(loaded.last_rebuild_stats().segments_built, 1);
+  EXPECT_EQ(loaded.last_rebuild_stats().segments_reused, 3);
 }
 
 TEST_F(RobustnessTest, EmptyStoreSearchReturnsNothing) {
@@ -464,7 +419,8 @@ TEST_F(TrainingRobustnessTest, CorruptedCheckpointFallsBackToScratch) {
   ExplainTiModel first(config, *corpus_);
   first.Fit();
   ASSERT_TRUE(FileExists(path));
-  std::string bytes = ReadFile(path);
+  const std::string intact = ReadFile(path);
+  std::string bytes = intact;
   bytes[bytes.size() / 3] = static_cast<char>(bytes[bytes.size() / 3] ^ 0xFF);
   WriteFile(path, bytes);
 
@@ -472,24 +428,47 @@ TEST_F(TrainingRobustnessTest, CorruptedCheckpointFallsBackToScratch) {
   const FitStats stats = second.Fit();
   EXPECT_FALSE(stats.resumed);  // Corruption detected; trained from scratch.
   EXPECT_TRUE(std::isfinite(stats.best_valid_f1));
+
+  // An intact checkpoint whose read fails is the same: trained from
+  // scratch, never resumed from a half-read file.
+  WriteFile(path, intact);
+  FaultSpec spec;
+  spec.code = util::StatusCode::kIoError;
+  FaultRegistry::Instance().Arm("checkpoint.read", spec);
+  ExplainTiModel third(config, *corpus_);
+  const FitStats io_stats = third.Fit();
+  FaultRegistry::Instance().DisarmAll();
+  EXPECT_FALSE(io_stats.resumed);
+  EXPECT_TRUE(std::isfinite(io_stats.best_valid_f1));
   std::remove(path.c_str());
 }
 
-TEST_F(TrainingRobustnessTest, ExplainDegradesGracefullyOnQueryFault) {
+TEST_F(TrainingRobustnessTest, ExplainDegradesGracefullyOnFlatOnlySegment) {
+  // The baseline's weights and stores, reloaded with one type-store
+  // segment rewritten as flat-only.
+  const std::string dir = ::testing::TempDir() + "/robustness_flat_stores";
+  const std::string weights =
+      ::testing::TempDir() + "/robustness_flat_weights.bin";
+  ASSERT_TRUE(baseline_->SaveWeights(weights).ok());
+  ASSERT_TRUE(baseline_->SaveStores(dir).ok());
+  ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
+      dir + "/type/" + SegmentFileName(0)));
+  ExplainTiConfig config = TinyConfig();
+  config.store_dir = dir;
+  ExplainTiModel model(config, *corpus_);
+  ASSERT_TRUE(model.LoadWeights(weights).ok());
+  std::remove(weights.c_str());
+
   const TaskData& task = baseline_->task_data(TaskKind::kType);
   const int sample = task.test_ids.front();
   const Explanation healthy = baseline_->Explain(TaskKind::kType, sample);
   EXPECT_FALSE(healthy.ann_degraded);
-
-  FaultSpec spec;
-  FaultRegistry::Instance().Arm("ann.query", spec);
-  const Explanation degraded = baseline_->Explain(TaskKind::kType, sample);
-  FaultRegistry::Instance().DisarmAll();
+  const Explanation degraded = model.Explain(TaskKind::kType, sample);
 
   EXPECT_TRUE(degraded.ann_degraded);
   EXPECT_FALSE(degraded.degradation_note.empty());
   // The explanation is still complete: all three views populated, same
-  // prediction, and the exact fallback agrees with HNSW on the most
+  // prediction, and the exact flat tier agrees with HNSW on the most
   // influential sample.
   EXPECT_EQ(degraded.predicted_labels, healthy.predicted_labels);
   ASSERT_FALSE(degraded.global.empty());
@@ -498,24 +477,11 @@ TEST_F(TrainingRobustnessTest, ExplainDegradesGracefullyOnQueryFault) {
   ASSERT_FALSE(healthy.global.empty());
   EXPECT_EQ(degraded.global[0].train_sample_id,
             healthy.global[0].train_sample_id);
-}
 
-TEST_F(TrainingRobustnessTest, ExplainCompleteAfterAbortedStoreBuild) {
-  FaultSpec spec;
-  spec.every_n = 5;  // Abort every HNSW build partway through.
-  FaultRegistry::Instance().Arm("store.build", spec);
-  ExplainTiModel model(TinyConfig(), *corpus_);
-  model.Fit();
-  FaultRegistry::Instance().DisarmAll();
-
-  const TaskData& task = model.task_data(TaskKind::kType);
-  const Explanation z = model.Explain(TaskKind::kType, task.test_ids.front());
-  EXPECT_TRUE(z.ann_degraded);
-  EXPECT_FALSE(z.degradation_note.empty());
-  EXPECT_FALSE(z.predicted_labels.empty());
-  EXPECT_FALSE(z.local.empty());
-  EXPECT_FALSE(z.global.empty());
-  EXPECT_FALSE(z.structural.empty());
+  // The serving session reads the same stores and carries the same note.
+  const Explanation served = model.session().Explain(TaskKind::kType, sample);
+  EXPECT_TRUE(served.ann_degraded);
+  EXPECT_EQ(served.degradation_note, degraded.degradation_note);
 }
 
 }  // namespace

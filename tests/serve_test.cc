@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "core/explain_ti_model.h"
+#include "core/inference_session.h"
+#include "core/store_persistence.h"
 #include "data/wiki_generator.h"
+#include "segment_files.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
@@ -1001,13 +1004,29 @@ TEST(ServeHotSwapTest, StaleRequestAfterSwapFailsTypedNotCrash) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation-note propagation: an ANN fault during a *batched* Explain
-// must annotate every affected response, exactly as direct Explain does.
+// Degradation-note propagation: a store segment serving flat during a
+// *batched* Explain must annotate every affected response, exactly as
+// direct Explain does.
 // ---------------------------------------------------------------------------
 
 TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
-  const InferenceSession& session = Shared().model.session();
+  const SharedModel& shared = Shared();
   const std::vector<int> ids = SampleIds(4);
+
+  // A replica of the shared model whose type store reopens with one
+  // flat-only segment.
+  const std::string weights = ::testing::TempDir() + "/serve_flat_weights.bin";
+  const std::string store_dir = ::testing::TempDir() + "/serve_flat_stores";
+  ASSERT_TRUE(shared.model.SaveWeights(weights).ok());
+  ASSERT_TRUE(shared.model.SaveStores(store_dir).ok());
+  ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
+      store_dir + "/type/" + core::SegmentFileName(0)));
+  ExplainTiConfig config = SharedModel::MakeConfig();
+  config.store_dir = store_dir;
+  util::StatusOr<std::unique_ptr<ExplainTiModel>> replica =
+      core::LoadReplicaForSwap(config, shared.corpus, weights);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  const InferenceSession& session = replica.value()->session();
 
   ServerOptions options;
   options.num_workers = 1;
@@ -1015,8 +1034,6 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
   options.batcher.max_queue_wait_us = 3000;
   InferenceServer server(session, options);
 
-  util::fault::FaultSpec spec;
-  util::fault::FaultRegistry::Instance().Arm("ann.query", spec);
   Collector degraded(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     ASSERT_TRUE(server
@@ -1025,7 +1042,6 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
                     .ok());
   }
   degraded.Wait();
-  util::fault::FaultRegistry::Instance().DisarmAll();
 
   for (size_t i = 0; i < ids.size(); ++i) {
     const ServeResponse& response = degraded.response(i);
@@ -1033,13 +1049,18 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
     EXPECT_TRUE(response.explanation.ann_degraded) << "request " << i;
     EXPECT_FALSE(response.explanation.degradation_note.empty())
         << "batched Explain dropped the degradation note on request " << i;
+    EXPECT_EQ(response.explanation.degradation_note,
+              session.Explain(TaskKind::kType, ids[i]).degradation_note);
   }
 
-  // Healthy again: batched responses agree with direct Explain's flag.
-  const Explanation direct = session.Explain(TaskKind::kType, ids[0]);
+  // Healthy stores: batched responses agree with direct Explain's flag.
+  const InferenceSession& healthy_session = shared.model.session();
+  InferenceServer healthy_server(healthy_session, options);
+  const Explanation direct = healthy_session.Explain(TaskKind::kType, ids[0]);
   const ServeResponse healthy =
-      server.ServeSync(MakeRequest(ServeMethod::kExplain, ids[0]));
+      healthy_server.ServeSync(MakeRequest(ServeMethod::kExplain, ids[0]));
   ASSERT_TRUE(healthy.status.ok());
+  EXPECT_FALSE(healthy.explanation.ann_degraded);
   EXPECT_EQ(healthy.explanation.ann_degraded, direct.ann_degraded);
   EXPECT_EQ(healthy.explanation.degradation_note, direct.degradation_note);
 }
