@@ -393,7 +393,6 @@ int main() {
   serve::ServerOptions server_options;
   server_options.num_workers = static_cast<int>(std::clamp(hw / 2u, 1u, 4u));
   server_options.batcher.max_batch_size = 8;
-  server_options.batcher.max_queue_wait_us = 1000;
   server_options.batcher.max_queue_depth = 64;
 
   // Open-loop Poisson offered loads relative to the sequential capacity:
@@ -481,8 +480,6 @@ int main() {
        << ",\n  \"hardware_threads\": " << hw
        << ",\n  \"server\": {\"num_workers\": " << server_options.num_workers
        << ", \"max_batch_size\": " << server_options.batcher.max_batch_size
-       << ", \"max_queue_wait_us\": "
-       << server_options.batcher.max_queue_wait_us
        << ", \"max_queue_depth\": " << server_options.batcher.max_queue_depth
        << "},\n  \"sequential\": {\"throughput_rps\": " << sequential_rps
        << ", \"p50_us\": " << Percentile(baseline_us, 0.50)

@@ -101,7 +101,6 @@ int main() {
   explainti::serve::ServerOptions server_options;
   server_options.num_workers = 2;
   server_options.batcher.max_batch_size = 8;
-  server_options.batcher.max_queue_wait_us = 1000;
   explainti::serve::InferenceServer server(session, server_options);
 
   explainti::serve::ServeRequest request;

@@ -1,29 +1,15 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace explainti::serve {
 
-namespace {
-
-// Reconstructs a steady_clock time point from MonotonicNowUs
-// microseconds (same epoch, truncated to 1us).
-std::chrono::steady_clock::time_point ToTimePoint(int64_t monotonic_us) {
-  return std::chrono::steady_clock::time_point(
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::microseconds(monotonic_us)));
-}
-
-}  // namespace
-
 MicroBatcher::MicroBatcher(const BatcherOptions& options) : options_(options) {
   CHECK(options_.max_batch_size >= 1) << "max_batch_size must be >= 1";
   CHECK(options_.max_queue_depth >= 1) << "max_queue_depth must be >= 1";
-  CHECK(options_.max_queue_wait_us >= 0) << "max_queue_wait_us must be >= 0";
 }
 
 util::Status MicroBatcher::Push(PendingRequest pending,
@@ -84,80 +70,47 @@ bool MicroBatcher::PopBatch(std::vector<PendingRequest>* batch,
   batch->clear();
   expired->clear();
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) return false;  // Shut down and drained.
+  work_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
+  if (queue_.empty()) return false;  // Shut down and drained.
 
-    // 1. Sweep requests whose deadline passed while queued: they are
-    // handed back separately so the worker fails them without running
-    // any inference.
-    const int64_t now = util::MonotonicNowUs();
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (util::DeadlineExpired(it->request.deadline_us, now)) {
-        expired->push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
+  // 1. Sweep requests whose deadline passed while queued: they are
+  // handed back separately so the worker fails them without running
+  // any inference.
+  const int64_t now = util::MonotonicNowUs();
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if (util::DeadlineExpired(it->request.deadline_us, now)) {
+      expired->push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
     }
-    if (queue_.empty()) {
-      if (!expired->empty()) return true;
-      if (shutdown_) return false;
-      continue;
-    }
-
-    // 2. The oldest request of the best queued priority class leads;
-    // count how many queued requests could join its batch.
-    const size_t leader = LeaderIndex();
-    const ServeMethod leader_method = queue_[leader].request.method;
-    const core::TaskKind leader_task = queue_[leader].request.task;
-    int compatible = 0;
-    for (const PendingRequest& p : queue_) {
-      if (p.request.method == leader_method && p.request.task == leader_task) {
-        if (++compatible >= options_.max_batch_size) break;
-      }
-    }
-
-    // 3. Dispatch when the batch is full, the leader has waited long
-    // enough, or we are draining. Otherwise sleep until the leader's
-    // fill window (or the earliest queued deadline) and re-evaluate.
-    const int64_t full_by =
-        queue_[leader].request.arrival_us + options_.max_queue_wait_us;
-    const bool ready = shutdown_ ||
-                       compatible >= options_.max_batch_size ||
-                       now >= full_by;
-    if (!ready) {
-      if (!expired->empty()) return true;  // Fail these now; batch later.
-      int64_t wake_at = full_by;
-      for (const PendingRequest& p : queue_) {
-        if (p.request.deadline_us != util::kNoDeadline) {
-          wake_at = std::min(wake_at, p.request.deadline_us);
-        }
-      }
-      const size_t depth_at_wait = queue_.size();
-      work_cv_.wait_until(lock, ToTimePoint(wake_at), [&] {
-        return shutdown_ || queue_.size() != depth_at_wait;
-      });
-      continue;
-    }
-
-    for (auto it = queue_.begin();
-         it != queue_.end() &&
-         batch->size() < static_cast<size_t>(options_.max_batch_size);) {
-      if (it->request.method == leader_method &&
-          it->request.task == leader_task) {
-        batch->push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Leftover (incompatible) requests may already form another batch —
-    // hand them to a sibling consumer instead of waiting for the next
-    // Push.
-    if (!queue_.empty()) work_cv_.notify_one();
-    return true;
   }
+  // The queue was non-empty, so an empty queue here means `expired`
+  // holds everything.
+  if (queue_.empty()) return true;
+
+  // 2. The oldest request of the best queued priority class leads;
+  // compatible requests join it in arrival order, and the batch
+  // dispatches now, full or not.
+  const size_t leader = LeaderIndex();
+  const ServeMethod leader_method = queue_[leader].request.method;
+  const core::TaskKind leader_task = queue_[leader].request.task;
+  for (auto it = queue_.begin();
+       it != queue_.end() &&
+       batch->size() < static_cast<size_t>(options_.max_batch_size);) {
+    if (it->request.method == leader_method &&
+        it->request.task == leader_task) {
+      batch->push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  // Leftover (incompatible) requests may already form another batch —
+  // hand them to a sibling consumer instead of waiting for the next
+  // Push.
+  if (!queue_.empty()) work_cv_.notify_one();
+  return true;
 }
 
 void MicroBatcher::Shutdown() {

@@ -12,14 +12,12 @@
 
 namespace explainti::serve {
 
-/// Tuning knobs for the admission queue and batch coalescing.
+/// Tuning knobs for the admission queue and batch coalescing. A consumer
+/// takes whatever compatible work is queued when it looks, so batches
+/// form only from requests that queued while every consumer was busy.
 struct BatcherOptions {
   /// Largest coalesced batch handed to a worker.
   int max_batch_size = 8;
-  /// How long the oldest queued request may wait for its batch to fill
-  /// before the batcher dispatches a partial batch. 0 = dispatch
-  /// immediately (batching only under instantaneous bursts).
-  int64_t max_queue_wait_us = 2000;
   /// Bound on queued (admitted, not yet dispatched) requests. Push
   /// rejects with kResourceExhausted beyond this — the server sheds load
   /// instead of buffering unboundedly — unless a lower-priority victim
@@ -39,10 +37,10 @@ struct BatcherOptions {
 ///      priority class — leads the batch; compatible requests anywhere in
 ///      the queue join it in arrival order, up to max_batch_size. With a
 ///      single priority class this is exactly oldest-request-leads.
-///   3. A partial batch dispatches once the leader has waited
-///      max_queue_wait_us (or immediately on shutdown); a full batch
-///      dispatches at once. Incompatible requests keep their arrival
-///      order for the next pop.
+///   3. The batch dispatches at once, full or not: the batcher is
+///      work-conserving and never holds queued work to let a batch
+///      fill. Incompatible requests keep their arrival order for the
+///      next pop.
 ///
 /// Overload discipline: at max_queue_depth, an arriving request preempts
 /// the *youngest queued request of the lowest priority class strictly
@@ -72,12 +70,13 @@ class MicroBatcher {
   util::Status Push(PendingRequest pending,
                     std::vector<PendingRequest>* preempted = nullptr);
 
-  /// Blocks until work is available, then fills `batch` (one coalesced,
-  /// compatible batch; possibly empty) and `expired` (requests whose
-  /// deadline passed in the queue). Returns false only when the batcher
-  /// is shut down AND drained — after which neither vector has content
-  /// and the consumer should exit. Both vectors are cleared first and
-  /// keep their capacity across calls.
+  /// Blocks until work is queued, then fills `batch` (one coalesced,
+  /// compatible batch; empty only when every queued request had expired)
+  /// and `expired` (requests whose deadline passed in the queue) without
+  /// waiting further. Returns false only when the batcher is shut down
+  /// AND drained — after which neither vector has content and the
+  /// consumer should exit. Both vectors are cleared first and keep their
+  /// capacity across calls.
   bool PopBatch(std::vector<PendingRequest>* batch,
                 std::vector<PendingRequest>* expired);
 

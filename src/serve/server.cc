@@ -162,9 +162,12 @@ util::Status InferenceServer::Submit(ServeRequest request,
     metrics_->GetCounter("serve.rejected_invalid")->Increment();
     return valid;
   }
-  if (cache_hit) {
+  // An admission counts once, whether the cache answers it inline or it
+  // queues. QA traffic is separately visible per tenant: the method costs
+  // a whole query plan per request, so quota debugging needs to see who
+  // sends it.
+  auto count_accepted = [&] {
     metrics_->GetCounter("serve.accepted")->Increment();
-    metrics_->GetCounter("serve.cache_hits")->Increment();
     if (Counter* c = TenantCounter(request.tenant_id, "accepted")) {
       c->Increment();
     }
@@ -174,6 +177,10 @@ util::Status InferenceServer::Submit(ServeRequest request,
         c->Increment();
       }
     }
+  };
+  if (cache_hit) {
+    count_accepted();
+    metrics_->GetCounter("serve.cache_hits")->Increment();
     hit.status = util::Status::OK();
     hit.trace_id = request.trace_id;
     pending.on_done(std::move(hit));
@@ -183,19 +190,7 @@ util::Status InferenceServer::Submit(ServeRequest request,
   std::vector<PendingRequest> preempted;
   util::Status admitted = batcher_.Push(std::move(pending), &preempted);
   if (admitted.ok()) {
-    metrics_->GetCounter("serve.accepted")->Increment();
-    if (Counter* c = TenantCounter(request.tenant_id, "accepted")) {
-      c->Increment();
-    }
-    if (request.method == ServeMethod::kQaAnswer) {
-      // QA traffic is separately visible per tenant: the method costs a
-      // whole query plan per request, so quota debugging needs to see who
-      // sends it.
-      metrics_->GetCounter("serve.qa_accepted")->Increment();
-      if (Counter* c = TenantCounter(request.tenant_id, "qa_accepted")) {
-        c->Increment();
-      }
-    }
+    count_accepted();
   } else if (admitted.code() == util::StatusCode::kResourceExhausted) {
     metrics_->GetCounter("serve.rejected_queue_full")->Increment();
     if (Counter* c = TenantCounter(request.tenant_id, "rejected_queue_full")) {

@@ -157,32 +157,17 @@ class InferenceServer {
   /// Executes one coalesced batch (all entries batch-compatible) against
   /// `session` and completes every request: the worker-loop body, public
   /// so tests and benches can drive it on their own thread (e.g. the
-  /// steady-state zero-alloc assertion). `metrics` may be null.
-  static void ExecuteBatch(const core::InferenceSession& session,
-                           std::vector<PendingRequest>& batch,
-                           MetricsRegistry* metrics) {
-    ExecuteBatch(session, batch, metrics, /*cache=*/nullptr,
-                 /*generation=*/0);
-  }
-
-  /// Also stamps `generation` into each response and inserts OK results
-  /// into `cache` (both optional).
-  static void ExecuteBatch(const core::InferenceSession& session,
-                           std::vector<PendingRequest>& batch,
-                           MetricsRegistry* metrics, ResponseCache* cache,
-                           uint64_t generation) {
-    ExecuteBatch(session, batch, metrics, cache, generation,
-                 /*qa_engine=*/nullptr);
-  }
-
-  /// Full form: `qa_engine` answers kQaAnswer entries (each completed
+  /// steady-state zero-alloc assertion). `metrics` may be null. Each
+  /// response carries `generation`, and OK results go into `cache` when
+  /// it is non-null. `qa_engine` answers kQaAnswer entries (each completed
   /// individually — one bad query fails alone with a typed status, never
-  /// the batch). Null rejects QA entries with kFailedPrecondition.
+  /// the batch); null rejects QA entries with kFailedPrecondition.
   static void ExecuteBatch(const core::InferenceSession& session,
                            std::vector<PendingRequest>& batch,
-                           MetricsRegistry* metrics, ResponseCache* cache,
-                           uint64_t generation,
-                           const qa::QaEngine* qa_engine);
+                           MetricsRegistry* metrics,
+                           ResponseCache* cache = nullptr,
+                           uint64_t generation = 0,
+                           const qa::QaEngine* qa_engine = nullptr);
 
   /// Completes `expired` requests with kDeadlineExceeded (no compute).
   /// `metrics` may be null.

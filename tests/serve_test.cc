@@ -167,7 +167,6 @@ TEST_P(GoldenBatchTest, ServerMatchesDirectSessionBitForBit) {
   ServerOptions options;
   options.num_workers = 2;
   options.batcher.max_batch_size = batch_size;
-  options.batcher.max_queue_wait_us = 3000;  // Let bursts coalesce.
   InferenceServer server(session, options);
 
   // One burst of all three methods; batches form from whatever is queued.
@@ -324,7 +323,6 @@ TEST(ServeAdmissionTest, DrainOnShutdownLosesNoAcceptedRequest) {
   ServerOptions options;
   options.num_workers = 2;
   options.batcher.max_batch_size = 4;
-  options.batcher.max_queue_wait_us = 2000;
   InferenceServer server(session, options);
 
   constexpr int kRequests = 32;
@@ -365,7 +363,6 @@ TEST(ServeAdmissionTest, DrainOnShutdownLosesNoAcceptedRequest) {
 TEST(MicroBatcherTest, CoalescesCompatibleRequestsAndPreservesOrder) {
   BatcherOptions options;
   options.max_batch_size = 8;
-  options.max_queue_wait_us = 0;  // Dispatch as soon as a consumer looks.
   MicroBatcher batcher(options);
 
   auto push = [&](ServeMethod method, uint64_t trace_id) {
@@ -399,7 +396,6 @@ TEST(MicroBatcherTest, CoalescesCompatibleRequestsAndPreservesOrder) {
 TEST(MicroBatcherTest, RespectsMaxBatchSize) {
   BatcherOptions options;
   options.max_batch_size = 4;
-  options.max_queue_wait_us = 0;
   MicroBatcher batcher(options);
   for (uint64_t i = 0; i < 10; ++i) {
     PendingRequest pending;
@@ -414,6 +410,29 @@ TEST(MicroBatcherTest, RespectsMaxBatchSize) {
   EXPECT_EQ(batch.size(), 4u);
   ASSERT_TRUE(batcher.PopBatch(&batch, &expired));
   EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batcher.size(), 0);
+}
+
+TEST(MicroBatcherTest, ShedsExpiredAndDispatchesLiveWorkInOnePop) {
+  MicroBatcher batcher{BatcherOptions{}};
+  auto push = [&](uint64_t trace_id, int64_t deadline_us) {
+    PendingRequest pending;
+    pending.request = MakeRequest(ServeMethod::kPredict, 0, trace_id);
+    pending.request.deadline_us = deadline_us;
+    pending.on_done = [](ServeResponse&&) {};
+    ASSERT_TRUE(batcher.Push(std::move(pending)).ok());
+  };
+  push(1, util::MonotonicNowUs() - 1);  // Already expired.
+  push(2, util::DeadlineAfterUs(30'000'000));
+
+  // The batcher holds nothing back to let a batch fill: one pop sheds the
+  // expired request and dispatches the live one.
+  std::vector<PendingRequest> batch, expired;
+  ASSERT_TRUE(batcher.PopBatch(&batch, &expired));
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].request.trace_id, 1u);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].request.trace_id, 2u);
   EXPECT_EQ(batcher.size(), 0);
 }
 
@@ -643,7 +662,6 @@ TEST(MicroBatcherTest, FullQueuePreemptsYoungestOfLowestClass) {
 TEST(MicroBatcherTest, HighestQueuedClassLeadsDispatch) {
   BatcherOptions options;
   options.max_batch_size = 8;
-  options.max_queue_wait_us = 0;  // Dispatch immediately.
   MicroBatcher batcher(options);
 
   auto push = [&batcher](ServeMethod method, Priority priority,
@@ -1031,7 +1049,6 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
   ServerOptions options;
   options.num_workers = 1;
   options.batcher.max_batch_size = 4;
-  options.batcher.max_queue_wait_us = 3000;
   InferenceServer server(session, options);
 
   Collector degraded(ids.size());
@@ -1133,7 +1150,6 @@ TEST(ServeTsanTest, ManyClientsOneServerStayDeterministic) {
   ServerOptions options;
   options.num_workers = 2;
   options.batcher.max_batch_size = 4;
-  options.batcher.max_queue_wait_us = 500;
   InferenceServer server(session, options);
 
   constexpr int kClients = 4;
