@@ -80,7 +80,8 @@ void BM_EncoderTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderTrainStep);
 
-void PopulateIndex(ann::VectorIndex* index, int n, int dim, uint64_t seed) {
+template <typename Index>
+void PopulateIndex(Index* index, int n, int dim, uint64_t seed) {
   util::Rng rng(seed);
   for (int i = 0; i < n; ++i) {
     std::vector<float> v(static_cast<size_t>(dim));

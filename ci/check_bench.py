@@ -39,9 +39,7 @@ from bench_embedding_store) is gated on:
   * roundtrip_identical is true everywhere: a persisted store reloaded
     from disk answered every probe bit-identically;
   * steady_state_allocations == 0 exactly: the warm serial search path
-    must not touch the heap;
-  * multi-shard incremental rebuilds re-encode only dirty segments
-    (segments_built < shards when shards > 1).
+    must not touch the heap.
 
 A file with a "plan_vs_tape" object (BENCH_inference.json) fails the
 job (exit 1) if the InferenceSession serving path ("plan" in the JSON)
@@ -217,14 +215,12 @@ def check_store(bench):
         return 1
 
     failures = []
-    print(f"{'corpus':>8s} {'shards':>6s} {'build ms':>9s} {'incr ms':>8s} "
-          f"{'built':>5s} {'reused':>6s} {'p50 us':>8s} {'p99 us':>8s} "
-          f"{'recall@10':>9s} {'allocs':>6s}")
+    print(f"{'corpus':>8s} {'shards':>6s} {'build ms':>9s} {'rebuild':>8s} "
+          f"{'p50 us':>8s} {'p99 us':>8s} {'recall@10':>9s} {'allocs':>6s}")
     for row in rows:
         name = f"corpus={row['corpus']}/shards={row['shards']}"
         print(f"{row['corpus']:8d} {row['shards']:6d} "
-              f"{row['build_ms']:9.1f} {row['incremental_rebuild_ms']:8.1f} "
-              f"{row['segments_built']:5d} {row['segments_reused']:6d} "
+              f"{row['build_ms']:9.1f} {row['reader_rebuild_ms']:8.1f} "
               f"{row['search_p50_us']:8.1f} {row['search_p99_us']:8.1f} "
               f"{row['recall_at_10']:9.3f} "
               f"{row['steady_state_allocations']:6d}")
@@ -240,19 +236,14 @@ def check_store(bench):
                 f"{name}: steady-state serial search performed "
                 f"{row['steady_state_allocations']} allocations "
                 f"(must be exactly 0)")
-        if row["shards"] > 1 and row["segments_built"] >= row["shards"]:
-            failures.append(
-                f"{name}: incremental rebuild re-encoded "
-                f"{row['segments_built']} of {row['shards']} segments — "
-                f"copy-on-write reuse is not happening")
 
     if failures:
         print("\ncheck_bench: FAIL", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("\ncheck_bench: OK — store recall, roundtrip identity, "
-          "zero-allocation steady state, and copy-on-write all hold")
+    print("\ncheck_bench: OK — store recall, roundtrip identity, and "
+          "zero-allocation steady state all hold")
     return 0
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI driver: one job per invocation, mirroring .github/workflows/ci.yml.
 #
-#   ci/run_ci.sh release      Fault-site guard (check_fault_sites.sh),
+#   ci/run_ci.sh release      Fault-site and env-knob guards
+#                             (check_fault_sites.sh, check_env_knobs.sh),
 #                             Release build (warnings-as-errors), full
 #                             ctest suite, the end-to-end serving smoke,
 #                             benchmarks, the check_bench.py plan-vs-tape
@@ -53,6 +54,9 @@ case "$JOB" in
     # src/ must be armed by at least one test, so no recovery path ships
     # that nothing exercises.
     "$ROOT/ci/check_fault_sites.sh"
+    # Env-knob guard: src/ may read only the allow-listed environment
+    # variables, so no untested env mode ships.
+    "$ROOT/ci/check_env_knobs.sh"
     BUILD="$ROOT/build-ci-release"
     configure_and_build "$BUILD" -DCMAKE_BUILD_TYPE=Release
     (cd "$BUILD" && ctest --output-on-failure --timeout "$CTEST_TIMEOUT" \
@@ -78,11 +82,11 @@ case "$JOB" in
     # (p50 within tolerance, never more allocations) and the raw encoder
     # Serve must stay allocation-free after warm-up.
     python3 "$ROOT/ci/check_bench.py" "$BUILD/BENCH_inference.json"
-    # Embedding-store benchmark: sharded search, copy-on-write rebuilds,
-    # and the persisted-store roundtrip (which hard-fails inside the
-    # binary if a reloaded store is not bit-identical). check_bench.py
-    # re-gates recall@10, roundtrip identity, the zero-allocation steady
-    # state, and dirty-segment-only incremental rebuilds.
+    # Embedding-store benchmark: sharded search, rebuilds under a pinned
+    # reader, and the persisted-store roundtrip (which hard-fails inside
+    # the binary if a reloaded store is not bit-identical). check_bench.py
+    # re-gates recall@10, roundtrip identity, and the zero-allocation
+    # steady state.
     (cd "$BUILD" && ./bench/bench_embedding_store)
     echo "BENCH_store.json:"
     cat "$BUILD/BENCH_store.json"

@@ -79,8 +79,8 @@ std::vector<SearchResult> FlatIndex::Search(const std::vector<float>& query,
                                             int k) const {
   if (count_ == 0 || k <= 0) return {};
   if (static_cast<int64_t>(query.size()) != dim_) {
-    // A malformed query must degrade to "no neighbours", not abort: the
-    // caller (GE retrieval) has a recovery path for empty results.
+    // A malformed query degrades to "no neighbours" rather than aborting
+    // the process; an empty result is a valid answer for every caller.
     LOG(WARNING) << "FlatIndex: query dim " << query.size()
                  << " != index dim " << dim_ << "; returning no results";
     return {};

@@ -19,15 +19,19 @@ namespace explainti::ann {
 ///    already-normalised rows — this is how store segments share one
 ///    payload (possibly an mmap'd file) between the flat tier, the HNSW
 ///    tier, and raw-embedding reads without copying it three times.
-class FlatIndex : public VectorIndex {
+class FlatIndex {
  public:
   FlatIndex() = default;
 
-  void Add(int64_t id, const std::vector<float>& vector) override;
+  /// Inserts `vector` under `id` (owned mode). Ids must be unique.
+  void Add(int64_t id, const std::vector<float>& vector);
+
+  /// Top-k most-similar stored vectors, most similar first, ties broken
+  /// by ascending id. Returns fewer than k when the index holds fewer.
   std::vector<SearchResult> Search(const std::vector<float>& query,
-                                   int k) const override;
-  int64_t size() const override { return count_; }
-  int64_t dim() const override { return dim_; }
+                                   int k) const;
+  int64_t size() const { return count_; }
+  int64_t dim() const { return dim_; }
 
   /// Rebinds the index to `count` rows of externally owned storage:
   /// `vectors` is row-major `count x dim` and already L2-normalised,

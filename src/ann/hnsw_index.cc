@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_set>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -12,10 +10,10 @@ namespace explainti::ann {
 
 namespace {
 
-// Heap comparators over (distance, node) pairs. They compare distance
-// ONLY — exactly like Candidate::operator</operator> — so the scratch
-// heaps in SearchLayerInto replay the same element order as the
-// priority_queue-based build path (both sit on push_heap/pop_heap).
+// Comparators over (distance, node) pairs. They compare distance ONLY:
+// a pair's default < would also order ties by node, and the heap and
+// sort orders — hence every neighbour list and the serialised graph
+// bytes — depend on how ties fall.
 inline bool DistLess(const std::pair<float, int>& a,
                      const std::pair<float, int>& b) {
   return a.first < b.first;
@@ -68,72 +66,6 @@ int HnswIndex::GreedyClosest(const float* query, int entry, int layer) const {
     }
   }
   return current;
-}
-
-std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
-                                                         int entry, int ef,
-                                                         int layer) const {
-  std::unordered_set<int> visited;
-  // Min-heap of frontier candidates (closest first).
-  std::priority_queue<Candidate, std::vector<Candidate>,
-                      std::greater<Candidate>>
-      frontier;
-  // Max-heap of current results (farthest first, for easy eviction).
-  std::priority_queue<Candidate> results;
-
-  const float entry_dist = Distance(query, VectorOf(entry));
-  frontier.push(Candidate{entry_dist, entry});
-  results.push(Candidate{entry_dist, entry});
-  visited.insert(entry);
-
-  // Scratch reused across frontier expansions so the parallel distance
-  // pass doesn't allocate per iteration.
-  std::vector<int> fresh;
-  std::vector<float> fresh_dist;
-
-  while (!frontier.empty()) {
-    const Candidate closest = frontier.top();
-    frontier.pop();
-    if (closest.distance > results.top().distance &&
-        static_cast<int>(results.size()) >= ef) {
-      break;
-    }
-    // Distance evaluation is the hot part of an expansion; the heap
-    // updates stay serial and in link order, so the beam (and the final
-    // candidate list) is bit-identical to the single-threaded search.
-    fresh.clear();
-    for (int neighbor : links_[static_cast<size_t>(closest.node)]
-                            .per_layer[static_cast<size_t>(layer)]) {
-      if (visited.insert(neighbor).second) fresh.push_back(neighbor);
-    }
-    fresh_dist.resize(fresh.size());
-    util::ParallelFor(
-        0, static_cast<int64_t>(fresh.size()), util::GrainForCost(dim_),
-        [&](int64_t ib, int64_t ie) {
-          for (int64_t i = ib; i < ie; ++i) {
-            fresh_dist[static_cast<size_t>(i)] =
-                Distance(query, VectorOf(fresh[static_cast<size_t>(i)]));
-          }
-        });
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      const float d = fresh_dist[i];
-      if (static_cast<int>(results.size()) < ef ||
-          d < results.top().distance) {
-        frontier.push(Candidate{d, fresh[i]});
-        results.push(Candidate{d, fresh[i]});
-        if (static_cast<int>(results.size()) > ef) results.pop();
-      }
-    }
-  }
-
-  std::vector<Candidate> out;
-  out.reserve(results.size());
-  while (!results.empty()) {
-    out.push_back(results.top());
-    results.pop();
-  }
-  std::reverse(out.begin(), out.end());  // Closest first.
-  return out;
 }
 
 void HnswIndex::SearchLayerInto(const float* query, int entry, int ef,
@@ -207,20 +139,18 @@ void HnswIndex::SearchLayerInto(const float* query, int entry, int ef,
       }
     }
   }
-  // Ascending distance == the reverse of SearchLayer's pop order; both are
-  // n pop_heap steps with the same comparator, so the lists match bit for
-  // bit, ties included.
+  // Closest first: n pop_heap steps with the distance-only comparator.
   std::sort_heap(beam.begin(), beam.end(), DistLess);
 }
 
-std::vector<int> HnswIndex::SelectNeighbors(std::vector<Candidate> candidates,
-                                            int m) {
-  std::sort(candidates.begin(), candidates.end());
+std::vector<int> HnswIndex::SelectNeighbors(
+    std::vector<std::pair<float, int>>* candidates, int m) {
+  std::sort(candidates->begin(), candidates->end(), DistLess);
   std::vector<int> out;
   out.reserve(static_cast<size_t>(m));
-  for (const Candidate& c : candidates) {
+  for (const std::pair<float, int>& c : *candidates) {
     if (static_cast<int>(out.size()) >= m) break;
-    out.push_back(c.node);
+    out.push_back(c.second);
   }
   return out;
 }
@@ -276,11 +206,15 @@ void HnswIndex::InsertNode() {
   }
 
   // Insert with beam search on each shared layer.
+  std::vector<std::pair<float, int>>& beam = build_scratch_.beam;
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    std::vector<Candidate> candidates =
-        SearchLayer(query, current, options_.ef_construction, layer);
+    SearchLayerInto(query, current, options_.ef_construction, layer,
+                    &build_scratch_);
+    // The next layer starts from the beam's head as the search left it,
+    // before SelectNeighbors re-sorts the beam in place.
+    const int next = beam.front().second;
     const int m_max = layer == 0 ? 2 * options_.M : options_.M;
-    std::vector<int> neighbors = SelectNeighbors(candidates, options_.M);
+    std::vector<int> neighbors = SelectNeighbors(&beam, options_.M);
 
     auto& node_links = links_[static_cast<size_t>(node)]
                            .per_layer[static_cast<size_t>(layer)];
@@ -292,21 +226,21 @@ void HnswIndex::InsertNode() {
                             .per_layer[static_cast<size_t>(layer)];
       nbr_links.push_back(node);
       if (static_cast<int>(nbr_links.size()) > m_max) {
-        std::vector<Candidate> pruned(nbr_links.size());
+        std::vector<std::pair<float, int>> pruned(nbr_links.size());
         const float* nbr_vec = VectorOf(neighbor);
         util::ParallelFor(
             0, static_cast<int64_t>(nbr_links.size()),
             util::GrainForCost(dim_), [&](int64_t ib, int64_t ie) {
               for (int64_t i = ib; i < ie; ++i) {
                 const int candidate = nbr_links[static_cast<size_t>(i)];
-                pruned[static_cast<size_t>(i)] = Candidate{
+                pruned[static_cast<size_t>(i)] = {
                     Distance(nbr_vec, VectorOf(candidate)), candidate};
               }
             });
-        nbr_links = SelectNeighbors(std::move(pruned), m_max);
+        nbr_links = SelectNeighbors(&pruned, m_max);
       }
     }
-    if (!candidates.empty()) current = candidates.front().node;
+    current = next;
   }
 
   if (level > max_level_) {
@@ -342,7 +276,7 @@ std::vector<SearchResult> HnswIndex::Search(const std::vector<float>& query,
   std::vector<SearchResult> out;
   if (entry_point_ < 0 || k <= 0) return out;
   if (static_cast<int64_t>(query.size()) != dim_) {
-    // Degrade to "no neighbours" instead of aborting; see FlatIndex.
+    // Degrade to "no neighbours" instead of aborting, as FlatIndex does.
     LOG(WARNING) << "HnswIndex: query dim " << query.size()
                  << " != index dim " << dim_ << "; returning no results";
     return out;
@@ -418,6 +352,25 @@ util::Status HnswIndex::LoadGraph(util::BinaryReader* reader) {
           return malformed("neighbour at node " + std::to_string(n));
         }
         layer[static_cast<size_t>(e)] = neighbor;
+      }
+    }
+  }
+  // Searches descend from the entry point through every layer and follow
+  // layer-l links on layer l, so the layers must line up: the entry node
+  // spans all of them, and every layer-l neighbour has a layer l.
+  if (links_[static_cast<size_t>(entry)].per_layer.size() !=
+      static_cast<size_t>(max_level) + 1) {
+    return malformed("entry point does not span max level " +
+                     std::to_string(max_level));
+  }
+  for (int64_t n = 0; n < nodes; ++n) {
+    const auto& per_layer = links_[static_cast<size_t>(n)].per_layer;
+    for (size_t l = 0; l < per_layer.size(); ++l) {
+      for (int neighbor : per_layer[l]) {
+        if (links_[static_cast<size_t>(neighbor)].per_layer.size() <= l) {
+          return malformed("node " + std::to_string(n) + " links node " +
+                           std::to_string(neighbor) + " above its top layer");
+        }
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ann/index.h"
@@ -53,15 +54,18 @@ inline uint64_t SeedForSegment(uint64_t base_seed, int64_t segment_index) {
 /// previously serialised graph with `LoadGraph()`. Graph adjacency is the
 /// only state `SerializeGraph()` emits — vectors travel in the segment
 /// payload, not here.
-class HnswIndex : public VectorIndex {
+class HnswIndex {
  public:
   explicit HnswIndex(HnswOptions options = HnswOptions());
 
-  void Add(int64_t id, const std::vector<float>& vector) override;
+  /// Inserts `vector` under `id` (owned mode). Ids must be unique.
+  void Add(int64_t id, const std::vector<float>& vector);
+
+  /// Top-k most-similar stored vectors, most similar first.
   std::vector<SearchResult> Search(const std::vector<float>& query,
-                                   int k) const override;
-  int64_t size() const override { return count_; }
-  int64_t dim() const override { return dim_; }
+                                   int k) const;
+  int64_t size() const { return count_; }
+  int64_t dim() const { return dim_; }
 
   /// Maximum layer currently in use (diagnostics).
   int max_level() const { return max_level_; }
@@ -108,38 +112,23 @@ class HnswIndex : public VectorIndex {
     std::vector<std::vector<int>> per_layer;
   };
 
-  /// (distance, internal id) pair; smaller distance = more similar.
-  struct Candidate {
-    float distance;
-    int node;
-    bool operator<(const Candidate& other) const {
-      return distance < other.distance;
-    }
-    bool operator>(const Candidate& other) const {
-      return distance > other.distance;
-    }
-  };
-
   float Distance(const float* a, const float* b) const;
   const float* VectorOf(int node) const;
 
   /// Greedy single-entry descent on `layer` (ef = 1).
   int GreedyClosest(const float* query, int entry, int layer) const;
 
-  /// Beam search on `layer` returning up to `ef` closest candidates
-  /// (build path; allocates freely).
-  std::vector<Candidate> SearchLayer(const float* query, int entry, int ef,
-                                     int layer) const;
-
-  /// Query-path beam search into scratch->beam (closest first after the
-  /// call). Heap operation order matches SearchLayer exactly, so both
-  /// paths produce bit-identical candidate lists.
+  /// Beam search on `layer` into scratch->beam, closest first after the
+  /// call. Shared by inserts and queries; with a warm scratch it performs
+  /// no heap allocations.
   void SearchLayerInto(const float* query, int entry, int ef, int layer,
                        SearchScratch* scratch) const;
 
-  /// Heuristic neighbour selection: keeps the `m` closest.
-  static std::vector<int> SelectNeighbors(std::vector<Candidate> candidates,
-                                          int m);
+  /// Keeps the `m` closest of `candidates`, which it sorts in place by
+  /// distance only (ties keep the order std::sort leaves them in, which
+  /// the serialised graph bytes depend on).
+  static std::vector<int> SelectNeighbors(
+      std::vector<std::pair<float, int>>* candidates, int m);
 
   int RandomLevel();
 
@@ -155,6 +144,10 @@ class HnswIndex : public VectorIndex {
   std::vector<int64_t> owned_ids_;
   std::vector<float> owned_vectors_;
   std::vector<NodeLinks> links_;
+  /// Beam-search scratch reused by every InsertNode(): its visited marks
+  /// span all attached rows, so a per-insert scratch would make a build
+  /// O(n^2).
+  SearchScratch build_scratch_;
   int entry_point_ = -1;
   int max_level_ = -1;
 };

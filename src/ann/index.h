@@ -15,11 +15,12 @@ struct SearchResult {
 };
 
 /// Reusable per-thread state for the segment-local search entry points
-/// (`FlatIndex::SearchNormalized`, `HnswIndex::SearchNormalized`). One
-/// scratch per (thread, segment-slot); after the first query over a
-/// segment, repeated searches through the same scratch perform no heap
-/// allocations. The fields are an implementation detail of the indexes —
-/// callers only default-construct and pass the struct back in.
+/// (`FlatIndex::SearchNormalized`, `HnswIndex::SearchNormalized`; an
+/// HnswIndex also keeps one for its own inserts). One scratch per
+/// (thread, segment-slot); after the first query over a segment, repeated
+/// searches through the same scratch perform no heap allocations. The
+/// fields are an implementation detail of the indexes — callers only
+/// default-construct and pass the struct back in.
 struct SearchScratch {
   std::vector<SearchResult> scores;           // Flat: one slot per row.
   std::vector<uint32_t> visited;              // HNSW: epoch-stamped marks.
@@ -35,28 +36,6 @@ struct SearchScratch {
 /// time turns cosine similarity into a plain dot product on the hot path,
 /// and a single implementation keeps stored bits identical across tiers.
 void L2NormalizeInto(const float* in, int64_t n, float* out);
-
-/// Interface for the embedding-store indexes used by Global Explanations
-/// (Algorithm 2). Vectors are compared by cosine similarity; every
-/// implementation stores L2-normalised copies internally.
-class VectorIndex {
- public:
-  virtual ~VectorIndex() = default;
-
-  /// Inserts `vector` under `id`. Ids need not be dense but must be unique.
-  virtual void Add(int64_t id, const std::vector<float>& vector) = 0;
-
-  /// Top-k most-similar stored vectors, most similar first. Returns fewer
-  /// than k when the index holds fewer vectors.
-  virtual std::vector<SearchResult> Search(const std::vector<float>& query,
-                                           int k) const = 0;
-
-  /// Number of stored vectors.
-  virtual int64_t size() const = 0;
-
-  /// Vector dimensionality (0 until the first Add).
-  virtual int64_t dim() const = 0;
-};
 
 }  // namespace explainti::ann
 

@@ -46,8 +46,7 @@ struct ExplainTiConfig {
 
   // -- Embedding store (see DESIGN.md "Sharded embedding store") ----------
   /// Id-range segments per embedding store (>= 1). More segments shard the
-  /// ANN search across the thread pool and make rebuilds copy-on-write at
-  /// segment granularity (only dirty id-ranges re-index).
+  /// ANN search and the store build across the thread pool.
   int store_segments = 1;
   /// When non-empty, LoadWeights() prefers reopening the persisted stores
   /// under this directory (mmap-backed; written by SaveStores()) over

@@ -39,13 +39,19 @@ EmbeddingStore::EmbeddingStore(Options options) : options_(std::move(options)) {
 
 std::shared_ptr<const EmbeddingStore::Segment> EmbeddingStore::BuildSegment(
     int64_t segment_index, const std::vector<int64_t>& seg_ids,
-    const std::vector<const std::vector<float>*>& seg_rows, int64_t dim,
-    uint64_t content_hash) const {
+    const std::vector<const std::vector<float>*>& seg_rows,
+    int64_t dim) const {
   auto segment = std::make_shared<Segment>();
   segment->index = segment_index;
   segment->count = static_cast<int64_t>(seg_ids.size());
   segment->dim = dim;
-  segment->content_hash = content_hash;
+  uint64_t h = util::HashBytes(&dim, sizeof(dim));
+  h = util::HashBytes(&segment->count, sizeof(segment->count), h);
+  h = util::HashBytes(seg_ids.data(), seg_ids.size() * sizeof(int64_t), h);
+  for (const std::vector<float>* row : seg_rows) {
+    h = util::HashBytes(row->data(), row->size() * sizeof(float), h);
+  }
+  segment->content_hash = h;
   segment->owned_ids = seg_ids;
   segment->owned_raw.resize(seg_ids.size() * static_cast<size_t>(dim));
   segment->owned_norm.resize(segment->owned_raw.size());
@@ -80,9 +86,8 @@ void EmbeddingStore::Rebuild(
   // previous generation until the single publication below.
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->hnsw = options_.hnsw;
-  RebuildStats stats;
   if (ids.empty()) {
-    Publish(std::move(snapshot), stats);
+    Publish(std::move(snapshot));
     return;
   }
 
@@ -132,74 +137,25 @@ void EmbeddingStore::Rebuild(
     }
   }
 
-  // Copy-on-write: hash each range and reuse the previous snapshot's
-  // segment by pointer when (span, dim, content) all match.
-  std::shared_ptr<const Snapshot> previous;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    previous = current_;
-  }
-  const bool comparable =
-      previous != nullptr && previous->span == span && previous->dim == dim;
-  std::vector<uint64_t> range_hash(static_cast<size_t>(num_ranges), 0);
-  std::vector<int64_t> dirty;
-  for (int64_t r = 0; r < num_ranges; ++r) {
-    const auto& rids = range_ids[static_cast<size_t>(r)];
-    if (rids.empty()) continue;
-    uint64_t h = util::HashBytes(&dim, sizeof(dim));
-    const int64_t count = static_cast<int64_t>(rids.size());
-    h = util::HashBytes(&count, sizeof(count), h);
-    h = util::HashBytes(rids.data(), rids.size() * sizeof(int64_t), h);
-    for (const std::vector<float>* row : range_rows[static_cast<size_t>(r)]) {
-      h = util::HashBytes(row->data(), row->size() * sizeof(float), h);
+  // Independent segments build in parallel (the per-insert ParallelFor
+  // inside HnswIndex nests, so it runs inline).
+  util::ParallelFor(0, num_ranges, 1, [&](int64_t b, int64_t e) {
+    for (int64_t r = b; r < e; ++r) {
+      const auto& rids = range_ids[static_cast<size_t>(r)];
+      if (rids.empty()) continue;
+      snapshot->segments[static_cast<size_t>(r)] = BuildSegment(
+          r, rids, range_rows[static_cast<size_t>(r)], dim);
     }
-    range_hash[static_cast<size_t>(r)] = h;
-    // Reuse requires a segment with a graph: a flat-only one (loaded
-    // from a file saved without its graph) is rebuilt even when its
-    // content is unchanged, so the next refresh heals the degradation
-    // instead of pinning it forever.
-    if (comparable && static_cast<size_t>(r) < previous->segments.size() &&
-        previous->segments[static_cast<size_t>(r)] != nullptr &&
-        previous->segments[static_cast<size_t>(r)]->hnsw_ready &&
-        previous->segments[static_cast<size_t>(r)]->content_hash == h &&
-        previous->segments[static_cast<size_t>(r)]->count == count) {
-      snapshot->segments[static_cast<size_t>(r)] =
-          previous->segments[static_cast<size_t>(r)];
-      ++stats.segments_reused;
-    } else {
-      dirty.push_back(r);
-    }
-  }
-
-  // Only dirty ranges build; independent segments build in parallel (the
-  // per-insert ParallelFor inside HnswIndex nests, so it runs inline).
-  stats.segments_built = static_cast<int64_t>(dirty.size());
-  util::ParallelFor(
-      0, static_cast<int64_t>(dirty.size()), 1, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          const int64_t r = dirty[static_cast<size_t>(i)];
-          snapshot->segments[static_cast<size_t>(r)] = BuildSegment(
-              r, range_ids[static_cast<size_t>(r)],
-              range_rows[static_cast<size_t>(r)], dim,
-              range_hash[static_cast<size_t>(r)]);
-        }
-      });
+  });
 
   IndexShards(snapshot.get());
-  Publish(std::move(snapshot), stats);
+  Publish(std::move(snapshot));
 }
 
-void EmbeddingStore::Publish(std::shared_ptr<Snapshot> snapshot,
-                             RebuildStats stats) {
+void EmbeddingStore::Publish(std::shared_ptr<Snapshot> snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
   snapshot->generation = next_generation_++;
-  last_rebuild_ = stats;
   current_ = std::move(snapshot);
-}
-
-EmbeddingStore::RebuildStats EmbeddingStore::last_rebuild_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_rebuild_;
 }
 
 util::Status EmbeddingStore::Save(const std::string& dir) const {
@@ -257,7 +213,7 @@ util::Status EmbeddingStore::Load(const std::string& dir) {
         std::max(snapshot->max_id, segment.ids[segment.count - 1]);
   }
   IndexShards(snapshot.get());
-  Publish(std::move(snapshot), RebuildStats{});
+  Publish(std::move(snapshot));
   return util::Status::OK();
 }
 
@@ -291,8 +247,8 @@ void EmbeddingStore::View::SearchInto(const std::vector<float>& query, int k,
     return;  // Nothing stored yet.
   }
   if (static_cast<int64_t>(query.size()) != snapshot_->dim) {
-    // A malformed query degrades to "no neighbours", not an abort; the
-    // caller (GE retrieval) has a recovery path for empty results.
+    // A malformed query degrades to "no neighbours", not an abort: GE
+    // and SE read an empty result as "no retrieved samples".
     LOG(WARNING) << "EmbeddingStore: query dim " << query.size()
                  << " != store dim " << snapshot_->dim
                  << "; returning no results";

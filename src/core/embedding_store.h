@@ -29,11 +29,9 @@ namespace explainti::core {
 /// order, so results are bit-identical at any shard count and thread
 /// count.
 ///
-/// Copy-on-write rebuilds: Rebuild() hashes each id-range and reuses the
-/// previous snapshot's segment by pointer when the range's content is
-/// unchanged — only dirty ranges re-encode and re-index — then publishes
-/// the new snapshot atomically. Readers pin one generation through a View
-/// and keep answering from it while the next rebuild runs.
+/// Rebuilds: Rebuild() builds every segment of a new snapshot aside, in
+/// parallel, then publishes it atomically. Readers pin one generation
+/// through a View and keep answering from it while the next rebuild runs.
 ///
 /// Degradation ladder, per segment: HNSW is the fast tier. Rebuild()
 /// always completes every segment's graph, so the one way a segment can
@@ -43,8 +41,8 @@ namespace explainti::core {
 /// `degraded_searches()` report queries where any segment degraded.
 ///
 /// Persistence: Save() writes one CRC32-footed file per segment plus a
-/// manifest (see store_persistence.h); Load() reopens them via mmap (with
-/// a read() fallback) and publishes the result as a normal snapshot, so a
+/// manifest (see store_persistence.h); Load() maps them and publishes the
+/// result as a normal snapshot, so a
 /// restarted process serves bit-identical results without re-encoding the
 /// corpus.
 class EmbeddingStore {
@@ -78,16 +76,16 @@ class EmbeddingStore {
     int64_t dim_;
   };
 
-  /// One immutable id-range of a snapshot. Built (or loaded) once, then
-  /// shared by pointer across every snapshot whose range content is
-  /// unchanged. Rows are sorted by ascending id — the canonical layout
-  /// that makes content_hash and the HNSW insertion order reproducible.
+  /// One immutable id-range of a snapshot, built or loaded once. Rows are
+  /// sorted by ascending id — the canonical layout that makes
+  /// content_hash and the HNSW insertion order reproducible.
   struct Segment {
     int64_t index = 0;  ///< Range ordinal: ids in [index*span, ...).
     int64_t count = 0;
     int64_t dim = 0;
-    /// FNV-1a over (count, ids, raw rows) in canonical order; the dirty
-    /// check Rebuild() uses for copy-on-write reuse.
+    /// FNV-1a over (dim, count, ids, raw rows) in canonical order. Saved
+    /// in both the manifest and the segment file, which Load()
+    /// cross-checks.
     uint64_t content_hash = 0;
     bool hnsw_ready = false;
 
@@ -194,28 +192,17 @@ class EmbeddingStore {
     std::shared_ptr<const Snapshot> snapshot_;  // Null before any Rebuild.
   };
 
-  /// Counts of segment work done by the last Rebuild().
-  struct RebuildStats {
-    int64_t segments_built = 0;
-    int64_t segments_reused = 0;
-  };
-
   EmbeddingStore();  // Default Options: one segment.
   explicit EmbeddingStore(Options options);
 
   /// Replaces the store contents: builds a fresh snapshot aside and
   /// publishes it atomically (readers holding Views keep their old
   /// snapshot). `embeddings[i]` is stored under `ids[i]`; all vectors
-  /// must share one dimensionality. Copy-on-write: id-ranges whose
-  /// content hash matches the previous snapshot reuse that segment by
-  /// pointer; only dirty ranges build, in parallel over the thread pool.
-  /// Every built segment gets both tiers. A flat-only segment is never
-  /// reused, so an identical-content Rebuild gives it its graph.
+  /// must share one dimensionality. Every non-empty id-range builds a
+  /// fresh segment with both tiers, in parallel over the thread pool, so
+  /// a Rebuild also restores the graph of any segment loaded flat-only.
   void Rebuild(const std::vector<int>& ids,
                const std::vector<std::vector<float>>& embeddings);
-
-  /// What the last Rebuild() built vs reused.
-  RebuildStats last_rebuild_stats() const;
 
   /// Persists the current snapshot: one segment file per non-empty range
   /// plus `manifest.xtm`, all CRC32-footed and written via tmp+rename
@@ -224,11 +211,11 @@ class EmbeddingStore {
   util::Status Save(const std::string& dir) const;
 
   /// Loads a Save()d store and publishes it as the current snapshot
-  /// (generation advances as if rebuilt). Segments map via mmap with a
-  /// read() fallback; every file's CRC is verified before use, and any
-  /// corruption returns a typed error (InvalidArgument for CRC/format,
-  /// NotFound for missing files) with the store left on its previous
-  /// snapshot. Search results over a loaded store are bit-identical to
+  /// (generation advances as if rebuilt). Segments map via mmap; every
+  /// file's CRC is verified before use, and any failure returns a typed
+  /// error (InvalidArgument for CRC/format, NotFound for missing files,
+  /// IoError for files that cannot be mapped) with the store left on its
+  /// previous snapshot. Search results over a loaded store are bit-identical to
   /// the store that saved it.
   util::Status Load(const std::string& dir);
 
@@ -256,19 +243,18 @@ class EmbeddingStore {
   const Options& options() const { return options_; }
 
  private:
-  /// Builds one segment — flat tier and complete HNSW graph — from rows
-  /// (sorted by id) of the rebuild input.
+  /// Builds one segment — content hash, flat tier and complete HNSW
+  /// graph — from rows (sorted by id) of the rebuild input.
   std::shared_ptr<const Segment> BuildSegment(
       int64_t segment_index, const std::vector<int64_t>& seg_ids,
-      const std::vector<const std::vector<float>*>& seg_rows, int64_t dim,
-      uint64_t content_hash) const;
+      const std::vector<const std::vector<float>*>& seg_rows,
+      int64_t dim) const;
 
   /// Publishes `snapshot` as the current generation.
-  void Publish(std::shared_ptr<Snapshot> snapshot, RebuildStats stats);
+  void Publish(std::shared_ptr<Snapshot> snapshot);
 
   Options options_;
   uint64_t next_generation_ = 1;  // Guarded by mu_ (publish-side only).
-  RebuildStats last_rebuild_;     // Guarded by mu_.
   mutable std::mutex mu_;  // Guards publication of current_.
   std::shared_ptr<const Snapshot> current_;  // Null before first Rebuild.
 };

@@ -99,8 +99,8 @@ class ExplainTiModel {
   /// Re-encodes all training samples and rebuilds the embedding stores
   /// from the current weights (serving-time refresh; also lets tests and
   /// benches populate stores without a full Fit()). Safe to call while
-  /// the session serves concurrently: each rebuild publishes a
-  /// copy-on-write store snapshot, and in-flight forward passes keep the
+  /// the session serves concurrently: each rebuild publishes a new store
+  /// snapshot atomically, and in-flight forward passes keep the
   /// snapshot they pinned (EmbeddingStore::View) — weights-mutating calls
   /// (Fit, LoadWeights) remain excluded from concurrent session use.
   void RefreshStores();

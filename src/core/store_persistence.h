@@ -56,11 +56,12 @@ std::string SegmentFileName(int64_t index);
 util::Status SaveSegmentFile(const std::string& path,
                              const EmbeddingStore::Segment& segment);
 
-/// Loads one segment file via mmap (read() fallback), verifies its CRC
-/// and header against the manifest (`entry` names the expected index,
-/// count and content hash), validates ids are strictly ascending within
-/// the segment's id-range, and rebinds the index tiers onto the mapped
-/// payload. InvalidArgument on any corruption or mismatch.
+/// Maps one segment file, verifies its CRC and header against the
+/// manifest (`entry` names the expected index, count and content hash),
+/// validates ids are strictly ascending within the segment's id-range,
+/// and rebinds the index tiers onto the mapped payload. InvalidArgument
+/// on any corruption or mismatch; the MappedFile::Open status when the
+/// file cannot be mapped.
 util::StatusOr<std::shared_ptr<const EmbeddingStore::Segment>>
 LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
                 const StoreManifest::Entry& entry);

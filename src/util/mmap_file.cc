@@ -6,19 +6,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 namespace explainti::util {
-
-namespace {
-
-bool MmapDisabledByEnv() {
-  const char* value = std::getenv("EXPLAINTI_NO_MMAP");
-  return value != nullptr && value[0] == '1' && value[1] == '\0';
-}
-
-}  // namespace
 
 util::StatusOr<std::shared_ptr<MappedFile>> MappedFile::Open(
     const std::string& path) {
@@ -30,9 +20,14 @@ util::StatusOr<std::shared_ptr<MappedFile>> MappedFile::Open(
   }
   struct stat st;
   if (::fstat(fd, &st) != 0) {
+    const int err = errno;
     ::close(fd);
     return Status::IoError("cannot stat " + path + ": " +
-                           std::strerror(errno));
+                           std::strerror(err));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IoError(path + " is not a regular file");
   }
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
   file->size_ = static_cast<size_t>(st.st_size);
@@ -40,38 +35,18 @@ util::StatusOr<std::shared_ptr<MappedFile>> MappedFile::Open(
     ::close(fd);
     return file;
   }
-
-  if (!MmapDisabledByEnv()) {
-    void* base = ::mmap(nullptr, file->size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (base != MAP_FAILED) {
-      ::close(fd);  // The mapping keeps the inode alive.
-      file->map_base_ = base;
-      file->data_ = static_cast<const char*>(base);
-      file->mmap_backed_ = true;
-      return file;
-    }
-    // Fall through to the buffered path; e.g. filesystems without mmap.
+  void* base = ::mmap(nullptr, file->size_, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int err = errno;
+  ::close(fd);  // A live mapping keeps the inode alive.
+  if (base == MAP_FAILED) {
+    return Status::IoError("cannot map " + path + ": " + std::strerror(err));
   }
-
-  file->fallback_.resize(file->size_);
-  size_t done = 0;
-  while (done < file->size_) {
-    const ssize_t n =
-        ::read(fd, file->fallback_.data() + done, file->size_ - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return Status::IoError("short read on " + path);
-    }
-    done += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  file->data_ = file->fallback_.data();
+  file->data_ = static_cast<const char*>(base);
   return file;
 }
 
 MappedFile::~MappedFile() {
-  if (map_base_ != nullptr) ::munmap(map_base_, size_);
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
 }
 
 }  // namespace explainti::util

@@ -4,28 +4,25 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
 namespace explainti::util {
 
-/// A read-only file image, mmap(2)-backed when the platform allows it.
+/// A read-only, mmap(2)-backed file image.
 ///
 /// Embedding-store segments are loaded through this so a restarted process
 /// reopens a multi-gigabyte store without copying it through the heap: the
 /// kernel pages vectors in on first touch and can evict them under memory
-/// pressure. When mapping fails — or EXPLAINTI_NO_MMAP=1 forces the issue,
-/// which the persistence tests use to cover both paths — the file is
-/// read() into an owned buffer instead; callers see the same (data, size)
-/// either way. The mapping base is page-aligned, so any field a file
-/// format places at an 8-byte-aligned offset may be read through a typed
-/// pointer directly.
+/// pressure. A file that cannot be mapped is an error, not a slower path:
+/// the store load fails and its caller re-encodes in memory. The mapping
+/// base is page-aligned, so any field a file format places at an
+/// 8-byte-aligned offset may be read through a typed pointer directly.
 class MappedFile {
  public:
-  /// Opens `path` read-only. NotFound when the file does not exist,
-  /// IoError on open/map/read failures. An empty file yields size() == 0
-  /// with data() == nullptr.
+  /// Maps `path` read-only. NotFound when the file does not exist,
+  /// IoError when it cannot be opened, is not a regular file, or cannot
+  /// be mapped. An empty file yields size() == 0 with data() == nullptr.
   static StatusOr<std::shared_ptr<MappedFile>> Open(const std::string& path);
 
   ~MappedFile();
@@ -36,17 +33,11 @@ class MappedFile {
   const char* data() const { return data_; }
   size_t size() const { return size_; }
 
-  /// False when the read()-fallback buffered the file instead of mapping.
-  bool mmap_backed() const { return mmap_backed_; }
-
  private:
   MappedFile() = default;
 
-  const char* data_ = nullptr;
+  const char* data_ = nullptr;  // The mapping; munmap target when non-null.
   size_t size_ = 0;
-  bool mmap_backed_ = false;
-  void* map_base_ = nullptr;        // munmap target when mmap-backed.
-  std::vector<char> fallback_;      // Owning buffer otherwise.
 };
 
 }  // namespace explainti::util

@@ -9,8 +9,10 @@
 #include "ann/hnsw_index.h"
 #include "ann/index.h"
 #include "util/binary_io.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace explainti::ann {
 namespace {
@@ -209,15 +211,22 @@ struct AttachedRows {
   int64_t dim = 0;
 };
 
-AttachedRows MakeAttachedRows(int count, int dim, uint64_t seed) {
+/// `ternary` draws components from {-1, 0, 1} instead of N(0, 1): rows
+/// repeat, so exact distance ties are common.
+AttachedRows MakeAttachedRows(int count, int dim, uint64_t seed,
+                              bool ternary = false) {
   AttachedRows rows;
   rows.count = count;
   rows.dim = dim;
   rows.norm.resize(static_cast<size_t>(count) * dim);
   util::Rng rng(seed);
+  std::vector<float> raw(static_cast<size_t>(dim));
   for (int i = 0; i < count; ++i) {
     rows.ids.push_back(i);
-    const std::vector<float> raw = RandomVector(dim, rng);
+    for (float& x : raw) {
+      x = ternary ? static_cast<float>(static_cast<int>(rng.UniformInt(3)) - 1)
+                  : static_cast<float>(rng.Normal());
+    }
     L2NormalizeInto(raw.data(), dim, rows.norm.data() +
                                          static_cast<size_t>(i) * dim);
   }
@@ -397,6 +406,109 @@ TEST(HnswIndexTest, LoadGraphOnBuiltIndexIsFailedPrecondition) {
   util::BinaryReader reader(image.data(), image.size());
   const util::Status status = built.LoadGraph(&reader);
   EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
+}
+
+/// SerializeGraph() image of a hand-written graph: per node, per layer,
+/// the neighbour list.
+using Layers = std::vector<std::vector<int>>;
+
+std::string GraphImage(int32_t entry, int32_t max_level,
+                       const std::vector<Layers>& nodes) {
+  std::string image;
+  util::AppendPod(&image, entry);
+  util::AppendPod(&image, max_level);
+  util::AppendPod(&image, static_cast<int64_t>(nodes.size()));
+  for (const auto& layers : nodes) {
+    util::AppendPod(&image, static_cast<int32_t>(layers.size()));
+    for (const auto& layer : layers) {
+      util::AppendPod(&image, static_cast<int32_t>(layer.size()));
+      for (int neighbor : layer) {
+        util::AppendPod(&image, static_cast<int32_t>(neighbor));
+      }
+    }
+  }
+  return image;
+}
+
+util::Status LoadImage(const std::string& image, const AttachedRows& rows) {
+  HnswIndex loaded;
+  loaded.AttachStorage(rows.ids.data(), rows.norm.data(), rows.count,
+                       rows.dim);
+  util::BinaryReader reader(image.data(), image.size());
+  return loaded.LoadGraph(&reader);
+}
+
+TEST(HnswIndexTest, LoadGraphRejectsEntryPointBelowMaxLevel) {
+  const AttachedRows rows = MakeAttachedRows(3, 4, 37);
+  // The same three-node graph, well-formed: node 0 spans layers 0..1.
+  EXPECT_TRUE(
+      LoadImage(GraphImage(0, 1, {{{1, 2}, {}}, {{0, 2}}, {{0, 1}}}), rows)
+          .ok());
+  // max_level 2 but the entry node has one layer: a search would descend
+  // through layers the entry point does not have.
+  const util::Status status =
+      LoadImage(GraphImage(0, 2, {{{1, 2}}, {{0, 2}}, {{0, 1}}}), rows);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(HnswIndexTest, LoadGraphRejectsNeighbourAboveItsTopLayer) {
+  const AttachedRows rows = MakeAttachedRows(3, 4, 41);
+  // Node 0 links node 1 on layer 1, but node 1 only has layer 0.
+  const util::Status status =
+      LoadImage(GraphImage(0, 1, {{{1, 2}, {1}}, {{0, 2}}, {{0, 1}}}), rows);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Construction pin: the graph bytes of fixed seeded builds. A change to
+// the beam search, the neighbour selection or the prune step that moves
+// a single edge — including how distance ties fall — changes these
+// hashes, at any thread count. Persisted stores and golden evidence
+// depend on these graphs: re-capture the constants only for a deliberate
+// change to how graphs are built.
+// ---------------------------------------------------------------------------
+
+struct GraphCase {
+  int n, dim, M, ef_construction;
+  uint64_t seed;
+  bool ternary;
+  uint64_t graph_hash;
+};
+
+uint64_t BuildGraphHash(const GraphCase& c) {
+  const AttachedRows rows = MakeAttachedRows(c.n, c.dim, c.seed, c.ternary);
+  HnswOptions options;
+  options.M = c.M;
+  options.ef_construction = c.ef_construction;
+  options.seed = c.seed;
+  HnswIndex index(options);
+  index.AttachStorage(rows.ids.data(), rows.norm.data(), rows.count,
+                      rows.dim);
+  for (int i = 0; i < c.n; ++i) index.InsertNode();
+  std::string image;
+  index.SerializeGraph(&image);
+  return util::HashBytes(image.data(), image.size());
+}
+
+TEST(HnswIndexTest, ConstructionIsPinned) {
+  const GraphCase cases[] = {
+      {150, 8, 6, 32, 17, false, 0x2b39492f0dbf8928ULL},
+      {800, 16, 8, 48, 41, false, 0x59a2911ddda46ecdULL},
+      {1500, 64, 16, 100, 43, false, 0x60de13db7b0c2d3fULL},
+      {600, 4, 4, 8, 47, true, 0x08c9c25655387dadULL},
+      // Wide rows: the per-expansion distance pass fans out at 4 threads.
+      {300, 768, 16, 100, 53, false, 0xc32737a93642c2a0ULL},
+  };
+  for (int threads : {1, 4}) {
+    util::SetGlobalThreadCount(threads);
+    for (const GraphCase& c : cases) {
+      EXPECT_EQ(BuildGraphHash(c), c.graph_hash)
+          << "n=" << c.n << " dim=" << c.dim << " M=" << c.M
+          << " ef_construction=" << c.ef_construction
+          << " threads=" << threads;
+    }
+  }
+  util::SetGlobalThreadCount(util::ConfiguredThreadCount());
 }
 
 }  // namespace

@@ -224,7 +224,7 @@ TEST(InferenceSessionTsanTest, ConcurrentPredictExplainOnSharedWeights) {
   }
 }
 
-// GE/SE store rebuilds publish copy-on-write snapshots, so a rebuild may
+// GE/SE store rebuilds publish each new snapshot atomically, so a rebuild may
 // run *while* explanations are being served: each forward pass pins one
 // snapshot and never observes a half-built index or evidence mixed
 // across store generations.

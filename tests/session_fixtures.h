@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/explain_ti_model.h"
+#include "core/inference_session.h"
 #include "data/git_generator.h"
 #include "data/wiki_generator.h"
 #include "explanation_matchers.h"

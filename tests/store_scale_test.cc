@@ -1,7 +1,7 @@
 // 100k-corpus embedding-store cases (ctest label: slow). Everything the
-// tier-1 store_test certifies at toy scale — copy-on-write reuse,
-// save/load bit-identity, mmap loading — re-checked at the corpus size
-// the sharded store exists for.
+// tier-1 store_test certifies at toy scale — rebuilds, save/load
+// bit-identity, mmap loading — re-checked at the corpus size the sharded
+// store exists for.
 
 #include <cstdint>
 #include <cstdlib>
@@ -48,19 +48,20 @@ std::vector<int> Iota(int n) {
   return ids;
 }
 
-TEST(StoreScaleTest, HundredThousandRowRoundTripAndCow) {
+TEST(StoreScaleTest, HundredThousandRowRebuildAndRoundTrip) {
   auto rows = MakeRows(kN, 51);
   EmbeddingStore store(ScaleOptions());
   store.Rebuild(Iota(kN), rows);
   EXPECT_TRUE(store.hnsw_ready());
   EXPECT_EQ(store.size(), kN);
-  EXPECT_EQ(store.last_rebuild_stats().segments_built, kSegments);
+  EXPECT_EQ(store.view().num_segments(), kSegments);
 
-  // Incremental rebuild re-encodes only the dirty segment, at scale.
+  // A rebuild after one row changed publishes the changed row, at scale.
   rows[70000][0] += 1.0f;
   store.Rebuild(Iota(kN), rows);
-  EXPECT_EQ(store.last_rebuild_stats().segments_built, 1);
-  EXPECT_EQ(store.last_rebuild_stats().segments_reused, kSegments - 1);
+  EXPECT_TRUE(store.hnsw_ready());
+  EXPECT_EQ(store.view().generation(), 2u);
+  EXPECT_EQ(store.view().Embedding(70000).ToVector(), rows[70000]);
 
   // Save -> load in a fresh store stays bit-identical on a probe set.
   const std::string dir = ::testing::TempDir() + "/store_scale";

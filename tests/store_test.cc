@@ -1,13 +1,16 @@
 // Sharded, snapshot-persistent embedding store: merge determinism,
-// copy-on-write rebuilds, and the persisted-format round trip (mmap and
-// read() fallback). The acceptance bar here is bit-identity: a saved
+// snapshot isolation across rebuilds, and the persisted-format round trip
+// (mmap, and the in-memory rebuild when a segment cannot be mapped). The
+// acceptance bar here is bit-identity: a saved
 // store reloaded in a fresh object must answer every query with the same
 // ids, the same similarity BITS, and the same fallback flags — at every
 // shard count and thread count.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,8 @@
 
 #include "ann/sharded_search.h"
 #include "core/embedding_store.h"
+#include "core/store_persistence.h"
+#include "session_fixtures.h"
 #include "util/alloc_counter.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -224,61 +229,52 @@ TEST_F(StoreTest, SteadyStateSerialSearchAllocatesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Copy-on-write rebuilds.
+// Rebuilds and snapshot isolation.
 // ---------------------------------------------------------------------------
 
-TEST_F(StoreTest, IncrementalRebuildReencodesOnlyDirtySegments) {
+TEST_F(StoreTest, PinnedViewKeepsItsGenerationAcrossRebuild) {
   const int kN = 64, kDim = 8;
   auto rows = MakeRows(kN, kDim, 5);
   EmbeddingStore store(SegOptions(8));
   store.Rebuild(Iota(kN), rows);
-  EXPECT_EQ(store.last_rebuild_stats().segments_built, 8);
-  EXPECT_EQ(store.last_rebuild_stats().segments_reused, 0);
   const EmbeddingStore::View old_view = store.view();
 
-  // Dirty exactly one id-range (span is 8 here: ids 16..23 = segment 2).
   rows[17][0] += 1.0f;
   store.Rebuild(Iota(kN), rows);
-  const EmbeddingStore::RebuildStats stats = store.last_rebuild_stats();
-  EXPECT_EQ(stats.segments_built, 1);
-  EXPECT_EQ(stats.segments_reused, 7);
-
-  // Clean segments are reused by POINTER, not re-encoded: a row borrowed
-  // from the old generation and the same row in the new one share storage.
   const EmbeddingStore::View new_view = store.view();
-  EXPECT_EQ(old_view.Embedding(0).data(), new_view.Embedding(0).data());
-  EXPECT_NE(old_view.Embedding(17).data(), new_view.Embedding(17).data());
+  EXPECT_EQ(old_view.generation(), 1u);
+  EXPECT_EQ(new_view.generation(), 2u);
 
   // The pinned old view still answers from its own generation.
   EXPECT_EQ(old_view.Embedding(17).ToVector()[0] + 1.0f,
             new_view.Embedding(17).ToVector()[0]);
 }
 
-TEST_F(StoreTest, RebuildWithIdenticalContentReusesEverything) {
+TEST_F(StoreTest, RebuildWithIdenticalContentAnswersIdentically) {
   const auto rows = MakeRows(48, 8, 13);
+  const auto queries = MakeRows(8, 8, 109);
   EmbeddingStore store(SegOptions(6));
   store.Rebuild(Iota(48), rows);
+  const auto golden = CaptureGolden(store.view(), queries, 5);
   store.Rebuild(Iota(48), rows);
-  EXPECT_EQ(store.last_rebuild_stats().segments_built, 0);
-  EXPECT_EQ(store.last_rebuild_stats().segments_reused, 6);
   EXPECT_EQ(store.view().generation(), 2u);
+  EXPECT_EQ(CaptureGolden(store.view(), queries, 5), golden);
 }
 
-TEST_F(StoreTest, SpanChangeInvalidatesReuse) {
+TEST_F(StoreTest, RebuildWithFewerRowsReplacesTheStore) {
   const auto rows = MakeRows(48, 8, 17);
-  EmbeddingStore a(SegOptions(6));
-  a.Rebuild(Iota(48), rows);
-  // Dropping rows changes max_id, hence span: no segment is comparable.
-  EmbeddingStore b(SegOptions(6));
-  b.Rebuild(Iota(48), rows);
-  b.Rebuild(Iota(24), {rows.begin(), rows.begin() + 24});
-  EXPECT_EQ(b.last_rebuild_stats().segments_reused, 0);
-  EXPECT_EQ(b.size(), 24);
+  // Dropping rows changes max_id, hence span and every segment.
+  EmbeddingStore store(SegOptions(6));
+  store.Rebuild(Iota(48), rows);
+  store.Rebuild(Iota(24), {rows.begin(), rows.begin() + 24});
+  EXPECT_EQ(store.size(), 24);
+  EXPECT_EQ(store.view().max_id(), 23);
+  EXPECT_FALSE(store.Contains(30));
 }
 
 // ---------------------------------------------------------------------------
 // Persistence: save -> load bit-identity at every shard count and thread
-// count, through mmap and through the read() fallback.
+// count.
 // ---------------------------------------------------------------------------
 
 TEST_F(StoreTest, SaveLoadRoundTripIsBitIdentical) {
@@ -317,21 +313,58 @@ TEST_F(StoreTest, SaveLoadRoundTripIsBitIdentical) {
   }
 }
 
-TEST_F(StoreTest, ReadFallbackMatchesMmap) {
+/// Replaces the file at `path` with an empty directory: it still opens,
+/// but cannot be mapped.
+void MakeUnmappable(const std::string& path) {
+  ASSERT_TRUE(std::filesystem::remove(path));
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+}
+
+TEST_F(StoreTest, UnmappableSegmentFailsLoadAndModelRebuildsInMemory) {
   const auto rows = MakeRows(96, 8, 31);
-  const auto queries = MakeRows(8, 8, 103);
   EmbeddingStore store(SegOptions(4));
   store.Rebuild(Iota(96), rows);
-  const std::string dir = FreshDir("store_nommap");
+  const std::string dir = FreshDir("store_unmappable");
   ASSERT_TRUE(store.Save(dir).ok());
-  const auto golden = CaptureGolden(store.view(), queries, 5);
+  MakeUnmappable(dir + "/" + SegmentFileName(2));
 
-  ASSERT_EQ(setenv("EXPLAINTI_NO_MMAP", "1", 1), 0);
+  // The store load fails closed and publishes nothing.
   EmbeddingStore loaded(SegOptions(4));
-  const util::Status status = loaded.Load(dir);
-  unsetenv("EXPLAINTI_NO_MMAP");
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(CaptureGolden(loaded.view(), queries, 5), golden);
+  EXPECT_EQ(loaded.Load(dir).code(), util::StatusCode::kIoError);
+  EXPECT_EQ(loaded.view().generation(), 0u);
+  EXPECT_EQ(loaded.size(), 0);
+
+  // A model whose store_dir holds such a segment still serves: LoadWeights
+  // rejects the persisted stores and re-encodes the corpus in memory, so
+  // every answer equals the in-memory rebuild's.
+  const data::TableCorpus corpus = explainti::testing::TinyCorpus();
+  ExplainTiConfig config = explainti::testing::TinyConfig();
+  config.store_segments = 2;
+  ExplainTiModel reference(config, corpus);
+  reference.RefreshStores();
+  const std::string model_dir = FreshDir("store_unmappable_model");
+  const std::string weights = model_dir + "_weights.bin";
+  ASSERT_TRUE(reference.SaveWeights(weights).ok());
+  ASSERT_TRUE(reference.SaveStores(model_dir).ok());
+  MakeUnmappable(model_dir + "/type/" + SegmentFileName(0));
+
+  config.store_dir = model_dir;
+  ExplainTiModel restored(config, corpus);
+  ASSERT_TRUE(restored.LoadWeights(weights).ok());
+  std::remove(weights.c_str());
+  const TaskData& task = reference.task_data(TaskKind::kType);
+  for (size_t i = 0; i < task.test_ids.size() && i < 5; ++i) {
+    const int id = task.test_ids[i];
+    EXPECT_EQ(reference.PredictProbabilities(TaskKind::kType, id),
+              restored.PredictProbabilities(TaskKind::kType, id));
+    const Explanation a = reference.Explain(TaskKind::kType, id);
+    const Explanation b = restored.Explain(TaskKind::kType, id);
+    ASSERT_EQ(a.global.size(), b.global.size());
+    for (size_t g = 0; g < a.global.size(); ++g) {
+      EXPECT_EQ(a.global[g].train_sample_id, b.global[g].train_sample_id);
+      EXPECT_EQ(a.global[g].influence, b.global[g].influence);
+    }
+  }
 }
 
 TEST_F(StoreTest, ReloadedStoreSavesAnIdenticalStore) {
