@@ -1,13 +1,6 @@
 #include "core/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-
 #include "util/binary_io.h"
-#include "util/crc32.h"
-#include "util/fault_injection.h"
-#include "util/logging.h"
 
 namespace explainti::core {
 
@@ -16,16 +9,11 @@ namespace {
 constexpr char kMagic[] = "XTICKPT1";
 constexpr uint32_t kVersion = 1;
 
-// The framing helpers (append PODs, bounds-checked reads) live in
-// util/binary_io.h, shared with the embedding-store segment/manifest
-// formats.
+// The framing (magic, CRC32 footer, atomic publish) and the field
+// helpers live in util/binary_io.h, shared with the embedding-store
+// segment/manifest formats.
 using util::AppendFloats;
-using util::BinaryReader;
-
-template <typename T>
-void Append(std::string* buffer, T value) {
-  util::AppendPod(buffer, value);
-}
+using util::AppendPod;
 
 }  // namespace
 
@@ -44,17 +32,17 @@ util::Status SaveCheckpoint(const std::string& path, const Checkpoint& ckpt) {
 
   std::string buffer;
   buffer.append(kMagic, 8);
-  Append(&buffer, kVersion);
-  Append(&buffer, ckpt.next_epoch);
-  Append(&buffer, ckpt.schedule_step);
-  Append(&buffer, ckpt.best_valid_f1);
-  Append(&buffer, ckpt.best_epoch);
-  Append(&buffer, static_cast<int64_t>(ckpt.params.size()));
+  AppendPod(&buffer, kVersion);
+  AppendPod(&buffer, ckpt.next_epoch);
+  AppendPod(&buffer, ckpt.schedule_step);
+  AppendPod(&buffer, ckpt.best_valid_f1);
+  AppendPod(&buffer, ckpt.best_epoch);
+  AppendPod(&buffer, static_cast<int64_t>(ckpt.params.size()));
   for (const std::vector<float>& p : ckpt.params) {
-    Append(&buffer, static_cast<int64_t>(p.size()));
+    AppendPod(&buffer, static_cast<int64_t>(p.size()));
     AppendFloats(&buffer, p);
   }
-  Append(&buffer, static_cast<uint8_t>(ckpt.best_params.empty() ? 0 : 1));
+  AppendPod(&buffer, static_cast<uint8_t>(ckpt.best_params.empty() ? 0 : 1));
   for (size_t i = 0; i < ckpt.best_params.size(); ++i) {
     if (ckpt.best_params[i].size() != ckpt.params[i].size()) {
       return util::Status::InvalidArgument(
@@ -62,9 +50,9 @@ util::Status SaveCheckpoint(const std::string& path, const Checkpoint& ckpt) {
     }
     AppendFloats(&buffer, ckpt.best_params[i]);
   }
-  Append(&buffer, static_cast<uint8_t>(has_opt ? 1 : 0));
+  AppendPod(&buffer, static_cast<uint8_t>(has_opt ? 1 : 0));
   if (has_opt) {
-    Append(&buffer, ckpt.opt_step_count);
+    AppendPod(&buffer, ckpt.opt_step_count);
     for (size_t i = 0; i < ckpt.params.size(); ++i) {
       if (ckpt.opt_m[i].size() != ckpt.params[i].size() ||
           ckpt.opt_v[i].size() != ckpt.params[i].size()) {
@@ -76,63 +64,14 @@ util::Status SaveCheckpoint(const std::string& path, const Checkpoint& ckpt) {
       AppendFloats(&buffer, ckpt.opt_v[i]);
     }
   }
-  Append(&buffer, util::Crc32(buffer));
-
-  // Atomic publish: write the full image to a tmp file, then rename. A
-  // crash (or the injected fault below) mid-write leaves `path` untouched,
-  // and the torn tmp file is removed before reporting the error.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return util::Status::IoError("cannot open " + tmp);
-    const size_t half = buffer.size() / 2;
-    out.write(buffer.data(), static_cast<std::streamsize>(half));
-    util::Status fault = FAULT_POINT("checkpoint.write");
-    if (fault.ok()) {
-      out.write(buffer.data() + half,
-                static_cast<std::streamsize>(buffer.size() - half));
-    }
-    out.flush();
-    if (!fault.ok() || !out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return fault.ok() ? util::Status::IoError("write failed for " + tmp)
-                        : fault;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::OK();
+  return util::WriteFramedFile(path, buffer);
 }
 
 util::StatusOr<Checkpoint> LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound("no checkpoint at " + path);
-  if (util::Status fault = FAULT_POINT("checkpoint.read"); !fault.ok()) {
-    return fault;
-  }
-  std::string image((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return util::Status::IoError("read failed for " + path);
-
-  if (image.size() < 8 + sizeof(uint32_t) * 2 ||
-      std::memcmp(image.data(), kMagic, 8) != 0) {
-    return util::Status::InvalidArgument("not a checkpoint file: " + path);
-  }
-  // Verify the CRC32 footer before trusting any length field.
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, image.data() + image.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t actual_crc =
-      util::Crc32(image.data(), image.size() - sizeof(uint32_t));
-  if (stored_crc != actual_crc) {
-    return util::Status::InvalidArgument(
-        "checkpoint CRC mismatch (corrupted or truncated): " + path);
-  }
-
-  BinaryReader reader(image.data() + 8, image.size() - 8 - sizeof(uint32_t));
+  util::StatusOr<util::FramedFile> framed =
+      util::ReadFramedFile(path, kMagic, "checkpoint");
+  if (!framed.ok()) return framed.status();
+  util::BinaryReader& reader = framed->body;
   uint32_t version = 0;
   Checkpoint ckpt;
   int64_t num_params = 0;

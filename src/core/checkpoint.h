@@ -30,10 +30,14 @@ namespace explainti::core {
 ///   opt_m[i], opt_v[i]: f32[params[i].size]    (if has_optimizer)
 ///   crc32 over every preceding byte        u32  <- integrity footer
 ///
-/// Writes are atomic (tmp file + rename), so a crash or injected
-/// `checkpoint.write` fault never leaves a partial file at `path`. Loads
-/// verify the CRC footer first and return `Status` on any corruption or
-/// truncation; callers fall back to training from scratch.
+/// Files go through util::WriteFramedFile / util::ReadFramedFile: writes
+/// are atomic (tmp file + rename), so a crash or injected `file.write`
+/// fault never leaves a partial file at `path`. Loads verify the CRC
+/// footer first and return `Status` on any corruption or truncation;
+/// callers fall back to training from scratch.
+///
+/// A weights file (ExplainTiModel::SaveWeights) is a checkpoint that
+/// holds only `params`: epoch 0, no best params, no optimizer state.
 struct Checkpoint {
   int32_t next_epoch = 0;     ///< First epoch still to run.
   int64_t schedule_step = 0;  ///< LR-schedule position.
@@ -50,12 +54,13 @@ struct Checkpoint {
 };
 
 /// Writes `ckpt` to `path` atomically with a CRC32 footer. Fault site:
-/// "checkpoint.write" (an injected IoError removes the partial tmp file).
+/// "file.write" (an injected IoError removes the partial tmp file).
 util::Status SaveCheckpoint(const std::string& path, const Checkpoint& ckpt);
 
 /// Reads a checkpoint. Returns NotFound when `path` does not exist (no
 /// checkpoint yet — not an error for resume logic), InvalidArgument for a
-/// corrupted/truncated/CRC-mismatched file, IoError for read failures.
+/// corrupted/truncated/CRC-mismatched file, IoError when `path` cannot
+/// be read (e.g. it names a directory).
 util::StatusOr<Checkpoint> LoadCheckpoint(const std::string& path);
 
 }  // namespace explainti::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <tuple>
 #include <unordered_map>
@@ -29,6 +27,35 @@ std::vector<float> MultiHot(const std::vector<int>& labels, int num_labels) {
   std::vector<float> y(static_cast<size_t>(num_labels), 0.0f);
   for (int label : labels) y[static_cast<size_t>(label)] = 1.0f;
   return y;
+}
+
+/// Copies every parameter's values, in `AllParameters()` order.
+std::vector<std::vector<float>> SnapshotParams(
+    const std::vector<tensor::Tensor>& params) {
+  std::vector<std::vector<float>> snap;
+  snap.reserve(params.size());
+  for (const tensor::Tensor& p : params) snap.push_back(p.ToVector());
+  return snap;
+}
+
+/// Writes `snap` back into `params`; the shapes must match.
+void RestoreParams(const std::vector<std::vector<float>>& snap,
+                   std::vector<tensor::Tensor>* params) {
+  for (size_t i = 0; i < params->size(); ++i) {
+    std::copy(snap[i].begin(), snap[i].end(), (*params)[i].data());
+  }
+}
+
+/// True when `snap` holds one array per parameter, each of its size.
+bool ShapesMatch(const std::vector<tensor::Tensor>& params,
+                 const std::vector<std::vector<float>>& snap) {
+  if (snap.size() != params.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (static_cast<int64_t>(snap[i].size()) != params[i].size()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Window text: tokens joined, merging "##" continuations, specials kept
@@ -603,31 +630,11 @@ FitStats ExplainTiModel::Fit() {
   if (relation_task_.has_value()) tasks.push_back(TaskKind::kRelation);
 
   std::vector<tensor::Tensor> params = AllParameters();
-  auto snapshot = [&params]() {
-    std::vector<std::vector<float>> snap;
-    snap.reserve(params.size());
-    for (const tensor::Tensor& p : params) snap.push_back(p.ToVector());
-    return snap;
-  };
-  auto restore = [&params](const std::vector<std::vector<float>>& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      std::copy(snap[i].begin(), snap[i].end(), params[i].data());
-    }
-  };
   auto params_finite = [&params]() {
     for (const tensor::Tensor& p : params) {
       const float* w = p.data();
       for (int64_t i = 0; i < p.size(); ++i) {
         if (!std::isfinite(w[i])) return false;
-      }
-    }
-    return true;
-  };
-  auto shapes_match = [&params](const std::vector<std::vector<float>>& snap) {
-    if (snap.size() != params.size()) return false;
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (static_cast<int64_t>(snap[i].size()) != params[i].size()) {
-        return false;
       }
     }
     return true;
@@ -646,9 +653,9 @@ FitStats ExplainTiModel::Fit() {
   if (!config_.checkpoint_path.empty() && config_.resume_from_checkpoint) {
     util::StatusOr<Checkpoint> loaded =
         LoadCheckpoint(config_.checkpoint_path);
-    if (loaded.ok() && shapes_match(loaded->params)) {
+    if (loaded.ok() && ShapesMatch(params, loaded->params)) {
       resume = std::move(loaded).value();
-      restore(resume.params);
+      RestoreParams(resume.params, &params);
       start_epoch = resume.next_epoch;
       stats.best_valid_f1 = resume.best_valid_f1;
       stats.best_epoch = resume.best_epoch;
@@ -725,7 +732,7 @@ FitStats ExplainTiModel::Fit() {
   // refreshed at every epoch whose weights are finite; `max_bad_steps`
   // consecutive non-finite steps restore it and reset the optimiser
   // moments (stale moments would re-apply the diverging direction).
-  std::vector<std::vector<float>> good_params = snapshot();
+  std::vector<std::vector<float>> good_params = SnapshotParams(params);
   int consecutive_bad = 0;
   const int max_bad = std::max(config_.max_bad_steps, 1);
 
@@ -778,7 +785,7 @@ FitStats ExplainTiModel::Fit() {
               LOG(WARNING)
                   << consecutive_bad << " consecutive bad steps; rolling "
                   << "back to last-known-good parameters";
-              restore(good_params);
+              RestoreParams(good_params, &params);
               optimizer.ResetState();
               consecutive_bad = 0;
               ++stats.rollbacks;
@@ -798,11 +805,11 @@ FitStats ExplainTiModel::Fit() {
     // finite weights — a divergence that slipped past the per-step gate
     // must not become the rollback target.
     if (params_finite()) {
-      good_params = snapshot();
+      good_params = SnapshotParams(params);
     } else {
       LOG(WARNING) << "non-finite weights at end of epoch " << epoch
                    << "; rolling back";
-      restore(good_params);
+      RestoreParams(good_params, &params);
       optimizer.ResetState();
       ++stats.rollbacks;
     }
@@ -825,7 +832,7 @@ FitStats ExplainTiModel::Fit() {
     if (std::isfinite(valid_f1) && valid_f1 > stats.best_valid_f1) {
       stats.best_valid_f1 = valid_f1;
       stats.best_epoch = epoch;
-      best_params = snapshot();
+      best_params = SnapshotParams(params);
     }
 
     // Periodic checkpoint; a failed save degrades to "no checkpoint this
@@ -837,7 +844,7 @@ FitStats ExplainTiModel::Fit() {
       ckpt.schedule_step = step;
       ckpt.best_valid_f1 = stats.best_valid_f1;
       ckpt.best_epoch = stats.best_epoch;
-      ckpt.params = snapshot();
+      ckpt.params = SnapshotParams(params);
       ckpt.best_params = best_params;
       ckpt.opt_step_count = optimizer.step_count();
       ckpt.opt_m = optimizer.first_moments();
@@ -852,7 +859,7 @@ FitStats ExplainTiModel::Fit() {
   }
 
   if (!best_params.empty()) {
-    restore(best_params);
+    RestoreParams(best_params, &params);
     if (needs_store) {
       for (TaskKind kind : tasks) RebuildStore(kind);
     }
@@ -938,60 +945,21 @@ Explanation ExplainTiModel::MakeExplanation(
   return z;
 }
 
-namespace {
-constexpr char kWeightsMagic[] = "XTIW0001";
-}  // namespace
-
 util::Status ExplainTiModel::SaveWeights(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return util::Status::IoError("cannot open " + path);
-  out.write(kWeightsMagic, 8);
-  const std::vector<tensor::Tensor> params = AllParameters();
-  const int64_t count = static_cast<int64_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const tensor::Tensor& p : params) {
-    const int64_t size = p.size();
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(reinterpret_cast<const char*>(p.data()),
-              static_cast<std::streamsize>(size * sizeof(float)));
-  }
-  if (!out) return util::Status::IoError("write failed for " + path);
-  return util::Status::OK();
+  Checkpoint weights;
+  weights.params = SnapshotParams(AllParameters());
+  return SaveCheckpoint(path, weights);
 }
 
 util::Status ExplainTiModel::LoadWeights(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::IoError("cannot open " + path);
-  char magic[8];
-  in.read(magic, 8);
-  if (!in || std::memcmp(magic, kWeightsMagic, 8) != 0) {
-    return util::Status::InvalidArgument("not an ExplainTI weights file");
-  }
+  util::StatusOr<Checkpoint> weights = LoadCheckpoint(path);
+  if (!weights.ok()) return weights.status();
   std::vector<tensor::Tensor> params = AllParameters();
-  int64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count != static_cast<int64_t>(params.size())) {
+  if (!ShapesMatch(params, weights->params)) {
     return util::Status::InvalidArgument(
-        "parameter count mismatch: file has " + std::to_string(count) +
-        ", model has " + std::to_string(params.size()));
+        "weights file " + path + " does not match the model's parameters");
   }
-  // Stage into buffers first so a truncated file leaves weights intact.
-  std::vector<std::vector<float>> staged(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    int64_t size = 0;
-    in.read(reinterpret_cast<char*>(&size), sizeof(size));
-    if (!in || size != params[i].size()) {
-      return util::Status::InvalidArgument(
-          "parameter " + std::to_string(i) + " size mismatch");
-    }
-    staged[i].resize(static_cast<size_t>(size));
-    in.read(reinterpret_cast<char*>(staged[i].data()),
-            static_cast<std::streamsize>(size * sizeof(float)));
-    if (!in) return util::Status::IoError("truncated weights file");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    std::copy(staged[i].begin(), staged[i].end(), params[i].data());
-  }
+  RestoreParams(weights->params, &params);
   RestoreStores();
   return util::Status::OK();
 }

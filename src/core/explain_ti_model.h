@@ -127,14 +127,15 @@ class ExplainTiModel {
   /// Per-label sigma outputs for one sample (probabilities).
   std::vector<float> PredictProbabilities(TaskKind kind, int sample_id) const;
 
-  /// Writes all trainable parameters to `path` (binary). The file is only
-  /// loadable into a model built with the same config and corpus (the
-  /// architecture is reconstructed from those; the file carries weights
-  /// only).
+  /// Writes all trainable parameters to `path` as a checkpoint that holds
+  /// only `params` (core/checkpoint.h: CRC32 footer, atomic publish). The
+  /// file is only loadable into a model built with the same config and
+  /// corpus (the architecture is reconstructed from those).
   util::Status SaveWeights(const std::string& path) const;
 
-  /// Restores parameters written by SaveWeights and rebuilds the
-  /// embedding stores. Fails on shape mismatch without modifying weights.
+  /// Restores the parameters of a checkpoint (SaveWeights or Fit's) and
+  /// rebuilds the embedding stores. Fails — InvalidArgument on a corrupt
+  /// file or a shape mismatch — without modifying weights.
   util::Status LoadWeights(const std::string& path);
 
  private:

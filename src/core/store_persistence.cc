@@ -5,13 +5,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "util/binary_io.h"
-#include "util/crc32.h"
-#include "util/fault_injection.h"
 #include "util/logging.h"
-#include "util/mmap_file.h"
 
 namespace explainti::core {
 
@@ -22,55 +18,6 @@ constexpr char kManifestMagic[] = "XTIMAN01";
 constexpr uint32_t kVersion = 1;
 constexpr size_t kSegmentHeaderBytes = 64;
 constexpr uint32_t kFlagHnswReady = 1u;
-
-/// Appends `buffer` to `path` atomically: full image to a tmp file, then
-/// rename. The "store.save" fault fires mid-write, leaving a torn tmp
-/// that is removed before reporting — `path` itself is never torn.
-util::Status AtomicWrite(const std::string& path, const std::string& buffer) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return util::Status::IoError("cannot open " + tmp);
-    const size_t half = buffer.size() / 2;
-    out.write(buffer.data(), static_cast<std::streamsize>(half));
-    util::Status fault = FAULT_POINT("store.save");
-    if (fault.ok()) {
-      out.write(buffer.data() + half,
-                static_cast<std::streamsize>(buffer.size() - half));
-    }
-    out.flush();
-    if (!fault.ok() || !out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return fault.ok() ? util::Status::IoError("write failed for " + tmp)
-                        : fault;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::OK();
-}
-
-/// Verifies magic + CRC32 footer of a loaded image and returns the byte
-/// range between them (the body a BinaryReader should walk).
-util::Status CheckFraming(const char* data, size_t size, const char* magic,
-                          const std::string& path, const char* what) {
-  if (size < 8 + sizeof(uint32_t) || std::memcmp(data, magic, 8) != 0) {
-    return util::Status::InvalidArgument(std::string("not a ") + what +
-                                         " file: " + path);
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data + size - sizeof(uint32_t), sizeof(uint32_t));
-  const uint32_t actual_crc = util::Crc32(data, size - sizeof(uint32_t));
-  if (stored_crc != actual_crc) {
-    return util::Status::InvalidArgument(
-        std::string(what) + " CRC mismatch (corrupted or truncated): " +
-        path);
-  }
-  return util::Status::OK();
-}
 
 }  // namespace
 
@@ -123,41 +70,31 @@ util::Status SaveSegmentFile(const std::string& path,
     CHECK(segment.hnsw != nullptr);
     segment.hnsw->SerializeGraph(&buffer);
   }
-  util::AppendPod(&buffer, util::Crc32(buffer));
-  return AtomicWrite(path, buffer);
+  return util::WriteFramedFile(path, buffer);
 }
 
 util::StatusOr<std::shared_ptr<const EmbeddingStore::Segment>>
 LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
                 const StoreManifest::Entry& entry) {
-  auto file_or = util::MappedFile::Open(path);
-  if (!file_or.ok()) return file_or.status();
-  std::shared_ptr<util::MappedFile> file = std::move(file_or.value());
-  const char* data = file->data();
-  const size_t size = file->size();
-  if (util::Status framing =
-          CheckFraming(data, size, kSegmentMagic, path, "segment");
-      !framing.ok()) {
-    return framing;
-  }
+  util::StatusOr<util::FramedFile> framed =
+      util::ReadFramedFile(path, kSegmentMagic, "segment");
+  if (!framed.ok()) return framed.status();
+  util::BinaryReader& reader = framed->body;
   const auto malformed = [&path](const std::string& what) {
     return util::Status::InvalidArgument("malformed segment file " + path +
                                          ": " + what);
   };
-  if (size < kSegmentHeaderBytes + sizeof(uint32_t)) {
-    return malformed("short header");
-  }
 
-  util::BinaryReader header(data + 8, kSegmentHeaderBytes - 8);
   uint32_t version = 0;
   uint32_t flags = 0;
   int64_t index = 0;
   int64_t count = 0;
   int64_t dim = 0;
   uint64_t content_hash = 0;
-  if (!header.Read(&version) || !header.Read(&flags) ||
-      !header.Read(&index) || !header.Read(&count) || !header.Read(&dim) ||
-      !header.Read(&content_hash)) {
+  if (!reader.Read(&version) || !reader.Read(&flags) ||
+      !reader.Read(&index) || !reader.Read(&count) || !reader.Read(&dim) ||
+      !reader.Read(&content_hash) ||
+      !reader.Skip(kSegmentHeaderBytes - 8 - reader.pos())) {
     return malformed("truncated header");
   }
   if (version != kVersion) return malformed("unsupported version");
@@ -168,14 +105,19 @@ LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
   if (dim != manifest.dim) return malformed("dimension mismatch");
   if (count <= 0 || dim <= 0) return malformed("empty segment");
 
-  // Payload bounds. All offsets are computed in size_t after the header,
-  // which is 64 bytes — so ids start 8-byte aligned and may be read
-  // through typed pointers straight into the mapping.
+  // Payload bounds, checked by division so a forged count or dim cannot
+  // wrap the byte arithmetic. The header is 64 bytes and the mapping base
+  // is page-aligned, so ids start 8-byte aligned and may be read through
+  // typed pointers straight into the mapping.
+  const size_t width = static_cast<size_t>(dim);
   const size_t id_bytes = static_cast<size_t>(count) * sizeof(int64_t);
-  const size_t row_bytes =
-      static_cast<size_t>(count) * static_cast<size_t>(dim) * sizeof(float);
-  const size_t graph_offset = kSegmentHeaderBytes + id_bytes + 2 * row_bytes;
-  if (graph_offset + sizeof(uint32_t) > size) {
+  const size_t row_bytes = static_cast<size_t>(count) * width * sizeof(float);
+  const char* payload = reader.cursor();
+  const size_t left = reader.remaining();
+  if (width > left ||
+      static_cast<size_t>(count) >
+          left / (sizeof(int64_t) + 2 * sizeof(float) * width) ||
+      !reader.Skip(id_bytes + 2 * row_bytes)) {
     return malformed("payload overruns the file");
   }
 
@@ -184,13 +126,11 @@ LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
   segment->count = count;
   segment->dim = dim;
   segment->content_hash = content_hash;
-  segment->mapping = file;
-  segment->ids =
-      reinterpret_cast<const int64_t*>(data + kSegmentHeaderBytes);
-  segment->raw = reinterpret_cast<const float*>(data + kSegmentHeaderBytes +
-                                                id_bytes);
-  segment->norm = reinterpret_cast<const float*>(
-      data + kSegmentHeaderBytes + id_bytes + row_bytes);
+  segment->mapping = framed->mapping;
+  segment->ids = reinterpret_cast<const int64_t*>(payload);
+  segment->raw = reinterpret_cast<const float*>(payload + id_bytes);
+  segment->norm =
+      reinterpret_cast<const float*>(payload + id_bytes + row_bytes);
 
   // Ids must be strictly ascending and confined to this segment's
   // id-range: together with the manifest that guarantees global
@@ -211,13 +151,11 @@ LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
     options.seed = ann::SeedForSegment(manifest.hnsw.seed, index);
     auto hnsw = std::make_unique<ann::HnswIndex>(options);
     hnsw->AttachStorage(segment->ids, segment->norm, count, dim);
-    util::BinaryReader graph(data + graph_offset,
-                             size - graph_offset - sizeof(uint32_t));
-    if (util::Status s = hnsw->LoadGraph(&graph); !s.ok()) return s;
-    if (!graph.AtEnd()) return malformed("trailing bytes after the graph");
+    if (util::Status s = hnsw->LoadGraph(&reader); !s.ok()) return s;
+    if (!reader.AtEnd()) return malformed("trailing bytes after the graph");
     segment->hnsw = std::move(hnsw);
     segment->hnsw_ready = true;
-  } else if (graph_offset + sizeof(uint32_t) != size) {
+  } else if (!reader.AtEnd()) {
     return malformed("trailing bytes in a flat-only segment");
   }
   return std::shared_ptr<const EmbeddingStore::Segment>(std::move(segment));
@@ -244,25 +182,18 @@ util::Status SaveManifest(const std::string& path,
     util::AppendPod(&buffer, entry.count);
     util::AppendPod(&buffer, entry.content_hash);
   }
-  util::AppendPod(&buffer, util::Crc32(buffer));
-  return AtomicWrite(path, buffer);
+  return util::WriteFramedFile(path, buffer);
 }
 
 util::StatusOr<StoreManifest> LoadManifest(const std::string& path) {
-  auto file_or = util::MappedFile::Open(path);
-  if (!file_or.ok()) return file_or.status();
-  const std::shared_ptr<util::MappedFile>& file = file_or.value();
-  if (util::Status framing = CheckFraming(file->data(), file->size(),
-                                          kManifestMagic, path, "manifest");
-      !framing.ok()) {
-    return framing;
-  }
+  util::StatusOr<util::FramedFile> framed =
+      util::ReadFramedFile(path, kManifestMagic, "manifest");
+  if (!framed.ok()) return framed.status();
+  util::BinaryReader& reader = framed->body;
   const auto malformed = [&path](const std::string& what) {
     return util::Status::InvalidArgument("malformed manifest " + path +
                                          ": " + what);
   };
-  util::BinaryReader reader(file->data() + 8,
-                            file->size() - 8 - sizeof(uint32_t));
   uint32_t version = 0;
   uint32_t reserved32 = 0;
   StoreManifest manifest;

@@ -13,10 +13,10 @@ namespace explainti::core {
 
 // On-disk format of a persisted embedding store (see DESIGN.md "Sharded
 // embedding store"). A store directory holds one file per non-empty
-// segment plus `manifest.xtm`, every file carrying the same CRC32 footer
-// discipline as core/checkpoint and written atomically via tmp+rename;
-// the manifest is written last so a crash mid-save can never publish a
-// manifest that names missing segment files.
+// segment plus `manifest.xtm`, every file written and read through the
+// CRC32-framed, tmp+rename path of util/binary_io that checkpoints and
+// weights share; the manifest is written last so a crash mid-save can
+// never publish a manifest that names missing segment files.
 //
 // Segment file ("XTISEG01"): a 64-byte header (version, flags, range
 // index, count, dim, content hash) followed by ids[count] (int64), the
@@ -52,7 +52,7 @@ util::Status EnsureDirectory(const std::string& path);
 /// Canonical file name of segment `index` within a store directory.
 std::string SegmentFileName(int64_t index);
 
-/// Writes one segment file (atomic tmp+rename; fault site "store.save").
+/// Writes one segment file (atomic tmp+rename; fault site "file.write").
 util::Status SaveSegmentFile(const std::string& path,
                              const EmbeddingStore::Segment& segment);
 
@@ -66,7 +66,7 @@ util::StatusOr<std::shared_ptr<const EmbeddingStore::Segment>>
 LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
                 const StoreManifest::Entry& entry);
 
-/// Writes the manifest (atomic tmp+rename; fault site "store.save").
+/// Writes the manifest (atomic tmp+rename; fault site "file.write").
 util::Status SaveManifest(const std::string& path,
                           const StoreManifest& manifest);
 

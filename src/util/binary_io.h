@@ -4,16 +4,28 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "util/mmap_file.h"
+#include "util/status.h"
+
 namespace explainti::util {
 
-// Shared primitives for the CRC32-footed binary file formats (checkpoint
-// files, embedding-store segments and manifests). Writers serialise into a
-// std::string with the Append helpers; loaders walk the byte image with
-// BinaryReader. All multi-byte fields are host-endian — the formats are
-// snapshot/cache artifacts, not interchange formats.
+// The one file path of the library's binary formats (checkpoints and
+// weights, embedding-store segments and manifests). Every file is framed
+// the same way:
+//
+//   magic                              8 bytes
+//   body                               format-specific
+//   crc32 over every preceding byte    u32  <- integrity footer
+//
+// Writers serialise magic + body into a std::string with the Append
+// helpers and publish it with WriteFramedFile; loaders open it with
+// ReadFramedFile and walk the verified body with BinaryReader. All
+// multi-byte fields are host-endian — the formats are snapshot/cache
+// artifacts, not interchange formats.
 
 /// Appends the raw bytes of a trivially copyable value.
 template <typename T>
@@ -81,6 +93,26 @@ class BinaryReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+/// Appends the CRC32 footer to `image` (magic + body) and publishes it at
+/// `path` atomically: the bytes go to `path + ".tmp"`, which is renamed
+/// over `path` only once complete. A failed write — or the "file.write"
+/// fault, which fires halfway through — removes the tmp file, so `path`
+/// is never torn.
+Status WriteFramedFile(const std::string& path, const std::string& image);
+
+/// A framed file whose magic and CRC footer have been verified.
+struct FramedFile {
+  std::shared_ptr<MappedFile> mapping;  ///< Keeps `body`'s bytes alive.
+  BinaryReader body;  ///< Cursor over the bytes between magic and footer.
+};
+
+/// Maps `path` and verifies its 8-byte `magic` and CRC32 footer. The
+/// MappedFile::Open status when the file cannot be mapped (NotFound when
+/// absent); InvalidArgument naming `what` when the magic is wrong or the
+/// CRC does not match (corruption, truncation, trailing bytes).
+StatusOr<FramedFile> ReadFramedFile(const std::string& path,
+                                    const char* magic, const char* what);
 
 }  // namespace explainti::util
 

@@ -8,8 +8,8 @@
 namespace explainti::util {
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) over `data[0..n)`. Used as the
-/// integrity footer of checkpoint files; matches zlib's crc32() so files
-/// can be verified externally.
+/// integrity footer of every framed file (util/binary_io.h); matches
+/// zlib's crc32() so files can be verified externally.
 uint32_t Crc32(const void* data, size_t n);
 
 /// Incremental form: feed the previous return value back as `seed` to

@@ -4,14 +4,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/embedding_store.h"
 #include "core/explain_ti_model.h"
+#include "core/store_persistence.h"
 #include "data/csv_loader.h"
 #include "data/wiki_generator.h"
+#include "util/binary_io.h"
 #include "util/csv.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -194,6 +198,88 @@ TEST(WeightsIoTest, LoadRejectsWrongArchitecture) {
   std::remove(path.c_str());
 }
 
+bool FileExists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+TEST(WeightsIoTest, CorruptWeightsAreRejectedAndLeaveWeightsIntact) {
+  data::WikiTableOptions options;
+  options.num_tables = 30;
+  const data::TableCorpus corpus = data::GenerateWikiTableCorpus(options);
+  core::ExplainTiConfig config;
+  config.epochs = 1;
+  config.pretrain_epochs = 1;
+  // Trained source, untrained target: a load that goes through changes
+  // the target's predictions.
+  core::ExplainTiModel source(config, corpus);
+  source.Fit();
+  core::ExplainTiModel target(config, corpus);
+
+  const std::string path = ::testing::TempDir() + "/weights_integrity.bin";
+  ASSERT_TRUE(source.SaveWeights(path).ok());
+  std::string intact;
+  {
+    std::ifstream in(path, std::ios::binary);
+    intact.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(intact.size(), 64u);
+
+  const auto& task = target.task_data(core::TaskKind::kType);
+  const auto probabilities = [&task](const core::ExplainTiModel& model) {
+    std::vector<std::vector<float>> out;
+    for (size_t i = 0; i < task.test_ids.size() && i < 5; ++i) {
+      out.push_back(
+          model.PredictProbabilities(core::TaskKind::kType, task.test_ids[i]));
+    }
+    return out;
+  };
+  const std::vector<std::vector<float>> before = probabilities(target);
+
+  const auto write = [&path](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  std::string flipped = intact;
+  flipped[flipped.size() / 2] =
+      static_cast<char>(flipped[flipped.size() / 2] ^ 0x40);
+  const std::string appended = intact + "trailing bytes";
+  const std::string halved = intact.substr(0, intact.size() / 2);
+  for (const std::string& bytes : {flipped, appended, halved}) {
+    write(bytes);
+    const util::Status status = target.LoadWeights(path);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << bytes.size() << " bytes: " << status.ToString();
+    EXPECT_EQ(probabilities(target), before) << bytes.size() << " bytes";
+  }
+
+  // The intact file still loads, and carries the source's predictions.
+  write(intact);
+  ASSERT_TRUE(target.LoadWeights(path).ok());
+  EXPECT_EQ(probabilities(target), probabilities(source));
+  std::remove(path.c_str());
+}
+
+TEST(WeightsIoTest, SaveWriteFaultLeavesNoFile) {
+  data::WikiTableOptions options;
+  options.num_tables = 30;
+  const data::TableCorpus corpus = data::GenerateWikiTableCorpus(options);
+  core::ExplainTiConfig config;
+  config.epochs = 1;
+  core::ExplainTiModel model(config, corpus);
+
+  const std::string path = ::testing::TempDir() + "/weights_fault.bin";
+  std::remove(path.c_str());
+  util::fault::FaultSpec spec;
+  spec.code = util::StatusCode::kIoError;
+  util::fault::FaultRegistry::Instance().Arm("file.write", spec);
+  const util::Status status = model.SaveWeights(path);
+  util::fault::FaultRegistry::Instance().DisarmAll();
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status.ToString();
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
 TEST(WeightsIoTest, LoadRejectsGarbageFile) {
   const std::string path = "/tmp/explainti_weights_garbage.bin";
   FILE* f = fopen(path.c_str(), "wb");
@@ -302,10 +388,44 @@ TEST(StorePersistenceTest, TruncatedSegmentFileIsTypedNotFatal) {
   EXPECT_EQ(loaded.Load(dir).code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(StorePersistenceTest, ForgedSegmentCountIsRejectedBeforeAnyRead) {
+  // A CRC-valid, flat-only segment whose header and manifest entry claim
+  // 2^61 rows of dim 8 but hold 16: every payload byte size wraps to 0 in
+  // 64 bits, so only a bound checked by division rejects the file before
+  // the id scan walks off the end of the mapping.
+  constexpr int64_t kForgedCount = int64_t{1} << 61;
+  core::StoreManifest manifest;
+  manifest.dim = 8;
+  manifest.span = kForgedCount;
+  manifest.count = kForgedCount;
+  const core::StoreManifest::Entry entry{0, kForgedCount, 7};
+  manifest.entries = {entry};
+
+  std::string image = "XTISEG01";
+  util::AppendPod(&image, uint32_t{1});  // Version.
+  util::AppendPod(&image, uint32_t{0});  // Flags: flat-only.
+  util::AppendPod(&image, entry.index);
+  util::AppendPod(&image, entry.count);
+  util::AppendPod(&image, manifest.dim);
+  util::AppendPod(&image, entry.content_hash);
+  image.resize(64, '\0');
+  for (int64_t id = 0; id < 16; ++id) util::AppendPod(&image, id);
+  const std::string path = ::testing::TempDir() + "/forged_segment.xts";
+  ASSERT_TRUE(util::WriteFramedFile(path, image).ok());
+
+  const auto loaded = core::LoadSegmentFile(path, manifest, entry);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("payload overruns the file"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(StorePersistenceTest, SaveFaultLeavesNoLoadableDir) {
   util::fault::FaultSpec spec;
   spec.max_fires = 1;
-  util::fault::FaultRegistry::Instance().Arm("store.save", spec);
+  util::fault::FaultRegistry::Instance().Arm("file.write", spec);
   core::EmbeddingStore store(SegOptions(2));
   FillSavableStore(&store);
   const std::string dir = FreshStoreDir("store_save_fault");

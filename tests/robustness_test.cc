@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -150,6 +151,15 @@ TEST_F(RobustnessTest, CheckpointMissingIsNotFound) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kNotFound);
 }
 
+TEST_F(RobustnessTest, CheckpointPathNamingDirectoryIsIoError) {
+  const std::string dir = ::testing::TempDir() + "/ckpt_is_a_directory";
+  std::filesystem::create_directories(dir);
+  util::StatusOr<Checkpoint> loaded = LoadCheckpoint(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError)
+      << loaded.status().ToString();
+}
+
 TEST_F(RobustnessTest, CheckpointCorruptedByteRejected) {
   const std::string path = "/tmp/explainti_ckpt_corrupt.bin";
   ASSERT_TRUE(SaveCheckpoint(path, MakeCheckpoint()).ok());
@@ -183,7 +193,7 @@ TEST_F(RobustnessTest, CheckpointWriteFaultLeavesNoPartialFile) {
   std::remove(path.c_str());
   FaultSpec spec;
   spec.code = util::StatusCode::kIoError;
-  FaultRegistry::Instance().Arm("checkpoint.write", spec);
+  FaultRegistry::Instance().Arm("file.write", spec);
   const util::Status status = SaveCheckpoint(path, MakeCheckpoint());
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kIoError);
@@ -416,8 +426,7 @@ TEST_F(TrainingRobustnessTest, CorruptedCheckpointFallsBackToScratch) {
   ExplainTiModel first(config, *corpus_);
   first.Fit();
   ASSERT_TRUE(FileExists(path));
-  const std::string intact = ReadFile(path);
-  std::string bytes = intact;
+  std::string bytes = ReadFile(path);
   bytes[bytes.size() / 3] = static_cast<char>(bytes[bytes.size() / 3] ^ 0xFF);
   WriteFile(path, bytes);
 
@@ -426,18 +435,17 @@ TEST_F(TrainingRobustnessTest, CorruptedCheckpointFallsBackToScratch) {
   EXPECT_FALSE(stats.resumed);  // Corruption detected; trained from scratch.
   EXPECT_TRUE(std::isfinite(stats.best_valid_f1));
 
-  // An intact checkpoint whose read fails is the same: trained from
-  // scratch, never resumed from a half-read file.
-  WriteFile(path, intact);
-  FaultSpec spec;
-  spec.code = util::StatusCode::kIoError;
-  FaultRegistry::Instance().Arm("checkpoint.read", spec);
-  ExplainTiModel third(config, *corpus_);
+  // A checkpoint path that cannot be read (it names a directory) is the
+  // same: trained from scratch, never resumed.
+  std::remove(path.c_str());
+  const std::string dir = ::testing::TempDir() + "/resume_ckpt_directory";
+  std::filesystem::create_directories(dir);
+  ExplainTiConfig io_config = config;
+  io_config.checkpoint_path = dir;
+  ExplainTiModel third(io_config, *corpus_);
   const FitStats io_stats = third.Fit();
-  FaultRegistry::Instance().DisarmAll();
   EXPECT_FALSE(io_stats.resumed);
   EXPECT_TRUE(std::isfinite(io_stats.best_valid_f1));
-  std::remove(path.c_str());
 }
 
 TEST_F(TrainingRobustnessTest, ExplainDegradesGracefullyOnFlatOnlySegment) {
