@@ -14,6 +14,11 @@
 //   * cascade p50/p99 answer latency and escalation rate at three
 //     confidence thresholds (escalation must be monotone in the
 //     threshold);
+//   * distillation cost per (corpus, task): the whole
+//     SurrogateModel::Distill, and from outside the two teacher passes
+//     it runs (PredictBatch over the training split, ExplainBatch over
+//     the capped distillation slice); the remainder is feature building
+//     plus training (reported, not gated);
 //   * raw per-table scoring cost: surrogate ScoreInto vs teacher
 //     PredictProbabilities p50 (the >= 2x surrogate advantage is armed
 //     on >= 4-thread hosts only);
@@ -154,6 +159,46 @@ AccuracyRow MeasureAccuracy(const char* corpus,
   return row;
 }
 
+// Where one distillation's time goes: the whole Distill call, the two
+// teacher passes it makes (timed from outside, on the same inputs), and
+// the remainder — building the feature rows and training.
+struct DistillRow {
+  const char* corpus;
+  const char* task;
+  int train_samples = 0;
+  int explained = 0;
+  double total_ms = 0.0;
+  double teacher_predict_ms = 0.0;
+  double teacher_explain_ms = 0.0;
+  double features_and_train_ms = 0.0;
+};
+
+DistillRow MeasureDistill(const char* corpus,
+                          const core::InferenceSession& session,
+                          core::TaskKind kind, const qa::QaOptions& options) {
+  const core::TaskData& task = session.task_data(kind);
+  DistillRow row;
+  row.corpus = corpus;
+  row.task = TaskName(kind);
+  row.train_samples = static_cast<int>(task.train_ids.size());
+  row.explained = std::min(options.distill_max_samples, row.train_samples);
+  util::WallTimer total;
+  const auto built = qa::SurrogateModel::Distill(session, kind, options);
+  row.total_ms = total.ElapsedSeconds() * 1e3;
+  CHECK(built.ok()) << built.status().ToString();
+  util::WallTimer predict;
+  session.PredictBatch(kind, task.train_ids);
+  row.teacher_predict_ms = predict.ElapsedSeconds() * 1e3;
+  const std::vector<int> explained(task.train_ids.begin(),
+                                   task.train_ids.begin() + row.explained);
+  util::WallTimer explain;
+  session.ExplainBatch(kind, explained);
+  row.teacher_explain_ms = explain.ElapsedSeconds() * 1e3;
+  row.features_and_train_ms =
+      row.total_ms - row.teacher_predict_ms - row.teacher_explain_ms;
+  return row;
+}
+
 struct CascadePoint {
   double threshold = 0.0;
   double p50_us = 0.0;
@@ -212,6 +257,7 @@ int main() {
   cascade_options.enable_surrogate = true;
 
   std::vector<AccuracyRow> rows;
+  std::vector<DistillRow> distill_rows;
   double min_oracle = 1.0, min_surrogate = 1.0;
   struct CorpusEngines {
     const char* name;
@@ -245,6 +291,14 @@ int main() {
                 << row.oracle_agreement << ", teacher F1 " << row.teacher_f1
                 << ", surrogate F1 " << row.surrogate_f1 << ", agreement "
                 << row.surrogate_agreement << "\n";
+      distill_rows.push_back(
+          MeasureDistill(name, *engines.session, kind, cascade_options));
+      const DistillRow& cost = distill_rows.back();
+      std::cerr << "[qa] " << cost.corpus << "/" << cost.task
+                << ": distill " << cost.total_ms << "ms (teacher predict "
+                << cost.teacher_predict_ms << "ms, explain "
+                << cost.teacher_explain_ms << "ms, features+train "
+                << cost.features_and_train_ms << "ms)\n";
     }
     corpora.push_back(std::move(engines));
   }
@@ -366,6 +420,19 @@ int main() {
          << ", \"p99_us\": " << point.p99_us
          << ", \"escalation_rate\": " << point.escalation_rate << "}"
          << (i + 1 < cascade_points.size() ? ",\n" : "\n");
+  }
+  json << "    ],\n"
+       << "    \"distill\": [\n";
+  for (size_t i = 0; i < distill_rows.size(); ++i) {
+    const DistillRow& row = distill_rows[i];
+    json << "      {\"corpus\": \"" << row.corpus << "\", \"task\": \""
+         << row.task << "\", \"train_samples\": " << row.train_samples
+         << ", \"explained\": " << row.explained
+         << ", \"total_ms\": " << row.total_ms
+         << ", \"teacher_predict_ms\": " << row.teacher_predict_ms
+         << ", \"teacher_explain_ms\": " << row.teacher_explain_ms
+         << ", \"features_and_train_ms\": " << row.features_and_train_ms
+         << "}" << (i + 1 < distill_rows.size() ? ",\n" : "\n");
   }
   json << "    ],\n"
        << "    \"tiers\": {\"surrogate_score_p50_us\": " << surrogate_p50

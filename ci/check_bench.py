@@ -26,6 +26,10 @@ A file with a "qa" object (BENCH_qa.json, from bench_qa) is gated on:
     PredictProbabilities p50 — armed on hosts with >= 4 hardware threads
     (1-thread containers time both paths too noisily).
 
+Its "distill" array (per-(corpus, task) distillation time: the whole
+Distill, the teacher PredictBatch and ExplainBatch it runs, and the
+features + training remainder) is printed, not gated.
+
 A file with a "peak_speedup_vs_sequential" member (BENCH_serving.json,
 from bench_online_simulation) is gated on batched serving beating the
 sequential baseline by >= 1.5x at peak offered load, armed from the
@@ -106,6 +110,13 @@ def check_qa(bench):
           f"{tiers.get('surrogate_score_p50_us', 0.0):.1f}us vs teacher p50 "
           f"{tiers.get('teacher_predict_p50_us', 0.0):.1f}us "
           f"({tiers.get('surrogate_speedup', 0.0):.1f}x)")
+    for row in q.get("distill", []):
+        print(f"distill {row['corpus']}/{row['task']}: "
+              f"{row['total_ms']:.1f}ms over {row['train_samples']} samples "
+              f"({row['explained']} explained): teacher predict "
+              f"{row['teacher_predict_ms']:.1f}ms, explain "
+              f"{row['teacher_explain_ms']:.1f}ms, features+train "
+              f"{row['features_and_train_ms']:.1f}ms")
     coverage = q.get("coverage", {})
     print(f"coverage: constituent {coverage.get('constituent', 0.0):.3f}, "
           f"composed {coverage.get('composed', 0.0):.3f} over "

@@ -199,18 +199,23 @@ util::Status EmbeddingStore::Load(const std::string& dir) {
   snapshot->span = manifest.span;
   snapshot->count = manifest.count;
   snapshot->hnsw = manifest.hnsw;
-  const int64_t num_ranges = manifest.entries.back().index + 1;
-  snapshot->segments.resize(static_cast<size_t>(num_ranges));
+  // Every segment file loads and checks out before the range table is
+  // sized: a manifest index alone never decides an allocation.
+  std::vector<std::shared_ptr<const Segment>> loaded;
+  loaded.reserve(manifest.entries.size());
   for (const StoreManifest::Entry& entry : manifest.entries) {
     auto segment_or = LoadSegmentFile(
         dir + "/" + SegmentFileName(entry.index), manifest, entry);
     if (!segment_or.ok()) return segment_or.status();
-    snapshot->segments[static_cast<size_t>(entry.index)] =
-        std::move(segment_or.value());
-    const Segment& segment =
-        *snapshot->segments[static_cast<size_t>(entry.index)];
+    loaded.push_back(std::move(segment_or.value()));
+  }
+  snapshot->segments.resize(
+      static_cast<size_t>(manifest.entries.back().index + 1));
+  for (std::shared_ptr<const Segment>& segment : loaded) {
     snapshot->max_id =
-        std::max(snapshot->max_id, segment.ids[segment.count - 1]);
+        std::max(snapshot->max_id, segment->ids[segment->count - 1]);
+    snapshot->segments[static_cast<size_t>(segment->index)] =
+        std::move(segment);
   }
   IndexShards(snapshot.get());
   Publish(std::move(snapshot));

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "util/binary_io.h"
 #include "util/logging.h"
@@ -218,6 +219,15 @@ util::StatusOr<StoreManifest> LoadManifest(const std::string& path) {
   manifest.hnsw.M = m;
   manifest.hnsw.ef_construction = ef_construction;
   manifest.hnsw.ef_search = ef_search;
+  // Every bound below is checked by division or against what is already
+  // bounded, so a forged but CRC-valid manifest cannot size a table or
+  // wrap an int64. A range's ids [index * span, (index + 1) * span) must
+  // fit in int64; with ascending indexes and count <= span that also
+  // bounds the running count total by (index + 1) * span.
+  constexpr size_t kEntryBytes = 2 * sizeof(int64_t) + sizeof(uint64_t);
+  if (static_cast<uint64_t>(num_entries) > reader.remaining() / kEntryBytes) {
+    return malformed("entry table overruns the file");
+  }
   manifest.entries.resize(static_cast<size_t>(num_entries));
   int64_t total = 0;
   int64_t previous_index = -1;
@@ -227,7 +237,8 @@ util::StatusOr<StoreManifest> LoadManifest(const std::string& path) {
       return malformed("truncated entry table");
     }
     if (entry.index <= previous_index || entry.count <= 0 ||
-        entry.count > manifest.span) {
+        entry.count > manifest.span ||
+        entry.index > std::numeric_limits<int64_t>::max() / manifest.span - 1) {
       return malformed("entry table out of order or out of range");
     }
     previous_index = entry.index;

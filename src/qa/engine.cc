@@ -12,6 +12,13 @@ namespace explainti::qa {
 
 namespace {
 
+/// Per-view caps on the evidence items one step contributes to a
+/// QaJustification: LE windows (or surrogate saliency tokens), GE
+/// neighbours and SE neighbours.
+constexpr int kMaxLocalItems = 2;
+constexpr int kMaxGlobalItems = 1;
+constexpr int kMaxStructuralItems = 1;
+
 /// Argmax with first-max tie-breaking, matching std::max_element (and
 /// therefore ExplainTiModel::DecodeLabels).
 int ArgMax(const std::vector<float>& v) {
@@ -258,7 +265,7 @@ util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
     if (c.tier == QaTier::kSurrogate) {
       const int target =
           find && query.label_id >= 0 ? query.label_id : c.labels.front();
-      surrogate->AppendSaliency(c.sample_id, target, options_.max_local_items,
+      surrogate->AppendSaliency(c.sample_id, target, kMaxLocalItems,
                                 idx, &answer.justification.items);
       continue;
     }
@@ -268,7 +275,7 @@ util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
     step.ann_degraded = exp.ann_degraded;
     step.note = exp.degradation_note;
     const int n_local =
-        std::min<int>(options_.max_local_items,
+        std::min<int>(kMaxLocalItems,
                       static_cast<int>(exp.local.size()));
     for (int i = 0; i < n_local; ++i) {
       QaEvidenceItem item;
@@ -279,7 +286,7 @@ util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
       answer.justification.items.push_back(std::move(item));
     }
     const int n_global =
-        std::min<int>(options_.max_global_items,
+        std::min<int>(kMaxGlobalItems,
                       static_cast<int>(exp.global.size()));
     for (int i = 0; i < n_global; ++i) {
       QaEvidenceItem item;
@@ -290,7 +297,7 @@ util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
       answer.justification.items.push_back(std::move(item));
     }
     const int n_structural =
-        std::min<int>(options_.max_structural_items,
+        std::min<int>(kMaxStructuralItems,
                       static_cast<int>(exp.structural.size()));
     for (int i = 0; i < n_structural; ++i) {
       QaEvidenceItem item;

@@ -12,6 +12,11 @@ namespace explainti::qa {
 
 namespace {
 
+/// Hashed token-feature buckets (feature dim = kHashDim + labels + 1).
+constexpr int kHashDim = 512;
+/// Step size of the distillation schedule (see QaOptions).
+constexpr float kLearningRate = 4.0f;
+
 float Sigmoid(float x) {
   if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
   const float e = std::exp(x);
@@ -33,9 +38,10 @@ util::StatusOr<std::unique_ptr<SurrogateModel>> SurrogateModel::Distill(
     return util::Status::InvalidArgument(
         "surrogate distillation: empty training split");
   }
-  if (options.surrogate_hash_dim <= 0 || options.surrogate_epochs <= 0) {
+  if (options.surrogate_epochs <= 0 || options.distill_max_samples < 0) {
     return util::Status::InvalidArgument(
-        "surrogate distillation: hash_dim and epochs must be positive");
+        "surrogate distillation: epochs must be positive and "
+        "distill_max_samples non-negative");
   }
 
   auto model = std::unique_ptr<SurrogateModel>(new SurrogateModel());
@@ -43,8 +49,7 @@ util::StatusOr<std::unique_ptr<SurrogateModel>> SurrogateModel::Distill(
   model->kind_ = kind;
   model->multi_label_ = task.multi_label;
   model->num_labels_ = task.num_labels;
-  model->hash_dim_ = options.surrogate_hash_dim;
-  model->feature_dim_ = options.surrogate_hash_dim + task.num_labels + 1;
+  model->feature_dim_ = kHashDim + task.num_labels + 1;
   model->num_samples_ = static_cast<int>(task.samples.size());
 
   // Teacher labels over the training split: the distillation targets AND
@@ -103,15 +108,16 @@ util::StatusOr<std::unique_ptr<SurrogateModel>> SurrogateModel::Distill(
 void SurrogateModel::BuildFeatures(
     const core::TaskData& task,
     const std::vector<std::vector<int>>& train_labels) {
-  features_.assign(
-      static_cast<size_t>(num_samples_) * static_cast<size_t>(feature_dim_),
-      0.0f);
+  nz_begin_.assign(1, 0);
+  nz_index_.clear();
+  nz_value_.clear();
+  std::vector<float> dense(static_cast<size_t>(feature_dim_));
+  float* row = dense.data();
   for (int i = 0; i < num_samples_; ++i) {
-    float* row = features_.data() +
-                 static_cast<size_t>(i) * static_cast<size_t>(feature_dim_);
+    std::fill(dense.begin(), dense.end(), 0.0f);
     const text::EncodedSequence& seq = task.samples[static_cast<size_t>(i)].seq;
     for (int id : seq.ids) {
-      const int bucket = id % hash_dim_;
+      const int bucket = id % kHashDim;
       float importance = 0.0f;
       if (auto it = token_importance_.find(id); it != token_importance_.end()) {
         importance = it->second;
@@ -120,7 +126,7 @@ void SurrogateModel::BuildFeatures(
     }
     if (!seq.ids.empty()) {
       const float inv = 1.0f / static_cast<float>(seq.ids.size());
-      for (int b = 0; b < hash_dim_; ++b) row[b] *= inv;
+      for (int b = 0; b < kHashDim; ++b) row[b] *= inv;
     }
     // Graph-vote prior: the teacher's label distribution over training-set
     // 2-hop neighbours (non-train neighbours have no teacher label).
@@ -129,17 +135,35 @@ void SurrogateModel::BuildFeatures(
       if (!task.IsTrainSample(n.sample_id)) continue;
       for (int label : train_labels[static_cast<size_t>(n.sample_id)]) {
         if (label >= 0 && label < num_labels_) {
-          row[hash_dim_ + label] += 1.0f;
+          row[kHashDim + label] += 1.0f;
           ++votes;
         }
       }
     }
     if (votes > 0) {
       const float inv = 1.0f / static_cast<float>(votes);
-      for (int l = 0; l < num_labels_; ++l) row[hash_dim_ + l] *= inv;
+      for (int l = 0; l < num_labels_; ++l) row[kHashDim + l] *= inv;
     }
     row[feature_dim_ - 1] = 1.0f;
+    for (int d = 0; d < feature_dim_; ++d) {
+      if (row[d] == 0.0f) continue;
+      nz_index_.push_back(d);
+      nz_value_.push_back(row[d]);
+    }
+    nz_begin_.push_back(static_cast<int>(nz_index_.size()));
   }
+}
+
+float SurrogateModel::Logit(int sample_id, int label) const {
+  const float* w = weights_.data() + static_cast<size_t>(label) *
+                                         static_cast<size_t>(feature_dim_);
+  float z = 0.0f;
+  for (int k = nz_begin_[static_cast<size_t>(sample_id)];
+       k < nz_begin_[static_cast<size_t>(sample_id) + 1]; ++k) {
+    z += nz_value_[static_cast<size_t>(k)] *
+         w[nz_index_[static_cast<size_t>(k)]];
+  }
+  return z;
 }
 
 void SurrogateModel::Train(const core::TaskData& task,
@@ -161,7 +185,6 @@ void SurrogateModel::Train(const core::TaskData& task,
       }
     }
   }
-  const float lr = options.surrogate_lr;
   std::vector<float> errors(static_cast<size_t>(n) *
                             static_cast<size_t>(num_labels_));
   for (int epoch = 0; epoch < options.surrogate_epochs; ++epoch) {
@@ -170,18 +193,10 @@ void SurrogateModel::Train(const core::TaskData& task,
     // geometry of the teacher head the surrogate mimics, so the argmax
     // decision boundaries line up much faster than all-sigmoid training.
     for (int i = 0; i < n; ++i) {
-      const float* x = features_.data() +
-                       static_cast<size_t>(task.train_ids[i]) *
-                           static_cast<size_t>(feature_dim_);
       const size_t base = static_cast<size_t>(i) *
                           static_cast<size_t>(num_labels_);
       for (int l = 0; l < num_labels_; ++l) {
-        const float* w = weights_.data() +
-                         static_cast<size_t>(l) *
-                             static_cast<size_t>(feature_dim_);
-        float z = 0.0f;
-        for (int d = 0; d < feature_dim_; ++d) z += x[d] * w[d];
-        errors[base + static_cast<size_t>(l)] = z;
+        errors[base + static_cast<size_t>(l)] = Logit(task.train_ids[i], l);
       }
       if (multi_label_) {
         for (int l = 0; l < num_labels_; ++l) {
@@ -205,12 +220,12 @@ void SurrogateModel::Train(const core::TaskData& task,
         }
       }
     }
-    // Backward: w_l -= lr/n * sum_i err_il * x_i.
-    const float scale = lr / static_cast<float>(n);
+    // Backward: w_l -= lr/n * sum_i err_il * x_i, over x_i's nonzeros.
+    const float scale = kLearningRate / static_cast<float>(n);
     for (int i = 0; i < n; ++i) {
-      const float* x = features_.data() +
-                       static_cast<size_t>(task.train_ids[i]) *
-                           static_cast<size_t>(feature_dim_);
+      const size_t row = static_cast<size_t>(task.train_ids[i]);
+      const int begin = nz_begin_[row];
+      const int end = nz_begin_[row + 1];
       for (int l = 0; l < num_labels_; ++l) {
         const float step =
             scale * errors[static_cast<size_t>(i) *
@@ -219,7 +234,10 @@ void SurrogateModel::Train(const core::TaskData& task,
         if (step == 0.0f) continue;
         float* w = weights_.data() +
                    static_cast<size_t>(l) * static_cast<size_t>(feature_dim_);
-        for (int d = 0; d < feature_dim_; ++d) w[d] -= step * x[d];
+        for (int k = begin; k < end; ++k) {
+          w[nz_index_[static_cast<size_t>(k)]] -=
+              step * nz_value_[static_cast<size_t>(k)];
+        }
       }
     }
   }
@@ -236,15 +254,8 @@ util::Status SurrogateModel::ScoreInto(int sample_id, Scratch* scratch,
   scratch->probs.resize(static_cast<size_t>(num_labels_));
   scratch->labels.clear();
   scratch->labels.reserve(static_cast<size_t>(num_labels_));
-  const float* x = features_.data() + static_cast<size_t>(sample_id) *
-                                          static_cast<size_t>(feature_dim_);
   for (int l = 0; l < num_labels_; ++l) {
-    const float* w =
-        weights_.data() + static_cast<size_t>(l) *
-                              static_cast<size_t>(feature_dim_);
-    float z = 0.0f;
-    for (int d = 0; d < feature_dim_; ++d) z += x[d] * w[d];
-    scratch->logits[static_cast<size_t>(l)] = z;
+    scratch->logits[static_cast<size_t>(l)] = Logit(sample_id, l);
   }
   // Probabilities under the head the model was trained as: sigmoids for
   // multi-label, softmax (max-subtracted) for multiclass. Argmax decoding
@@ -324,7 +335,7 @@ void SurrogateModel::AppendSaliency(int sample_id, int label, int max_items,
       importance = it->second;
     }
     const float contribution =
-        w[id % hash_dim_] * (1.0f + importance) * inv;
+        w[id % kHashDim] * (1.0f + importance) * inv;
     if (contribution > 0.0f) {
       ranked.emplace_back(contribution, static_cast<int>(t));
     }

@@ -1,8 +1,9 @@
 // Chaos harness for the table-QA cascade's fail-closed path: a
-// distillation that fails for real (a non-positive epoch count) at engine
-// construction, including on a generation brought up by a hot swap. Every
-// such engine must serve teacher-only with a typed Status: answers are
-// bit-identical to a cascade-off build, never wrong and never partial.
+// distillation that fails for real (a non-positive epoch count or a
+// negative distillation cap) at engine construction, including on a
+// generation brought up by a hot swap. Every such engine must serve
+// teacher-only with a typed Status: answers are bit-identical to a
+// cascade-off build, never wrong and never partial.
 // Runs under the `chaos` ctest label.
 
 #include <string>
@@ -92,6 +93,34 @@ TEST(QaChaosTest, DistillationFailureFailsClosedToTeacherOnly) {
     EXPECT_EQ(answer.value().surrogate_steps, 0);
     EXPECT_EQ(answer.value().surrogate_status.code(),
               util::StatusCode::kInvalidArgument);
+  }
+}
+
+// A negative cap on the explained training slice is rejected as an
+// option error: the engine comes up teacher-only with InvalidArgument
+// instead of letting the slice's construction throw out of Distill.
+TEST(QaChaosTest, NegativeDistillCapFailsClosedToTeacherOnly) {
+  const InferenceSession& session = Shared().model.session();
+  QaOptions options;
+  options.enable_surrogate = true;
+  options.distill_max_samples = -1;
+  QaEngine reference(&session, QaOptions{});
+  QaEngine crippled(&session, options);
+  EXPECT_FALSE(crippled.surrogate_active());
+  EXPECT_EQ(crippled.surrogate_status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  const QaQuery find = FindQuery();
+  QaQuery point;
+  point.kind = QaQueryKind::kColumnType;
+  point.sample_ids = {find.sample_ids.front()};
+  for (const QaQuery& query : {find, point}) {
+    auto expected = reference.Answer(query);
+    ASSERT_TRUE(expected.ok());
+    auto answer = crippled.Answer(query);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(SameAnswer(expected.value(), answer.value()));
+    EXPECT_EQ(answer.value().surrogate_steps, 0);
   }
 }
 

@@ -1,6 +1,8 @@
 #include "qa/engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "qa/query.h"
 #include "qa/surrogate.h"
 #include "serve/server.h"
+#include "util/hash.h"
 
 namespace explainti::qa {
 namespace {
@@ -340,6 +343,61 @@ TEST(QaSurrogateTest, ScoreIsDeterministicAndDecodesLikeTeacher) {
   }
   EXPECT_EQ(surrogate.ScoreInto(1 << 20, &scratch, &confidence1).code(),
             util::StatusCode::kInvalidArgument);
+}
+
+// Scoring pin: the bytes of every ScoreInto output (logits, probs,
+// labels, confidence) over every sample of both tasks, distilled at the
+// tests' short schedule and at the default one. The constants were taken
+// from the dense [n, D] x [D, L] loops that the nonzero-row training and
+// scoring replaced; a change to the features, the schedule or the order
+// in which any sum adds its terms moves them. Every logit must also be
+// finite: the argument that skipping zero features is bit-identical rests
+// on finite weights. Re-capture only for a deliberate change to the
+// surrogate.
+uint64_t ScoreDigest(const SurrogateModel& surrogate) {
+  SurrogateModel::Scratch scratch;
+  uint64_t h = util::kFnv64OffsetBasis;
+  for (int id = 0; id < surrogate.num_samples(); ++id) {
+    float confidence = 0.0f;
+    EXPECT_TRUE(surrogate.ScoreInto(id, &scratch, &confidence).ok());
+    for (float z : scratch.logits) {
+      EXPECT_TRUE(std::isfinite(z)) << "sample " << id;
+    }
+    h = util::HashBytes(scratch.logits.data(),
+                        scratch.logits.size() * sizeof(float), h);
+    h = util::HashBytes(scratch.probs.data(),
+                        scratch.probs.size() * sizeof(float), h);
+    h = util::HashBytes(scratch.labels.data(),
+                        scratch.labels.size() * sizeof(int), h);
+    h = util::HashBytes(&confidence, sizeof(confidence), h);
+  }
+  return h;
+}
+
+TEST(QaSurrogateTest, ScoresArePinned) {
+  struct Pin {
+    TaskKind kind;
+    bool short_schedule;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {TaskKind::kType, true, 0xba17d301e13b9a1eULL},
+      {TaskKind::kRelation, true, 0x2bb56899d413714bULL},
+      {TaskKind::kType, false, 0x7661ab9ad24d65f2ULL},
+      {TaskKind::kRelation, false, 0x045573b22fa1ae19ULL},
+  };
+  const InferenceSession& session = Shared().model.session();
+  for (const Pin& pin : pins) {
+    const QaOptions options =
+        pin.short_schedule ? CascadeOptions() : QaOptions{};
+    auto built = SurrogateModel::Distill(session, pin.kind, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const uint64_t digest = ScoreDigest(*built.value());
+    EXPECT_EQ(digest, pin.digest)
+        << core::TaskKindName(pin.kind) << " at "
+        << options.surrogate_epochs << " epochs: digest 0x" << std::hex
+        << digest;
+  }
 }
 
 // Composition must not dilute evidence: the pooled justification items

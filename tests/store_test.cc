@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/store_persistence.h"
 #include "session_fixtures.h"
 #include "util/alloc_counter.h"
+#include "util/binary_io.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -426,6 +428,80 @@ TEST_F(StoreTest, SparseIdsRoundTrip) {
   EXPECT_FALSE(view.Contains(5));
   EXPECT_FALSE(view.Contains(50));
   EXPECT_EQ(view.max_id(), 95);
+}
+
+/// A manifest in the XTIMAN01 layout SaveManifest writes (dim 8, the
+/// SegOptions HNSW settings), with `num_entries` written as given
+/// whatever `entries` holds.
+std::string ManifestImage(int64_t span, int64_t count, int64_t num_entries,
+                          const std::vector<StoreManifest::Entry>& entries) {
+  std::string image = "XTIMAN01";
+  util::AppendPod(&image, uint32_t{1});  // Version.
+  util::AppendPod(&image, uint32_t{0});  // Reserved.
+  util::AppendPod(&image, int64_t{8});   // Dim.
+  util::AppendPod(&image, span);
+  util::AppendPod(&image, count);
+  util::AppendPod(&image, num_entries);
+  util::AppendPod(&image, uint64_t{42});  // HNSW seed.
+  // M, ef_construction, ef_search, reserved.
+  for (int32_t field : {6, 32, 24, 0}) util::AppendPod(&image, field);
+  for (const StoreManifest::Entry& entry : entries) {
+    util::AppendPod(&image, entry.index);
+    util::AppendPod(&image, entry.count);
+    util::AppendPod(&image, entry.content_hash);
+  }
+  return image;
+}
+
+// Forged but CRC-valid manifests, one per piece of arithmetic a load does
+// on manifest fields. Each load fails with InvalidArgument before it
+// sizes a table or wraps an int64: no throw, no crash, no UBSan report.
+// A failed load publishes nothing.
+TEST_F(StoreTest, ForgedManifestsAreRejectedWithoutOverflow) {
+  // Real segment files behind the manifests: a load that got past the
+  // manifest would go on to the segment-range arithmetic.
+  EmbeddingStore store(SegOptions(2));
+  store.Rebuild(Iota(32), MakeRows(32, 8, 47));
+  const std::string dir = FreshDir("store_forged_manifest");
+  ASSERT_TRUE(store.Save(dir).ok());
+  const auto saved = LoadManifest(dir + "/manifest.xtm");
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  const std::vector<StoreManifest::Entry>& entries = saved->entries;
+  ASSERT_EQ(entries.size(), 2u);
+  const uint64_t generation = store.view().generation();
+
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const struct {
+    const char* site;
+    std::string image;
+  } forged[] = {
+      // The entry table is sized before any entry is read: 2^40 entries
+      // of 24 bytes, in a file that holds two.
+      {"entry count", ManifestImage(16, 32, int64_t{1} << 40, entries)},
+      // index * span + span: range 1 of span 2^62 ends at 2^63.
+      {"range end", ManifestImage(int64_t{1} << 62, 32, 2, entries)},
+      // The entry-count sum: two ranges of kMax rows each.
+      {"count sum",
+       ManifestImage(kMax, 2, 2,
+                     {{0, kMax, entries[0].content_hash},
+                      {1, kMax, entries[1].content_hash}})},
+      // The range table holds last index + 1 slots.
+      {"range table", ManifestImage(1, 1, 1, {{kMax, 1, 0}})},
+  };
+  for (const auto& [site, image] : forged) {
+    ASSERT_TRUE(util::WriteFramedFile(dir + "/manifest.xtm", image).ok());
+    EXPECT_EQ(store.Load(dir).code(), util::StatusCode::kInvalidArgument)
+        << site;
+  }
+  // An index that passes every manifest check sizes nothing until its
+  // segment file has loaded; range 2^40 has no file.
+  ASSERT_TRUE(util::WriteFramedFile(
+                  dir + "/manifest.xtm",
+                  ManifestImage(1, 1, 1, {{int64_t{1} << 40, 1, 0}}))
+                  .ok());
+  EXPECT_EQ(store.Load(dir).code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(store.view().generation(), generation);
+  EXPECT_EQ(store.size(), 32);
 }
 
 }  // namespace
