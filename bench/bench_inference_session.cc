@@ -7,11 +7,12 @@
 // It also measures plan-vs-tape: the session's batched entry points
 // against the tape oracle (ExplainTiModel::Predict/PredictProbabilities/
 // Explain looped over the same batch), per method and per batch size,
-// plus a raw encoder section (nn::TransformerEncoder::Serve on
-// caller-owned buffers, reported under the "plan_executor" key). The
-// "plan_vs_tape" JSON object is the input to ci/check_bench.py, which
-// fails the release CI job if the session falls behind the tape at any
-// (method, batch_size) or stops being allocation-free.
+// plus the raw encoder (nn::TransformerEncoder::Serve on caller-owned
+// buffers, reported under "encoder_serve") in both output shapes:
+// rows = 1, what Predict and EncodeBatch run, and rows = len, what
+// Explain runs. ci/check_bench.py reads the JSON and fails the release
+// CI job if the session falls behind the tape at any (method,
+// batch_size) or either encoder shape stops being allocation-free.
 //
 // Besides timing, the run asserts the session is bit-identical to the
 // tape (the contract the golden tests prove in miniature) and that
@@ -68,6 +69,10 @@ double ChecksumFloats(const std::vector<float>& v) {
 // Accumulates one path's measurements across interleaved rounds.
 class PathMeter {
  public:
+  // Sizes the latency log for every call up front, so a round's
+  // allocation count holds only what the measured calls allocate.
+  explicit PathMeter(size_t calls) { lat_us_.reserve(calls); }
+
   template <typename Call>
   void MeasureRound(const std::vector<int>& ids, Call call) {
     const tensor::WorkspaceStats arena_before =
@@ -142,7 +147,8 @@ struct MatrixCell {
 template <typename PlanCall, typename TapeCall>
 MatrixCell MeasureCell(const std::vector<std::vector<int>>& batches,
                        int rounds, PlanCall plan_call, TapeCall tape_call) {
-  PathMeter plan_m, tape_m;
+  const size_t calls = batches.size() * static_cast<size_t>(rounds);
+  PathMeter plan_m(calls), tape_m(calls);
   std::vector<int> batch_indices(batches.size());
   for (size_t i = 0; i < batches.size(); ++i) {
     batch_indices[static_cast<size_t>(i)] = static_cast<int>(i);
@@ -215,8 +221,9 @@ int main() {
   // background load drifts on a seconds scale, and interleaving spreads
   // that drift evenly instead of letting it bias whichever path happened
   // to run during a slow window.
-  PathMeter tape_predict_m, nograd_predict_m, tape_explain_m,
-      nograd_explain_m;
+  const size_t calls = ids.size() * kRounds;
+  PathMeter tape_predict_m(calls), nograd_predict_m(calls),
+      tape_explain_m(calls), nograd_explain_m(calls);
   for (int r = 0; r < kRounds; ++r) {
     tape_predict_m.MeasureRound(ids, tape_predict_call);
     nograd_predict_m.MeasureRound(ids, nograd_predict_call);
@@ -267,52 +274,52 @@ int main() {
   // -- Raw encoder: Serve on caller-owned buffers --------------------------
   // Serving entry points return freshly allocated result vectors, so the
   // zero-allocation property is asserted where it holds by construction:
-  // the encoder's raw-buffer forward. Warm up, then demand zero heap
-  // traffic and zero pool misses.
-  PathStats plan_executor;
-  {
-    const nn::TransformerEncoder& encoder = model.encoder();
-    const core::TaskSample& sample =
-        task.samples[static_cast<size_t>(ids.front())];
-    const int64_t len = static_cast<int64_t>(sample.seq.ids.size());
-    std::vector<float> scratch(
-        static_cast<size_t>(encoder.ServeScratchFloats(len)));
-    std::vector<float> encoder_out(
-        static_cast<size_t>(len * encoder.config().d_model));
-    const auto serve = [&] {
-      encoder.Serve(sample.seq.ids, sample.seq.segments, scratch.data(),
-                    encoder_out.data(), len);
-    };
-    serve();  // Warm-up.
-    serve();
-
-    const int kExecRounds = 200;
-    std::vector<double> lat_us;
-    lat_us.reserve(kExecRounds);
-    const tensor::WorkspaceStats ws_before =
-        tensor::ThisThreadWorkspaceStats();
-    const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
-    for (int r = 0; r < kExecRounds; ++r) {
-      util::WallTimer timer;
-      serve();
-      lat_us.push_back(timer.ElapsedSeconds() * 1e6);
+  // the encoder's raw-buffer forward. It is timed in both output shapes
+  // the session runs: rows = 1 (Predict, PredictProbabilities and
+  // EncodeBatch read only [CLS], so the last layer computes one row) and
+  // rows = len (Explain with LE reads every token row). The shapes
+  // alternate round by round over the same samples; after warm-up each
+  // must make zero heap allocations and miss the pool zero times.
+  const nn::TransformerEncoder& encoder = model.encoder();
+  int64_t max_len = 0;
+  std::vector<int64_t> seq_lens;
+  for (int id : ids) {
+    seq_lens.push_back(static_cast<int64_t>(
+        task.samples[static_cast<size_t>(id)].seq.ids.size()));
+    max_len = std::max(max_len, seq_lens.back());
+  }
+  std::sort(seq_lens.begin(), seq_lens.end());
+  const int64_t median_len = seq_lens[seq_lens.size() / 2];
+  std::vector<float> scratch(
+      static_cast<size_t>(encoder.ServeScratchFloats(max_len)));
+  std::vector<float> encoder_out(
+      static_cast<size_t>(max_len * encoder.config().d_model));
+  const auto serve = [&](int id, bool all_rows) {
+    const text::EncodedSequence& seq =
+        task.samples[static_cast<size_t>(id)].seq;
+    const int64_t len = static_cast<int64_t>(seq.ids.size());
+    encoder.Serve(seq.ids, seq.segments, scratch.data(), encoder_out.data(),
+                  all_rows ? len : 1);
+  };
+  for (int r = 0; r < 2; ++r) {  // Warm-up.
+    for (int id : ids) {
+      serve(id, false);
+      serve(id, true);
     }
-    const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
-    const tensor::WorkspaceStats ws_after = tensor::ThisThreadWorkspaceStats();
-
-    double total = 0.0;
-    for (double v : lat_us) total += v;
-    plan_executor.mean_us = total / static_cast<double>(lat_us.size());
-    plan_executor.p50_us = Percentile(lat_us, 0.50);
-    plan_executor.p99_us = Percentile(lat_us, 0.99);
-    plan_executor.allocs_per_call =
-        static_cast<double>(heap_after.allocations - heap_before.allocations) /
-        static_cast<double>(kExecRounds);
-    plan_executor.arena_misses = static_cast<int64_t>(
-        ws_after.buffer_misses - ws_before.buffer_misses);
-    CHECK_EQ(heap_after.allocations, heap_before.allocations)
+  }
+  const int kServeRounds = 25;
+  PathMeter serve_cls_m(ids.size() * kServeRounds),
+      serve_all_m(ids.size() * kServeRounds);
+  for (int r = 0; r < kServeRounds; ++r) {
+    serve_cls_m.MeasureRound(ids, [&](int id) { serve(id, false); });
+    serve_all_m.MeasureRound(ids, [&](int id) { serve(id, true); });
+  }
+  const PathStats serve_cls = serve_cls_m.Stats();
+  const PathStats serve_all = serve_all_m.Stats();
+  for (const PathStats* shape : {&serve_cls, &serve_all}) {
+    CHECK_EQ(shape->allocs_per_call, 0.0)
         << "warmed-up Serve allocated on the heap";
-    CHECK_EQ(plan_executor.arena_misses, 0)
+    CHECK_EQ(shape->arena_misses, 0)
         << "warmed-up Serve missed the workspace buffer pool";
   }
 
@@ -338,9 +345,10 @@ int main() {
                 << cell.tape.p50_us / cell.plan.p50_us << "x)\n";
     }
   }
-  std::cerr << "[inference] encoder Serve p50=" << plan_executor.p50_us
-            << "us allocations/call=" << plan_executor.allocs_per_call
-            << "\n";
+  std::cerr << "[inference] encoder Serve (median len " << median_len
+            << ") rows=1 p50=" << serve_cls.p50_us << "us, rows=len p50="
+            << serve_all.p50_us << "us ("
+            << serve_all.p50_us / serve_cls.p50_us << "x)\n";
 
   std::ofstream json("BENCH_inference.json");
   CHECK(json.good()) << "cannot open BENCH_inference.json";
@@ -364,10 +372,14 @@ int main() {
            << ", \"tape\": " << PathJson(cell.tape) << "}"
            << (bi + 1 < kBatchSizes.size() ? ",\n" : "\n");
     }
-    json << "    },\n";
+    json << "    }" << (mi + 1 < matrix.size() ? ",\n" : "\n");
   }
-  json << "    \"plan_executor\": " << PathJson(plan_executor)
-       << "\n  }\n}\n";
+  json << "  },\n  \"encoder_serve\": {\n    \"calls_per_shape\": "
+       << ids.size() * kServeRounds << ",\n    \"median_seq_len\": "
+       << median_len << ",\n";
+  EmitPath(json, "rows_1", serve_cls, false);
+  EmitPath(json, "rows_len", serve_all, true);
+  json << "  }\n}\n";
   std::cerr << "[inference] wrote BENCH_inference.json\n";
   return 0;
 }

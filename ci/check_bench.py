@@ -58,11 +58,13 @@ looped over each batch):
   * plan allocations/call must not exceed tape allocations/call in any
     cell — this is deterministic (allocation counts don't jitter), so it
     is checked strictly. The serving path exists to allocate less.
-  * the raw encoder forward ("plan_executor": nn::TransformerEncoder::
+  * the raw encoder forward ("encoder_serve": nn::TransformerEncoder::
     Serve on caller-owned buffers) must be allocation-free after
-    warm-up: allocations_per_call == 0 and steady_state_arena_misses ==
-    0, exactly. One stray allocation per Serve means a stage escaped the
-    caller's buffers.
+    warm-up in both output shapes it serves: "rows_1" (Predict and
+    EncodeBatch, whose last layer computes only the [CLS] row) and
+    "rows_len" (Explain). allocations_per_call == 0 and
+    steady_state_arena_misses == 0, exactly, for each shape. One stray
+    allocation per Serve means a stage escaped the caller's buffers.
 
 Stdlib only; CI calls it as
   python3 ci/check_bench.py <build_dir>/BENCH_inference.json
@@ -301,8 +303,6 @@ def main():
     failures = []
     rows = []
     for method, cells in matrix.items():
-        if method == "plan_executor":
-            continue
         for batch, cell in sorted(cells.items()):
             plan, tape = cell["plan"], cell["tape"]
             ratio = plan["p50_us"] / tape["p50_us"]
@@ -332,23 +332,32 @@ def main():
               f"{plan['allocations_per_call']:11.1f} "
               f"{tape['allocations_per_call']:12.1f}")
 
-    executor = matrix.get("plan_executor")
-    if not isinstance(executor, dict):
-        failures.append("'plan_vs_tape.plan_executor' section missing")
+    encoder = bench.get("encoder_serve")
+    if not isinstance(encoder, dict):
+        failures.append("'encoder_serve' section missing")
+        encoder = {}
     else:
-        print(f"\nencoder Serve: p50 {executor['p50_us']:.1f}us, "
-              f"p99 {executor['p99_us']:.1f}us, "
-              f"{executor['allocations_per_call']:.2f} allocations/call, "
-              f"{executor['steady_state_arena_misses']} arena misses")
-        if executor["allocations_per_call"] != 0:
+        print(f"\nencoder Serve (median sequence length "
+              f"{encoder.get('median_seq_len')}):")
+    for shape in ("rows_1", "rows_len"):
+        stats = encoder.get(shape)
+        if not isinstance(stats, dict):
+            if encoder:
+                failures.append(f"'encoder_serve.{shape}' section missing")
+            continue
+        print(f"  {shape:8s} p50 {stats['p50_us']:.1f}us, "
+              f"p99 {stats['p99_us']:.1f}us, "
+              f"{stats['allocations_per_call']:.2f} allocations/call, "
+              f"{stats['steady_state_arena_misses']} arena misses")
+        if stats["allocations_per_call"] != 0:
             failures.append(
-                f"encoder Serve allocates "
-                f"{executor['allocations_per_call']:.2f}/call after warm-up "
+                f"encoder Serve {shape} allocates "
+                f"{stats['allocations_per_call']:.2f}/call after warm-up "
                 f"(must be exactly 0)")
-        if executor["steady_state_arena_misses"] != 0:
+        if stats["steady_state_arena_misses"] != 0:
             failures.append(
-                f"encoder Serve missed the workspace arena "
-                f"{executor['steady_state_arena_misses']} times after "
+                f"encoder Serve {shape} missed the workspace arena "
+                f"{stats['steady_state_arena_misses']} times after "
                 f"warm-up (must be exactly 0)")
 
     if failures:
@@ -357,7 +366,7 @@ def main():
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\ncheck_bench: OK — plan path within tolerance everywhere, "
-          "executor allocation-free")
+          "encoder Serve allocation-free in both shapes")
     return 0
 
 

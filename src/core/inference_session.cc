@@ -59,7 +59,7 @@ std::vector<float> InferenceSession::RunTail(
 
   // One scratch for the whole call, the encoder's working set included.
   // LE reads every encoder row; Predict and a tail without LE read only
-  // [CLS].
+  // [CLS], and the encoder's last layer then computes only that row.
   const int64_t rows = windows.size() > 0 ? len : 1;
   const int64_t r = static_cast<int64_t>(usable.size());
   const int64_t top_k = ge_ready ? config.top_k : 0;
@@ -261,8 +261,8 @@ std::vector<std::vector<float>> InferenceSession::EncodeBatch(
     TaskKind kind, const std::vector<int>& sample_ids) const {
   const TaskData& task = model_->Task(kind);
   const nn::TransformerEncoder& encoder = model_->encoder();
-  // The store rebuild only needs the [CLS] row, which Serve copies out
-  // directly.
+  // The store rebuild only needs the [CLS] row: the encoder's last layer
+  // computes just that row, and Serve copies it out directly.
   return ForEachSample<std::vector<float>>(sample_ids, [&](int id) {
     const TaskSample& sample = CheckedSample(task, id);
     const int64_t len = static_cast<int64_t>(sample.seq.ids.size());

@@ -88,7 +88,8 @@ class InferenceSession {
       TaskKind kind, const std::vector<int>& sample_ids) const;
 
   /// [CLS] embeddings for `sample_ids`, encoded in parallel across the
-  /// pool (each worker on its own per-thread workspace). Feeds the GE/SE
+  /// pool (each worker on its own per-thread workspace); the encoder's
+  /// last layer computes only the [CLS] row. Feeds the GE/SE
   /// embedding-store rebuilds.
   std::vector<std::vector<float>> EncodeBatch(
       TaskKind kind, const std::vector<int>& sample_ids) const;
@@ -100,9 +101,10 @@ class InferenceSession {
  private:
   /// The explanation tail for one sample: the encoder, then SE (or the
   /// base head), and — when `evidence` is non-null, for Explain — GE and
-  /// LE with their records. Returns the final logits. Without `evidence`
-  /// only the [CLS] row is copied out of the encoder and no record is
-  /// built: Predict reads nothing else.
+  /// LE with their records. Returns the final logits. Only LE reads the
+  /// encoder's token rows, so without it (Predict, or Explain with LE
+  /// off) the encoder's last layer computes and copies out only the
+  /// [CLS] row; without `evidence` no record is built either.
   std::vector<float> RunTail(TaskKind kind, int sample_id,
                              ExplainTiModel::Evidence* evidence) const;
 

@@ -95,7 +95,8 @@ int64_t MultiHeadSelfAttention::ServeScratchFloats(int64_t len) const {
 }
 
 void MultiHeadSelfAttention::Serve(const float* x, int64_t len,
-                                   float* scratch, float* out) const {
+                                   int64_t q_rows, float* scratch,
+                                   float* out) const {
   const int64_t d = config_.d_model;
   const int64_t head_dim = d / config_.num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
@@ -106,7 +107,11 @@ void MultiHeadSelfAttention::Serve(const float* x, int64_t len,
   float* scores = context + len * d;
   float* kt = scores + len * len;
 
-  wq_.Serve(x, len, q);
+  // Every query attends to all `len` keys and values; only the first
+  // `q_rows` queries are projected and carried through scores, context
+  // and the out-projection. Each of those stages is row-independent, so
+  // the rows computed read exactly what the full-length pass gives them.
+  wq_.Serve(x, q_rows, q);
   wk_.Serve(x, len, k);
   wv_.Serve(x, len, v);
   // Heads run in turn over one scores block and one k_h^T block, reading
@@ -122,15 +127,15 @@ void MultiHeadSelfAttention::Serve(const float* x, int64_t len,
         kt[j * len + r] = k[r * d + col + j];
       }
     }
-    tensor::ZeroRows(scores, len, len, len);
+    tensor::ZeroRows(scores, len, q_rows, len);
     tensor::ServingGemm(q + col, d, kt, len, /*trans_b=*/false, scores, len,
-                        len, head_dim, len);
-    tensor::ScaleSoftmaxRows(scores, len, len, scale);
-    tensor::ZeroRows(context + col, d, len, head_dim);
+                        q_rows, head_dim, len);
+    tensor::ScaleSoftmaxRows(scores, q_rows, len, scale);
+    tensor::ZeroRows(context + col, d, q_rows, head_dim);
     tensor::ServingGemm(scores, len, v + col, d, /*trans_b=*/false,
-                        context + col, d, len, len, head_dim);
+                        context + col, d, q_rows, len, head_dim);
   }
-  wo_.Serve(context, len, out);
+  wo_.Serve(context, q_rows, out);
 }
 
 }  // namespace explainti::nn

@@ -24,10 +24,16 @@ class MultiHeadSelfAttention : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
                          const ExecContext& ctx) const;
 
-  /// Serving forward on raw buffers, unmasked: out [len, d] receives what
-  /// the eval-mode Forward returns for x [len, d]. `scratch` must hold
+  /// Serving forward on raw buffers, unmasked: out [q_rows, d] receives
+  /// the first `q_rows` rows of what the eval-mode Forward returns for
+  /// x [len, d], 1 <= q_rows <= len. K and V are projected for all `len`
+  /// rows, because every query attends to them; Q, scores+softmax,
+  /// context and the out-projection run over the first `q_rows` rows
+  /// only. Rows are independent past K/V, so the result is bit-identical
+  /// to those rows of a full-length pass. `scratch` must hold
   /// ServeScratchFloats(len) floats.
-  void Serve(const float* x, int64_t len, float* scratch, float* out) const;
+  void Serve(const float* x, int64_t len, int64_t q_rows, float* scratch,
+             float* out) const;
   int64_t ServeScratchFloats(int64_t len) const;
 
  private:

@@ -40,17 +40,20 @@ int64_t EncoderLayer::ServeScratchFloats(int64_t len) const {
          std::max(attention_.ServeScratchFloats(len), len * config_.ffn_dim);
 }
 
-void EncoderLayer::Serve(float* x, int64_t len, float* scratch) const {
+void EncoderLayer::Serve(float* x, int64_t len, int64_t q_rows,
+                         float* scratch) const {
   const int64_t d = config_.d_model;
   float* h = scratch;
   float* sublayer = h + len * d;  // Attention output, then FFN output.
   float* work = sublayer + len * d;  // Attention scratch, then FFN hidden.
-  attention_.Serve(x, len, work, sublayer);
-  tensor::ResidualLayerNormRows(x, sublayer, h, len, d, ln1_gamma_.data(),
+  // Attention reads all `len` rows of x before the last LayerNorm
+  // overwrites its first `q_rows`.
+  attention_.Serve(x, len, q_rows, work, sublayer);
+  tensor::ResidualLayerNormRows(x, sublayer, h, q_rows, d, ln1_gamma_.data(),
                                 ln1_beta_.data(), tensor::kLayerNormEps);
-  ffn_in_.Serve(h, len, work, /*gelu=*/true);
-  ffn_out_.Serve(work, len, sublayer);
-  tensor::ResidualLayerNormRows(h, sublayer, x, len, d, ln2_gamma_.data(),
+  ffn_in_.Serve(h, q_rows, work, /*gelu=*/true);
+  ffn_out_.Serve(work, q_rows, sublayer);
+  tensor::ResidualLayerNormRows(h, sublayer, x, q_rows, d, ln2_gamma_.data(),
                                 ln2_beta_.data(), tensor::kLayerNormEps);
 }
 
@@ -92,8 +95,12 @@ void TransformerEncoder::Serve(const std::vector<int>& ids,
   embeddings_.Serve(ids, segments, x);
   CHECK(rows >= 1 && rows <= len)
       << "rows " << rows << " outside [1, " << len << "]";
-  for (const auto& layer : layers_) {
-    layer->Serve(x, len, x + len * config_.d_model);
+  // Every layer but the last produces all `len` rows, because the next
+  // layer's keys and values read them; the last produces only the `rows`
+  // the caller copies out.
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const int64_t q_rows = i + 1 == layers_.size() ? rows : len;
+    layers_[i]->Serve(x, len, q_rows, x + len * config_.d_model);
   }
   std::copy(x, x + rows * config_.d_model, out);
 }

@@ -24,10 +24,14 @@ class EncoderLayer : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& mask,
                          const ExecContext& ctx) const;
 
-  /// Serving forward on raw buffers, unmasked: replaces x [len, d] in
-  /// place with what the eval-mode Forward returns. `scratch` must hold
+  /// Serving forward on raw buffers, unmasked: replaces the first
+  /// `q_rows` rows of x [len, d] in place with those rows of what the
+  /// eval-mode Forward returns, 1 <= q_rows <= len. Attention keys and
+  /// values still read all `len` input rows; every stage after them runs
+  /// over `q_rows` rows only, bit-identical to a full-length pass. Rows
+  /// past `q_rows` are left stale. `scratch` must hold
   /// ServeScratchFloats(len) floats.
-  void Serve(float* x, int64_t len, float* scratch) const;
+  void Serve(float* x, int64_t len, int64_t q_rows, float* scratch) const;
   int64_t ServeScratchFloats(int64_t len) const;
 
  private:
@@ -56,8 +60,11 @@ class TransformerEncoder : public Module {
 
   /// Serving forward on raw buffers: runs the eval-mode Forward's
   /// arithmetic (no mask) with no tensor graph and no allocation, and
-  /// copies the first `rows` rows of E into `out` [rows, d]. Outputs are
-  /// bit-identical to Forward's. `scratch` must hold
+  /// copies the first `rows` rows of E into `out` [rows, d]. Every layer
+  /// but the last runs over all L rows; the last computes only the
+  /// `rows` copied out, so `rows` = 1 (the [CLS] row Predict and
+  /// EncodeBatch read) skips the rest of its work. Outputs are
+  /// bit-identical to Forward's first `rows` rows. `scratch` must hold
   /// ServeScratchFloats(ids.size()) floats; its regions are fixed and
   /// reused layer after layer. Same guards as Forward.
   void Serve(const std::vector<int>& ids, const std::vector<int>& segments,

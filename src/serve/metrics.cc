@@ -144,6 +144,24 @@ Histogram* MetricsRegistry::GetHistogram(
   return it->second.get();
 }
 
+Counter* CounterHandle::get() {
+  Counter* counter = counter_.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = registry_->GetCounter(name_);
+    counter_.store(counter, std::memory_order_release);
+  }
+  return counter;
+}
+
+Histogram* HistogramHandle::get() {
+  Histogram* histogram = histogram_.load(std::memory_order_acquire);
+  if (histogram == nullptr) {
+    histogram = registry_->GetHistogram(name_, upper_bounds_);
+    histogram_.store(histogram, std::memory_order_release);
+  }
+  return histogram;
+}
+
 std::string MetricsRegistry::ToJson() const {
   // Collect into ordered maps so the export is stable run-to-run.
   std::map<std::string, int64_t> counters;

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace explainti::serve {
@@ -107,6 +108,52 @@ class MetricsRegistry {
   Shard& ShardFor(std::string_view name);
 
   Shard shards_[kShards];
+};
+
+/// A counter named up front and resolved from its registry on first use,
+/// then kept as a pointer: the hot path pays one atomic load instead of a
+/// locked name lookup that builds a key string. Resolving on first use
+/// rather than at construction keeps ToJson() listing exactly the
+/// instruments that were touched. Concurrent first uses resolve to the
+/// same instrument. `registry` must be non-null and outlive the handle.
+class CounterHandle {
+ public:
+  CounterHandle(MetricsRegistry* registry, std::string name)
+      : registry_(registry), name_(std::move(name)) {}
+  CounterHandle(const CounterHandle&) = delete;
+  CounterHandle& operator=(const CounterHandle&) = delete;
+
+  void Increment(int64_t n = 1) { get()->Increment(n); }
+  /// The resolved counter, registered now if untouched.
+  Counter* get();
+
+ private:
+  MetricsRegistry* const registry_;
+  const std::string name_;
+  std::atomic<Counter*> counter_{nullptr};
+};
+
+/// CounterHandle's histogram twin: the bucket bounds are built once, at
+/// construction, and handed to the registry on first use.
+class HistogramHandle {
+ public:
+  HistogramHandle(MetricsRegistry* registry, std::string name,
+                  std::vector<int64_t> upper_bounds)
+      : registry_(registry),
+        name_(std::move(name)),
+        upper_bounds_(std::move(upper_bounds)) {}
+  HistogramHandle(const HistogramHandle&) = delete;
+  HistogramHandle& operator=(const HistogramHandle&) = delete;
+
+  void Record(int64_t value) { get()->Record(value); }
+  /// The resolved histogram, registered now if untouched.
+  Histogram* get();
+
+ private:
+  MetricsRegistry* const registry_;
+  const std::string name_;
+  const std::vector<int64_t> upper_bounds_;
+  std::atomic<Histogram*> histogram_{nullptr};
 };
 
 }  // namespace explainti::serve

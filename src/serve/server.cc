@@ -11,6 +11,45 @@
 
 namespace explainti::serve {
 
+ServeMetrics::ServeMetrics(MetricsRegistry* registry)
+    : accepted(registry, "serve.accepted"),
+      qa_accepted(registry, "serve.qa_accepted"),
+      cache_hits(registry, "serve.cache_hits"),
+      rejected_invalid(registry, "serve.rejected_invalid"),
+      rejected_quota(registry, "serve.rejected_quota"),
+      rejected_queue_full(registry, "serve.rejected_queue_full"),
+      rejected_shutdown(registry, "serve.rejected_shutdown"),
+      rejected_admit_fault(registry, "serve.rejected_admit_fault"),
+      preempted(registry, "serve.preempted"),
+      swaps(registry, "serve.swaps"),
+      swap_aborted(registry, "serve.swap_aborted"),
+      deadline_expired(registry, "serve.deadline_expired"),
+      rejected_stale(registry, "serve.rejected_stale"),
+      batches(registry, "serve.batches"),
+      completed(registry, "serve.completed"),
+      queue_wait_us(registry, "serve.queue_wait_us",
+                    Histogram::LatencyBucketsUs()),
+      e2e_us(registry, "serve.e2e_us", Histogram::LatencyBucketsUs()),
+      batch_size(registry, "serve.batch_size",
+                 Histogram::LinearBuckets(1, 1, 32)),
+      qa_failed(registry, "qa.failed"),
+      qa_answered(registry, "qa.answered"),
+      qa_surrogate_answered(registry, "qa.surrogate_answered"),
+      qa_escalated(registry, "qa.escalated"),
+      qa_surrogate_us(registry, "qa.surrogate_us",
+                      Histogram::LatencyBucketsUs()),
+      qa_teacher_us(registry, "qa.teacher_us",
+                    Histogram::LatencyBucketsUs()) {}
+
+InferenceServer::TenantMetrics::TenantMetrics(MetricsRegistry* registry,
+                                              const std::string& tenant)
+    : accepted(registry, "serve.tenant." + tenant + ".accepted"),
+      qa_accepted(registry, "serve.tenant." + tenant + ".qa_accepted"),
+      rejected_quota(registry, "serve.tenant." + tenant + ".rejected_quota"),
+      rejected_queue_full(registry,
+                          "serve.tenant." + tenant + ".rejected_queue_full"),
+      preempted(registry, "serve.tenant." + tenant + ".preempted") {}
+
 InferenceServer::InferenceServer(const core::InferenceSession& session,
                                  const ServerOptions& options,
                                  MetricsRegistry* metrics)
@@ -18,11 +57,18 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
       owned_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>()
                                         : nullptr),
       metrics_(metrics == nullptr ? owned_metrics_.get() : metrics),
+      serve_metrics_(metrics_),
       cache_(options.cache.enabled
                  ? std::make_unique<ResponseCache>(options.cache)
                  : nullptr),
       batcher_(options.batcher) {
   CHECK(options_.num_workers >= 0) << "num_workers must be >= 0";
+  if (options_.tenants != nullptr) {
+    for (int id = 0; id < options_.tenants->size(); ++id) {
+      tenant_metrics_.push_back(std::make_unique<TenantMetrics>(
+          metrics_, options_.tenants->options(id).name));
+    }
+  }
   current_ = std::make_shared<Generation>();
   current_->session = &session;
   if (options_.qa.enabled) {
@@ -41,11 +87,9 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
 
 InferenceServer::~InferenceServer() { Shutdown(); }
 
-Counter* InferenceServer::TenantCounter(int tenant_id, const char* what) {
-  if (options_.tenants == nullptr) return nullptr;
-  return metrics_->GetCounter("serve.tenant." +
-                              options_.tenants->options(tenant_id).name + "." +
-                              what);
+InferenceServer::TenantMetrics* InferenceServer::ForTenant(int tenant_id) {
+  if (tenant_metrics_.empty()) return nullptr;
+  return tenant_metrics_[static_cast<size_t>(tenant_id)].get();
 }
 
 util::Status InferenceServer::Submit(ServeRequest request,
@@ -55,7 +99,7 @@ util::Status InferenceServer::Submit(ServeRequest request,
   // front door with its injected (typed) status — modelling e.g. an
   // auth/metadata dependency outage — before any queue slot is taken.
   if (util::Status fault = FAULT_POINT("serve.admit"); !fault.ok()) {
-    metrics_->GetCounter("serve.rejected_admit_fault")->Increment();
+    serve_metrics_.rejected_admit_fault.Increment();
     return fault;
   }
 
@@ -64,8 +108,11 @@ util::Status InferenceServer::Submit(ServeRequest request,
   // (noisy neighbours cannot self-promote); over-quota tenants are shed
   // here, before the request touches the queue or any compute.
   if (options_.tenants != nullptr) {
-    if (!options_.tenants->Contains(request.tenant_id)) {
-      metrics_->GetCounter("serve.rejected_invalid")->Increment();
+    // A tenant registered after construction has no resolved counters,
+    // so it is as unknown here as one never registered.
+    if (!options_.tenants->Contains(request.tenant_id) ||
+        request.tenant_id >= static_cast<int>(tenant_metrics_.size())) {
+      serve_metrics_.rejected_invalid.Increment();
       return util::Status::InvalidArgument(
           "unknown tenant_id " + std::to_string(request.tenant_id));
     }
@@ -73,8 +120,8 @@ util::Status InferenceServer::Submit(ServeRequest request,
     util::Status quota = options_.tenants->Admit(request.tenant_id,
                                                  util::MonotonicNowUs());
     if (!quota.ok()) {
-      metrics_->GetCounter("serve.rejected_quota")->Increment();
-      TenantCounter(request.tenant_id, "rejected_quota")->Increment();
+      serve_metrics_.rejected_quota.Increment();
+      ForTenant(request.tenant_id)->rejected_quota.Increment();
       return quota;
     }
   }
@@ -159,28 +206,25 @@ util::Status InferenceServer::Submit(ServeRequest request,
     UnpinGeneration(generation);
   }
   if (!valid.ok()) {
-    metrics_->GetCounter("serve.rejected_invalid")->Increment();
+    serve_metrics_.rejected_invalid.Increment();
     return valid;
   }
   // An admission counts once, whether the cache answers it inline or it
   // queues. QA traffic is separately visible per tenant: the method costs
   // a whole query plan per request, so quota debugging needs to see who
   // sends it.
+  TenantMetrics* tenant = ForTenant(request.tenant_id);
   auto count_accepted = [&] {
-    metrics_->GetCounter("serve.accepted")->Increment();
-    if (Counter* c = TenantCounter(request.tenant_id, "accepted")) {
-      c->Increment();
-    }
+    serve_metrics_.accepted.Increment();
+    if (tenant != nullptr) tenant->accepted.Increment();
     if (request.method == ServeMethod::kQaAnswer) {
-      metrics_->GetCounter("serve.qa_accepted")->Increment();
-      if (Counter* c = TenantCounter(request.tenant_id, "qa_accepted")) {
-        c->Increment();
-      }
+      serve_metrics_.qa_accepted.Increment();
+      if (tenant != nullptr) tenant->qa_accepted.Increment();
     }
   };
   if (cache_hit) {
     count_accepted();
-    metrics_->GetCounter("serve.cache_hits")->Increment();
+    serve_metrics_.cache_hits.Increment();
     hit.status = util::Status::OK();
     hit.trace_id = request.trace_id;
     pending.on_done(std::move(hit));
@@ -192,12 +236,10 @@ util::Status InferenceServer::Submit(ServeRequest request,
   if (admitted.ok()) {
     count_accepted();
   } else if (admitted.code() == util::StatusCode::kResourceExhausted) {
-    metrics_->GetCounter("serve.rejected_queue_full")->Increment();
-    if (Counter* c = TenantCounter(request.tenant_id, "rejected_queue_full")) {
-      c->Increment();
-    }
+    serve_metrics_.rejected_queue_full.Increment();
+    if (tenant != nullptr) tenant->rejected_queue_full.Increment();
   } else {
-    metrics_->GetCounter("serve.rejected_shutdown")->Increment();
+    serve_metrics_.rejected_shutdown.Increment();
   }
   FailPreempted(preempted);
   return admitted;
@@ -205,11 +247,10 @@ util::Status InferenceServer::Submit(ServeRequest request,
 
 void InferenceServer::FailPreempted(std::vector<PendingRequest>& victims) {
   if (victims.empty()) return;
-  metrics_->GetCounter("serve.preempted")
-      ->Increment(static_cast<int64_t>(victims.size()));
+  serve_metrics_.preempted.Increment(static_cast<int64_t>(victims.size()));
   for (PendingRequest& victim : victims) {
-    if (Counter* c = TenantCounter(victim.request.tenant_id, "preempted")) {
-      c->Increment();
+    if (TenantMetrics* tenant = ForTenant(victim.request.tenant_id)) {
+      tenant->preempted.Increment();
     }
     ServeResponse response;
     response.status = util::Status::ResourceExhausted(
@@ -267,7 +308,7 @@ util::Status InferenceServer::SwapSession(const core::InferenceSession& next) {
   // Chaos site: an armed "serve.swap" fault aborts the rollout before any
   // state changes — the old generation keeps serving untouched.
   if (util::Status fault = FAULT_POINT("serve.swap"); !fault.ok()) {
-    metrics_->GetCounter("serve.swap_aborted")->Increment();
+    serve_metrics_.swap_aborted.Increment();
     return fault;
   }
 
@@ -300,7 +341,7 @@ util::Status InferenceServer::SwapSession(const core::InferenceSession& next) {
   // entries inserted during the drain window are wiped too — a lost
   // caching opportunity, never a correctness issue.)
   if (cache_ != nullptr) cache_->Clear();
-  metrics_->GetCounter("serve.swaps")->Increment();
+  serve_metrics_.swaps.Increment();
   return util::Status::OK();
 }
 
@@ -338,7 +379,7 @@ void InferenceServer::Shutdown() {
     response.status = util::Status::FailedPrecondition(
         "server shut down before the request was served");
     response.trace_id = pending.request.trace_id;
-    metrics_->GetCounter("serve.rejected_shutdown")->Increment();
+    serve_metrics_.rejected_shutdown.Increment();
     pending.on_done(std::move(response));
   }
 }
@@ -351,23 +392,22 @@ void InferenceServer::WorkerLoop() {
   std::vector<PendingRequest> batch;
   std::vector<PendingRequest> expired;
   while (batcher_.PopBatch(&batch, &expired)) {
-    FailExpired(expired, metrics_);
+    FailExpired(expired, &serve_metrics_);
     if (batch.empty()) continue;
     // Pin one generation for the whole batch: the swap path redirects
     // the pointer first and then waits for this pin to release.
     std::shared_ptr<Generation> generation = PinGeneration();
-    ExecuteBatch(*generation->session, batch, metrics_, cache_.get(),
+    ExecuteBatch(*generation->session, batch, &serve_metrics_, cache_.get(),
                  generation->id, generation->qa_engine.get());
     UnpinGeneration(generation);
   }
 }
 
 void InferenceServer::FailExpired(std::vector<PendingRequest>& expired,
-                                  MetricsRegistry* metrics) {
+                                  ServeMetrics* metrics) {
   if (expired.empty()) return;
   if (metrics != nullptr) {
-    metrics->GetCounter("serve.deadline_expired")
-        ->Increment(static_cast<int64_t>(expired.size()));
+    metrics->deadline_expired.Increment(static_cast<int64_t>(expired.size()));
   }
   for (PendingRequest& pending : expired) {
     ServeResponse response;
@@ -380,7 +420,7 @@ void InferenceServer::FailExpired(std::vector<PendingRequest>& expired,
 
 void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
                                    std::vector<PendingRequest>& batch,
-                                   MetricsRegistry* metrics,
+                                   ServeMetrics* metrics,
                                    ResponseCache* cache, uint64_t generation,
                                    const qa::QaEngine* qa_engine) {
   if (batch.empty()) return;
@@ -418,9 +458,7 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
       ++keep;
       continue;
     }
-    if (metrics != nullptr) {
-      metrics->GetCounter("serve.rejected_stale")->Increment();
-    }
+    if (metrics != nullptr) metrics->rejected_stale.Increment();
     ServeResponse stale;
     stale.status = util::Status::FailedPrecondition(
         "request invalidated by a model hot-swap while queued; retry "
@@ -473,14 +511,12 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
       // Each query is planned and answered individually: a query that
       // fails validation against the executing generation completes alone
       // with its typed status — the rest of the batch (and the
-      // callback-exactly-once guarantee) is untouched.
-      Histogram* surrogate_us = nullptr;
-      Histogram* teacher_us = nullptr;
+      // callback-exactly-once guarantee) is untouched. Both tier
+      // histograms are registered as soon as QA traffic runs, so an
+      // export tells "no answers at this tier" from "no QA traffic".
       if (metrics != nullptr) {
-        surrogate_us = metrics->GetHistogram("qa.surrogate_us",
-                                             Histogram::LatencyBucketsUs());
-        teacher_us = metrics->GetHistogram("qa.teacher_us",
-                                           Histogram::LatencyBucketsUs());
+        metrics->qa_surrogate_us.get();
+        metrics->qa_teacher_us.get();
       }
       for (size_t i = 0; i < batch.size(); ++i) {
         if (qa_engine == nullptr) {
@@ -494,9 +530,7 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
         const int64_t elapsed_us = util::MonotonicNowUs() - start_us;
         if (!answer.ok()) {
           responses[i].status = answer.status();
-          if (metrics != nullptr) {
-            metrics->GetCounter("qa.failed")->Increment();
-          }
+          if (metrics != nullptr) metrics->qa_failed.Increment();
           continue;
         }
         responses[i].qa = std::move(answer).value();
@@ -504,18 +538,16 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
           const qa::QaAnswer& composed = responses[i].qa;
           const int64_t total_steps =
               static_cast<int64_t>(composed.justification.steps.size());
-          metrics->GetCounter("qa.answered")->Increment();
-          metrics->GetCounter("qa.surrogate_answered")
-              ->Increment(composed.surrogate_steps);
-          metrics->GetCounter("qa.escalated")
-              ->Increment(composed.escalated_steps);
+          metrics->qa_answered.Increment();
+          metrics->qa_surrogate_answered.Increment(composed.surrogate_steps);
+          metrics->qa_escalated.Increment(composed.escalated_steps);
           // Per-tier latency: an answer composed entirely at the
           // surrogate tier is the cheap path the cascade exists for;
           // anything that touched the teacher is teacher-tier cost.
           if (total_steps > 0 && composed.surrogate_steps == total_steps) {
-            surrogate_us->Record(elapsed_us);
+            metrics->qa_surrogate_us.Record(elapsed_us);
           } else {
-            teacher_us->Record(elapsed_us);
+            metrics->qa_teacher_us.Record(elapsed_us);
           }
         }
       }
@@ -524,20 +556,10 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
   }
 
   const int64_t done_us = util::MonotonicNowUs();
-  Histogram* queue_wait = nullptr;
-  Histogram* e2e = nullptr;
   if (metrics != nullptr) {
-    queue_wait = metrics->GetHistogram("serve.queue_wait_us",
-                                       Histogram::LatencyBucketsUs());
-    e2e = metrics->GetHistogram("serve.e2e_us",
-                                Histogram::LatencyBucketsUs());
-    metrics->GetCounter("serve.batches")->Increment();
-    metrics->GetCounter("serve.completed")
-        ->Increment(static_cast<int64_t>(batch.size()));
-    metrics
-        ->GetHistogram("serve.batch_size",
-                       Histogram::LinearBuckets(1, 1, 32))
-        ->Record(static_cast<int64_t>(batch.size()));
+    metrics->batches.Increment();
+    metrics->completed.Increment(static_cast<int64_t>(batch.size()));
+    metrics->batch_size.Record(static_cast<int64_t>(batch.size()));
   }
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& pending = batch[i];
@@ -550,8 +572,10 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
     response.total_us = done_us - pending.request.arrival_us;
     response.batch_size = static_cast<int>(batch.size());
     response.model_generation = generation;
-    if (queue_wait != nullptr) queue_wait->Record(response.queue_wait_us);
-    if (e2e != nullptr) e2e->Record(response.total_us);
+    if (metrics != nullptr) {
+      metrics->queue_wait_us.Record(response.queue_wait_us);
+      metrics->e2e_us.Record(response.total_us);
+    }
     if (entry_ok && cache != nullptr && pending.input_hash != 0) {
       // Stores the executing generation's input alongside the payload:
       // a later lookup whose content differs (hash collision, or a swap

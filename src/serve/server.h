@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,10 +43,29 @@ struct ServerOptions {
   /// Tenant quota/priority table. Null (the default) serves everything
   /// as one anonymous unlimited tenant — the pre-tenancy behaviour.
   /// Borrowed; must outlive the server, with all tenants registered
-  /// before traffic starts.
+  /// before the server is constructed (it resolves each tenant's
+  /// counters then; a tenant registered later is rejected as unknown).
   TenantRegistry* tenants = nullptr;
   /// Table-QA method + surrogate cascade (see QaServeOptions).
   QaServeOptions qa;
+};
+
+/// Every server-wide instrument the admission and batch paths update,
+/// each resolved from the registry once (on first use, see
+/// CounterHandle) instead of looked up by name per event.
+struct ServeMetrics {
+  explicit ServeMetrics(MetricsRegistry* registry);
+
+  // Admission, swap and shutdown.
+  CounterHandle accepted, qa_accepted, cache_hits, rejected_invalid,
+      rejected_quota, rejected_queue_full, rejected_shutdown,
+      rejected_admit_fault, preempted, swaps, swap_aborted;
+  // Batch execution.
+  CounterHandle deadline_expired, rejected_stale, batches, completed;
+  HistogramHandle queue_wait_us, e2e_us, batch_size;
+  // Table-QA answers.
+  CounterHandle qa_failed, qa_answered, qa_surrogate_answered, qa_escalated;
+  HistogramHandle qa_surrogate_us, qa_teacher_us;
 };
 
 /// Dynamic micro-batching inference server over frozen
@@ -157,14 +177,15 @@ class InferenceServer {
   /// Executes one coalesced batch (all entries batch-compatible) against
   /// `session` and completes every request: the worker-loop body, public
   /// so tests and benches can drive it on their own thread (e.g. the
-  /// steady-state zero-alloc assertion). `metrics` may be null. Each
-  /// response carries `generation`, and OK results go into `cache` when
-  /// it is non-null. `qa_engine` answers kQaAnswer entries (each completed
-  /// individually — one bad query fails alone with a typed status, never
-  /// the batch); null rejects QA entries with kFailedPrecondition.
+  /// steady-state zero-alloc assertion). `metrics` may be null (nothing
+  /// is recorded). Each response carries `generation`, and OK results go
+  /// into `cache` when it is non-null. `qa_engine` answers kQaAnswer
+  /// entries (each completed individually — one bad query fails alone
+  /// with a typed status, never the batch); null rejects QA entries with
+  /// kFailedPrecondition.
   static void ExecuteBatch(const core::InferenceSession& session,
                            std::vector<PendingRequest>& batch,
-                           MetricsRegistry* metrics,
+                           ServeMetrics* metrics,
                            ResponseCache* cache = nullptr,
                            uint64_t generation = 0,
                            const qa::QaEngine* qa_engine = nullptr);
@@ -172,7 +193,7 @@ class InferenceServer {
   /// Completes `expired` requests with kDeadlineExceeded (no compute).
   /// `metrics` may be null.
   static void FailExpired(std::vector<PendingRequest>& expired,
-                          MetricsRegistry* metrics);
+                          ServeMetrics* metrics);
 
  private:
   /// One serving generation: a frozen session plus the count of batches
@@ -196,13 +217,23 @@ class InferenceServer {
   /// Fails `victims` (preempted by a higher-priority arrival) with
   /// kResourceExhausted and records per-tenant shed counters.
   void FailPreempted(std::vector<PendingRequest>& victims);
-  /// Per-tenant counter "serve.tenant.<name>.<what>"; null when the
-  /// server runs without a TenantRegistry.
-  Counter* TenantCounter(int tenant_id, const char* what);
+  /// Per-tenant counters "serve.tenant.<name>.<what>", resolved once per
+  /// tenant id.
+  struct TenantMetrics {
+    TenantMetrics(MetricsRegistry* registry, const std::string& tenant);
+    CounterHandle accepted, qa_accepted, rejected_quota, rejected_queue_full,
+        preempted;
+  };
+  /// The counters of `tenant_id`; null when the server runs without a
+  /// TenantRegistry. `tenant_id` must have passed admission.
+  TenantMetrics* ForTenant(int tenant_id);
 
   const ServerOptions options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
+  ServeMetrics serve_metrics_;
+  // One entry per tenant registered at construction, indexed by id.
+  std::vector<std::unique_ptr<TenantMetrics>> tenant_metrics_;
   std::unique_ptr<ResponseCache> cache_;  // Null when disabled.
   MicroBatcher batcher_;
   std::vector<std::thread> workers_;

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +187,50 @@ TEST(EncoderDeathTest, ServeRejectsWhatForwardRejects) {
   EXPECT_DEATH(
       encoder.Serve({5, 6, 7}, {0, 1}, scratch.data(), out.data(), 1),
       "Check failed");
+}
+
+// Serve computes only the rows its caller copies out in the last layer.
+// At every length, on seeded ids and segments and perturbed weights (so
+// biases and LayerNorm affine terms are not the identity), the [CLS] row
+// must read the same bits three ways: Serve(rows = 1), row 0 of
+// Serve(rows = len), and row 0 of the tape Forward.
+TEST(EncoderServeTest, ClsRowIsBitIdenticalAtBothOutputShapes) {
+  util::Rng rng(29);
+  TransformerConfig config;  // The serving shape: d 64, 4 heads, 2 layers.
+  config.vocab_size = 50;
+  TransformerEncoder encoder(config, rng);
+  for (tensor::Tensor& p : encoder.Parameters()) {
+    float* data = p.data();
+    for (int64_t i = 0; i < p.size(); ++i) {
+      data[i] += static_cast<float>(rng.Uniform(-0.1, 0.1));
+    }
+  }
+  const int64_t d = config.d_model;
+  const size_t row_bytes = static_cast<size_t>(d) * sizeof(float);
+  std::vector<float> scratch(
+      static_cast<size_t>(encoder.ServeScratchFloats(config.max_len)));
+  for (int64_t len = 1; len <= config.max_len; ++len) {
+    std::vector<int> ids(static_cast<size_t>(len));
+    std::vector<int> segments(static_cast<size_t>(len));
+    for (int64_t i = 0; i < len; ++i) {
+      ids[static_cast<size_t>(i)] = static_cast<int>(
+          rng.UniformInt(static_cast<uint64_t>(config.vocab_size)));
+      segments[static_cast<size_t>(i)] = static_cast<int>(rng.UniformInt(2));
+    }
+    std::vector<float> cls(static_cast<size_t>(d));
+    std::vector<float> all(static_cast<size_t>(len * d));
+    encoder.Serve(ids, segments, scratch.data(), cls.data(), 1);
+    encoder.Serve(ids, segments, scratch.data(), all.data(), len);
+    const std::vector<float> tape =
+        encoder.Forward(ids, segments, ExecContext::Eval()).ToVector();
+    EXPECT_EQ(std::memcmp(cls.data(), all.data(), row_bytes), 0)
+        << "Serve(rows=1) vs row 0 of Serve(rows=len) at len " << len;
+    EXPECT_EQ(std::memcmp(cls.data(), tape.data(), row_bytes), 0)
+        << "Serve(rows=1) vs row 0 of the tape Forward at len " << len;
+    EXPECT_EQ(std::memcmp(all.data(), tape.data(), all.size() * sizeof(float)),
+              0)
+        << "Serve(rows=len) vs the tape Forward at len " << len;
+  }
 }
 
 TEST(HeadsTest, ClassifierOutputsNumLabels) {

@@ -605,6 +605,24 @@ TEST(ServeTenantTest, OverQuotaTenantShedBeforeQueueWithPerTenantCounters) {
             util::StatusCode::kInvalidArgument);
 }
 
+// The server resolves each tenant's counters when it is constructed, so
+// a tenant registered afterwards has none: it is rejected as unknown at
+// admission instead of indexing past the per-tenant table.
+TEST(ServeTenantTest, TenantRegisteredAfterConstructionIsUnknown) {
+  const InferenceSession& session = Shared().model.session();
+  TenantRegistry tenants;
+  ServerOptions options;
+  options.tenants = &tenants;
+  InferenceServer server(session, options);
+  TenantOptions late;
+  late.name = "late";
+  ServeRequest request = MakeRequest(ServeMethod::kPredict, 0);
+  request.tenant_id = tenants.Register(late);
+  EXPECT_EQ(server.ServeSync(request).status.code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.metrics().GetCounter("serve.rejected_invalid")->Value(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Priority shedding: a full queue preempts the youngest request of the
 // lowest class strictly below the arrival; equal classes keep the seed
@@ -1009,7 +1027,8 @@ TEST(ServeHotSwapTest, StaleRequestAfterSwapFailsTypedNotCrash) {
   batch[1].request = MakeRequest(ServeMethod::kPredict, 1 << 28, 2);
   batch[1].on_done = [&](ServeResponse&& r) { stale_out = std::move(r); };
 
-  InferenceServer::ExecuteBatch(session, batch, &metrics);
+  ServeMetrics handles(&metrics);
+  InferenceServer::ExecuteBatch(session, batch, &handles);
 
   EXPECT_EQ(stale_out.status.code(), util::StatusCode::kFailedPrecondition);
   EXPECT_EQ(stale_out.trace_id, 2u);
@@ -1130,6 +1149,82 @@ TEST(ServeAllocTest, SteadyStateExecuteBatchIsZeroTensorAlloc) {
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(slots[i].labels, session.Predict(TaskKind::kType, ids[i]));
   }
+}
+
+// The serving instruments are resolved once, not looked up by name per
+// event, so updating them allocates nothing once warm. A lookup built a
+// key string for every name past 15 characters (every per-tenant name,
+// "serve.cache_hits", "serve.queue_wait_us", ...) and a bucket vector for
+// every histogram. With by-name lookups a warmed cache-hit Submit from a
+// tenant made 5 heap allocations, and a warmed 4-request ExecuteBatch
+// made 5 more with metrics than without.
+TEST(ServeAllocTest, WarmMetricsUpdatesAllocateNothing) {
+  GlobalPoolGuard guard;
+  util::SetGlobalThreadCount(1);
+  const InferenceSession& session = Shared().model.session();
+
+  // A cache hit completes inline on the submitting thread, so this
+  // thread's counts hold the whole admission path.
+  TenantRegistry tenants;
+  TenantOptions tenant;
+  tenant.name = "alloc-probe";
+  const int tenant_id = tenants.Register(tenant);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.cache.enabled = true;
+  options.tenants = &tenants;
+  InferenceServer server(session, options);
+  ServeRequest request = MakeRequest(ServeMethod::kPredict, 0);
+  request.tenant_id = tenant_id;
+  ASSERT_TRUE(server.ServeSync(request).status.ok());  // Fills the cache.
+  ServeResponse hit;
+  const auto submit = [&] {
+    ASSERT_TRUE(server
+                    .Submit(request,
+                            [&hit](ServeResponse&& r) { hit = std::move(r); })
+                    .ok());
+  };
+  submit();  // Warm-up: resolves every instrument the hit path touches.
+  submit();
+  constexpr int kSubmits = 16;
+  const util::AllocCounts submit_before = util::ThisThreadAllocCounts();
+  for (int i = 0; i < kSubmits; ++i) submit();
+  const util::AllocCounts submit_after = util::ThisThreadAllocCounts();
+  EXPECT_TRUE(hit.cache_hit);
+  const uint64_t per_submit =
+      (submit_after.allocations - submit_before.allocations) / kSubmits;
+  RecordProperty("allocations_per_cache_hit_submit",
+                 static_cast<int>(per_submit));
+  // What remains is the response copied out of the cache entry.
+  EXPECT_LE(per_submit, 1u)
+      << "a cache-hit Submit allocates more than its response copy";
+
+  // ExecuteBatch with metrics allocates exactly what it does without.
+  const std::vector<int> ids = SampleIds(4);
+  std::vector<ServeResponse> slots(ids.size());
+  std::vector<PendingRequest> batch(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    batch[i].request = MakeRequest(ServeMethod::kPredict, ids[i], i);
+    batch[i].request.arrival_us = util::MonotonicNowUs();
+    ServeResponse* slot = &slots[i];
+    batch[i].on_done = [slot](ServeResponse&& response) {
+      *slot = std::move(response);
+    };
+  }
+  MetricsRegistry registry;
+  ServeMetrics metrics(&registry);
+  const auto allocations_per_batch = [&](ServeMetrics* m) {
+    InferenceServer::ExecuteBatch(session, batch, m);  // Warm-up.
+    const util::AllocCounts before = util::ThisThreadAllocCounts();
+    InferenceServer::ExecuteBatch(session, batch, m);
+    return util::ThisThreadAllocCounts().allocations - before.allocations;
+  };
+  const uint64_t with_metrics = allocations_per_batch(&metrics);
+  const uint64_t without_metrics = allocations_per_batch(nullptr);
+  EXPECT_EQ(with_metrics, without_metrics)
+      << "recording a batch's metrics allocated on the heap";
+  EXPECT_EQ(metrics.completed.get()->Value(),
+            2 * static_cast<int64_t>(ids.size()));
 }
 
 // ---------------------------------------------------------------------------

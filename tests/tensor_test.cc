@@ -1,11 +1,15 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace explainti::tensor {
 namespace {
@@ -320,6 +324,52 @@ TEST(TensorOpsTest, CosineSimilarityBounds) {
   const std::vector<float> c = {2, 0};
   EXPECT_NEAR(CosineSimilarity(a, b), 0.0f, 1e-6f);
   EXPECT_NEAR(CosineSimilarity(a, c), 1.0f, 1e-6f);
+}
+
+// The serving encoder computes only the [CLS] row of its last layer, so
+// every GEMM there runs with m == 1 (GemmVecChunk) where the full-length
+// pass runs m == len (GemmRowsChunk). Row i of an m-row product must
+// equal, bit for bit, the m == 1 product of row i alone, for both B
+// layouts, on strided views, and however the pool chunks the work.
+TEST(ServingGemmTest, EachRowMatchesItsSingleRowProduct) {
+  const int restore_threads = util::ConfiguredThreadCount();
+  util::Rng rng(41);
+  for (int threads : {1, 4}) {
+    util::SetGlobalThreadCount(threads);
+    for (int64_t m : {2, 3, 5, 29}) {
+      for (int64_t k : {1, 3, 4, 5, 17, 64}) {
+        for (int64_t n : {1, 7, 64, 256}) {
+          for (bool trans_b : {false, true}) {
+            // Padded strides: the attention heads read and write column
+            // slices of wider rows.
+            const int64_t lda = k + 3;
+            const int64_t ldb = (trans_b ? k : n) + 2;
+            const int64_t ldc = n + 5;
+            std::vector<float> a(static_cast<size_t>(m * lda));
+            std::vector<float> b(
+                static_cast<size_t>((trans_b ? n : k) * ldb));
+            for (float& v : a) v = static_cast<float>(rng.Uniform(-1, 1));
+            for (float& v : b) v = static_cast<float>(rng.Uniform(-1, 1));
+            std::vector<float> c(static_cast<size_t>(m * ldc), 0.0f);
+            ServingGemm(a.data(), lda, b.data(), ldb, trans_b, c.data(),
+                        ldc, m, k, n);
+            for (int64_t i = 0; i < m; ++i) {
+              std::vector<float> row(static_cast<size_t>(n), 0.0f);
+              ServingGemm(a.data() + i * lda, lda, b.data(), ldb, trans_b,
+                          row.data(), n, 1, k, n);
+              EXPECT_EQ(std::memcmp(row.data(), c.data() + i * ldc,
+                                    static_cast<size_t>(n) * sizeof(float)),
+                        0)
+                  << "row " << i << " of m=" << m << " k=" << k
+                  << " n=" << n << " trans_b=" << trans_b
+                  << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+  util::SetGlobalThreadCount(restore_threads);
 }
 
 }  // namespace
