@@ -5,6 +5,11 @@
 //
 // Expected shape: ExplainTI clearly ahead of SelfExplain, which is ahead
 // of Influence Functions and Saliency Map.
+//
+// It also reproduces the paper's online simulation (Section IV-C): the
+// verification-time model of eval/human_sim.h runs over the same ExplainTI
+// explanations, per task. The paper reports ~19% less verification time
+// with explanations.
 
 #include <iostream>
 
@@ -55,6 +60,8 @@ int main() {
   const std::vector<std::string> methods = {
       "Saliency Map", "Influence Functions", "SelfExplain", "ExplainTI"};
   std::vector<std::vector<eval::JudgedExplanation>> judged(methods.size());
+  // ExplainTI's judged explanations again, split by task (index = kind).
+  std::vector<eval::JudgedExplanation> explain_ti_by_task[2];
 
   for (core::TaskKind kind :
        {core::TaskKind::kType, core::TaskKind::kRelation}) {
@@ -113,6 +120,7 @@ int main() {
         j.prediction_correct =
             PredictionCorrect(z.predicted_labels, sample.labels);
         j.sample_tokens = tokens;
+        explain_ti_by_task[static_cast<int>(kind)].push_back(j);
         judged[3].push_back(std::move(j));
       }
     }
@@ -135,5 +143,24 @@ int main() {
   printer.Print(std::cout);
   std::cout << "paper reference: ExplainTI +62% adequacy and +43% "
                "understandability over SelfExplain; highest mean trust.\n";
+
+  util::TablePrinter verification({"Task", "Without expl. (s)",
+                                   "With expl. (s)", "Reduction %"});
+  for (core::TaskKind kind :
+       {core::TaskKind::kType, core::TaskKind::kRelation}) {
+    const eval::VerificationOutcome outcome = eval::SimulateVerification(
+        explain_ti_by_task[static_cast<int>(kind)],
+        /*seed=*/7 + static_cast<int>(kind));
+    verification.AddRow({core::TaskKindName(kind),
+                         bench::F1(outcome.mean_seconds_without),
+                         bench::F1(outcome.mean_seconds_with),
+                         bench::F1(outcome.reduction_pct)});
+  }
+  std::cout << "\n=== Online simulation: expert verification time with vs "
+               "without ExplainTI's explanations (same samples; scale: "
+            << scale.name << ") ===\n";
+  verification.Print(std::cout);
+  std::cout << "paper reference: ~19% less verification time with "
+               "ExplainTI's explanations.\n";
   return 0;
 }

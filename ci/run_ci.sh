@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI driver: one job per invocation, mirroring .github/workflows/ci.yml.
 #
-#   ci/run_ci.sh release      Fault-site and env-knob guards
-#                             (check_fault_sites.sh, check_env_knobs.sh),
+#   ci/run_ci.sh release      Fault-site, env-knob and reachability
+#                             guards (check_fault_sites.sh,
+#                             check_env_knobs.sh, check_reachable.sh),
 #                             Release build (warnings-as-errors), full
 #                             ctest suite, the end-to-end serving smoke,
 #                             benchmarks, the check_bench.py plan-vs-tape
@@ -57,6 +58,11 @@ case "$JOB" in
     # Env-knob guard: src/ may read only the allow-listed environment
     # variables, so no untested env mode ships.
     "$ROOT/ci/check_env_knobs.sh"
+    # Reachability guard: every library function must be kept by a bench,
+    # an example or explainti_e2e when linked with --gc-sections at -O0,
+    # or be a root named with its reason in ci/reachable_allowlist.txt,
+    # so no code ships that only tests call.
+    "$ROOT/ci/check_reachable.sh"
     BUILD="$ROOT/build-ci-release"
     configure_and_build "$BUILD" -DCMAKE_BUILD_TYPE=Release
     (cd "$BUILD" && ctest --output-on-failure --timeout "$CTEST_TIMEOUT" \

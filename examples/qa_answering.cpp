@@ -1,6 +1,6 @@
 // Explainable table-QA through the serving stack: pose structured
-// queries ("what type is this column?", "which columns hold a given
-// type?") against a trained model via InferenceServer's kQaAnswer
+// queries ("what type is this column?", "which columns hold a type named
+// 'person'?") against a trained model via InferenceServer's kQaAnswer
 // method, and print the composed answer with its full justification —
 // every step tagged with the prediction it came from, the tier that
 // answered it (explanation-distilled surrogate vs the full teacher),
@@ -98,12 +98,18 @@ int main() {
   std::printf("== what type is column 0?\n");
   PrintAnswer(response.qa, task);
 
-  // Find query: "which of these columns hold the type column 0 has?"
+  // Find query: "which of these columns hold people?" — the type is
+  // named as a user would write it and resolved to its label id.
+  const auto person = ResolveLabel(task, "person");
+  if (!person.ok()) {
+    std::printf("%s\n", person.status().ToString().c_str());
+    return 1;
+  }
   ServeRequest find;
   find.method = ServeMethod::kQaAnswer;
   find.qa.kind = QaQueryKind::kFindColumnsOfType;
   find.qa.sample_ids = {0, 1, 2, 3, 4, 5, 6, 7};
-  find.qa.label_id = response.qa.entries[0].labels[0];
+  find.qa.label_id = *person;
   find.qa.top_k = 3;
   ServeResponse found = server.ServeSync(find);
   if (!found.status.ok()) {

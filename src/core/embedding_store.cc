@@ -31,8 +31,6 @@ int64_t EmbeddingStore::Segment::RowOf(int64_t id) const {
   return (it != end && *it == id) ? it - ids : -1;
 }
 
-EmbeddingStore::EmbeddingStore() : EmbeddingStore(Options()) {}
-
 EmbeddingStore::EmbeddingStore(Options options) : options_(std::move(options)) {
   CHECK_GE(options_.num_segments, 1);
 }
@@ -227,13 +225,6 @@ EmbeddingStore::View EmbeddingStore::view() const {
   return View(current_);
 }
 
-int64_t EmbeddingStore::degraded_searches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_ == nullptr
-             ? 0
-             : current_->degraded_searches.load(std::memory_order_relaxed);
-}
-
 std::vector<ann::SearchResult> EmbeddingStore::View::Search(
     const std::vector<float>& query, int k, int exclude_id,
     bool* used_fallback) const {
@@ -264,9 +255,8 @@ void EmbeddingStore::View::SearchInto(const std::vector<float>& query, int k,
   ann::ShardedSearchInto(snapshot_->shards.data(),
                          static_cast<int64_t>(snapshot_->shards.size()),
                          query, k, exclude_id, out, &stats);
-  if (stats.any_fallback()) {
-    snapshot_->degraded_searches.fetch_add(1, std::memory_order_relaxed);
-    if (used_fallback != nullptr) *used_fallback = true;
+  if (stats.any_fallback() && used_fallback != nullptr) {
+    *used_fallback = true;
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef EXPLAINTI_CORE_EMBEDDING_STORE_H_
 #define EXPLAINTI_CORE_EMBEDDING_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -37,8 +36,8 @@ namespace explainti::core {
 /// always completes every segment's graph, so the one way a segment can
 /// lack one is Load() of a segment file whose header says it was saved
 /// without its graph (flag bit clear). That segment — and only that
-/// segment — answers from its exact FlatIndex. `used_fallback` /
-/// `degraded_searches()` report queries where any segment degraded.
+/// segment — answers from its exact FlatIndex. `used_fallback` reports a
+/// query where any segment degraded.
 ///
 /// Persistence: Save() writes one CRC32-footed file per segment plus a
 /// manifest (see store_persistence.h); Load() maps them and publishes the
@@ -107,8 +106,7 @@ class EmbeddingStore {
   };
 
   /// One immutable published store generation. Built privately by
-  /// Rebuild()/Load(); reachable only through a View. `degraded_searches`
-  /// is the sole mutable field (telemetry, relaxed atomic).
+  /// Rebuild()/Load(); reachable only through a View.
   struct Snapshot {
     int64_t dim = 0;
     int64_t count = 0;
@@ -124,7 +122,6 @@ class EmbeddingStore {
     /// The non-empty segments, in range order: what the fan-out searches.
     std::vector<ann::ShardRef> shards;
     std::vector<const Segment*> shard_segments;  ///< Parallel to shards.
-    mutable std::atomic<int64_t> degraded_searches{0};
   };
 
   /// A read handle pinning one snapshot. Cheap to copy (shared_ptr);
@@ -192,7 +189,6 @@ class EmbeddingStore {
     std::shared_ptr<const Snapshot> snapshot_;  // Null before any Rebuild.
   };
 
-  EmbeddingStore();  // Default Options: one segment.
   explicit EmbeddingStore(Options options);
 
   /// Replaces the store contents: builds a fresh snapshot aside and
@@ -235,10 +231,6 @@ class EmbeddingStore {
   bool Contains(int id) const { return view().Contains(id); }
   int64_t size() const { return view().size(); }
   bool hnsw_ready() const { return view().hnsw_ready(); }
-
-  /// Searches answered (fully or partly) by a flat tier since the last
-  /// Rebuild.
-  int64_t degraded_searches() const;
 
   const Options& options() const { return options_; }
 

@@ -169,10 +169,6 @@ const TaskData& ExplainTiModel::task_data(TaskKind kind) const {
   return Task(kind);
 }
 
-ExplainTiModel::TaskHeads& ExplainTiModel::Heads(TaskKind kind) {
-  return kind == TaskKind::kType ? type_heads_ : relation_heads_;
-}
-
 const ExplainTiModel::TaskHeads& ExplainTiModel::Heads(TaskKind kind) const {
   return kind == TaskKind::kType ? type_heads_ : relation_heads_;
 }

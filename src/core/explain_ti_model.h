@@ -187,7 +187,6 @@ class ExplainTiModel {
   };
 
   const TaskData& Task(TaskKind kind) const;
-  TaskHeads& Heads(TaskKind kind);
   const TaskHeads& Heads(TaskKind kind) const;
   EmbeddingStore& Store(TaskKind kind);
   const EmbeddingStore& Store(TaskKind kind) const;

@@ -13,12 +13,6 @@ std::vector<tensor::Tensor> Module::Parameters() const {
   return all;
 }
 
-int64_t Module::ParameterCount() const {
-  int64_t total = 0;
-  for (const tensor::Tensor& p : Parameters()) total += p.size();
-  return total;
-}
-
 tensor::Tensor Module::AddParameter(tensor::Tensor parameter) {
   CHECK(parameter.defined());
   parameter.set_requires_grad(true);

@@ -26,9 +26,6 @@ class Module {
   /// registration order.
   std::vector<tensor::Tensor> Parameters() const;
 
-  /// Total number of trainable scalars.
-  int64_t ParameterCount() const;
-
  protected:
   /// Registers `parameter` (marks requires_grad) and returns it.
   tensor::Tensor AddParameter(tensor::Tensor parameter);

@@ -43,7 +43,6 @@ util::Status MicroBatcher::Push(PendingRequest pending,
     }
     preempted->push_back(std::move(queue_[victim]));
     queue_.erase(queue_.begin() + static_cast<int64_t>(victim));
-    ++preemptions_;
   }
   pending.request.arrival_us = util::MonotonicNowUs();
   queue_.push_back(std::move(pending));
@@ -138,11 +137,6 @@ int64_t MicroBatcher::size() const {
 int64_t MicroBatcher::high_water() const {
   std::lock_guard<std::mutex> lock(mu_);
   return high_water_;
-}
-
-int64_t MicroBatcher::preemptions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return preemptions_;
 }
 
 }  // namespace explainti::serve

@@ -92,8 +92,6 @@ class MicroBatcher {
   int64_t size() const;
   /// Highest depth ever observed — proof the queue stays bounded.
   int64_t high_water() const;
-  /// Requests evicted by higher-priority arrivals since construction.
-  int64_t preemptions() const;
 
  private:
   /// Index of the leader: oldest request of the best (numerically
@@ -107,7 +105,6 @@ class MicroBatcher {
   std::deque<PendingRequest> queue_;
   bool shutdown_ = false;
   int64_t high_water_ = 0;
-  int64_t preemptions_ = 0;
 };
 
 }  // namespace explainti::serve

@@ -27,9 +27,6 @@ enum class ServeMethod {
   kQaAnswer = 3,
 };
 
-/// Short human-readable name for `method` (e.g. "Predict").
-const char* ServeMethodName(ServeMethod method);
-
 /// Traffic class of a request. Lower numeric value = more important.
 /// Under overload the server sheds in reverse class order: a full
 /// admission queue preempts the youngest request of the *lowest* class
@@ -40,9 +37,6 @@ enum class Priority {
   kBatch = 1,        ///< Throughput-oriented; shed before interactive.
   kBackground = 2,   ///< Best-effort backfill; shed first.
 };
-
-/// Short human-readable name for `priority` (e.g. "interactive").
-const char* PriorityName(Priority priority);
 
 /// One inference request as admitted by the InferenceServer.
 ///

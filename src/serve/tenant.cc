@@ -60,25 +60,12 @@ util::Status TenantRegistry::Admit(int tenant_id, int64_t now_us) {
       tenant->tokens + static_cast<double>(elapsed_us) * 1e-6 *
                            tenant->options.quota_rps);
   if (tenant->tokens < 1.0) {
-    ++tenant->rejections;
     return util::Status::ResourceExhausted(
         "tenant '" + tenant->options.name + "' over quota (" +
         std::to_string(tenant->options.quota_rps) + " rps)");
   }
   tenant->tokens -= 1.0;
   return util::Status::OK();
-}
-
-int64_t TenantRegistry::quota_rejections(int tenant_id) const {
-  Tenant* tenant = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CHECK(tenant_id >= 0 && tenant_id < static_cast<int>(tenants_.size()))
-        << "unknown tenant id " << tenant_id;
-    tenant = tenants_[static_cast<size_t>(tenant_id)].get();
-  }
-  std::lock_guard<std::mutex> lock(tenant->mu);
-  return tenant->rejections;
 }
 
 }  // namespace explainti::serve

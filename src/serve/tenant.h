@@ -63,9 +63,6 @@ class TenantRegistry {
   /// refill clock without sleeping.
   util::Status Admit(int tenant_id, int64_t now_us);
 
-  /// Admissions rejected for quota since registration, per tenant.
-  int64_t quota_rejections(int tenant_id) const;
-
  private:
   struct Tenant {
     TenantOptions options;
@@ -75,7 +72,6 @@ class TenantRegistry {
     mutable std::mutex mu;
     double tokens = 0.0;
     int64_t last_refill_us = 0;
-    int64_t rejections = 0;
   };
 
   // Guards the tenant list itself (registration); per-bucket state has

@@ -6,17 +6,6 @@
 
 namespace explainti::tensor {
 
-namespace {
-
-bool AllFinite(const float* data, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 LinearSchedule::LinearSchedule(float base_lr, int64_t total_steps,
                                int64_t warmup_steps)
     : base_lr_(base_lr),
@@ -52,14 +41,6 @@ AdamW::AdamW(std::vector<Tensor> parameters, AdamWOptions options)
 
 void AdamW::ZeroGrad() {
   for (Tensor& p : parameters_) p.ZeroGrad();
-}
-
-bool AdamW::GradientsAreFinite() const {
-  for (const Tensor& p : parameters_) {
-    if (!p.has_grad()) continue;
-    if (!AllFinite(p.grad(), p.size())) return false;
-  }
-  return true;
 }
 
 bool AdamW::Step(float learning_rate) {
@@ -143,33 +124,6 @@ util::Status AdamW::SetState(std::vector<std::vector<float>> m,
   v_ = std::move(v);
   step_count_ = step_count;
   return util::Status::OK();
-}
-
-Sgd::Sgd(std::vector<Tensor> parameters, float learning_rate)
-    : parameters_(std::move(parameters)), learning_rate_(learning_rate) {
-  for (const Tensor& p : parameters_) {
-    CHECK(p.defined() && p.requires_grad());
-  }
-}
-
-void Sgd::ZeroGrad() {
-  for (Tensor& p : parameters_) p.ZeroGrad();
-}
-
-bool Sgd::Step(float learning_rate) {
-  const float lr = learning_rate >= 0.0f ? learning_rate : learning_rate_;
-  for (const Tensor& p : parameters_) {
-    if (!p.has_grad() || AllFinite(p.grad(), p.size())) continue;
-    LOG(WARNING) << "Sgd: non-finite gradient, skipping step";
-    return false;
-  }
-  for (Tensor& p : parameters_) {
-    if (!p.has_grad()) continue;
-    float* w = p.data();
-    const float* g = p.grad();
-    for (int64_t i = 0; i < p.size(); ++i) w[i] -= lr * g[i];
-  }
-  return true;
 }
 
 }  // namespace explainti::tensor

@@ -63,9 +63,6 @@ class AdamW {
   /// weights or moments — when any gradient is non-finite.
   bool Step(float learning_rate = -1.0f);
 
-  /// True when every gradient buffer currently holds only finite values.
-  bool GradientsAreFinite() const;
-
   /// Zeroes the moment estimates and the step counter. Called after a
   /// parameter rollback: stale moments would otherwise re-apply the very
   /// update direction that diverged.
@@ -94,20 +91,6 @@ class AdamW {
   std::vector<std::vector<float>> v_;  // Second-moment estimates.
   int64_t step_count_ = 0;
   int64_t skipped_steps_ = 0;
-};
-
-/// Plain SGD (used by the lightweight baselines and the FRESH probe).
-/// Shares AdamW's NaN-safety: a non-finite gradient skips the update.
-class Sgd {
- public:
-  Sgd(std::vector<Tensor> parameters, float learning_rate);
-
-  void ZeroGrad();
-  bool Step(float learning_rate = -1.0f);
-
- private:
-  std::vector<Tensor> parameters_;
-  float learning_rate_;
 };
 
 }  // namespace explainti::tensor

@@ -61,12 +61,6 @@ Tensor Tensor::FromVector(const Shape& shape,
   return Tensor(node);
 }
 
-Tensor Tensor::Scalar(float value) {
-  auto node = internal::MakeNode({});
-  node->data[0] = value;
-  return Tensor(node);
-}
-
 Tensor Tensor::Randn(const Shape& shape, util::Rng& rng, float stddev) {
   auto node = internal::MakeNode(shape);
   for (float& v : node->data) {
@@ -130,11 +124,6 @@ float Tensor::item() const {
   return node_->data[0];
 }
 
-float Tensor::at(int64_t flat_index) const {
-  CHECK(flat_index >= 0 && flat_index < size());
-  return node_->data[static_cast<size_t>(flat_index)];
-}
-
 std::vector<float> Tensor::ToVector() const {
   CHECK(node_ != nullptr);
   return node_->data;
@@ -187,16 +176,6 @@ Tensor Tensor::Detach() const {
   std::copy(node_->data.begin(), node_->data.end(), node->data.begin());
   node->requires_grad = false;
   return Tensor(node);
-}
-
-Tensor Tensor::Clone() const { return Detach(); }
-
-void Tensor::AddInPlace(const Tensor& other, float scale) {
-  CHECK(node_ != nullptr && other.node_ != nullptr);
-  CHECK_EQ(size(), other.size()) << "AddInPlace size mismatch";
-  const float* src = other.data();
-  float* dst = data();
-  for (int64_t i = 0; i < size(); ++i) dst[i] += scale * src[i];
 }
 
 }  // namespace explainti::tensor

@@ -69,9 +69,6 @@ class Tensor {
   static Tensor FromVector(const Shape& shape,
                            const std::vector<float>& values);
 
-  /// Rank-0 scalar.
-  static Tensor Scalar(float value);
-
   /// Gaussian init with the given standard deviation.
   static Tensor Randn(const Shape& shape, util::Rng& rng, float stddev);
 
@@ -108,9 +105,6 @@ class Tensor {
   /// Value of a rank-0 or single-element tensor.
   float item() const;
 
-  /// Element access by flat index (no autograd).
-  float at(int64_t flat_index) const;
-
   /// Copies the data out.
   std::vector<float> ToVector() const;
 
@@ -127,13 +121,6 @@ class Tensor {
   /// Returns a tensor sharing this data but cut off from the graph
   /// (constant with respect to autograd).
   Tensor Detach() const;
-
-  /// Deep copy of the data as a fresh leaf.
-  Tensor Clone() const;
-
-  /// In-place elementwise add of `other.data` (no autograd; for optimizer
-  /// and embedding-store style bookkeeping).
-  void AddInPlace(const Tensor& other, float scale = 1.0f);
 
   // Internal ------------------------------------------------------------
 

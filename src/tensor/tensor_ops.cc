@@ -188,20 +188,6 @@ Tensor Scale(const Tensor& a, float c) {
   return Tensor(node);
 }
 
-Tensor AddScalar(const Tensor& a, float c) {
-  auto node = NewNode(a.shape(), {a});
-  const int64_t n = a.size();
-  for (int64_t i = 0; i < n; ++i) node->data[i] = a.data()[i] + c;
-  if (node->requires_grad) {
-    Node* out = node.get();
-    auto na = a.node();
-    node->backward_fn = [out, na, n]() {
-      Accumulate(na.get(), out->grad.data(), static_cast<size_t>(n));
-    };
-  }
-  return Tensor(node);
-}
-
 // ---------------------------------------------------------------------------
 // Linear algebra
 // ---------------------------------------------------------------------------
@@ -349,12 +335,6 @@ Tensor Transpose(const Tensor& a) {
     };
   }
   return Tensor(node);
-}
-
-Tensor Dot(const Tensor& a, const Tensor& b) {
-  CHECK(a.rank() == 1 && b.rank() == 1 && a.size() == b.size())
-      << "Dot requires equal-length vectors";
-  return MatMul(a, b);
 }
 
 Tensor L2Normalize(const Tensor& x, float eps) {
@@ -517,70 +497,6 @@ Tensor Concat(const Tensor& a, const Tensor& b) {
   return Tensor(node);
 }
 
-Tensor ConcatRows(const std::vector<Tensor>& parts) {
-  CHECK(!parts.empty());
-  const int64_t n = parts[0].dim(1);
-  int64_t total_rows = 0;
-  for (const Tensor& p : parts) {
-    CHECK(p.rank() == 2 && p.dim(1) == n) << "ConcatRows column mismatch";
-    total_rows += p.dim(0);
-  }
-  auto node = NewNode({total_rows, n}, parts);
-  int64_t offset = 0;
-  for (const Tensor& p : parts) {
-    std::copy(p.data(), p.data() + p.size(), node->data.begin() + offset);
-    offset += p.size();
-  }
-  if (node->requires_grad) {
-    Node* out = node.get();
-    std::vector<std::shared_ptr<Node>> nodes;
-    nodes.reserve(parts.size());
-    for (const Tensor& p : parts) nodes.push_back(p.node());
-    node->backward_fn = [out, nodes]() {
-      size_t offset = 0;
-      for (const auto& parent : nodes) {
-        if (parent->requires_grad) {
-          auto& g = parent->EnsureGrad();
-          for (size_t i = 0; i < parent->data.size(); ++i) {
-            g[i] += out->grad[offset + i];
-          }
-        }
-        offset += parent->data.size();
-      }
-    };
-  }
-  return Tensor(node);
-}
-
-Tensor Stack(const std::vector<Tensor>& rows) {
-  CHECK(!rows.empty());
-  const int64_t n = rows[0].size();
-  for (const Tensor& r : rows) {
-    CHECK(r.rank() == 1 && r.size() == n) << "Stack requires equal rank-1";
-  }
-  auto node = NewNode({static_cast<int64_t>(rows.size()), n}, rows);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::copy(rows[i].data(), rows[i].data() + n,
-              node->data.begin() + static_cast<int64_t>(i) * n);
-  }
-  if (node->requires_grad) {
-    Node* out = node.get();
-    std::vector<std::shared_ptr<Node>> nodes;
-    nodes.reserve(rows.size());
-    for (const Tensor& r : rows) nodes.push_back(r.node());
-    node->backward_fn = [out, nodes, n]() {
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        if (!nodes[i]->requires_grad) continue;
-        auto& g = nodes[i]->EnsureGrad();
-        for (int64_t j = 0; j < n; ++j) {
-          g[j] += out->grad[static_cast<int64_t>(i) * n + j];
-        }
-      }
-    };
-  }
-  return Tensor(node);
-}
-
 // ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
@@ -679,25 +595,6 @@ Tensor Gelu(const Tensor& a) {
         const float dinner = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * x * x);
         const float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
         ga[i] += out->grad[i] * dy;
-      }
-    };
-  }
-  return Tensor(node);
-}
-
-Tensor TanhOp(const Tensor& a) {
-  auto node = NewNode(a.shape(), {a});
-  const int64_t n = a.size();
-  for (int64_t i = 0; i < n; ++i) node->data[i] = std::tanh(a.data()[i]);
-  if (node->requires_grad) {
-    Node* out = node.get();
-    auto na = a.node();
-    node->backward_fn = [out, na, n]() {
-      if (!na->requires_grad) return;
-      auto& ga = na->EnsureGrad();
-      for (int64_t i = 0; i < n; ++i) {
-        const float y = out->data[i];
-        ga[i] += out->grad[i] * (1.0f - y * y);
       }
     };
   }
@@ -1019,31 +916,6 @@ Tensor CrossEntropyLoss(const Tensor& logits, int target) {
   return Tensor(node);
 }
 
-Tensor SoftCrossEntropyLoss(const Tensor& logits,
-                            const std::vector<float>& target) {
-  CHECK_EQ(logits.rank(), 1);
-  CHECK_EQ(static_cast<int64_t>(target.size()), logits.size());
-  Tensor log_probs = LogSoftmax(logits);
-  auto node = NewNode({}, {log_probs});
-  float loss = 0.0f;
-  for (size_t i = 0; i < target.size(); ++i) {
-    loss -= target[i] * log_probs.data()[i];
-  }
-  node->data[0] = loss;
-  if (node->requires_grad) {
-    Node* out = node.get();
-    auto nl = log_probs.node();
-    node->backward_fn = [out, nl, target]() {
-      if (!nl->requires_grad) return;
-      auto& g = nl->EnsureGrad();
-      for (size_t i = 0; i < target.size(); ++i) {
-        g[i] -= out->grad[0] * target[i];
-      }
-    };
-  }
-  return Tensor(node);
-}
-
 Tensor BceWithLogitsLoss(const Tensor& logits,
                          const std::vector<float>& target) {
   CHECK_EQ(logits.rank(), 1);
@@ -1163,22 +1035,6 @@ float KlDivergence(std::span<const float> p, std::span<const float> q) {
     kl += pi * std::log(pi / qi);
   }
   return kl;
-}
-
-float CosineSimilarity(const std::vector<float>& a,
-                       const std::vector<float>& b) {
-  CHECK_EQ(a.size(), b.size());
-  double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    dot += static_cast<double>(a[i]) * b[i];
-    na += static_cast<double>(a[i]) * a[i];
-    nb += static_cast<double>(b[i]) * b[i];
-  }
-  const double denom = std::sqrt(na) * std::sqrt(nb);
-  if (denom < 1e-12) return 0.0f;
-  return static_cast<float>(dot / denom);
 }
 
 }  // namespace explainti::tensor

@@ -31,9 +31,6 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 /// a * c for a scalar constant c.
 Tensor Scale(const Tensor& a, float c);
 
-/// a + c for a scalar constant c.
-Tensor AddScalar(const Tensor& a, float c);
-
 // -- Linear algebra ------------------------------------------------------
 
 /// Matrix product of a [m,k] and b [k,n] -> [m,n]. Rank-1 operands are
@@ -44,10 +41,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
 
-/// Dot product of two equal-length rank-1 tensors -> scalar.
-Tensor Dot(const Tensor& a, const Tensor& b);
-
-/// x / max(|x|_2, eps) for a rank-1 tensor (used by cosine similarity).
+/// x / max(|x|_2, eps) for a rank-1 tensor.
 Tensor L2Normalize(const Tensor& x, float eps = 1e-8f);
 
 // -- Shape ----------------------------------------------------------------
@@ -71,13 +65,6 @@ Tensor ConcatCols(const std::vector<Tensor>& parts);
 /// Concatenates two rank-1 tensors -> [p+q].
 Tensor Concat(const Tensor& a, const Tensor& b);
 
-/// Concatenates rank-2 tensors along dim 0 (all must share the column
-/// count).
-Tensor ConcatRows(const std::vector<Tensor>& parts);
-
-/// Stacks rank-1 tensors of equal length into a rank-2 [m, n] tensor.
-Tensor Stack(const std::vector<Tensor>& rows);
-
 // -- Reductions -----------------------------------------------------------
 
 /// Mean over dim 0 of a rank-2 tensor -> [n]. (Token-wise mean pooling.)
@@ -94,7 +81,6 @@ Tensor Mean(const Tensor& a);
 Tensor Relu(const Tensor& a);
 /// GELU with the tanh approximation (as in BERT).
 Tensor Gelu(const Tensor& a);
-Tensor TanhOp(const Tensor& a);
 Tensor SigmoidOp(const Tensor& a);
 
 /// Softmax over the last dimension.
@@ -139,11 +125,6 @@ Tensor DropoutWithMask(const Tensor& a,
 /// Softmax cross-entropy of rank-1 `logits` [c] against class `target`.
 Tensor CrossEntropyLoss(const Tensor& logits, int target);
 
-/// Cross-entropy of rank-1 `logits` against a probability-vector target
-/// (soft labels); target entries must be >= 0 and sum to 1.
-Tensor SoftCrossEntropyLoss(const Tensor& logits,
-                            const std::vector<float>& target);
-
 /// Mean binary cross-entropy with logits of rank-1 `logits` [c] against a
 /// multi-hot target in {0,1}^c. Numerically stable formulation.
 Tensor BceWithLogitsLoss(const Tensor& logits,
@@ -173,10 +154,6 @@ void NormalizeToDistribution(std::span<float> v);
 
 /// KL(p || q) between two probability vectors; entries clamped to 1e-9.
 float KlDivergence(std::span<const float> p, std::span<const float> q);
-
-/// Cosine similarity between equal-length host vectors.
-float CosineSimilarity(const std::vector<float>& a,
-                       const std::vector<float>& b);
 
 }  // namespace explainti::tensor
 

@@ -65,14 +65,6 @@ std::vector<std::string> BasicTokenize(const std::string& text) {
   return out;
 }
 
-std::vector<int> Tokenizer::Encode(const std::string& text) const {
-  std::vector<int> ids;
-  for (const std::string& token : Tokenize(text)) {
-    ids.push_back(vocab_->Id(token));
-  }
-  return ids;
-}
-
 std::vector<std::string> WordPieceTokenizer::Tokenize(
     const std::string& text) const {
   std::vector<std::string> out;

@@ -23,9 +23,6 @@ class Tokenizer {
   /// Subword token strings for `text`.
   virtual std::vector<std::string> Tokenize(const std::string& text) const = 0;
 
-  /// Token ids for `text` (no special tokens added).
-  std::vector<int> Encode(const std::string& text) const;
-
   const Vocab& vocab() const { return *vocab_; }
 
  protected:

@@ -32,8 +32,7 @@ Vocab::Vocab() {
 int Vocab::AddToken(const std::string& token) {
   auto it = ids_.find(token);
   if (it != ids_.end()) return it->second;
-  const int id = static_cast<int>(tokens_.size());
-  tokens_.push_back(token);
+  const int id = size();
   ids_.emplace(token, id);
   return id;
 }
@@ -45,11 +44,6 @@ int Vocab::Id(const std::string& token) const {
 
 bool Vocab::Contains(const std::string& token) const {
   return ids_.count(token) > 0;
-}
-
-const std::string& Vocab::Token(int id) const {
-  CHECK(id >= 0 && id < size()) << "token id out of range: " << id;
-  return tokens_[static_cast<size_t>(id)];
 }
 
 Vocab BuildVocab(const std::unordered_map<std::string, int64_t>& counts,

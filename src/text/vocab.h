@@ -37,14 +37,10 @@ class Vocab {
   /// True if `token` is present.
   bool Contains(const std::string& token) const;
 
-  /// Token string for `id` (aborts when out of range).
-  const std::string& Token(int id) const;
-
   /// Total size including special tokens.
-  int size() const { return static_cast<int>(tokens_.size()); }
+  int size() const { return static_cast<int>(ids_.size()); }
 
  private:
-  std::vector<std::string> tokens_;
   std::unordered_map<std::string, int> ids_;
 };
 

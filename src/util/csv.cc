@@ -113,28 +113,4 @@ StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
   return ParseCsv(buffer.str());
 }
 
-std::string WriteCsv(const std::vector<std::vector<std::string>>& rows) {
-  std::string out;
-  for (const auto& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      const std::string& cell = row[i];
-      const bool needs_quotes =
-          cell.find_first_of(",\"\n\r") != std::string::npos;
-      if (needs_quotes) {
-        out.push_back('"');
-        for (char c : cell) {
-          if (c == '"') out.push_back('"');
-          out.push_back(c);
-        }
-        out.push_back('"');
-      } else {
-        out.append(cell);
-      }
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
 }  // namespace explainti::util

@@ -21,9 +21,6 @@ StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
 StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
     const std::string& path);
 
-/// Renders rows as CSV text, quoting fields that need it.
-std::string WriteCsv(const std::vector<std::vector<std::string>>& rows);
-
 }  // namespace explainti::util
 
 #endif  // EXPLAINTI_UTIL_CSV_H_

@@ -17,14 +17,6 @@ void FaultRegistry::Arm(const std::string& site, FaultSpec spec) {
   state.fires = 0;
 }
 
-void FaultRegistry::Disarm(const std::string& site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  if (it == sites_.end() || !it->second.armed) return;
-  it->second.armed = false;
-  armed_count_.fetch_sub(1, std::memory_order_relaxed);
-}
-
 void FaultRegistry::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   sites_.clear();
@@ -47,18 +39,6 @@ std::optional<FaultSpec> FaultRegistry::Check(const char* site) {
     armed_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   return fired;
-}
-
-int64_t FaultRegistry::hits(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.hits;
-}
-
-int64_t FaultRegistry::fires(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.fires;
 }
 
 Status InjectionPoint(const char* site) {

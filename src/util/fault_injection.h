@@ -45,9 +45,6 @@ class FaultRegistry {
   /// Arms (or re-arms, resetting counters) the site.
   void Arm(const std::string& site, FaultSpec spec);
 
-  /// Disarms one site; hit/fire counters are kept for inspection.
-  void Disarm(const std::string& site);
-
   /// Disarms every site and clears all counters.
   void DisarmAll();
 
@@ -55,12 +52,6 @@ class FaultRegistry {
   /// this hit, nullopt otherwise. Unarmed sites return nullopt without
   /// taking the lock or counting.
   std::optional<FaultSpec> Check(const char* site);
-
-  /// Hits observed at `site` while it was armed.
-  int64_t hits(const std::string& site) const;
-
-  /// Times `site` has fired.
-  int64_t fires(const std::string& site) const;
 
   /// True when at least one site is armed (fast path gate).
   bool AnyArmed() const {
@@ -77,7 +68,7 @@ class FaultRegistry {
     int64_t fires = 0;
   };
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::atomic<int> armed_count_{0};
   std::unordered_map<std::string, SiteState> sites_;
 };

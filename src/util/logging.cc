@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstring>
 #include <mutex>
 
@@ -28,9 +27,6 @@ LogSeverity SeverityFromEnv() {
   return LogSeverity::kInfo;
 }
 
-/// Read once at startup; SetMinLogSeverity overrides at runtime.
-std::atomic<LogSeverity> g_min_severity{SeverityFromEnv()};
-
 /// Serialises the std::cerr write in ~LogMessage so concurrent log lines
 /// never interleave mid-line.
 std::mutex& SinkMutex() {
@@ -53,11 +49,9 @@ const char* SeverityTag(LogSeverity severity) {
 }
 }  // namespace
 
-void SetMinLogSeverity(LogSeverity severity) {
-  g_min_severity.store(severity, std::memory_order_relaxed);
-}
 LogSeverity MinLogSeverity() {
-  return g_min_severity.load(std::memory_order_relaxed);
+  static const LogSeverity min_severity = SeverityFromEnv();
+  return min_severity;
 }
 
 namespace internal_logging {

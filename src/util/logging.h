@@ -11,8 +11,8 @@ namespace explainti::util {
 /// Severity levels for LOG(). kFatal aborts after printing.
 enum class LogSeverity { kInfo = 0, kWarning = 1, kError = 2, kFatal = 3 };
 
-/// Minimum severity printed by LOG(); default prints everything.
-void SetMinLogSeverity(LogSeverity severity);
+/// Minimum severity printed by LOG(): EXPLAINTI_MIN_LOG_SEVERITY, read on
+/// first use; default prints everything.
 LogSeverity MinLogSeverity();
 
 namespace internal_logging {

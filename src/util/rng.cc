@@ -79,32 +79,4 @@ double Rng::Normal(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    CHECK_GE(w, 0.0);
-    total += w;
-  }
-  CHECK_GT(total, 0.0);
-  double r = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;  // Floating-point edge: return the last index.
-}
-
-std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
-  CHECK_LE(k, n);
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < n; ++i) indices[i] = i;
-  // Partial Fisher-Yates: fix the first k slots.
-  for (size_t i = 0; i < k; ++i) {
-    size_t j = i + static_cast<size_t>(UniformInt(n - i));
-    std::swap(indices[i], indices[j]);
-  }
-  indices.resize(k);
-  return indices;
-}
-
 }  // namespace explainti::util

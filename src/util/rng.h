@@ -54,13 +54,6 @@ class Rng {
     }
   }
 
-  /// Index sampled from unnormalised non-negative weights. Requires a
-  /// positive total weight.
-  size_t Categorical(const std::vector<double>& weights);
-
-  /// k distinct indices from [0, n) (k <= n), in random order.
-  std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
  private:
   uint64_t state_[4];
   bool has_cached_normal_ = false;

@@ -5,36 +5,6 @@
 
 namespace explainti::util {
 
-std::vector<std::string> Split(std::string_view text, char delimiter) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(delimiter, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      break;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> SplitWhitespace(std::string_view text) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator) {
   std::string out;
@@ -66,19 +36,6 @@ std::string Trim(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-bool IsAllDigits(std::string_view text) {
-  if (text.empty()) return false;
-  for (char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
 }
 
 std::string FormatDouble(double value, int precision) {

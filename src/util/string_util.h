@@ -7,12 +7,6 @@
 
 namespace explainti::util {
 
-/// Splits `text` on `delimiter`, keeping empty fields.
-std::vector<std::string> Split(std::string_view text, char delimiter);
-
-/// Splits `text` on runs of ASCII whitespace, dropping empty fields.
-std::vector<std::string> SplitWhitespace(std::string_view text);
-
 /// Joins `parts` with `separator`.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator);
@@ -24,10 +18,6 @@ std::string ToLower(std::string_view text);
 std::string Trim(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-
-/// True if every character is an ASCII digit (and the string is non-empty).
-bool IsAllDigits(std::string_view text);
 
 /// Formats `value` with `precision` digits after the decimal point.
 std::string FormatDouble(double value, int precision);

@@ -50,7 +50,7 @@ std::shared_ptr<text::Vocab> CorpusVocab(const data::TableCorpus& corpus) {
 }
 
 TEST(EmbeddingStoreTest, RebuildAndLookup) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({3, 7}, {{1.0f, 0.0f}, {0.0f, 1.0f}});
   EXPECT_EQ(store.size(), 2);
   EXPECT_TRUE(store.Contains(3));
@@ -62,7 +62,7 @@ TEST(EmbeddingStoreTest, RebuildAndLookup) {
 }
 
 TEST(EmbeddingStoreTest, SearchExcludesRequestedId) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({0, 1, 2},
                 {{1.0f, 0.0f}, {0.9f, 0.1f}, {0.0f, 1.0f}});
   const auto hits = store.Search({1.0f, 0.0f}, 2, /*exclude_id=*/0);
@@ -72,7 +72,7 @@ TEST(EmbeddingStoreTest, SearchExcludesRequestedId) {
 }
 
 TEST(EmbeddingStoreTest, RebuildReplacesContents) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({0}, {{1.0f, 0.0f}});
   store.Rebuild({1}, {{0.0f, 1.0f}});
   EXPECT_EQ(store.size(), 1);
@@ -81,7 +81,7 @@ TEST(EmbeddingStoreTest, RebuildReplacesContents) {
 }
 
 TEST(EmbeddingStoreTest, ViewPinsOneGenerationAcrossRebuilds) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({0}, {{1.0f, 0.0f}});
   const EmbeddingStore::View old_view = store.view();
   EXPECT_EQ(old_view.generation(), 1u);
@@ -105,7 +105,7 @@ TEST(EmbeddingStoreTest, ViewPinsOneGenerationAcrossRebuilds) {
 }
 
 TEST(EmbeddingStoreTest, ViewBeforeFirstRebuildIsEmpty) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   const EmbeddingStore::View view = store.view();
   EXPECT_EQ(view.generation(), 0u);
   EXPECT_EQ(view.size(), 0);

@@ -204,8 +204,8 @@ TEST(ValuePoolsTest, CapitalsParallelToCountries) {
 TEST(ValuePoolsTest, GeneratorsAreWellFormed) {
   util::Rng rng(1);
   EXPECT_NE(ValuePools::PersonName(rng).find(' '), std::string::npos);
-  EXPECT_TRUE(util::EndsWith(ValuePools::FamilyName(rng), "idae"));
-  EXPECT_TRUE(util::EndsWith(ValuePools::EnzymeName(rng), "ase"));
+  EXPECT_TRUE(ValuePools::FamilyName(rng).ends_with("idae"));
+  EXPECT_TRUE(ValuePools::EnzymeName(rng).ends_with("ase"));
   EXPECT_TRUE(util::StartsWith(ValuePools::Code("sp", rng), "sp-"));
   const std::string year = ValuePools::Year(rng);
   EXPECT_EQ(year.size(), 4u);

@@ -1,12 +1,15 @@
 #ifndef EXPLAINTI_TESTS_GOLDEN_EVIDENCE_H_
 #define EXPLAINTI_TESTS_GOLDEN_EVIDENCE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/evidence.h"
 #include "core/explain_ti_model.h"
+#include "core/explanation.h"
 #include "core/inference_session.h"
 #include "core/task_data.h"
 #include "data/corpus.h"
@@ -23,7 +26,42 @@ namespace explainti::testing {
 /// every suite that scores explanation evidence, so "the paths agree on
 /// the golden evidence" means the same thing everywhere: same tables,
 /// same samples, same top-k windows, same token-set comparison
-/// (core/evidence.h).
+/// (TopEvidenceTokens / EvidenceAgreement below).
+
+/// The "evidence" of an explanation: the distinct tokens inside the
+/// top-`k` local windows by relevance. Local windows are the view most
+/// sensitive to encoder numerics (relevance scores reorder under tiny
+/// logit shifts), so token-set agreement here is a stricter check than
+/// label equality but a fairer one than bitwise relevance comparison
+/// across numerically different encoders.
+///
+/// Tokens are compared as a set: the top windows routinely overlap, and
+/// two explanations that highlight the same table cells are the same
+/// evidence even when their window ranking swaps neighbours.
+inline std::set<std::string> TopEvidenceTokens(
+    const core::Explanation& explanation, size_t k) {
+  std::set<std::string> tokens;
+  const size_t take = std::min(k, explanation.local.size());
+  for (size_t i = 0; i < take; ++i) {
+    std::istringstream words(explanation.local[i].text);
+    std::string token;
+    while (words >> token) tokens.insert(token);
+  }
+  return tokens;
+}
+
+/// Jaccard similarity of two evidence sets in [0, 1]; 1.0 when both are
+/// empty (no evidence agrees with no evidence).
+inline double EvidenceAgreement(const std::set<std::string>& a,
+                                const std::set<std::string>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  size_t intersection = 0;
+  for (const std::string& token : a) {
+    intersection += b.count(token);
+  }
+  const size_t unions = a.size() + b.size() - intersection;
+  return static_cast<double>(intersection) / static_cast<double>(unions);
+}
 
 /// Deterministic generator: same options → same tables, every consumer.
 inline data::TableCorpus GoldenCorpus() {
@@ -61,8 +99,8 @@ std::vector<std::set<std::string>> GoldenEvidence(const Explainer& source,
                                                   core::TaskKind kind) {
   std::vector<std::set<std::string>> evidence;
   for (int id : GoldenSampleIds(source.task_data(kind))) {
-    evidence.push_back(core::TopEvidenceTokens(source.Explain(kind, id),
-                                               kGoldenTopWindows));
+    evidence.push_back(
+        TopEvidenceTokens(source.Explain(kind, id), kGoldenTopWindows));
   }
   return evidence;
 }
@@ -183,7 +221,7 @@ inline double MeanEvidenceAgreement(
   if (a.size() != b.size() || a.empty()) return 0.0;
   double total = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
-    total += core::EvidenceAgreement(a[i], b[i]);
+    total += EvidenceAgreement(a[i], b[i]);
   }
   return total / static_cast<double>(a.size());
 }

@@ -1,14 +1,37 @@
-#include "tensor/gradcheck.h"
+#ifndef EXPLAINTI_TESTS_GRADCHECK_H_
+#define EXPLAINTI_TESTS_GRADCHECK_H_
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
+#include "tensor/tensor.h"
 #include "util/logging.h"
 
 namespace explainti::tensor {
 
-GradCheckResult GradCheck(const std::function<Tensor()>& loss_fn,
-                          std::vector<Tensor> inputs, float epsilon) {
+/// Result of a finite-difference gradient check.
+struct GradCheckResult {
+  /// Largest |analytic - numeric| over all checked entries.
+  float max_abs_error = 0.0f;
+  /// Largest relative error max(|a-n| / max(|a|,|n|,1e-3)).
+  float max_rel_error = 0.0f;
+  /// Number of gradient entries compared.
+  int64_t entries_checked = 0;
+};
+
+/// Verifies the analytic gradients of `loss_fn` against central finite
+/// differences.
+///
+/// `loss_fn` must rebuild the computation graph from the *current values*
+/// of `inputs` and return a scalar loss tensor. The checker perturbs each
+/// input entry by ±`epsilon`, re-evaluates the loss, and compares the
+/// numeric slope with the gradient produced by Backward(). Used by the
+/// tensor test suite to certify every op's backward implementation.
+inline GradCheckResult GradCheck(const std::function<Tensor()>& loss_fn,
+                                 std::vector<Tensor> inputs,
+                                 float epsilon = 1e-3f) {
   for (Tensor& input : inputs) {
     CHECK(input.defined() && input.requires_grad())
         << "GradCheck inputs must require gradients";
@@ -51,3 +74,5 @@ GradCheckResult GradCheck(const std::function<Tensor()>& loss_fn,
 }
 
 }  // namespace explainti::tensor
+
+#endif  // EXPLAINTI_TESTS_GRADCHECK_H_

@@ -1,7 +1,7 @@
 // Finite-difference verification of every differentiable op's backward
 // pass — the correctness bedrock of the whole training pipeline.
 
-#include "tensor/gradcheck.h"
+#include "gradcheck.h"
 
 #include <functional>
 #include <string>
@@ -69,9 +69,9 @@ std::vector<GradCase> AllCases() {
     auto fn = [inputs] { return Sum(Mul(inputs[0], inputs[1])); };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
-  cases.push_back({"scale_addscalar", [] {
+  cases.push_back({"scale", [] {
     auto inputs = MakeInputs({{5}}, 5);
-    auto fn = [inputs] { return Sum(AddScalar(Scale(inputs[0], 1.7f), 0.3f)); };
+    auto fn = [inputs] { return Sum(Mul(Scale(inputs[0], 1.7f), inputs[0])); };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
   cases.push_back({"matmul", [] {
@@ -91,14 +91,9 @@ std::vector<GradCase> AllCases() {
     };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
-  cases.push_back({"dot", [] {
-    auto inputs = MakeInputs({{5}, {5}}, 9);
-    auto fn = [inputs] { return Dot(inputs[0], inputs[1]); };
-    return std::make_pair(inputs, std::function<Tensor()>(fn));
-  }});
   cases.push_back({"l2_normalize", [] {
     auto inputs = MakeInputs({{5}, {5}}, 10);
-    auto fn = [inputs] { return Dot(L2Normalize(inputs[0]), inputs[1]); };
+    auto fn = [inputs] { return Sum(Mul(L2Normalize(inputs[0]), inputs[1])); };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
   cases.push_back({"reshape_slice", [] {
@@ -123,19 +118,18 @@ std::vector<GradCase> AllCases() {
     };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
-  cases.push_back({"concat_rows_cols", [] {
-    auto inputs = MakeInputs({{2, 3}, {2, 3}}, 14);
+  cases.push_back({"concat_cols", [] {
+    auto inputs = MakeInputs({{2, 3}, {2, 2}}, 14);
     auto fn = [inputs] {
-      return Sum(ConcatCols({ConcatRows({inputs[0], inputs[1]}),
-                             ConcatRows({inputs[1], inputs[0]})}));
+      return Sum(Mul(ConcatCols({inputs[0], inputs[1]}),
+                     ConcatCols({inputs[1], inputs[0]})));
     };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
-  cases.push_back({"stack_meanrows", [] {
-    auto inputs = MakeInputs({{4}, {4}, {4}}, 15);
+  cases.push_back({"meanrows", [] {
+    auto inputs = MakeInputs({{3, 4}}, 15);
     auto fn = [inputs] {
-      Tensor stacked = Stack({inputs[0], inputs[1], inputs[2]});
-      return Sum(Mul(MeanRows(stacked), MeanRows(stacked)));
+      return Sum(Mul(MeanRows(inputs[0]), MeanRows(inputs[0])));
     };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
@@ -147,11 +141,6 @@ std::vector<GradCase> AllCases() {
   cases.push_back({"gelu", [] {
     auto inputs = MakeInputs({{6}}, 17);
     auto fn = [inputs] { return Sum(Gelu(inputs[0])); };
-    return std::make_pair(inputs, std::function<Tensor()>(fn));
-  }});
-  cases.push_back({"tanh", [] {
-    auto inputs = MakeInputs({{6}}, 18);
-    auto fn = [inputs] { return Sum(TanhOp(inputs[0])); };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
   cases.push_back({"sigmoid", [] {
@@ -187,13 +176,6 @@ std::vector<GradCase> AllCases() {
   cases.push_back({"cross_entropy", [] {
     auto inputs = MakeInputs({{6}}, 24);
     auto fn = [inputs] { return CrossEntropyLoss(inputs[0], 2); };
-    return std::make_pair(inputs, std::function<Tensor()>(fn));
-  }});
-  cases.push_back({"soft_cross_entropy", [] {
-    auto inputs = MakeInputs({{4}}, 25);
-    auto fn = [inputs] {
-      return SoftCrossEntropyLoss(inputs[0], {0.1f, 0.2f, 0.3f, 0.4f});
-    };
     return std::make_pair(inputs, std::function<Tensor()>(fn));
   }});
   cases.push_back({"bce_with_logits", [] {

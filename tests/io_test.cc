@@ -66,15 +66,6 @@ TEST(CsvTest, RejectsUnterminatedQuote) {
   EXPECT_FALSE(util::ParseCsv("\"oops\n").ok());
 }
 
-TEST(CsvTest, WriteRoundTrips) {
-  const std::vector<std::vector<std::string>> rows = {
-      {"plain", "needs,quote", "has \"quotes\""},
-      {"second", "line\nbreak", ""}};
-  auto parsed = util::ParseCsv(util::WriteCsv(rows));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, rows);
-}
-
 TEST(CsvLoaderTest, BuildsTableWithHeaders) {
   auto table = data::TableFromCsvRows(
       {{"Player", "Team"}, {"james smith", "lakers"}, {"mary jones", "bulls"}},
@@ -352,7 +343,7 @@ TEST(StorePersistenceTest, CorruptSegmentFileIsTypedNotFatal) {
     ASSERT_EQ(std::system(("cp -r " + dir + " " + dir2).c_str()), 0);
     FlipByte(dir2 + "/seg_000001.xts", offset);
 
-    core::EmbeddingStore loaded;
+    core::EmbeddingStore loaded{core::EmbeddingStore::Options{}};
     const util::Status status = loaded.Load(dir2);
     EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
         << "offset=" << offset << ": " << status.ToString();
@@ -368,7 +359,7 @@ TEST(StorePersistenceTest, CorruptManifestIsTypedNotFatal) {
   ASSERT_TRUE(store.Save(dir).ok());
   FlipByte(dir + "/manifest.xtm", 12);
 
-  core::EmbeddingStore loaded;
+  core::EmbeddingStore loaded{core::EmbeddingStore::Options{}};
   const util::Status status = loaded.Load(dir);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
       << status.ToString();
@@ -384,7 +375,7 @@ TEST(StorePersistenceTest, TruncatedSegmentFileIsTypedNotFatal) {
                 ("truncate -s 100 " + dir + "/seg_000000.xts").c_str()),
             0);
 
-  core::EmbeddingStore loaded;
+  core::EmbeddingStore loaded{core::EmbeddingStore::Options{}};
   EXPECT_EQ(loaded.Load(dir).code(), util::StatusCode::kInvalidArgument);
 }
 
@@ -435,7 +426,7 @@ TEST(StorePersistenceTest, SaveFaultLeavesNoLoadableDir) {
 
   // The manifest goes last, so a failed save leaves nothing loadable —
   // and a retry on the same directory succeeds cleanly.
-  core::EmbeddingStore loaded;
+  core::EmbeddingStore loaded{core::EmbeddingStore::Options{}};
   EXPECT_EQ(loaded.Load(dir).code(), util::StatusCode::kNotFound);
   ASSERT_TRUE(store.Save(dir).ok());
   EXPECT_TRUE(loaded.Load(dir).ok());

@@ -34,8 +34,8 @@ TEST(LinearTest, ShapesAndBias) {
   tensor::Tensor y = linear.Forward(x);
   EXPECT_EQ(y.shape(), (tensor::Shape{2}));
   // y = W[0,:] + b; bias starts at zero so y equals first weight row.
-  EXPECT_FLOAT_EQ(y.at(0), linear.weight().at(0));
-  EXPECT_FLOAT_EQ(y.at(1), linear.weight().at(1));
+  EXPECT_FLOAT_EQ(y.data()[0], linear.weight().data()[0]);
+  EXPECT_FLOAT_EQ(y.data()[1], linear.weight().data()[1]);
 }
 
 TEST(LinearTest, BatchedInput) {
@@ -51,7 +51,9 @@ TEST(ModuleTest, ParameterCollectionIsRecursive) {
   // embeddings: 3 tables + 2 LN params; per layer: 4 linears (2 params
   // each) + 2 FFN linears + 4 LN params.
   EXPECT_GT(encoder.Parameters().size(), 20u);
-  EXPECT_GT(encoder.ParameterCount(), 1000);
+  int64_t scalars = 0;
+  for (const tensor::Tensor& p : encoder.Parameters()) scalars += p.size();
+  EXPECT_GT(scalars, 1000);
 }
 
 TEST(EmbeddingsTest, OutputShape) {
@@ -120,9 +122,9 @@ TEST(AttentionTest, MaskBlocksInformationFlow) {
   // Row 0 must change; rows 1 and 2 are untouched.
   bool row0_differs = false;
   for (int64_t j = 0; j < 16; ++j) {
-    if (out_open.at(j) != out_blocked.at(j)) row0_differs = true;
-    EXPECT_FLOAT_EQ(out_open.at(16 + j), out_blocked.at(16 + j));
-    EXPECT_FLOAT_EQ(out_open.at(32 + j), out_blocked.at(32 + j));
+    if (out_open.data()[j] != out_blocked.data()[j]) row0_differs = true;
+    EXPECT_FLOAT_EQ(out_open.data()[16 + j], out_blocked.data()[16 + j]);
+    EXPECT_FLOAT_EQ(out_open.data()[32 + j], out_blocked.data()[32 + j]);
   }
   EXPECT_TRUE(row0_differs);
 }

@@ -70,7 +70,6 @@ TEST_F(RobustnessTest, UnarmedSitesAreInert) {
   EXPECT_TRUE(FAULT_POINT("test.never.armed").ok());
   EXPECT_FALSE(
       util::fault::ShouldInject("test.never.armed", FaultKind::kNan));
-  EXPECT_EQ(FaultRegistry::Instance().hits("test.never.armed"), 0);
 }
 
 TEST_F(RobustnessTest, FiresOnEveryNthHit) {
@@ -78,16 +77,15 @@ TEST_F(RobustnessTest, FiresOnEveryNthHit) {
   spec.every_n = 3;
   FaultRegistry::Instance().Arm("test.sched", spec);
   int fired = 0;
-  for (int i = 0; i < 9; ++i) {
+  for (int hit = 1; hit <= 9; ++hit) {
     const util::Status status = FAULT_POINT("test.sched");
+    EXPECT_EQ(status.ok(), hit % 3 != 0) << hit;  // Hits 3, 6 and 9 fire.
     if (!status.ok()) {
       ++fired;
       EXPECT_EQ(status.code(), util::StatusCode::kIoError);
     }
   }
   EXPECT_EQ(fired, 3);
-  EXPECT_EQ(FaultRegistry::Instance().hits("test.sched"), 9);
-  EXPECT_EQ(FaultRegistry::Instance().fires("test.sched"), 3);
 }
 
 TEST_F(RobustnessTest, MaxFiresSelfDisarms) {
@@ -104,7 +102,7 @@ TEST_F(RobustnessTest, DisarmRestoresNormalOperation) {
   FaultSpec spec;
   FaultRegistry::Instance().Arm("test.off", spec);
   EXPECT_FALSE(FAULT_POINT("test.off").ok());
-  FaultRegistry::Instance().Disarm("test.off");
+  FaultRegistry::Instance().DisarmAll();
   EXPECT_TRUE(FAULT_POINT("test.off").ok());
 }
 
@@ -232,7 +230,7 @@ void LoadWithFlatOnlySegment(const EmbeddingStore& store,
 }
 
 TEST_F(RobustnessTest, FlatOnlySegmentServesExactFlatSearch) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   std::vector<int> ids;
   std::vector<std::vector<float>> embeddings;
   FillStore(store, ids, embeddings);
@@ -244,14 +242,13 @@ TEST_F(RobustnessTest, FlatOnlySegmentServesExactFlatSearch) {
       store.Search(query, 3, /*exclude_id=*/-1, &used_fallback).empty());
   EXPECT_FALSE(used_fallback);
 
-  EmbeddingStore loaded;
+  EmbeddingStore loaded{EmbeddingStore::Options{}};
   LoadWithFlatOnlySegment(store, "robustness_flat_tier", 0, &loaded);
   EXPECT_FALSE(loaded.hnsw_ready());
   EXPECT_EQ(loaded.size(), 32);  // The flat tier holds everything.
   const auto degraded = loaded.Search(query, 3, /*exclude_id=*/-1,
                                       &used_fallback);
   EXPECT_TRUE(used_fallback);
-  EXPECT_GE(loaded.degraded_searches(), 1);
 
   // The flat tier is exact: the same hits, bit for bit, as a reference
   // FlatIndex built over the same vectors.
@@ -304,7 +301,7 @@ TEST_F(RobustnessTest, FlatOnlySegmentDegradesAloneAndRebuildHealsIt) {
 }
 
 TEST_F(RobustnessTest, EmptyStoreSearchReturnsNothing) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   bool used_fallback = false;
   EXPECT_TRUE(store.Search({1.0f, 0.0f}, 3, -1, &used_fallback).empty());
 }

@@ -151,7 +151,9 @@ TEST_F(ChaosTest, QuotaExhaustionStormNeverStarvesTheInteractiveTenant) {
   EXPECT_EQ(storm_ok.load(), 2);    // Exactly the burst.
   EXPECT_EQ(storm_shed.load(), 62); // Everything else, typed, at admission.
   EXPECT_EQ(storm_other.load(), 0);
-  EXPECT_EQ(tenants.quota_rejections(storm_id), 62);
+  EXPECT_EQ(
+      server.metrics().GetCounter("serve.tenant.storm.rejected_quota")->Value(),
+      62);
 }
 
 TEST_F(ChaosTest, CheckpointLoadFaultMidSwapLeavesOldGenerationServing) {

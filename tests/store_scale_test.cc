@@ -67,7 +67,7 @@ TEST(StoreScaleTest, HundredThousandRowRebuildAndRoundTrip) {
   const std::string dir = ::testing::TempDir() + "/store_scale";
   std::system(("rm -rf " + dir).c_str());
   ASSERT_TRUE(store.Save(dir).ok());
-  EmbeddingStore loaded;
+  EmbeddingStore loaded{EmbeddingStore::Options{}};
   ASSERT_TRUE(loaded.Load(dir).ok());
   const EmbeddingStore::View a = store.view();
   const EmbeddingStore::View b = loaded.view();

@@ -381,18 +381,18 @@ TEST_F(StoreTest, ReloadedStoreSavesAnIdenticalStore) {
   ASSERT_TRUE(store.Save(dir1).ok());
   const auto golden = CaptureGolden(store.view(), queries, 5);
 
-  EmbeddingStore mid;
+  EmbeddingStore mid{EmbeddingStore::Options{}};
   ASSERT_TRUE(mid.Load(dir1).ok());
   const std::string dir2 = FreshDir("store_regen2");
   ASSERT_TRUE(mid.Save(dir2).ok());
 
-  EmbeddingStore end;
+  EmbeddingStore end{EmbeddingStore::Options{}};
   ASSERT_TRUE(end.Load(dir2).ok());
   EXPECT_EQ(CaptureGolden(end.view(), queries, 5), golden);
 }
 
 TEST_F(StoreTest, SaveEmptyStoreIsFailedPrecondition) {
-  EmbeddingStore store;
+  EmbeddingStore store{EmbeddingStore::Options{}};
   const util::Status status = store.Save(FreshDir("store_empty"));
   EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
 }
@@ -420,7 +420,7 @@ TEST_F(StoreTest, SparseIdsRoundTrip) {
   const std::string dir = FreshDir("store_sparse");
   ASSERT_TRUE(store.Save(dir).ok());
 
-  EmbeddingStore loaded;
+  EmbeddingStore loaded{EmbeddingStore::Options{}};
   ASSERT_TRUE(loaded.Load(dir).ok());
   const EmbeddingStore::View view = loaded.view();
   EXPECT_EQ(view.size(), static_cast<int64_t>(ids.size()));

@@ -20,21 +20,17 @@ TEST(TensorTest, ZerosHasShapeAndZeroData) {
   EXPECT_EQ(t.dim(0), 2);
   EXPECT_EQ(t.dim(1), 3);
   EXPECT_EQ(t.size(), 6);
-  for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t.at(i), 0.0f);
+  for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t.data()[i], 0.0f);
 }
 
 TEST(TensorTest, FullFillsValue) {
   Tensor t = Tensor::Full({4}, 2.5f);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(t.at(i), 2.5f);
+  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(t.data()[i], 2.5f);
 }
 
 TEST(TensorTest, FromVectorRoundTrips) {
   Tensor t = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   EXPECT_EQ(t.ToVector(), (std::vector<float>{1, 2, 3, 4}));
-}
-
-TEST(TensorTest, ScalarItem) {
-  EXPECT_FLOAT_EQ(Tensor::Scalar(7.0f).item(), 7.0f);
 }
 
 TEST(TensorTest, NegativeDimIndexing) {
@@ -61,13 +57,6 @@ TEST(TensorTest, DetachSharesValuesButNotGraph) {
   // Backward through b still works; d is outside the graph.
   Sum(b).Backward();
   EXPECT_FLOAT_EQ(a.grad()[0], 2.0f);
-}
-
-TEST(TensorTest, AddInPlaceAccumulates) {
-  Tensor a = Tensor::Full({3}, 1.0f);
-  Tensor b = Tensor::Full({3}, 2.0f);
-  a.AddInPlace(b, 0.5f);
-  for (int64_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(a.at(i), 2.0f);
 }
 
 TEST(TensorTest, ZeroGradClearsGradient) {
@@ -129,12 +118,6 @@ TEST(TensorOpsTest, MatMulMatrixTimesVector) {
   EXPECT_EQ(c.ToVector(), (std::vector<float>{17, 39}));
 }
 
-TEST(TensorOpsTest, DotProduct) {
-  Tensor a = Tensor::FromVector({3}, {1, 2, 3});
-  Tensor b = Tensor::FromVector({3}, {4, 5, 6});
-  EXPECT_FLOAT_EQ(Dot(a, b).item(), 32.0f);
-}
-
 TEST(TensorOpsTest, TransposeSwapsDims) {
   Tensor a = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor t = Transpose(a);
@@ -148,7 +131,7 @@ TEST(TensorOpsTest, SoftmaxRowsSumToOne) {
   Tensor y = Softmax(x);
   for (int64_t r = 0; r < 4; ++r) {
     float total = 0.0f;
-    for (int64_t c = 0; c < 7; ++c) total += y.at(r * 7 + c);
+    for (int64_t c = 0; c < 7; ++c) total += y.data()[r * 7 + c];
     EXPECT_NEAR(total, 1.0f, 1e-5f);
   }
 }
@@ -159,7 +142,7 @@ TEST(TensorOpsTest, SoftmaxIsShiftInvariant) {
   Tensor x_shift = Tensor::FromVector({3}, {101, 102, 103});
   Tensor y_shift = Softmax(x_shift);
   for (int64_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(y.at(i), y_shift.at(i), 1e-5f);
+    EXPECT_NEAR(y.data()[i], y_shift.data()[i], 1e-5f);
   }
 }
 
@@ -168,7 +151,7 @@ TEST(TensorOpsTest, LogSoftmaxMatchesLogOfSoftmax) {
   Tensor ls = LogSoftmax(x);
   Tensor s = Softmax(x);
   for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(ls.at(i), std::log(s.at(i)), 1e-5f);
+    EXPECT_NEAR(ls.data()[i], std::log(s.data()[i]), 1e-5f);
   }
 }
 
@@ -179,12 +162,12 @@ TEST(TensorOpsTest, LayerNormNormalisesRows) {
   Tensor y = LayerNorm(x, gamma, beta);
   for (int64_t r = 0; r < 2; ++r) {
     float mean = 0.0f;
-    for (int64_t c = 0; c < 4; ++c) mean += y.at(r * 4 + c);
+    for (int64_t c = 0; c < 4; ++c) mean += y.data()[r * 4 + c];
     mean /= 4.0f;
     EXPECT_NEAR(mean, 0.0f, 1e-5f);
     float var = 0.0f;
     for (int64_t c = 0; c < 4; ++c) {
-      var += (y.at(r * 4 + c) - mean) * (y.at(r * 4 + c) - mean);
+      var += (y.data()[r * 4 + c] - mean) * (y.data()[r * 4 + c] - mean);
     }
     EXPECT_NEAR(var / 4.0f, 1.0f, 1e-3f);
   }
@@ -209,12 +192,13 @@ TEST(TensorOpsTest, EmbeddingBackwardScatterAdds) {
   EXPECT_FLOAT_EQ(table.grad()[4], 0.0f);
 }
 
-TEST(TensorOpsTest, SliceAndConcatRoundTrip) {
+TEST(TensorOpsTest, SliceRowsCopiesRows) {
   Tensor a = Tensor::FromVector({3, 2}, {1, 2, 3, 4, 5, 6});
   Tensor top = SliceRows(a, 0, 1);
   Tensor rest = SliceRows(a, 1, 3);
-  Tensor back = ConcatRows({top, rest});
-  EXPECT_EQ(back.ToVector(), a.ToVector());
+  EXPECT_EQ(top.shape(), (Shape{1, 2}));
+  EXPECT_EQ(top.ToVector(), (std::vector<float>{1, 2}));
+  EXPECT_EQ(rest.ToVector(), (std::vector<float>{3, 4, 5, 6}));
 }
 
 TEST(TensorOpsTest, SliceColsAndConcatColsRoundTrip) {
@@ -239,14 +223,6 @@ TEST(TensorOpsTest, MeanRowsAverages) {
   EXPECT_EQ(m.ToVector(), (std::vector<float>{2, 3}));
 }
 
-TEST(TensorOpsTest, StackBuildsMatrix) {
-  Tensor a = Tensor::FromVector({2}, {1, 2});
-  Tensor b = Tensor::FromVector({2}, {3, 4});
-  Tensor s = Stack({a, b});
-  EXPECT_EQ(s.shape(), (Shape{2, 2}));
-  EXPECT_EQ(s.ToVector(), (std::vector<float>{1, 2, 3, 4}));
-}
-
 TEST(TensorOpsTest, ReluClampsNegatives) {
   Tensor a = Tensor::FromVector({3}, {-1, 0, 2});
   EXPECT_EQ(Relu(a).ToVector(), (std::vector<float>{0, 0, 2}));
@@ -256,19 +232,19 @@ TEST(TensorOpsTest, GeluMatchesReference) {
   // Known values of tanh-approximated GELU.
   Tensor a = Tensor::FromVector({2}, {0.0f, 1.0f});
   Tensor y = Gelu(a);
-  EXPECT_NEAR(y.at(0), 0.0f, 1e-6f);
-  EXPECT_NEAR(y.at(1), 0.8412f, 1e-3f);
+  EXPECT_NEAR(y.data()[0], 0.0f, 1e-6f);
+  EXPECT_NEAR(y.data()[1], 0.8412f, 1e-3f);
 }
 
 TEST(TensorOpsTest, SigmoidAtZeroIsHalf) {
-  EXPECT_NEAR(SigmoidOp(Tensor::Zeros({1})).at(0), 0.5f, 1e-6f);
+  EXPECT_NEAR(SigmoidOp(Tensor::Zeros({1})).data()[0], 0.5f, 1e-6f);
 }
 
 TEST(TensorOpsTest, L2NormalizeYieldsUnitVector) {
   Tensor a = Tensor::FromVector({2}, {3, 4});
   Tensor n = L2Normalize(a);
-  EXPECT_NEAR(n.at(0), 0.6f, 1e-5f);
-  EXPECT_NEAR(n.at(1), 0.8f, 1e-5f);
+  EXPECT_NEAR(n.data()[0], 0.6f, 1e-5f);
+  EXPECT_NEAR(n.data()[1], 0.8f, 1e-5f);
 }
 
 TEST(TensorOpsTest, CrossEntropyMatchesManual) {
@@ -303,7 +279,7 @@ TEST(TensorOpsTest, DropoutPreservesExpectation) {
   Tensor a = Tensor::Full({20000}, 1.0f);
   Tensor d = Dropout(a, 0.3f, rng, /*training=*/true);
   double total = 0.0;
-  for (int64_t i = 0; i < d.size(); ++i) total += d.at(i);
+  for (int64_t i = 0; i < d.size(); ++i) total += d.data()[i];
   EXPECT_NEAR(total / static_cast<double>(d.size()), 1.0, 0.03);
 }
 
@@ -316,14 +292,6 @@ TEST(TensorOpsTest, KlDivergenceNonNegative) {
   const std::vector<float> p = {0.9f, 0.05f, 0.05f};
   const std::vector<float> q = {0.1f, 0.6f, 0.3f};
   EXPECT_GT(KlDivergence(p, q), 0.0f);
-}
-
-TEST(TensorOpsTest, CosineSimilarityBounds) {
-  const std::vector<float> a = {1, 0};
-  const std::vector<float> b = {0, 1};
-  const std::vector<float> c = {2, 0};
-  EXPECT_NEAR(CosineSimilarity(a, b), 0.0f, 1e-6f);
-  EXPECT_NEAR(CosineSimilarity(a, c), 1.0f, 1e-6f);
 }
 
 // The serving encoder computes only the [CLS] row of its last layer, so

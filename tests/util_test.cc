@@ -151,34 +151,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(RngTest, CategoricalFollowsWeights) {
-  Rng rng(6);
-  int counts[2] = {0, 0};
-  for (int i = 0; i < 10000; ++i) {
-    ++counts[rng.Categorical({1.0, 3.0})];
-  }
-  EXPECT_NEAR(static_cast<double>(counts[1]) / 10000.0, 0.75, 0.03);
-}
-
-TEST(RngTest, SampleWithoutReplacementIsDistinct) {
-  Rng rng(7);
-  const std::vector<size_t> sample = rng.SampleWithoutReplacement(10, 6);
-  EXPECT_EQ(sample.size(), 6u);
-  std::set<size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 6u);
-  for (size_t s : sample) EXPECT_LT(s, 10u);
-}
-
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  EXPECT_EQ(Split("a,,b", ','),
-            (std::vector<std::string>{"a", "", "b"}));
-}
-
-TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {
-  EXPECT_EQ(SplitWhitespace("  a \t b\nc "),
-            (std::vector<std::string>{"a", "b", "c"}));
-}
-
 TEST(StringUtilTest, JoinWithSeparator) {
   EXPECT_EQ(Join({"x", "y"}, ", "), "x, y");
   EXPECT_EQ(Join({}, ","), "");
@@ -188,16 +160,9 @@ TEST(StringUtilTest, ToLowerAscii) { EXPECT_EQ(ToLower("AbC1"), "abc1"); }
 
 TEST(StringUtilTest, TrimBothEnds) { EXPECT_EQ(Trim("  hi \n"), "hi"); }
 
-TEST(StringUtilTest, StartsEndsWith) {
+TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("##sub", "##"));
   EXPECT_FALSE(StartsWith("#sub", "##"));
-  EXPECT_TRUE(EndsWith("table.csv", ".csv"));
-}
-
-TEST(StringUtilTest, IsAllDigits) {
-  EXPECT_TRUE(IsAllDigits("12345"));
-  EXPECT_FALSE(IsAllDigits("12a"));
-  EXPECT_FALSE(IsAllDigits(""));
 }
 
 TEST(StringUtilTest, FormatDoublePrecision) {
