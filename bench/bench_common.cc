@@ -55,6 +55,14 @@ baselines::TransformerBaselineConfig MakeBaselineConfig(
 std::string F3(double value) { return util::FormatDouble(value, 3); }
 std::string F1(double value) { return util::FormatDouble(value, 1); }
 
+double Percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t index =
+      static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5);
+  return values[std::min(index, values.size() - 1)];
+}
+
 std::string HostMetaJson() {
 // Stamped by bench/CMakeLists.txt from the configured build; the
 // fallbacks only apply when the library is built outside that file.

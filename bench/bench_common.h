@@ -49,6 +49,11 @@ baselines::TransformerBaselineConfig MakeBaselineConfig(
 std::string F3(double value);
 std::string F1(double value);
 
+/// Nearest-rank percentile of `values` (taken by value and sorted): the
+/// element at index round(q * (n - 1)), so q = 0.5 of {1, 2, 3, 4} is 3.
+/// Returns 0 for an empty set.
+double Percentile(std::vector<double> values, double q);
+
 /// One `"host": {...}` JSON member (no trailing comma) recording the
 /// machine and build every BENCH_*.json was produced on: hardware-thread
 /// count, CMake build type, the compiler flags it implies, and the

@@ -113,13 +113,6 @@ ProbeResult Probe(const core::EmbeddingStore::View& view,
   return probe;
 }
 
-double Percentile(std::vector<double>& sorted_values, double p) {
-  std::sort(sorted_values.begin(), sorted_values.end());
-  const size_t index = static_cast<size_t>(
-      p * static_cast<double>(sorted_values.size() - 1));
-  return sorted_values[index];
-}
-
 struct Row {
   int corpus = 0;
   int shards = 0;
@@ -160,8 +153,8 @@ Row RunConfig(const Corpus& corpus, int shards) {
       view.SearchInto(query, kK, -1, &out);
       micros.push_back(timer.ElapsedSeconds() * 1e6);
     }
-    row.search_p50_us = Percentile(micros, 0.50);
-    row.search_p99_us = Percentile(micros, 0.99);
+    row.search_p50_us = bench::Percentile(micros, 0.50);
+    row.search_p99_us = bench::Percentile(micros, 0.99);
   }
 
   // Recall@10 against the exact ground truth.

@@ -14,16 +14,27 @@
 // CI job if the session falls behind the tape at any (method,
 // batch_size) or either encoder shape stops being allocation-free.
 //
+// Last, "server_capacity" measures the serving capacity of the
+// micro-batching InferenceServer under closed-loop load: 16 client
+// threads (twice max_batch_size in flight) each loop ServeSync(Predict)
+// against the same session Predict called back to back on one thread,
+// both on the process-default pool; each side's rate is its fastest of
+// 21 alternating rounds. ci/check_bench.py fails the job if
+// any response failed, and on hosts with >= 4 hardware threads if the
+// server is below 1.5x the sequential rate.
+//
 // Besides timing, the run asserts the session is bit-identical to the
 // tape (the contract the golden tests prove in miniature) and that
 // warmed-up serving misses the per-thread arena zero times.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -31,6 +42,7 @@
 #include "core/inference_session.h"
 #include "data/wiki_generator.h"
 #include "nn/encoder.h"
+#include "serve/server.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
 #include "util/logging.h"
@@ -48,13 +60,6 @@ struct PathStats {
   double allocs_per_call = 0.0;
   int64_t arena_misses = 0;  // Meaningful for the no-grad path only.
 };
-
-double Percentile(std::vector<double> sorted_us, double q) {
-  std::sort(sorted_us.begin(), sorted_us.end());
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
-}
 
 double ChecksumFloats(const std::vector<float>& v) {
   double sum = 0.0;
@@ -95,8 +100,8 @@ class PathMeter {
     double total = 0.0;
     for (double v : lat_us_) total += v;
     stats.mean_us = total / static_cast<double>(lat_us_.size());
-    stats.p50_us = Percentile(lat_us_, 0.50);
-    stats.p99_us = Percentile(lat_us_, 0.99);
+    stats.p50_us = bench::Percentile(lat_us_, 0.50);
+    stats.p99_us = bench::Percentile(lat_us_, 0.99);
     stats.allocs_per_call = static_cast<double>(allocations_) /
                             static_cast<double>(lat_us_.size());
     stats.arena_misses = arena_misses_;
@@ -323,6 +328,68 @@ int main() {
         << "warmed-up Serve missed the workspace buffer pool";
   }
 
+  // -- Server capacity: closed-loop ServeSync vs sequential Predict -------
+  // Half the hardware threads as workers (1 to 4), batches of up to 8, a
+  // 64-deep queue. Workers fan each batch over the pool, so the cell
+  // runs on the process-default pool rather than the 1-thread pool
+  // above. A closed loop keeps exactly `in_flight` requests outstanding,
+  // so the measured rate is the server's capacity, not a generator's
+  // schedule.
+  util::SetGlobalThreadCount(util::ConfiguredThreadCount());
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  serve::ServerOptions server_options;
+  server_options.num_workers = static_cast<int>(std::clamp(hw / 2u, 1u, 4u));
+  server_options.batcher.max_batch_size = 8;
+  server_options.batcher.max_queue_depth = 64;
+  const int in_flight = 2 * server_options.batcher.max_batch_size;
+  serve::InferenceServer server(session, server_options);
+  std::atomic<int> failed{0};
+  const auto closed_loop = [&](int calls_per_client) {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < in_flight; ++c) {
+      clients.emplace_back([&, c] {
+        serve::ServeRequest request;
+        request.method = serve::ServeMethod::kPredict;
+        request.task = core::TaskKind::kType;
+        for (int i = 0; i < calls_per_client; ++i) {
+          request.sample_id = ids[static_cast<size_t>(c + i) % ids.size()];
+          if (!server.ServeSync(request).status.ok()) ++failed;
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  };
+  const auto sequential = [&](int calls) {
+    for (int i = 0; i < calls; ++i) {
+      session.Predict(core::TaskKind::kType,
+                      ids[static_cast<size_t>(i) % ids.size()]);
+    }
+  };
+  // Warm every worker's and the calling thread's arena, then alternate
+  // short rounds of the two loads. Other load on the host can only slow
+  // a round down, never speed it up, so each side's capacity is its
+  // fastest round: a busy stretch of the host then costs both sides
+  // rounds instead of skewing one side's average.
+  closed_loop(static_cast<int>(ids.size()));
+  sequential(static_cast<int>(ids.size()));
+  const int kCapacityRounds = 21;
+  const int kSequentialCalls = 5 * static_cast<int>(ids.size());
+  const int kCallsPerClient = 12;
+  double sequential_rps = 0.0, closed_loop_rps = 0.0;
+  for (int r = 0; r < kCapacityRounds; ++r) {
+    util::WallTimer sequential_timer;
+    sequential(kSequentialCalls);
+    sequential_rps = std::max(
+        sequential_rps, kSequentialCalls / sequential_timer.ElapsedSeconds());
+    util::WallTimer closed_loop_timer;
+    closed_loop(kCallsPerClient);
+    closed_loop_rps =
+        std::max(closed_loop_rps, in_flight * kCallsPerClient /
+                                      closed_loop_timer.ElapsedSeconds());
+  }
+  server.Shutdown();
+  const double capacity_speedup = closed_loop_rps / sequential_rps;
+
   const double predict_speedup = tape_predict.p50_us / nograd_predict.p50_us;
   const double explain_speedup = tape_explain.p50_us / nograd_explain.p50_us;
   std::cerr << "[inference] Predict tape p50=" << tape_predict.p50_us
@@ -349,6 +416,11 @@ int main() {
             << ") rows=1 p50=" << serve_cls.p50_us << "us, rows=len p50="
             << serve_all.p50_us << "us ("
             << serve_all.p50_us / serve_cls.p50_us << "x)\n";
+  std::cerr << "[inference] server capacity (" << server_options.num_workers
+            << " workers, " << in_flight << " in flight): "
+            << closed_loop_rps << " rps vs sequential " << sequential_rps
+            << " rps (" << capacity_speedup << "x), " << failed.load()
+            << " failed\n";
 
   std::ofstream json("BENCH_inference.json");
   CHECK(json.good()) << "cannot open BENCH_inference.json";
@@ -379,7 +451,15 @@ int main() {
        << median_len << ",\n";
   EmitPath(json, "rows_1", serve_cls, false);
   EmitPath(json, "rows_len", serve_all, true);
-  json << "  }\n}\n";
+  json << "  },\n  \"server_capacity\": {\"num_workers\": "
+       << server_options.num_workers
+       << ", \"max_batch_size\": " << server_options.batcher.max_batch_size
+       << ", \"in_flight\": " << in_flight
+       << ", \"rounds\": " << kCapacityRounds
+       << ", \"sequential_rps\": " << sequential_rps
+       << ", \"closed_loop_rps\": " << closed_loop_rps
+       << ", \"speedup\": " << capacity_speedup
+       << ", \"failed\": " << failed.load() << "}\n}\n";
   std::cerr << "[inference] wrote BENCH_inference.json\n";
   return 0;
 }

@@ -59,13 +59,6 @@ using namespace explainti;
 
 namespace {
 
-double Percentile(std::vector<double> sorted, double q) {
-  std::sort(sorted.begin(), sorted.end());
-  const size_t idx =
-      static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 const char* TaskName(core::TaskKind kind) {
   return kind == core::TaskKind::kType ? "type" : "relation";
 }
@@ -227,8 +220,8 @@ CascadePoint MeasureCascade(qa::QaEngine& cascade, core::TaskKind kind,
       escalated_steps += answer.value().escalated_steps;
     }
   }
-  point.p50_us = Percentile(lat_us, 0.50);
-  point.p99_us = Percentile(lat_us, 0.99);
+  point.p50_us = bench::Percentile(lat_us, 0.50);
+  point.p99_us = bench::Percentile(lat_us, 0.99);
   point.escalation_rate =
       static_cast<double>(escalated_steps) /
       static_cast<double>(std::max<int64_t>(surrogate_steps + escalated_steps,
@@ -339,8 +332,8 @@ int main() {
       teacher_us.push_back(t2.ElapsedSeconds() * 1e6);
     }
   }
-  const double surrogate_p50 = Percentile(surrogate_us, 0.50);
-  const double teacher_p50 = Percentile(teacher_us, 0.50);
+  const double surrogate_p50 = bench::Percentile(surrogate_us, 0.50);
+  const double teacher_p50 = bench::Percentile(teacher_us, 0.50);
   const double tier_speedup =
       surrogate_p50 > 0.0 ? teacher_p50 / surrogate_p50 : 0.0;
   std::cerr << "[qa] per-table scoring: surrogate p50 " << surrogate_p50

@@ -30,11 +30,6 @@ Its "distill" array (per-(corpus, task) distillation time: the whole
 Distill, the teacher PredictBatch and ExplainBatch it runs, and the
 features + training remainder) is printed, not gated.
 
-A file with a "peak_speedup_vs_sequential" member (BENCH_serving.json,
-from bench_online_simulation) is gated on batched serving beating the
-sequential baseline by >= 1.5x at peak offered load, armed from the
-embedded host metadata the same way.
-
 A file with a "store" array (BENCH_store.json,
 from bench_embedding_store) is gated on:
 
@@ -66,6 +61,15 @@ looped over each batch):
     steady_state_arena_misses == 0, exactly, for each shape. One stray
     allocation per Serve means a stage escaped the caller's buffers.
 
+The same file's "server_capacity" object (the micro-batching
+InferenceServer under closed-loop load, 16 requests in flight, against
+sequential InferenceSession::Predict on one thread; each side's rate is
+its fastest of 21 alternating rounds) is gated on:
+
+  * failed == 0 — every closed-loop response must be OK (always armed);
+  * speedup >= 1.5 on hosts with >= 4 hardware threads. Batching needs
+    cores to fan out to; elsewhere the ratio prints with a SKIPPED line.
+
 Stdlib only; CI calls it as
   python3 ci/check_bench.py <build_dir>/BENCH_inference.json
   python3 ci/check_bench.py <build_dir>/BENCH_store.json
@@ -85,9 +89,6 @@ def host_threads(bench):
     host = bench.get("host")
     if isinstance(host, dict) and isinstance(host.get("hardware_threads"), int):
         return host["hardware_threads"]
-    # Older BENCH_serving.json files carried the count at top level only.
-    if isinstance(bench.get("hardware_threads"), int):
-        return bench["hardware_threads"]
     return 0
 
 
@@ -186,35 +187,6 @@ def check_qa(bench):
     return 0
 
 
-def check_serving(bench):
-    """Gates BENCH_serving.json's peak batched speedup; returns 0/1."""
-    speedup = bench.get("peak_speedup_vs_sequential")
-    if not isinstance(speedup, (int, float)):
-        print("check_bench: BENCH_serving.json has no "
-              "'peak_speedup_vs_sequential'", file=sys.stderr)
-        return 1
-    points = bench.get("load_points")
-    if not isinstance(points, list) or not points:
-        print("check_bench: 'load_points' array is empty", file=sys.stderr)
-        return 1
-    print(f"peak batched speedup vs sequential: {speedup:.2f}x over "
-          f"{len(points)} load points")
-
-    threads = host_threads(bench)
-    if threads >= 4:
-        if speedup < 1.5:
-            print(f"\ncheck_bench: FAIL\n  - peak batched speedup "
-                  f"{speedup:.2f}x below 1.5x on a {threads}-thread host",
-                  file=sys.stderr)
-            return 1
-    else:
-        print(f"SKIPPED: serving >= 1.5x gate (host has {threads} hardware "
-              f"thread(s); batching needs >= 4 cores to fan out)")
-    print("\ncheck_bench: OK — serving throughput gate "
-          f"{'passed' if threads >= 4 else 'recorded (not armed)'}")
-    return 0
-
-
 def check_store(bench):
     """Gates the BENCH_store.json 'store' array; returns 0/1."""
     rows = bench.get("store")
@@ -264,7 +236,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "bench_json",
-        help="path to a BENCH_*.json (inference, store, serving, qa); "
+        help="path to a BENCH_*.json (inference, store, qa); "
         "the gate set is picked from the file's content",
     )
     parser.add_argument(
@@ -286,9 +258,6 @@ def main():
 
     if "qa" in bench:
         return check_qa(bench)
-
-    if "peak_speedup_vs_sequential" in bench:
-        return check_serving(bench)
 
     if "store" in bench:
         return check_store(bench)
@@ -360,13 +329,39 @@ def main():
                 f"{stats['steady_state_arena_misses']} times after "
                 f"warm-up (must be exactly 0)")
 
+    capacity = bench.get("server_capacity")
+    if not isinstance(capacity, dict):
+        failures.append("'server_capacity' section missing")
+    else:
+        speedup = capacity["speedup"]
+        print(f"\nserver capacity ({capacity['num_workers']} workers, "
+              f"{capacity['in_flight']} in flight): "
+              f"{capacity['closed_loop_rps']:.0f} rps vs sequential "
+              f"{capacity['sequential_rps']:.0f} rps ({speedup:.2f}x), "
+              f"{capacity['failed']} failed")
+        if capacity["failed"] != 0:
+            failures.append(
+                f"server capacity: {capacity['failed']} responses failed "
+                f"(every closed-loop request must be served)")
+        threads = host_threads(bench)
+        if threads >= 4:
+            if speedup < 1.5:
+                failures.append(
+                    f"server capacity {speedup:.2f}x sequential, below 1.5x "
+                    f"on a {threads}-thread host")
+        else:
+            print(f"SKIPPED: server capacity >= 1.5x gate (host has "
+                  f"{threads} hardware thread(s); batching needs >= 4 "
+                  f"cores to fan out)")
+
     if failures:
         print("\ncheck_bench: FAIL", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\ncheck_bench: OK — plan path within tolerance everywhere, "
-          "encoder Serve allocation-free in both shapes")
+          "encoder Serve allocation-free in both shapes, server capacity "
+          "served every request")
     return 0
 
 

@@ -20,7 +20,9 @@
 #
 #   ci/check_reachable.sh
 #
-# Builds into build-ci-reach/ (incremental on later runs).
+# Builds into build-ci-reach/ (incremental on later runs). The bench and
+# example executables are deleted before each build, so a binary whose
+# target left the tree cannot keep vouching for what it used to call.
 
 set -euo pipefail
 
@@ -35,6 +37,7 @@ FLAGS=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
 
 echo "check_reachable: building product binaries at -O0 in ${BUILD#"$ROOT/"}"
 cmake -B "$BUILD" -S "$ROOT" -G "Unix Makefiles" "${FLAGS[@]}" >/dev/null
+find "$BUILD/bench" "$BUILD/examples" -maxdepth 1 -type f -perm -u+x -delete
 make -s -C "$BUILD/bench" -j "$JOBS" >/dev/null
 make -s -C "$BUILD/examples" -j "$JOBS" >/dev/null
 cmake -B "$BUILD/e2e" -S "$ROOT/bench/e2e" -G "Unix Makefiles" \

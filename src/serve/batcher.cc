@@ -1,6 +1,6 @@
 #include "serve/batcher.h"
 
-#include <algorithm>
+#include <string>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -46,8 +46,6 @@ util::Status MicroBatcher::Push(PendingRequest pending,
   }
   pending.request.arrival_us = util::MonotonicNowUs();
   queue_.push_back(std::move(pending));
-  high_water_ =
-      std::max(high_water_, static_cast<int64_t>(queue_.size()));
   work_cv_.notify_one();
   return util::Status::OK();
 }
@@ -132,11 +130,6 @@ std::vector<PendingRequest> MicroBatcher::Flush() {
 int64_t MicroBatcher::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(queue_.size());
-}
-
-int64_t MicroBatcher::high_water() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return high_water_;
 }
 
 }  // namespace explainti::serve

@@ -90,8 +90,6 @@ class MicroBatcher {
 
   /// Current queued depth (admitted, not yet dispatched).
   int64_t size() const;
-  /// Highest depth ever observed — proof the queue stays bounded.
-  int64_t high_water() const;
 
  private:
   /// Index of the leader: oldest request of the best (numerically
@@ -104,7 +102,6 @@ class MicroBatcher {
   std::condition_variable work_cv_;
   std::deque<PendingRequest> queue_;
   bool shutdown_ = false;
-  int64_t high_water_ = 0;
 };
 
 }  // namespace explainti::serve

@@ -41,7 +41,6 @@ bool ResponseCache::Lookup(const Key& key, const text::EncodedSequence& input,
   // collision degrades to a miss (recomputation), never wrong data.
   if (it == shard.index.end() || it->second->second.input_ids != input.ids ||
       it->second->second.input_segments != input.segments) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   // QA entries additionally verify the stored query: the verified input
@@ -51,7 +50,6 @@ bool ResponseCache::Lookup(const Key& key, const text::EncodedSequence& input,
   if (key.method == ServeMethod::kQaAnswer &&
       (query == nullptr || !it->second->second.has_query ||
        !qa::SameQuery(it->second->second.qa_query, *query))) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // Promote.
@@ -62,7 +60,6 @@ bool ResponseCache::Lookup(const Key& key, const text::EncodedSequence& input,
   out->qa = payload.qa;
   out->model_generation = payload.model_generation;
   out->cache_hit = true;
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -104,13 +104,11 @@ class ResponseCache {
   void Insert(const Key& key, const text::EncodedSequence& input,
               const qa::QaQuery* query, const ServeResponse& response);
 
-  /// Drops every entry (model hot-swap invalidation). Hit/miss/eviction
-  /// counters survive — they describe the cache's lifetime, not one
+  /// Drops every entry (model hot-swap invalidation). The eviction
+  /// counter survives — it describes the cache's lifetime, not one
   /// generation's.
   void Clear();
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   int64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
@@ -163,8 +161,6 @@ class ResponseCache {
   const int64_t capacity_;
   const int num_shards_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
 };
 

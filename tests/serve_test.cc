@@ -294,7 +294,6 @@ TEST(ServeAdmissionTest, QueueOverflowRejectsInsteadOfBuffering) {
     }
     EXPECT_EQ(accepted, 3);
     EXPECT_EQ(server.batcher().size(), 3);
-    EXPECT_EQ(server.batcher().high_water(), 3);
     EXPECT_EQ(server.metrics().GetCounter("serve.rejected_queue_full")->Value(),
               5);
   }
@@ -718,6 +717,70 @@ TEST(MicroBatcherTest, HighestQueuedClassLeadsDispatch) {
   EXPECT_EQ(batch[1].request.trace_id, 2u);
 }
 
+// Interactive isolation at the server: an interactive arrival at a full
+// queue is admitted by shedding the youngest background request, whose
+// callback fails with kResourceExhausted inside Submit, and both the
+// global and the victim tenant's counters record it. With no workers,
+// nothing drains, so every step is deterministic.
+TEST(ServeTenantTest, FullQueueShedsYoungestBackgroundForInteractive) {
+  const InferenceSession& session = Shared().model.session();
+  TenantRegistry tenants;
+  TenantOptions interactive;
+  interactive.name = "interactive";
+  interactive.priority = Priority::kInteractive;
+  const int interactive_id = tenants.Register(interactive);
+  TenantOptions background;
+  background.name = "background";
+  background.priority = Priority::kBackground;
+  const int background_id = tenants.Register(background);
+
+  // Completions per trace id; outlives the server, whose shutdown fails
+  // what is still queued.
+  std::vector<std::vector<util::StatusCode>> done(4);
+  const auto record = [&done](uint64_t trace_id) {
+    return [&done, trace_id](ServeResponse&& response) {
+      EXPECT_EQ(response.trace_id, trace_id);
+      done[trace_id].push_back(response.status.code());
+    };
+  };
+  ServerOptions options;
+  options.num_workers = 0;
+  options.batcher.max_queue_depth = 2;
+  options.tenants = &tenants;
+  InferenceServer server(session, options);
+  const auto submit = [&](int tenant_id, uint64_t trace_id) {
+    ServeRequest request = MakeRequest(ServeMethod::kPredict, 0, trace_id);
+    request.tenant_id = tenant_id;
+    return server.Submit(request, record(trace_id));
+  };
+  const auto counter = [&server](const std::string& name) {
+    return server.metrics().GetCounter(name)->Value();
+  };
+
+  ASSERT_TRUE(submit(background_id, 0).ok());
+  ASSERT_TRUE(submit(background_id, 1).ok());
+  ASSERT_TRUE(submit(interactive_id, 2).ok());
+  // The youngest background request (trace 1) was failed exactly once;
+  // the older one (trace 0) and the interactive arrival stay queued.
+  EXPECT_TRUE(done[0].empty());
+  EXPECT_EQ(done[1],
+            std::vector<util::StatusCode>{util::StatusCode::kResourceExhausted});
+  EXPECT_TRUE(done[2].empty());
+  EXPECT_EQ(server.batcher().size(), 2);
+  EXPECT_EQ(counter("serve.preempted"), 1);
+  EXPECT_EQ(counter("serve.tenant.background.preempted"), 1);
+  EXPECT_EQ(counter("serve.tenant.interactive.preempted"), 0);
+
+  // No class sits below background, so a further background arrival is
+  // itself rejected, and no callback runs for it.
+  EXPECT_EQ(submit(background_id, 3).code(),
+            util::StatusCode::kResourceExhausted);
+  EXPECT_TRUE(done[3].empty());
+  EXPECT_EQ(counter("serve.rejected_queue_full"), 1);
+  EXPECT_EQ(counter("serve.tenant.background.rejected_queue_full"), 1);
+  EXPECT_EQ(counter("serve.preempted"), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Response cache: repeated tables short-circuit the queue with
 // bit-identical payloads; capacity is enforced shard-locally.
@@ -747,13 +810,11 @@ TEST(ResponseCacheTest, LruEvictsWithinShardAndCountsEverything) {
   EXPECT_TRUE(cache.Lookup(key(1), SeqOf(1), &out));
   EXPECT_TRUE(cache.Lookup(key(3), SeqOf(3), &out));
   EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.hits(), 3);
-  EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.size(), 2);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0);
   EXPECT_FALSE(cache.Lookup(key(1), SeqOf(1), &out));
-  EXPECT_EQ(cache.hits(), 3);  // Counters survive Clear().
+  EXPECT_EQ(cache.evictions(), 1);  // The counter survives Clear().
 }
 
 TEST(ResponseCacheTest, CollidingKeyWithDifferentContentIsAMiss) {
@@ -776,12 +837,10 @@ TEST(ResponseCacheTest, CollidingKeyWithDifferentContentIsAMiss) {
   ServeResponse out;
   EXPECT_FALSE(cache.Lookup(key, SeqOf(2), &out));
   EXPECT_TRUE(out.labels.empty());
-  EXPECT_EQ(cache.misses(), 1);
 
   // The content the entry was computed from still hits.
   EXPECT_TRUE(cache.Lookup(key, SeqOf(1), &out));
   EXPECT_EQ(out.labels, response.labels);
-  EXPECT_EQ(cache.hits(), 1);
 }
 
 TEST(ResponseCacheTest, CapacityIsExactRegardlessOfShardCount) {
@@ -849,8 +908,6 @@ TEST(ServeCacheTest, RepeatedExplainHitsInlineAndBitIdentical) {
     EXPECT_EQ(got->explanation.ann_degraded, want.ann_degraded);
     EXPECT_EQ(got->explanation.degradation_note, want.degradation_note);
   }
-  EXPECT_EQ(server.cache()->hits(), 1);
-  EXPECT_EQ(server.cache()->misses(), 1);
   EXPECT_EQ(server.metrics().GetCounter("serve.cache_hits")->Value(), 1);
   // Different method on the same input is a different key, not a hit.
   const ServeResponse other =
