@@ -11,8 +11,8 @@
 //     field records the verdict check_bench.py re-checks);
 //   * a pinned View never observes the generation swap underneath it,
 //     neither during a Rebuild nor during a Load;
-//   * the steady-state serial search path performs zero heap
-//     allocations per query.
+//   * a warm search performs zero heap allocations per query on the
+//     process-default pool.
 //
 // Corpus sizes: 10k always; 100k too unless EXPLAINTI_BENCH_SCALE=quick
 // wants the short run — then the 100k row is skipped and the JSON says
@@ -36,7 +36,6 @@
 #include "util/alloc_counter.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace explainti;
@@ -174,9 +173,8 @@ Row RunConfig(const Corpus& corpus, int shards) {
         static_cast<double>(found) / static_cast<double>(wanted);
   }
 
-  // Zero-allocation steady state (serial path: 1 thread).
+  // Zero-allocation steady state, on the process-default pool.
   {
-    util::SetGlobalThreadCount(1);
     std::vector<ann::SearchResult> out;
     for (int warm = 0; warm < 8; ++warm) {
       view.SearchInto(corpus.queries[static_cast<size_t>(warm)], kK, -1,
@@ -190,7 +188,7 @@ Row RunConfig(const Corpus& corpus, int shards) {
     }
     row.steady_state_allocations = counter.Delta().allocations;
     CHECK_EQ(row.steady_state_allocations, 0)
-        << "steady-state serial search must not allocate";
+        << "steady-state search must not allocate";
   }
 
   // Rebuild under a live pinned reader: change one row, re-publish, and

@@ -1,5 +1,5 @@
-// Measures thread-pool scaling on the three parallelised hot paths —
-// matmul, encoder forward, HNSW index build — at 1/2/4 threads, and
+// Measures thread-pool scaling on the two parallelised tape hot paths —
+// matmul and encoder forward — at 1/2/4 threads, and
 // emits BENCH_parallel.json with absolute times and speedups relative to
 // the single-threaded run.
 //
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "ann/hnsw_index.h"
 #include "nn/encoder.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -87,34 +86,12 @@ double RunEncoderForward() {
   return ChecksumFloats(out.data(), out.size());
 }
 
-double RunIndexBuild() {
-  ann::HnswOptions options;
-  options.seed = 31;
-  ann::HnswIndex index(options);
-  util::Rng rng(32);
-  const int64_t dim = 64;
-  std::vector<float> v(static_cast<size_t>(dim));
-  for (int i = 0; i < 300; ++i) {
-    for (float& x : v) x = static_cast<float>(rng.Normal());
-    index.Add(i, v);
-  }
-  // Checksum over search results so build structure differences surface.
-  double checksum = 0.0;
-  for (float& x : v) x = static_cast<float>(rng.Normal());
-  for (const ann::SearchResult& r : index.Search(v, 10)) {
-    checksum += static_cast<double>(r.id) * 1e3 +
-                static_cast<double>(r.similarity);
-  }
-  return checksum;
-}
-
 }  // namespace
 
 int main() {
   const Workload workloads[] = {
       {"matmul_192", &RunMatMul, 8},
       {"encoder_forward", &RunEncoderForward, 5},
-      {"hnsw_index_build", &RunIndexBuild, 3},
   };
 
   std::ofstream json("BENCH_parallel.json");

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace explainti::ann {
 
@@ -40,27 +39,14 @@ void FlatIndex::SearchNormalized(const float* query, int k,
   out->clear();
   if (count_ == 0 || k <= 0) return;
 
-  // Each row's score lands in its own slot, so the scored list (and the
-  // tie-broken partial sort below) is identical at any thread count.
   std::vector<SearchResult>& scores = scratch->scores;
   scores.resize(static_cast<size_t>(count_));
-  const int64_t grain = util::GrainForCost(dim_);
-  const auto score_rows = [&](int64_t ib, int64_t ie) {
-    for (int64_t i = ib; i < ie; ++i) {
-      const float* row = vectors_ + i * dim_;
-      float dot = 0.0f;
-      for (int64_t j = 0; j < dim_; ++j) dot += row[j] * query[j];
-      scores[static_cast<size_t>(i)] =
-          SearchResult{ids_[static_cast<size_t>(i)], dot};
-    }
-  };
-  // The direct call keeps the serial path free of the std::function
-  // envelope ParallelFor would heap-allocate (the store's steady-state
-  // zero-allocation gate counts every operator new).
-  if (count_ <= grain || util::GlobalThreadPool().num_threads() == 1) {
-    score_rows(0, count_);
-  } else {
-    util::ParallelFor(0, count_, grain, score_rows);
+  for (int64_t i = 0; i < count_; ++i) {
+    const float* row = vectors_ + i * dim_;
+    float dot = 0.0f;
+    for (int64_t j = 0; j < dim_; ++j) dot += row[j] * query[j];
+    scores[static_cast<size_t>(i)] =
+        SearchResult{ids_[static_cast<size_t>(i)], dot};
   }
 
   const size_t take =

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace explainti::ann {
 
@@ -91,7 +90,6 @@ void HnswIndex::SearchLayerInto(const float* query, int entry, int ef,
 
   auto& fresh = s->fresh;
   auto& fresh_dist = s->fresh_dist;
-  const int64_t grain = util::GrainForCost(dim_);
 
   while (!frontier.empty()) {
     const std::pair<float, int> closest = frontier.front();
@@ -111,19 +109,8 @@ void HnswIndex::SearchLayerInto(const float* query, int entry, int ef,
       }
     }
     fresh_dist.resize(fresh.size());
-    const auto eval = [&](int64_t ib, int64_t ie) {
-      for (int64_t i = ib; i < ie; ++i) {
-        fresh_dist[static_cast<size_t>(i)] =
-            Distance(query, VectorOf(fresh[static_cast<size_t>(i)]));
-      }
-    };
-    // Direct call on the serial path: ParallelFor's std::function envelope
-    // would heap-allocate, and steady-state queries must not.
-    if (static_cast<int64_t>(fresh.size()) <= grain ||
-        util::GlobalThreadPool().num_threads() == 1) {
-      eval(0, static_cast<int64_t>(fresh.size()));
-    } else {
-      util::ParallelFor(0, static_cast<int64_t>(fresh.size()), grain, eval);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      fresh_dist[i] = Distance(query, VectorOf(fresh[i]));
     }
     for (size_t i = 0; i < fresh.size(); ++i) {
       const float d = fresh_dist[i];
@@ -226,17 +213,13 @@ void HnswIndex::InsertNode() {
                             .per_layer[static_cast<size_t>(layer)];
       nbr_links.push_back(node);
       if (static_cast<int>(nbr_links.size()) > m_max) {
-        std::vector<std::pair<float, int>> pruned(nbr_links.size());
+        std::vector<std::pair<float, int>> pruned;
+        pruned.reserve(nbr_links.size());
         const float* nbr_vec = VectorOf(neighbor);
-        util::ParallelFor(
-            0, static_cast<int64_t>(nbr_links.size()),
-            util::GrainForCost(dim_), [&](int64_t ib, int64_t ie) {
-              for (int64_t i = ib; i < ie; ++i) {
-                const int candidate = nbr_links[static_cast<size_t>(i)];
-                pruned[static_cast<size_t>(i)] = {
-                    Distance(nbr_vec, VectorOf(candidate)), candidate};
-              }
-            });
+        for (int candidate : nbr_links) {
+          pruned.emplace_back(Distance(nbr_vec, VectorOf(candidate)),
+                              candidate);
+        }
         nbr_links = SelectNeighbors(&pruned, m_max);
       }
     }

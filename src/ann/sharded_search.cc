@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/thread_pool.h"
-
 namespace explainti::ann {
 
 void L2NormalizeInto(const float* in, int64_t n, float* out) {
@@ -28,15 +26,15 @@ inline bool Outranks(const SearchResult& a, const SearchResult& b) {
   return a.id < b.id;
 }
 
-// Cross-query scratch for one querying thread. Slot i belongs to shard i
-// exclusively during the fan-out, so parallel shard queries never share
-// state; the buffers persist across queries so the steady state allocates
-// nothing new.
+// Cross-query scratch for one querying thread. Shards are searched one
+// after another through the same SearchScratch (each search grows it to
+// its segment and restamps the visited epoch), and each shard's hits keep
+// their own slot for the merge; the buffers persist across queries so the
+// steady state allocates nothing new.
 struct FanoutScratch {
   std::vector<float> qnorm;
   std::vector<std::vector<SearchResult>> hits;
-  std::vector<uint8_t> degraded;
-  std::vector<SearchScratch> search;
+  SearchScratch search;
 };
 
 FanoutScratch& LocalScratch() {
@@ -84,8 +82,6 @@ void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
   FanoutScratch& s = LocalScratch();
   if (s.hits.size() < static_cast<size_t>(num_shards)) {
     s.hits.resize(static_cast<size_t>(num_shards));
-    s.degraded.resize(static_cast<size_t>(num_shards));
-    s.search.resize(static_cast<size_t>(num_shards));
   }
   const int64_t dim = shards[0].flat->dim();
   s.qnorm.resize(static_cast<size_t>(dim));
@@ -95,31 +91,15 @@ void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
   // Over-fetch by one per shard so dropping exclude_id in the merge can
   // never cost a real hit.
   const int fetch = k + 1;
-  const auto run_shards = [&](int64_t sb, int64_t se) {
-    for (int64_t i = sb; i < se; ++i) {
-      std::vector<SearchResult>& hits = s.hits[static_cast<size_t>(i)];
-      SearchScratch& scratch = s.search[static_cast<size_t>(i)];
-      const ShardRef& shard = shards[i];
-      const bool degraded = shard.hnsw == nullptr;
-      if (degraded) {
-        shard.flat->SearchNormalized(qnorm, fetch, &scratch, &hits);
-      } else {
-        shard.hnsw->SearchNormalized(qnorm, fetch, &scratch, &hits);
-      }
-      s.degraded[static_cast<size_t>(i)] = degraded ? 1 : 0;
-    }
-  };
-  // Serial fan-outs skip ParallelFor entirely: its std::function envelope
-  // heap-allocates, and the single-shard/single-thread steady state is
-  // gated at exactly zero allocations per query.
-  if (num_shards == 1 || util::GlobalThreadPool().num_threads() == 1) {
-    run_shards(0, num_shards);
-  } else {
-    util::ParallelFor(0, num_shards, 1, run_shards);
-  }
-
   for (int64_t i = 0; i < num_shards; ++i) {
-    if (s.degraded[static_cast<size_t>(i)] != 0) ++stats->shards_degraded;
+    std::vector<SearchResult>& hits = s.hits[static_cast<size_t>(i)];
+    const ShardRef& shard = shards[i];
+    if (shard.hnsw == nullptr) {
+      shard.flat->SearchNormalized(qnorm, fetch, &s.search, &hits);
+      ++stats->shards_degraded;
+    } else {
+      shard.hnsw->SearchNormalized(qnorm, fetch, &s.search, &hits);
+    }
   }
   MergeTopK(s.hits.data(), num_shards, k, exclude_id, out);
 }

@@ -41,16 +41,14 @@ void MergeTopK(const std::vector<SearchResult>* shard_hits,
 ///
 /// Each shard answers from its own tier (HNSW, or exact flat when it has
 /// no graph; see ShardRef), over-fetching k+1 so the excluded id cannot
-/// displace a real hit. Shard queries run over util/thread_pool with
-/// grain 1 — each shard's hits land in that shard's own slot, so the
-/// merged result is bit-identical at any thread count. `query` is raw
+/// displace a real hit. Shards are searched in order on the calling
+/// thread, each into its own hit slot, and the merge is order-independent,
+/// so the result is bit-identical at any thread count. `query` is raw
 /// (un-normalised) and must have exactly the shard dimensionality;
 /// callers validate against their store's dim first.
 ///
-/// Reuses thread-local scratch (per-shard SearchScratch + hit slots).
-/// Once warm, a serial fan-out — one shard, or a 1-thread global pool —
-/// performs zero heap allocations; a parallel fan-out pays only the
-/// thread pool's dispatch envelope.
+/// Reuses thread-local scratch (one SearchScratch + per-shard hit slots).
+/// Once warm, a query performs zero heap allocations at any pool size.
 void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
                        const std::vector<float>& query, int k,
                        int64_t exclude_id, std::vector<SearchResult>* out,

@@ -135,8 +135,7 @@ void EmbeddingStore::Rebuild(
     }
   }
 
-  // Independent segments build in parallel (the per-insert ParallelFor
-  // inside HnswIndex nests, so it runs inline).
+  // Independent segments build in parallel, one segment per chunk.
   util::ParallelFor(0, num_ranges, 1, [&](int64_t b, int64_t e) {
     for (int64_t r = b; r < e; ++r) {
       const auto& rids = range_ids[static_cast<size_t>(r)];

@@ -142,8 +142,8 @@ class EmbeddingStore {
 
     /// Allocation-reusing form of Search(): clears and fills `*out`,
     /// keeping its capacity. With a warm `out` (and warm thread-local
-    /// fan-out scratch) a serial search performs zero heap allocations —
-    /// the property the store bench gates.
+    /// fan-out scratch) a search performs zero heap allocations at any
+    /// pool size — the property the store bench gates.
     void SearchInto(const std::vector<float>& query, int k, int exclude_id,
                     std::vector<ann::SearchResult>* out,
                     bool* used_fallback = nullptr) const;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/thread_pool.h"
-
 #if defined(__GNUC__) || defined(__clang__)
 #define EXPLAINTI_RESTRICT __restrict__
 #else
@@ -102,8 +100,7 @@ void GemmRowsChunk(const float* EXPLAINTI_RESTRICT pa, int64_t lda,
   }
 }
 
-// Single-output-row kernel (m == 1), chunked over columns [jb, je) like
-// the original vector-matrix branch.
+// Single-output-row kernel (m == 1) over columns [jb, je).
 template <bool TransB>
 void GemmVecChunk(const float* EXPLAINTI_RESTRICT pa,
                   const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
@@ -136,48 +133,18 @@ void GemmVecChunk(const float* EXPLAINTI_RESTRICT pa,
 void ServingGemm(const float* a, int64_t lda, const float* b, int64_t ldb,
                  bool trans_b, float* c, int64_t ldc, int64_t m, int64_t k,
                  int64_t n) {
-  // Same ParallelFor shapes and grains as the MatMul this kernel was
-  // extracted from: chunks touch disjoint output rows (or, for a single
-  // output row, disjoint columns), so the result is chunking-invariant.
-  // When the whole range fits one chunk anyway — or the pool has no
-  // workers to fan out to — the chunk function runs directly: it computes
-  // the same thing, and skipping ParallelFor's std::function envelope
-  // (which heap-allocates for these captures) is what keeps a warmed-up
-  // single-threaded plan execution at zero allocations.
+  // One pass over the whole output on the calling thread: serving is
+  // parallel across requests and samples, never inside one.
   if (m > 1) {
-    const int64_t grain = util::GrainForCost(k * n);
-    if (m <= grain || util::GlobalThreadPool().num_threads() <= 1) {
-      if (trans_b) {
-        GemmRowsChunk<true>(a, lda, b, ldb, c, ldc, k, n, 0, m);
-      } else {
-        GemmRowsChunk<false>(a, lda, b, ldb, c, ldc, k, n, 0, m);
-      }
-      return;
+    if (trans_b) {
+      GemmRowsChunk<true>(a, lda, b, ldb, c, ldc, k, n, 0, m);
+    } else {
+      GemmRowsChunk<false>(a, lda, b, ldb, c, ldc, k, n, 0, m);
     }
-    util::ParallelFor(0, m, grain, [&](int64_t ib, int64_t ie) {
-      if (trans_b) {
-        GemmRowsChunk<true>(a, lda, b, ldb, c, ldc, k, n, ib, ie);
-      } else {
-        GemmRowsChunk<false>(a, lda, b, ldb, c, ldc, k, n, ib, ie);
-      }
-    });
+  } else if (trans_b) {
+    GemmVecChunk<true>(a, b, ldb, c, k, 0, n);
   } else {
-    const int64_t grain = util::GrainForCost(k);
-    if (n <= grain || util::GlobalThreadPool().num_threads() <= 1) {
-      if (trans_b) {
-        GemmVecChunk<true>(a, b, ldb, c, k, 0, n);
-      } else {
-        GemmVecChunk<false>(a, b, ldb, c, k, 0, n);
-      }
-      return;
-    }
-    util::ParallelFor(0, n, grain, [&](int64_t jb, int64_t je) {
-      if (trans_b) {
-        GemmVecChunk<true>(a, b, ldb, c, k, jb, je);
-      } else {
-        GemmVecChunk<false>(a, b, ldb, c, k, jb, je);
-      }
-    });
+    GemmVecChunk<false>(a, b, ldb, c, k, 0, n);
   }
 }
 

@@ -20,9 +20,8 @@ namespace explainti::tensor {
 /// expression — they only skip materialising intermediates (slice /
 /// transpose / concat copies, separate bias and activation passes).
 ///
-/// All kernels run on the calling thread except ServingGemm, which chunks
-/// over the thread pool exactly like the MatMul it was extracted from
-/// (disjoint output rows/columns, so chunking never changes bits).
+/// Every kernel runs on the calling thread: serving parallelises across
+/// requests and samples, never inside one (DESIGN.md §6).
 
 /// C[m,n] += A[m,k] * B[k,n], with C pre-zeroed by the caller (see
 /// ZeroRows). Row strides lda/ldb/ldc express sub-matrix views: the
@@ -32,8 +31,8 @@ namespace explainti::tensor {
 /// b[j * ldb + kk]), folding the materialised Transpose(kh) of the
 /// attention-score GEMM. Accumulation order per output element is
 /// ascending-k with every product and add individually rounded —
-/// identical to the tape kernel and independent of strides, transposition
-/// and ParallelFor chunking.
+/// identical to the tape kernel and independent of strides and
+/// transposition.
 void ServingGemm(const float* a, int64_t lda, const float* b, int64_t ldb,
                  bool trans_b, float* c, int64_t ldc, int64_t m, int64_t k,
                  int64_t n);

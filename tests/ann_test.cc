@@ -496,7 +496,7 @@ TEST(HnswIndexTest, ConstructionIsPinned) {
       {800, 16, 8, 48, 41, false, 0x59a2911ddda46ecdULL},
       {1500, 64, 16, 100, 43, false, 0x60de13db7b0c2d3fULL},
       {600, 4, 4, 8, 47, true, 0x08c9c25655387dadULL},
-      // Wide rows: the per-expansion distance pass fans out at 4 threads.
+      // Wide rows: 768-dim distances, pinned at both pool sizes.
       {300, 768, 16, 100, 53, false, 0xc32737a93642c2a0ULL},
   };
   for (int threads : {1, 4}) {

@@ -167,13 +167,13 @@ TEST(InferencePlanTest, HotSwapReplicaServesBitIdentical) {
 
 // The encoder's raw-buffer forward allocates nothing itself: once the
 // per-thread pool is warm, a Serve on pooled scratch performs zero heap
-// allocations and never misses the pool — and matches the tape encoder.
-// Both output shapes are covered: rows = len (Explain with LE) and
-// rows = 1 (Predict and EncodeBatch, whose last layer computes only the
-// [CLS] row).
+// allocations and never misses the pool — and matches the tape encoder —
+// on a 1-thread and a 4-thread pool alike, since serving never fans one
+// sample out over the pool. Both output shapes are covered: rows = len
+// (Explain with LE) and rows = 1 (Predict and EncodeBatch, whose last
+// layer computes only the [CLS] row).
 TEST(InferencePlanTest, SteadyStateServeIsZeroAlloc) {
   GlobalPoolGuard guard;
-  util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
   ExplainTiModel model(TinyConfig(), corpus);
   const nn::TransformerEncoder& encoder = model.encoder();
@@ -189,34 +189,39 @@ TEST(InferencePlanTest, SteadyStateServeIsZeroAlloc) {
                    nn::ExecContext::Eval())
           .ToVector();
 
-  for (const int64_t rows : {len, int64_t{1}}) {
-    SCOPED_TRACE("rows = " + std::to_string(rows));
-    std::vector<float> out(static_cast<size_t>(rows * d));
-    const auto serve = [&] {
-      tensor::ScratchBuffer scratch(
-          static_cast<size_t>(encoder.ServeScratchFloats(len)));
-      encoder.Serve(sample.seq.ids, sample.seq.segments, scratch.data(),
-                    out.data(), rows);
-    };
-    serve();  // Warm-up: seeds the scratch bucket.
-    serve();
+  for (const int threads : {1, 4}) {
+    util::SetGlobalThreadCount(threads);
+    for (const int64_t rows : {len, int64_t{1}}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads) +
+                   ", rows = " + std::to_string(rows));
+      std::vector<float> out(static_cast<size_t>(rows * d));
+      const auto serve = [&] {
+        tensor::ScratchBuffer scratch(
+            static_cast<size_t>(encoder.ServeScratchFloats(len)));
+        encoder.Serve(sample.seq.ids, sample.seq.segments, scratch.data(),
+                      out.data(), rows);
+      };
+      serve();  // Warm-up: seeds the scratch bucket.
+      serve();
 
-    const tensor::WorkspaceStats ws_before =
-        tensor::ThisThreadWorkspaceStats();
-    const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
-    for (int i = 0; i < 16; ++i) serve();
-    const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
-    const tensor::WorkspaceStats ws_after = tensor::ThisThreadWorkspaceStats();
+      const tensor::WorkspaceStats ws_before =
+          tensor::ThisThreadWorkspaceStats();
+      const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
+      for (int i = 0; i < 16; ++i) serve();
+      const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
+      const tensor::WorkspaceStats ws_after =
+          tensor::ThisThreadWorkspaceStats();
 
-    EXPECT_EQ(heap_after.allocations - heap_before.allocations, 0u)
-        << "warmed-up Serve allocated on the heap";
-    EXPECT_EQ(ws_after.buffer_misses, ws_before.buffer_misses)
-        << "warmed-up Serve missed the workspace buffer pool";
-    EXPECT_GT(ws_after.buffer_acquires, ws_before.buffer_acquires);
-    ExpectBitEqual(out,
-                   std::vector<float>(tape.begin(),
-                                      tape.begin() + rows * d),
-                   "Serve vs tape encoder");
+      EXPECT_EQ(heap_after.allocations - heap_before.allocations, 0u)
+          << "warmed-up Serve allocated on the heap";
+      EXPECT_EQ(ws_after.buffer_misses, ws_before.buffer_misses)
+          << "warmed-up Serve missed the workspace buffer pool";
+      EXPECT_GT(ws_after.buffer_acquires, ws_before.buffer_acquires);
+      ExpectBitEqual(out,
+                     std::vector<float>(tape.begin(),
+                                        tape.begin() + rows * d),
+                     "Serve vs tape encoder");
+    }
   }
 }
 

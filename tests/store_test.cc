@@ -210,24 +210,29 @@ TEST_F(StoreTest, SearchIntoMatchesSearchAndReusesCapacity) {
   }
 }
 
-TEST_F(StoreTest, SteadyStateSerialSearchAllocatesNothing) {
+// A warm search allocates nothing on any pool size: the shards are
+// searched on the calling thread, so no ParallelFor envelope is built.
+TEST_F(StoreTest, SteadyStateSearchAllocatesNothing) {
   const auto rows = MakeRows(64, 8, 21);
   EmbeddingStore store(SegOptions(4));
   store.Rebuild(Iota(64), rows);
   const EmbeddingStore::View view = store.view();
-  util::SetGlobalThreadCount(1);
 
-  std::vector<SearchResult> out;
-  // Warm the output vector and the thread-local fan-out scratch.
-  for (int q = 0; q < 8; ++q) {
-    view.SearchInto(rows[static_cast<size_t>(q)], 5, -1, &out);
+  for (int threads : {1, 4}) {
+    util::SetGlobalThreadCount(threads);
+    std::vector<SearchResult> out;
+    // Warm the output vector and the thread-local fan-out scratch.
+    for (int q = 0; q < 8; ++q) {
+      view.SearchInto(rows[static_cast<size_t>(q)], 5, -1, &out);
+    }
+    util::ScopedAllocCounter counter;
+    for (int q = 0; q < 32; ++q) {
+      view.SearchInto(rows[static_cast<size_t>(q % 8)], 5, -1, &out);
+    }
+    EXPECT_EQ(counter.Delta().allocations, 0)
+        << "steady-state store search must not touch the heap (threads="
+        << threads << ")";
   }
-  util::ScopedAllocCounter counter;
-  for (int q = 0; q < 32; ++q) {
-    view.SearchInto(rows[static_cast<size_t>(q % 8)], 5, -1, &out);
-  }
-  EXPECT_EQ(counter.Delta().allocations, 0)
-      << "steady-state serial store search must not touch the heap";
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
+#include "util/alloc_counter.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -298,12 +299,26 @@ TEST(TensorOpsTest, KlDivergenceNonNegative) {
 // every GEMM there runs with m == 1 (GemmVecChunk) where the full-length
 // pass runs m == len (GemmRowsChunk). Row i of an m-row product must
 // equal, bit for bit, the m == 1 product of row i alone, for both B
-// layouts, on strided views, and however the pool chunks the work.
+// layouts, on strided views, and at any pool size.
 TEST(ServingGemmTest, EachRowMatchesItsSingleRowProduct) {
   const int restore_threads = util::ConfiguredThreadCount();
   util::Rng rng(41);
   for (int threads : {1, 4}) {
     util::SetGlobalThreadCount(threads);
+    if (threads > 1) {
+      // A shape the tape MatMul would split over the pool (m above the
+      // k*n grain) still runs on the calling thread, allocation-free.
+      const int64_t m = 29, k = 64, n = 64;
+      ASSERT_GT(m, util::GrainForCost(k * n));
+      const std::vector<float> a(static_cast<size_t>(m * k), 0.5f);
+      const std::vector<float> b(static_cast<size_t>(k * n), 0.25f);
+      std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
+      util::ScopedAllocCounter counter;
+      ServingGemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n,
+                  m, k, n);
+      EXPECT_EQ(counter.Delta().allocations, 0)
+          << "ServingGemm allocated on a " << threads << "-thread pool";
+    }
     for (int64_t m : {2, 3, 5, 29}) {
       for (int64_t k : {1, 3, 4, 5, 17, 64}) {
         for (int64_t n : {1, 7, 64, 256}) {
