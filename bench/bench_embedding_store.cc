@@ -1,9 +1,9 @@
 // Benchmarks the sharded, snapshot-persistent embedding store and emits
-// BENCH_store.json: build latency, rebuild latency under a live pinned
-// reader, search p50/p99, recall@10 against an exact FlatIndex over the
-// whole corpus, save/load latency, and the hot-swap path (Load
-// publishing over a live store while a pinned reader keeps answering
-// from the old generation).
+// BENCH_store.json: build latency (the fastest of 5 builds), rebuild
+// latency under a live pinned reader, search p50/p99, recall@10 against an
+// exact FlatIndex over the whole corpus, save/load latency, and the
+// hot-swap path (Load publishing over a live store while a pinned reader
+// keeps answering from the old generation).
 //
 // Hard gates (the run aborts, it does not just report):
 //   * a saved store reloaded from disk answers every probe with
@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +47,7 @@ constexpr int kDim = 16;
 constexpr int kK = 10;
 constexpr int kNumQueries = 64;
 constexpr int kSearchReps = 200;
+constexpr int kBuildReps = 5;
 /// Recall floor also enforced by ci/check_bench.py; keep in sync.
 constexpr double kRecallFloor = 0.80;
 
@@ -132,12 +134,20 @@ Row RunConfig(const Corpus& corpus, int shards) {
   row.corpus = static_cast<int>(corpus.ids.size());
   row.shards = shards;
 
-  core::EmbeddingStore store(StoreOptions(shards));
-  {
+  // build_ms is the fastest of kBuildReps builds, each into a fresh store:
+  // one build is a single sample that a shared host can stretch severalfold.
+  row.build_ms = std::numeric_limits<double>::infinity();
+  auto timed_build = [&](core::EmbeddingStore& fresh) {
     util::WallTimer timer;
-    store.Rebuild(corpus.ids, corpus.rows);
-    row.build_ms = timer.ElapsedSeconds() * 1e3;
+    fresh.Rebuild(corpus.ids, corpus.rows);
+    row.build_ms = std::min(row.build_ms, timer.ElapsedSeconds() * 1e3);
+  };
+  for (int rep = 1; rep < kBuildReps; ++rep) {
+    core::EmbeddingStore discarded(StoreOptions(shards));
+    timed_build(discarded);
   }
+  core::EmbeddingStore store(StoreOptions(shards));
+  timed_build(store);
   CHECK(store.hnsw_ready());
   const core::EmbeddingStore::View view = store.view();
 

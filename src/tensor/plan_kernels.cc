@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/gelu.h"
+
 #if defined(__GNUC__) || defined(__clang__)
 #define EXPLAINTI_RESTRICT __restrict__
 #else
@@ -12,16 +14,6 @@
 namespace explainti::tensor {
 
 namespace {
-
-// Same constants (and the same expressions producing them) as the Gelu op
-// in tensor_ops.cc — the fused FFN pass must round identically.
-constexpr float kGeluCoef = 0.044715f;
-const float kSqrt2OverPi = std::sqrt(2.0f / static_cast<float>(M_PI));
-
-inline float GeluScalar(float x) {
-  const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
 
 // The register-blocked body for one chunk of output rows [ib, ie): two
 // output rows x four k steps per pass. Strides generalise the original
@@ -164,10 +156,8 @@ void AddBiasRows(float* c, int64_t ldc, const float* bias, int64_t m,
 
 void BiasGeluRows(float* c, int64_t ldc, const float* bias, int64_t m,
                   int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* EXPLAINTI_RESTRICT row = c + i * ldc;
-    for (int64_t j = 0; j < n; ++j) row[j] = GeluScalar(row[j] + bias[j]);
-  }
+  AddBiasRows(c, ldc, bias, m, n);
+  for (int64_t i = 0; i < m; ++i) GeluInto(c + i * ldc, c + i * ldc, n);
 }
 
 void ScaleSoftmaxRows(float* c, int64_t rows, int64_t cols, float scale) {

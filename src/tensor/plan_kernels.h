@@ -47,8 +47,8 @@ void AddBiasRows(float* c, int64_t ldc, const float* bias, int64_t m,
                  int64_t n);
 
 /// C[i, j] = gelu(C[i, j] + bias[j]) over the m x n window: the
-/// bias-add + tanh-GELU chain of the FFN expansion as one pass. Uses the
-/// same kGeluCoef / sqrt(2/pi) constants and std::tanh as tensor_ops.cc.
+/// bias-add + tanh-GELU chain of the FFN expansion, with gelu.h's GeluInto,
+/// the GELU the tape's Gelu op runs.
 void BiasGeluRows(float* c, int64_t ldc, const float* bias, int64_t m,
                   int64_t n);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/gelu.h"
 #include "tensor/plan_kernels.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -569,33 +570,17 @@ Tensor Relu(const Tensor& a) {
   return Tensor(node);
 }
 
-namespace {
-constexpr float kGeluCoef = 0.044715f;
-const float kSqrt2OverPi = std::sqrt(2.0f / static_cast<float>(M_PI));
-}  // namespace
-
 Tensor Gelu(const Tensor& a) {
   auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
-  for (int64_t i = 0; i < n; ++i) {
-    const float x = a.data()[i];
-    const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-    node->data[i] = 0.5f * x * (1.0f + std::tanh(inner));
-  }
+  GeluInto(a.data(), node->data.data(), n);
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
     node->backward_fn = [out, na, n]() {
       if (!na->requires_grad) return;
-      auto& ga = na->EnsureGrad();
-      for (int64_t i = 0; i < n; ++i) {
-        const float x = na->data[i];
-        const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-        const float t = std::tanh(inner);
-        const float dinner = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * x * x);
-        const float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-        ga[i] += out->grad[i] * dy;
-      }
+      GeluGradAccumulate(na->data.data(), out->grad.data(),
+                         na->EnsureGrad().data(), n);
     };
   }
   return Tensor(node);

@@ -1,14 +1,18 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tanh_reference.h"
+#include "tensor/gelu.h"
 #include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/alloc_counter.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -235,6 +239,155 @@ TEST(TensorOpsTest, GeluMatchesReference) {
   Tensor y = Gelu(a);
   EXPECT_NEAR(y.data()[0], 0.0f, 1e-6f);
   EXPECT_NEAR(y.data()[1], 0.8412f, 1e-3f);
+}
+
+// Inputs for the tanh port (tensor/gelu.h): a strided sweep of all 2^32
+// bit patterns; every 13th float with 1/32 <= |x| < 5; every branch edge
+// of the fdlibm code it ports, +-4 ulps on both signs; then denormals,
+// zeros, infinities and NaNs. The dense band is where a one-ulp change of
+// a constant shows: over all 2^32 inputs, Q1 one ulp off changes 246
+// outputs and ln2_lo one ulp off 120, all with 0.04 < |x| < 4.8, and a
+// one-ulp change of Q2..Q5 changes none.
+std::vector<float> TanhProbeInputs() {
+  using testing::BitsToFloat;
+  using testing::FloatBits;
+  std::vector<float> xs;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4099) {
+    xs.push_back(BitsToFloat(static_cast<uint32_t>(bits)));
+  }
+  for (uint32_t bits = 0x3d000000; bits < 0x40a00000; bits += 13) {
+    xs.push_back(BitsToFloat(bits));
+    xs.push_back(BitsToFloat(bits | 0x80000000u));
+  }
+  // tanh: |x| < 2^-55, |x| >= 1, |x| >= 22. expm1: |u| < 2^-25, ln2/2,
+  // 1.5 ln2, 27 ln2, as tanh inputs and as its argument u = +-2|x|.
+  std::vector<uint32_t> edges = {0x24000000, 0x3f800000, 0x41b00000};
+  for (uint32_t u : {0x33000000u, 0x3eb17218u, 0x3f851592u, 0x4195b844u}) {
+    edges.push_back(u);
+    edges.push_back(u - 0x00800000u);  // x = u / 2
+  }
+  // expm1's k = trunc(u / ln2 +- 0.5) steps at |u| = (k - 0.5) ln2: the
+  // 22/23 and 56/57 crossings of u = 2|x| and the -2/-3 one of u = -2|x|.
+  for (double k : {23.0, 57.0, 3.0}) {
+    const double x = (k - 0.5) * std::log(2.0) / 2;
+    edges.push_back(FloatBits(static_cast<float>(x)));
+  }
+  for (uint32_t edge : edges) {
+    for (uint32_t sign : {0u, 0x80000000u}) {
+      for (uint32_t bits = edge - 4; bits <= edge + 4; ++bits) {
+        xs.push_back(BitsToFloat(bits | sign));
+      }
+    }
+  }
+  for (uint32_t bits : {0x0u, 0x1u, 0x00400000u, 0x007fffffu, 0x00800000u,
+                        0x7f800000u, 0x7f800001u, 0x7fc00000u}) {
+    xs.push_back(BitsToFloat(bits));
+    xs.push_back(BitsToFloat(bits | 0x80000000u));
+  }
+  return xs;
+}
+
+TEST(TanhPortTest, MatchesLibmOnSweepAndBranchEdges) {
+  if (!testing::LibmIsPortTarget()) {
+    GTEST_SKIP() << "the C library's float tanh is not glibc 2.36's; "
+                    "OutputsArePinned still pins the port";
+  }
+  const std::vector<float> xs = TanhProbeInputs();
+  std::vector<float> ys(xs.size());
+  TanhInto(xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
+  int mismatches = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float want = std::tanh(xs[i]);
+    if (testing::SameTanh(ys[i], want)) continue;
+    if (++mismatches <= 10) {
+      ADD_FAILURE() << std::hex << "x 0x" << testing::FloatBits(xs[i])
+                    << ": port 0x" << testing::FloatBits(ys[i])
+                    << ", libm 0x" << testing::FloatBits(want);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// A digest of the port's outputs on TanhProbeInputs (every NaN counted as
+// the same NaN), taken where the port matches glibc 2.36 bit for bit. It
+// pins the port on any host, whatever that host's libm computes.
+TEST(TanhPortTest, OutputsArePinned) {
+  const std::vector<float> xs = TanhProbeInputs();
+  std::vector<float> ys(xs.size());
+  TanhInto(xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
+  uint64_t digest = util::kFnv64OffsetBasis;
+  for (float y : ys) {
+    const uint32_t bits = std::isnan(y) ? 0x7fc00000u : testing::FloatBits(y);
+    digest = util::HashBytes(&bits, sizeof bits, digest);
+  }
+  EXPECT_EQ(digest, 0xadece5057121f7d5ULL) << "digest 0x" << std::hex << digest;
+}
+
+// One GELU serves the tape and the serving FFN. At every width (tails of
+// 1..7 lanes around the 8-lane steps) the tape's Gelu, its backward pass
+// and BiasGeluRows must equal, bit for bit, the scalar formula over the
+// port's tanh taken one element at a time.
+TEST(GeluTest, TapeAndServingMatchScalarFormulaAtEveryWidth) {
+  const float sqrt2_over_pi = std::sqrt(2.0f / static_cast<float>(M_PI));
+  auto tanh1 = [](float v) {
+    float t = 0.0f;
+    TanhInto(&v, &t, 1);
+    return t;
+  };
+  auto inner = [&](float x) {
+    return sqrt2_over_pi * (x + 0.044715f * x * x * x);
+  };
+  util::Rng rng(7);
+  for (int64_t n : {1, 3, 4, 5, 7, 8, 9, 127, 128, 129}) {
+    const int64_t m = 2, ldc = n + 3;
+    std::vector<float> x(static_cast<size_t>(m * n)), w(x.size());
+    std::vector<float> bias(static_cast<size_t>(n));
+    for (float& v : x) v = static_cast<float>(rng.Uniform(-6, 6));
+    for (float& v : w) v = static_cast<float>(rng.Uniform(-1, 1));
+    for (float& v : bias) v = static_cast<float>(rng.Uniform(-1, 1));
+
+    Tensor xt = Tensor::FromVector({m, n}, x);
+    xt.set_requires_grad(true);
+    Tensor y = Gelu(xt);
+    Sum(Mul(y, Tensor::FromVector({m, n}, w))).Backward();
+    const Tensor yb = Gelu(Add(Tensor::FromVector({m, n}, x),
+                               Tensor::FromVector({n}, bias)));
+
+    std::vector<float> c(static_cast<size_t>(m * ldc), 99.0f);
+    for (int64_t i = 0; i < m; ++i) {
+      std::copy_n(x.begin() + i * n, n, c.begin() + i * ldc);
+    }
+    BiasGeluRows(c.data(), ldc, bias.data(), m, n);
+
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        const float xi = x[i * n + j];
+        const float t = tanh1(inner(xi));
+        const float gelu = 0.5f * xi * (1.0f + t);
+        const float dinner =
+            sqrt2_over_pi * (1.0f + 3.0f * 0.044715f * xi * xi);
+        const float dy =
+            0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * dinner;
+        const float xb = xi + bias[j];
+        const float gelu_b = 0.5f * xb * (1.0f + tanh1(inner(xb)));
+        const std::string where =
+            "n=" + std::to_string(n) + " [" + std::to_string(i) + ", " +
+            std::to_string(j) + "]";
+        EXPECT_EQ(testing::FloatBits(y.data()[i * n + j]),
+                  testing::FloatBits(gelu)) << "Gelu " << where;
+        EXPECT_EQ(testing::FloatBits(xt.grad()[i * n + j]),
+                  testing::FloatBits(0.0f + w[i * n + j] * dy))
+            << "Gelu backward " << where;
+        EXPECT_EQ(testing::FloatBits(yb.data()[i * n + j]),
+                  testing::FloatBits(gelu_b)) << "Gelu(x + bias) " << where;
+        EXPECT_EQ(testing::FloatBits(c[i * ldc + j]),
+                  testing::FloatBits(gelu_b)) << "BiasGeluRows " << where;
+      }
+      for (int64_t j = n; j < ldc; ++j) {
+        EXPECT_EQ(c[i * ldc + j], 99.0f) << "BiasGeluRows wrote past n=" << n;
+      }
+    }
+  }
 }
 
 TEST(TensorOpsTest, SigmoidAtZeroIsHalf) {
