@@ -16,8 +16,12 @@
 #   ci/run_ci.sh tsan         ThreadSanitizer build, tier1 tests plus the
 #                             chaos suite (fault-injection exercises the
 #                             swap/shed paths where races hide) with
-#                             EXPLAINTI_NUM_THREADS=4 so every parallel
-#                             region actually fans out under TSan.
+#                             EXPLAINTI_NUM_THREADS=4 so the sample-level
+#                             regions (batched serving, Evaluate, the
+#                             per-segment store build) and the server
+#                             workers actually run concurrently under
+#                             TSan; the training tape runs each op on
+#                             its calling thread.
 #
 # Run locally exactly as CI does: each job uses its own build directory,
 # so jobs can run back-to-back without reconfiguring. Set
@@ -72,11 +76,6 @@ case "$JOB" in
     # against the tape oracle, plus a self-test that a corrupted reference
     # is caught. This guards the one serving path end to end.
     python3 "$ROOT/bench/e2e/run.py" --smoke
-    # Scaling benchmark doubles as a determinism gate (checksums must
-    # match across 1/2/4 threads); keep its JSON as a CI artifact.
-    (cd "$BUILD" && ./bench/bench_parallel_scaling)
-    echo "BENCH_parallel.json:"
-    cat "$BUILD/BENCH_parallel.json"
     # Serving benchmark: tape vs no-grad per-call latency and allocation
     # counts, the session-vs-tape matrix, and the InferenceServer's
     # closed-loop capacity against sequential Predict. It hard-fails if
@@ -118,8 +117,7 @@ case "$JOB" in
     BUNDLE="$BUILD/bench-artifacts"
     rm -rf "$BUNDLE"
     mkdir -p "$BUNDLE"
-    for bench_json in BENCH_parallel.json BENCH_inference.json \
-                      BENCH_store.json BENCH_qa.json; do
+    for bench_json in BENCH_inference.json BENCH_store.json BENCH_qa.json; do
       if [ ! -f "$BUILD/$bench_json" ]; then
         echo "$bench_json missing from release artifacts" >&2
         exit 1

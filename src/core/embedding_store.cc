@@ -135,8 +135,8 @@ void EmbeddingStore::Rebuild(
     }
   }
 
-  // Independent segments build in parallel, one segment per chunk.
-  util::ParallelFor(0, num_ranges, 1, [&](int64_t b, int64_t e) {
+  // Independent segments build in parallel.
+  util::ParallelFor(0, num_ranges, [&](int64_t b, int64_t e) {
     for (int64_t r = b; r < e; ++r) {
       const auto& rids = range_ids[static_cast<size_t>(r)];
       if (rids.empty()) continue;

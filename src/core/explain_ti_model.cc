@@ -15,7 +15,6 @@
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace explainti::core {

@@ -227,7 +227,7 @@ template <typename Result, typename Fn>
 std::vector<Result> ForEachSample(const std::vector<int>& sample_ids,
                                   const Fn& fn) {
   std::vector<Result> results(sample_ids.size());
-  util::ParallelFor(0, static_cast<int64_t>(sample_ids.size()), 1,
+  util::ParallelFor(0, static_cast<int64_t>(sample_ids.size()),
                     [&](int64_t ib, int64_t ie) {
                       for (int64_t i = ib; i < ie; ++i) {
                         results[static_cast<size_t>(i)] =
@@ -290,19 +290,12 @@ eval::F1Scores InferenceSession::Evaluate(TaskKind kind,
       ids = &task.test_ids;
       break;
   }
-  // Predict seeds a per-sample RNG (InferenceSeed) and mutates no model
-  // state, so samples evaluate concurrently with the same predictions the
-  // serial loop produced.
+  std::vector<std::vector<int>> predicted = PredictBatch(kind, *ids);
   std::vector<eval::LabeledPrediction> predictions(ids->size());
-  util::ParallelFor(
-      0, static_cast<int64_t>(ids->size()), 1, [&](int64_t ib, int64_t ie) {
-        for (int64_t i = ib; i < ie; ++i) {
-          const int id = (*ids)[static_cast<size_t>(i)];
-          eval::LabeledPrediction& p = predictions[static_cast<size_t>(i)];
-          p.gold = CheckedSample(task, id).labels;
-          p.predicted = Predict(kind, id);
-        }
-      });
+  for (size_t i = 0; i < ids->size(); ++i) {
+    predictions[i].gold = CheckedSample(task, (*ids)[i]).labels;
+    predictions[i].predicted = std::move(predicted[i]);
+  }
   return eval::ComputeF1(predictions, task.num_labels);
 }
 

@@ -16,9 +16,8 @@ enum class ExecMode {
 
 /// Execution context threaded through the tape encoder stack: mode + RNG.
 /// Serving never runs this stack (it runs the modules' raw-buffer Serve
-/// forwards), so the tape has exactly these two modes; the context stays
-/// trivially copyable and safe to share across the threads of a parallel
-/// region.
+/// forwards), so the tape has exactly these two modes. A tape forward runs
+/// every op on its calling thread, so `rng` is drawn from in op order.
 struct ExecContext {
   ExecMode mode = ExecMode::kEval;
   util::Rng* rng = nullptr;

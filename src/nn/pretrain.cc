@@ -7,7 +7,6 @@
 #include "tensor/tensor_ops.h"
 #include "text/vocab.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace explainti::nn {
 
@@ -101,22 +100,12 @@ MlmPretrainStats PretrainMlm(TransformerEncoder* encoder,
           encoder->Forward(instance.ids, segment_seqs[idx],
                            ExecContext::Train(dropout_rng));
       // Project only the masked rows; the vocab-sized matmul dominates.
-      // Each target's loss subgraph is independent (hidden is read-only,
-      // each slot written once), so targets fan out across the pool; the
-      // reduction below stays serial and in target order, which keeps the
-      // summed loss bit-identical to the single-threaded run.
-      std::vector<tensor::Tensor> losses(instance.targets.size());
-      util::ParallelFor(
-          0, static_cast<int64_t>(instance.targets.size()), 1,
-          [&](int64_t tb, int64_t te) {
-            for (int64_t t = tb; t < te; ++t) {
-              const auto& [pos, original_id] =
-                  instance.targets[static_cast<size_t>(t)];
-              tensor::Tensor logits = head.Forward(tensor::Row(hidden, pos));
-              losses[static_cast<size_t>(t)] =
-                  tensor::CrossEntropyLoss(logits, original_id);
-            }
-          });
+      std::vector<tensor::Tensor> losses;
+      losses.reserve(instance.targets.size());
+      for (const auto& [pos, original_id] : instance.targets) {
+        tensor::Tensor logits = head.Forward(tensor::Row(hidden, pos));
+        losses.push_back(tensor::CrossEntropyLoss(logits, original_id));
+      }
       tensor::Tensor loss = losses[0];
       for (size_t i = 1; i < losses.size(); ++i) {
         loss = tensor::Add(loss, losses[i]);

@@ -6,7 +6,6 @@
 #include "tensor/gelu.h"
 #include "tensor/plan_kernels.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define EXPLAINTI_RESTRICT __restrict__
@@ -220,36 +219,19 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   float* pc = node->data.data();
   // i-k-j loop order: streams through b's rows; good locality row-major.
-  // Output rows are disjoint, so chunking over i (or, for a single output
-  // row, over j) keeps every element's accumulation order — and therefore
-  // the float result — identical to the serial loop. The zero-skip
-  // mirrors the backward pass and profits from sparse inputs; serving
-  // runs ServingGemm (plan_kernels.h) instead, which accumulates the same
-  // products in the same ascending-k order, so for finite operands the
-  // two kernels agree bit for bit.
-  if (m > 1) {
-    util::ParallelFor(0, m, util::GrainForCost(k * n),
-                      [&](int64_t ib, int64_t ie) {
-      for (int64_t i = ib; i < ie; ++i) {
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float av = pa[i * k + kk];
-          if (av == 0.0f) continue;
-          const float* brow = pb + kk * n;
-          float* crow = pc + i * n;
-          for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    });
-  } else {
-    util::ParallelFor(0, n, util::GrainForCost(k),
-                      [&](int64_t jb, int64_t je) {
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = pa[kk];
-        if (av == 0.0f) continue;
-        const float* brow = pb + kk * n;
-        for (int64_t j = jb; j < je; ++j) pc[j] += av * brow[j];
-      }
-    });
+  // Every element accumulates in ascending k. The zero-skip mirrors the
+  // backward pass and profits from sparse inputs; serving runs ServingGemm
+  // (plan_kernels.h) instead, which accumulates the same products in the
+  // same ascending-k order, so for finite operands the two kernels agree
+  // bit for bit.
+  for (int64_t i = 0; i < m; ++i) {
+    float* crow = pc + i * n;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = pa[i * k + kk];
+      if (av == 0.0f) continue;
+      const float* brow = pb + kk * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
   }
 
   if (node->requires_grad) {
@@ -259,53 +241,33 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     node->backward_fn = [out, na, nb, m, k, n]() {
       const float* gout = out->grad.data();
       if (na->requires_grad) {
-        // dA = dC * B^T : [m,k]. Each dA element is a dot product, so any
-        // disjoint chunking (rows, or columns when m == 1) is exact.
+        // dA = dC * B^T : [m,k]. Each dA element is a dot product over j.
         auto& ga = na->EnsureGrad();
         const float* pb = nb->data.data();
-        if (m > 1) {
-          util::ParallelFor(0, m, util::GrainForCost(k * n),
-                            [&](int64_t ib, int64_t ie) {
-            for (int64_t i = ib; i < ie; ++i) {
-              for (int64_t kk = 0; kk < k; ++kk) {
-                float acc = 0.0f;
-                const float* grow = gout + i * n;
-                const float* brow = pb + kk * n;
-                for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
-                ga[i * k + kk] += acc;
-              }
-            }
-          });
-        } else {
-          util::ParallelFor(0, k, util::GrainForCost(n),
-                            [&](int64_t kb, int64_t ke) {
-            for (int64_t kk = kb; kk < ke; ++kk) {
-              float acc = 0.0f;
-              const float* brow = pb + kk * n;
-              for (int64_t j = 0; j < n; ++j) acc += gout[j] * brow[j];
-              ga[kk] += acc;
-            }
-          });
+        for (int64_t i = 0; i < m; ++i) {
+          const float* grow = gout + i * n;
+          for (int64_t kk = 0; kk < k; ++kk) {
+            float acc = 0.0f;
+            const float* brow = pb + kk * n;
+            for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
+            ga[i * k + kk] += acc;
+          }
         }
       }
       if (nb->requires_grad) {
-        // dB = A^T * dC : [k,n], chunked over dB rows (kk). Per (kk, j)
-        // the accumulation still runs i-ascending, matching the serial
-        // i-outer loop bit-for-bit.
+        // dB = A^T * dC : [k,n]. Per (kk, j) the accumulation runs
+        // i-ascending.
         auto& gb = nb->EnsureGrad();
         const float* pa = na->data.data();
-        util::ParallelFor(0, k, util::GrainForCost(m * n),
-                          [&](int64_t kb, int64_t ke) {
-          for (int64_t kk = kb; kk < ke; ++kk) {
-            float* gbrow = gb.data() + kk * n;
-            for (int64_t i = 0; i < m; ++i) {
-              const float av = pa[i * k + kk];
-              if (av == 0.0f) continue;
-              const float* grow = gout + i * n;
-              for (int64_t j = 0; j < n; ++j) gbrow[j] += av * grow[j];
-            }
+        for (int64_t kk = 0; kk < k; ++kk) {
+          float* gbrow = gb.data() + kk * n;
+          for (int64_t i = 0; i < m; ++i) {
+            const float av = pa[i * k + kk];
+            if (av == 0.0f) continue;
+            const float* grow = gout + i * n;
+            for (int64_t j = 0; j < n; ++j) gbrow[j] += av * grow[j];
           }
-        });
+        }
       }
     };
   }
@@ -624,35 +586,26 @@ RowRange LastDimRows(const Tensor& a) {
 Tensor Softmax(const Tensor& a) {
   const RowRange rr = LastDimRows(a);
   auto node = NewNode(a.shape(), {a});
-  // Rows are independent in forward and backward; parallel chunks touch
-  // disjoint rows, so results match the serial loop exactly.
-  const float* pa = a.data();
-  float* pout = node->data.data();
   // The row loop is ScaleSoftmaxRows' with scale 1 (x * 1.0f == x), the
   // one compiled copy the serving paths run too.
-  util::ParallelFor(0, rr.rows, util::GrainForCost(4 * rr.cols),
-                    [&](int64_t rb, int64_t re) {
-    std::copy(pa + rb * rr.cols, pa + re * rr.cols, pout + rb * rr.cols);
-    ScaleSoftmaxRows(pout + rb * rr.cols, re - rb, rr.cols, 1.0f);
-  });
+  float* pout = node->data.data();
+  std::copy(a.data(), a.data() + a.size(), pout);
+  ScaleSoftmaxRows(pout, rr.rows, rr.cols, 1.0f);
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
     node->backward_fn = [out, na, rr]() {
       if (!na->requires_grad) return;
       auto& ga = na->EnsureGrad();
-      util::ParallelFor(0, rr.rows, util::GrainForCost(3 * rr.cols),
-                        [&](int64_t rb, int64_t re) {
-        for (int64_t r = rb; r < re; ++r) {
-          const float* y = out->data.data() + r * rr.cols;
-          const float* gy = out->grad.data() + r * rr.cols;
-          float dot = 0.0f;
-          for (int64_t j = 0; j < rr.cols; ++j) dot += y[j] * gy[j];
-          for (int64_t j = 0; j < rr.cols; ++j) {
-            ga[r * rr.cols + j] += y[j] * (gy[j] - dot);
-          }
+      for (int64_t r = 0; r < rr.rows; ++r) {
+        const float* y = out->data.data() + r * rr.cols;
+        const float* gy = out->grad.data() + r * rr.cols;
+        float dot = 0.0f;
+        for (int64_t j = 0; j < rr.cols; ++j) dot += y[j] * gy[j];
+        for (int64_t j = 0; j < rr.cols; ++j) {
+          ga[r * rr.cols + j] += y[j] * (gy[j] - dot);
         }
-      });
+      }
     };
   }
   return Tensor(node);
@@ -663,37 +616,31 @@ Tensor LogSoftmax(const Tensor& a) {
   auto node = NewNode(a.shape(), {a});
   const float* pa = a.data();
   float* pout = node->data.data();
-  util::ParallelFor(0, rr.rows, util::GrainForCost(3 * rr.cols),
-                    [&](int64_t rb, int64_t re) {
-    for (int64_t r = rb; r < re; ++r) {
-      const float* in = pa + r * rr.cols;
-      float* out = pout + r * rr.cols;
-      float max_v = in[0];
-      for (int64_t j = 1; j < rr.cols; ++j) max_v = std::max(max_v, in[j]);
-      float total = 0.0f;
-      for (int64_t j = 0; j < rr.cols; ++j) total += std::exp(in[j] - max_v);
-      const float log_z = max_v + std::log(total);
-      for (int64_t j = 0; j < rr.cols; ++j) out[j] = in[j] - log_z;
-    }
-  });
+  for (int64_t r = 0; r < rr.rows; ++r) {
+    const float* in = pa + r * rr.cols;
+    float* out = pout + r * rr.cols;
+    float max_v = in[0];
+    for (int64_t j = 1; j < rr.cols; ++j) max_v = std::max(max_v, in[j]);
+    float total = 0.0f;
+    for (int64_t j = 0; j < rr.cols; ++j) total += std::exp(in[j] - max_v);
+    const float log_z = max_v + std::log(total);
+    for (int64_t j = 0; j < rr.cols; ++j) out[j] = in[j] - log_z;
+  }
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
     node->backward_fn = [out, na, rr]() {
       if (!na->requires_grad) return;
       auto& ga = na->EnsureGrad();
-      util::ParallelFor(0, rr.rows, util::GrainForCost(3 * rr.cols),
-                        [&](int64_t rb, int64_t re) {
-        for (int64_t r = rb; r < re; ++r) {
-          const float* y = out->data.data() + r * rr.cols;
-          const float* gy = out->grad.data() + r * rr.cols;
-          float gsum = 0.0f;
-          for (int64_t j = 0; j < rr.cols; ++j) gsum += gy[j];
-          for (int64_t j = 0; j < rr.cols; ++j) {
-            ga[r * rr.cols + j] += gy[j] - std::exp(y[j]) * gsum;
-          }
+      for (int64_t r = 0; r < rr.rows; ++r) {
+        const float* y = out->data.data() + r * rr.cols;
+        const float* gy = out->grad.data() + r * rr.cols;
+        float gsum = 0.0f;
+        for (int64_t j = 0; j < rr.cols; ++j) gsum += gy[j];
+        for (int64_t j = 0; j < rr.cols; ++j) {
+          ga[r * rr.cols + j] += gy[j] - std::exp(y[j]) * gsum;
         }
-      });
+      }
     };
   }
   return Tensor(node);
@@ -710,8 +657,7 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   CHECK(beta.rank() == 1 && beta.size() == rr.cols) << "LayerNorm beta";
   auto node = NewNode(a.shape(), {a, gamma, beta});
   // Cache per-row mean and inverse stddev for backward — only when a
-  // backward pass can happen. Rows are independent; parallel chunks write
-  // disjoint rows of out/means/stds.
+  // backward pass can happen.
   std::shared_ptr<std::vector<float>> means, inv_stds;
   if (node->requires_grad) {
     means = std::make_shared<std::vector<float>>(rr.rows);
@@ -721,38 +667,34 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   const float* pgamma = gamma.data();
   const float* pbeta = beta.data();
   float* pout = node->data.data();
-  util::ParallelFor(0, rr.rows, util::GrainForCost(6 * rr.cols),
-                    [&](int64_t rb, int64_t re) {
-    for (int64_t r = rb; r < re; ++r) {
-      const float* in = pa + r * rr.cols;
-      float mean = 0.0f;
-      for (int64_t j = 0; j < rr.cols; ++j) mean += in[j];
-      mean /= static_cast<float>(rr.cols);
-      float var = 0.0f;
-      for (int64_t j = 0; j < rr.cols; ++j) {
-        const float d = in[j] - mean;
-        var += d * d;
-      }
-      var /= static_cast<float>(rr.cols);
-      const float inv_std = 1.0f / std::sqrt(var + eps);
-      if (means) {
-        (*means)[r] = mean;
-        (*inv_stds)[r] = inv_std;
-      }
-      float* out = pout + r * rr.cols;
-      for (int64_t j = 0; j < rr.cols; ++j) {
-        out[j] = (in[j] - mean) * inv_std * pgamma[j] + pbeta[j];
-      }
+  for (int64_t r = 0; r < rr.rows; ++r) {
+    const float* in = pa + r * rr.cols;
+    float mean = 0.0f;
+    for (int64_t j = 0; j < rr.cols; ++j) mean += in[j];
+    mean /= static_cast<float>(rr.cols);
+    float var = 0.0f;
+    for (int64_t j = 0; j < rr.cols; ++j) {
+      const float d = in[j] - mean;
+      var += d * d;
     }
-  });
+    var /= static_cast<float>(rr.cols);
+    const float inv_std = 1.0f / std::sqrt(var + eps);
+    if (means) {
+      (*means)[r] = mean;
+      (*inv_stds)[r] = inv_std;
+    }
+    float* out = pout + r * rr.cols;
+    for (int64_t j = 0; j < rr.cols; ++j) {
+      out[j] = (in[j] - mean) * inv_std * pgamma[j] + pbeta[j];
+    }
+  }
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
     auto ng = gamma.node();
     auto nb = beta.node();
     node->backward_fn = [out, na, ng, nb, rr, means, inv_stds]() {
-      // gamma/beta gradients accumulate *across* rows: keep them serial so
-      // the accumulation order (row-ascending, as before) is fixed.
+      // gamma/beta gradients accumulate across rows, row-ascending.
       if (ng->requires_grad) {
         auto& gg = ng->EnsureGrad();
         for (int64_t r = 0; r < rr.rows; ++r) {
@@ -772,36 +714,32 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
           for (int64_t j = 0; j < rr.cols; ++j) gb[j] += gy[j];
         }
       }
-      // dx touches disjoint rows; parallel chunks are exact.
       if (na->requires_grad) {
         auto& ga = na->EnsureGrad();
-        util::ParallelFor(0, rr.rows, util::GrainForCost(8 * rr.cols),
-                          [&](int64_t rb, int64_t re) {
-          for (int64_t r = rb; r < re; ++r) {
-            const float* in = na->data.data() + r * rr.cols;
-            const float* gy = out->grad.data() + r * rr.cols;
-            const float mean = (*means)[r];
-            const float inv_std = (*inv_stds)[r];
-            // Standard layernorm backward:
-            // dx = (gamma*gy - mean(gamma*gy) - xhat*mean(gamma*gy*xhat))
-            //      * inv_std
-            float sum_g = 0.0f;
-            float sum_gx = 0.0f;
-            for (int64_t j = 0; j < rr.cols; ++j) {
-              const float xhat = (in[j] - mean) * inv_std;
-              const float g = gy[j] * ng->data[j];
-              sum_g += g;
-              sum_gx += g * xhat;
-            }
-            const float inv_n = 1.0f / static_cast<float>(rr.cols);
-            for (int64_t j = 0; j < rr.cols; ++j) {
-              const float xhat = (in[j] - mean) * inv_std;
-              const float g = gy[j] * ng->data[j];
-              ga[r * rr.cols + j] +=
-                  (g - sum_g * inv_n - xhat * sum_gx * inv_n) * inv_std;
-            }
+        for (int64_t r = 0; r < rr.rows; ++r) {
+          const float* in = na->data.data() + r * rr.cols;
+          const float* gy = out->grad.data() + r * rr.cols;
+          const float mean = (*means)[r];
+          const float inv_std = (*inv_stds)[r];
+          // Standard layernorm backward:
+          // dx = (gamma*gy - mean(gamma*gy) - xhat*mean(gamma*gy*xhat))
+          //      * inv_std
+          float sum_g = 0.0f;
+          float sum_gx = 0.0f;
+          for (int64_t j = 0; j < rr.cols; ++j) {
+            const float xhat = (in[j] - mean) * inv_std;
+            const float g = gy[j] * ng->data[j];
+            sum_g += g;
+            sum_gx += g * xhat;
           }
-        });
+          const float inv_n = 1.0f / static_cast<float>(rr.cols);
+          for (int64_t j = 0; j < rr.cols; ++j) {
+            const float xhat = (in[j] - mean) * inv_std;
+            const float g = gy[j] * ng->data[j];
+            ga[r * rr.cols + j] +=
+                (g - sum_g * inv_n - xhat * sum_gx * inv_n) * inv_std;
+          }
+        }
       }
     };
   }
@@ -856,15 +794,6 @@ Tensor Dropout(const Tensor& a, float p, util::Rng& rng, bool training) {
   for (int64_t i = 0; i < n; ++i) {
     (*mask)[i] = rng.Bernoulli(p) ? 0.0f : keep_scale;
   }
-  return DropoutWithMask(a, std::move(mask));
-}
-
-Tensor DropoutWithMask(const Tensor& a,
-                       std::shared_ptr<const std::vector<float>> mask) {
-  CHECK(mask != nullptr);
-  const int64_t n = a.size();
-  CHECK_EQ(static_cast<int64_t>(mask->size()), n)
-      << "DropoutWithMask: mask size mismatch";
   auto node = NewNode(a.shape(), {a});
   for (int64_t i = 0; i < n; ++i) node->data[i] = a.data()[i] * (*mask)[i];
   if (node->requires_grad) {

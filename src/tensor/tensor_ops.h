@@ -2,7 +2,6 @@
 #define EXPLAINTI_TENSOR_TENSOR_OPS_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -109,16 +108,10 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
 // -- Regularisation ------------------------------------------------------------
 
 /// Inverted dropout: zeroes each element with probability p and scales the
-/// rest by 1/(1-p). Identity when `training` is false or p == 0.
+/// rest by 1/(1-p). Identity when `training` is false or p == 0. Draws one
+/// Bernoulli from `rng` per element, in element order, on the calling
+/// thread, so a caller's sequence of Dropout calls fixes the RNG stream.
 Tensor Dropout(const Tensor& a, float p, util::Rng& rng, bool training);
-
-/// Dropout with a caller-supplied mask of multipliers (0 or 1/(1-p)),
-/// element-aligned with `a`. Lets callers draw masks from a shared RNG
-/// serially and then apply them inside parallel regions, keeping the RNG
-/// stream independent of the thread count (multi-head attention does
-/// this; see DESIGN.md "Execution model").
-Tensor DropoutWithMask(const Tensor& a,
-                       std::shared_ptr<const std::vector<float>> mask);
 
 // -- Losses ---------------------------------------------------------------------
 

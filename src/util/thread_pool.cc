@@ -65,25 +65,23 @@ void ThreadPool::RunChunks() {
   }
 }
 
-void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
+void ThreadPool::ParallelFor(int64_t begin, int64_t end,
                              const std::function<void(int64_t, int64_t)>& fn) {
   if (begin >= end) return;
-  if (grain < 1) grain = 1;
   const int64_t n = end - begin;
-  // Serial paths: single-participant pool, range within one grain, or a
-  // nested region (the chunk contract makes inline execution equivalent).
-  if (workers_.empty() || n <= grain || tl_in_parallel_region) {
+  // Serial paths: single-participant pool, single index, or a nested
+  // region (the chunk contract makes inline execution equivalent).
+  if (workers_.empty() || n <= 1 || tl_in_parallel_region) {
     fn(begin, end);
     return;
   }
 
-  // Static chunking: boundaries depend only on range, grain and pool
-  // size. Workers pick chunks dynamically, which is safe because chunks
-  // are independent by contract.
+  // Static chunking: boundaries depend only on range and pool size.
+  // Workers pick chunks dynamically, which is safe because chunks are
+  // independent by contract.
   std::lock_guard<std::mutex> region(region_mu_);
   const int64_t participants = static_cast<int64_t>(workers_.size()) + 1;
-  int64_t chunk_size = (n + participants - 1) / participants;
-  if (chunk_size < grain) chunk_size = grain;
+  const int64_t chunk_size = (n + participants - 1) / participants;
   const int64_t num_chunks = (n + chunk_size - 1) / chunk_size;
 
   {
@@ -147,15 +145,15 @@ void SetGlobalThreadCount(int num_threads) {
   g_pool = new ThreadPool(num_threads);
 }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t, int64_t)>& fn) {
   if (begin >= end) return;
-  // Inline fast path: small ranges never touch the pool or its lock.
-  if (end - begin <= (grain < 1 ? 1 : grain)) {
+  // Inline fast path: a single index never touches the pool or its lock.
+  if (end - begin <= 1) {
     fn(begin, end);
     return;
   }
-  GlobalThreadPool().ParallelFor(begin, end, grain, fn);
+  GlobalThreadPool().ParallelFor(begin, end, fn);
 }
 
 }  // namespace explainti::util

@@ -19,13 +19,13 @@ namespace explainti::util {
 ///    workers plus the calling thread, which always takes part in its own
 ///    parallel regions. `ThreadPool(1)` spawns nothing and runs every
 ///    region inline.
-///  - `ParallelFor(begin, end, grain, fn)` partitions `[begin, end)` into
-///    contiguous chunks of at least `grain` indices. Chunk *boundaries*
-///    are a pure function of (range, grain, pool size) — never of timing —
-///    and `fn(chunk_begin, chunk_end)` must write only outputs owned by
-///    the indices it was handed. Under that contract every result is
-///    bit-identical run-to-run and across pool sizes; which thread runs
-///    which chunk is the only scheduling freedom.
+///  - `ParallelFor(begin, end, fn)` partitions `[begin, end)` into
+///    contiguous chunks of ceil(n / participants) indices (the last may be
+///    shorter). Chunk *boundaries* are a pure function of (range, pool
+///    size) — never of timing — and `fn(chunk_begin, chunk_end)` must
+///    write only outputs owned by the indices it was handed. Under that
+///    contract every result is bit-identical run-to-run and across pool
+///    sizes; which thread runs which chunk is the only scheduling freedom.
 ///  - Nested regions degrade to inline execution: a `ParallelFor` issued
 ///    from inside a worker (or from the caller's own chunk) runs serially
 ///    on that thread, so callees can parallelise unconditionally.
@@ -55,7 +55,7 @@ class ThreadPool {
 
   /// Runs `fn(chunk_begin, chunk_end)` over `[begin, end)`; see class
   /// comment for the determinism contract. Empty ranges are a no-op.
-  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+  void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t, int64_t)>& fn);
 
  private:
@@ -98,19 +98,9 @@ ThreadPool& GlobalThreadPool();
 void SetGlobalThreadCount(int num_threads);
 
 /// `GlobalThreadPool().ParallelFor(...)`, with a fast inline path for
-/// ranges of at most `grain` indices (no pool lookup, no locking).
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+/// single-index ranges (no pool lookup, no locking).
+void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t, int64_t)>& fn);
-
-/// Chunk grain that targets roughly `target_chunk_cost` scalar operations
-/// per chunk given a per-index cost, so cheap loops stay serial and
-/// expensive ones split finely.
-inline int64_t GrainForCost(int64_t per_item_cost,
-                            int64_t target_chunk_cost = 16384) {
-  if (per_item_cost < 1) per_item_cost = 1;
-  const int64_t grain = target_chunk_cost / per_item_cost;
-  return grain < 1 ? 1 : grain;
-}
 
 }  // namespace explainti::util
 

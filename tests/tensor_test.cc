@@ -459,10 +459,9 @@ TEST(ServingGemmTest, EachRowMatchesItsSingleRowProduct) {
   for (int threads : {1, 4}) {
     util::SetGlobalThreadCount(threads);
     if (threads > 1) {
-      // A shape the tape MatMul would split over the pool (m above the
-      // k*n grain) still runs on the calling thread, allocation-free.
+      // A multi-row product on a multi-thread pool runs on the calling
+      // thread, allocation-free.
       const int64_t m = 29, k = 64, n = 64;
-      ASSERT_GT(m, util::GrainForCost(k * n));
       const std::vector<float> a(static_cast<size_t>(m * k), 0.5f);
       const std::vector<float> b(static_cast<size_t>(k * n), 0.25f);
       std::vector<float> c(static_cast<size_t>(m * n), 0.0f);

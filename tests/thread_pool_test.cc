@@ -3,28 +3,28 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/explain_ti_model.h"
 #include "nn/encoder.h"
 #include "nn/pretrain.h"
+#include "session_fixtures.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace explainti::util {
 namespace {
 
-// Restores the global pool to the environment-configured size when a test
-// that sweeps thread counts finishes, so test order doesn't matter.
-class GlobalPoolGuard {
- public:
-  GlobalPoolGuard() = default;
-  ~GlobalPoolGuard() { SetGlobalThreadCount(ConfiguredThreadCount()); }
-};
+using testing::GlobalPoolGuard;
 
 TEST(ThreadPoolTest, ConstructionAndTeardown) {
   // Pools of every small size construct, report their size, and join
@@ -46,22 +46,19 @@ TEST(ThreadPoolTest, ParallelForMatchesSerialOnUnevenRanges) {
   // multiples, one-over, primes, and a large uneven range.
   const int64_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 61, 1000, 1003};
   for (int64_t n : sizes) {
-    for (int64_t grain : {int64_t{1}, int64_t{3}, int64_t{8}, int64_t{100}}) {
-      std::vector<int64_t> out(static_cast<size_t>(n), -1);
-      std::atomic<int64_t> covered{0};
-      pool.ParallelFor(0, n, grain, [&](int64_t b, int64_t e) {
-        EXPECT_LE(b, e);
-        for (int64_t i = b; i < e; ++i) {
-          out[static_cast<size_t>(i)] = i * i;
-        }
-        covered.fetch_add(e - b, std::memory_order_relaxed);
-      });
-      // Every index covered exactly once.
-      EXPECT_EQ(covered.load(), n) << "n=" << n << " grain=" << grain;
-      for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[static_cast<size_t>(i)], i * i)
-            << "n=" << n << " grain=" << grain << " i=" << i;
+    std::vector<int64_t> out(static_cast<size_t>(n), -1);
+    std::atomic<int64_t> covered{0};
+    pool.ParallelFor(0, n, [&](int64_t b, int64_t e) {
+      EXPECT_LE(b, e);
+      for (int64_t i = b; i < e; ++i) {
+        out[static_cast<size_t>(i)] = i * i;
       }
+      covered.fetch_add(e - b, std::memory_order_relaxed);
+    });
+    // Every index covered exactly once.
+    EXPECT_EQ(covered.load(), n) << "n=" << n;
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[static_cast<size_t>(i)], i * i) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -69,7 +66,7 @@ TEST(ThreadPoolTest, ParallelForMatchesSerialOnUnevenRanges) {
 TEST(ThreadPoolTest, NonZeroBeginAndNegativeRanges) {
   ThreadPool pool(3);
   std::vector<int> hit(30, 0);
-  pool.ParallelFor(-10, 20, 4, [&](int64_t b, int64_t e) {
+  pool.ParallelFor(-10, 20, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) ++hit[static_cast<size_t>(i + 10)];
   });
   for (int h : hit) EXPECT_EQ(h, 1);
@@ -79,7 +76,7 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
   std::atomic<int64_t> covered{0};
   try {
-    pool.ParallelFor(0, 100, 1, [&](int64_t b, int64_t e) {
+    pool.ParallelFor(0, 100, [&](int64_t b, int64_t e) {
       covered.fetch_add(e - b, std::memory_order_relaxed);
       if (b <= 37 && 37 < e) {
         throw std::runtime_error("chunk failed");
@@ -93,7 +90,7 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   EXPECT_EQ(covered.load(), 100);
   // The pool is still usable after an exception.
   std::atomic<int64_t> again{0};
-  pool.ParallelFor(0, 10, 1, [&](int64_t b, int64_t e) {
+  pool.ParallelFor(0, 10, [&](int64_t b, int64_t e) {
     again.fetch_add(e - b, std::memory_order_relaxed);
   });
   EXPECT_EQ(again.load(), 10);
@@ -102,11 +99,11 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
-  pool.ParallelFor(0, 8, 1, [&](int64_t b, int64_t e) {
+  pool.ParallelFor(0, 8, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
       // Nested region: must run inline on this thread, not deadlock on
       // the (busy) pool.
-      pool.ParallelFor(0, 5, 1, [&](int64_t nb, int64_t ne) {
+      pool.ParallelFor(0, 5, [&](int64_t nb, int64_t ne) {
         total.fetch_add(ne - nb, std::memory_order_relaxed);
       });
     }
@@ -120,14 +117,6 @@ TEST(ThreadPoolTest, ConfiguredThreadCountReadsEnvironment) {
   const int n = ConfiguredThreadCount();
   EXPECT_GE(n, 1);
   EXPECT_EQ(ConfiguredThreadCount(), n);
-}
-
-TEST(ThreadPoolTest, GrainForCost) {
-  EXPECT_EQ(GrainForCost(1), 16384);
-  EXPECT_EQ(GrainForCost(16384), 1);
-  EXPECT_EQ(GrainForCost(1 << 20), 1);   // Costlier than target: grain 1.
-  EXPECT_EQ(GrainForCost(0), 16384);     // Degenerate cost clamps to 1.
-  EXPECT_EQ(GrainForCost(64, 1024), 16);
 }
 
 // -- Determinism across thread counts --------------------------------------
@@ -325,6 +314,33 @@ TEST(ThreadPoolGoldenTest, FourThreadsReproduceSeedNumerics) {
   GlobalPoolGuard guard;
   SetGlobalThreadCount(4);
   ExpectMatchesSeedGoldens(RunGoldenRecipe());
+}
+
+// -- Golden regression: one whole Fit (MLM pre-training, SE/GE/LE tape
+//    forward, heads, dropout, AdamW, Evaluate and the store refresh) yields
+//    the same weights at every pool size. ----------------------------------
+
+uint64_t FitWeightsDigest() {
+  core::ExplainTiConfig config = testing::TinyConfig("bert");
+  config.epochs = 1;
+  config.pretrain_epochs = 1;
+  core::ExplainTiModel model(config, testing::TinyCorpus());
+  model.Fit();
+  const std::string path = ::testing::TempDir() + "/fit_golden_weights.bin";
+  EXPECT_TRUE(model.SaveWeights(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  EXPECT_FALSE(bytes.empty());
+  return HashBytes(bytes.data(), bytes.size());
+}
+
+TEST(ThreadPoolGoldenTest, FitWeightsArePinnedAtEveryPoolSize) {
+  GlobalPoolGuard guard;
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    EXPECT_EQ(FitWeightsDigest(), 0x7f0eec24a6c66841ull) << "threads=" << threads;
+  }
 }
 
 }  // namespace
