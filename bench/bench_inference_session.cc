@@ -1,7 +1,8 @@
 // Measures the no-grad InferenceSession serving path against the
 // tape-building eval path on the same weights: per-call Predict/Explain
 // latency (p50/p99 over a few hundred calls), heap allocations per call,
-// and the steady-state workspace-arena miss count. Emits
+// and the steady-state scratch ("arena") miss count: how often a call
+// had to grow its thread's scratch buffer. Emits
 // BENCH_inference.json.
 //
 // It also measures plan-vs-tape: the session's batched entry points
@@ -25,7 +26,7 @@
 //
 // Besides timing, the run asserts the session is bit-identical to the
 // tape (the contract the golden tests prove in miniature) and that
-// warmed-up serving misses the per-thread arena zero times.
+// warmed-up serving never grows its thread's scratch buffer.
 
 #include <algorithm>
 #include <atomic>
@@ -325,7 +326,7 @@ int main() {
     CHECK_EQ(shape->allocs_per_call, 0.0)
         << "warmed-up Serve allocated on the heap";
     CHECK_EQ(shape->arena_misses, 0)
-        << "warmed-up Serve missed the workspace buffer pool";
+        << "warmed-up Serve grew the thread's scratch buffer";
   }
 
   // -- Server capacity: closed-loop ServeSync vs sequential Predict -------

@@ -20,15 +20,19 @@
 #
 #   ci/check_reachable.sh
 #
-# Builds into build-ci-reach/ (incremental on later runs). The bench and
-# example executables are deleted before each build, so a binary whose
-# target left the tree cannot keep vouching for what it used to call.
+# Builds into build-ci-reach/e2e/ (incremental on later runs): bench/e2e's
+# standalone project adds the repository root, so its one tree holds the
+# libraries, every bench and example target and explainti_e2e, and each
+# library is compiled once. The bench and example executables are deleted
+# before each build, so a binary whose target left the tree cannot keep
+# vouching for what it used to call.
 
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 ALLOWLIST="$ROOT/ci/reachable_allowlist.txt"
-BUILD="$ROOT/build-ci-reach"
+BUILD="$ROOT/build-ci-reach/e2e"
+TREE="$BUILD/explainti"  # The repository root's targets inside $BUILD.
 JOBS="${CI_PARALLEL_JOBS:-$(nproc)}"
 
 FLAGS=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
@@ -36,20 +40,19 @@ FLAGS=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
        "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
 
 echo "check_reachable: building product binaries at -O0 in ${BUILD#"$ROOT/"}"
-cmake -B "$BUILD" -S "$ROOT" -G "Unix Makefiles" "${FLAGS[@]}" >/dev/null
-find "$BUILD/bench" "$BUILD/examples" -maxdepth 1 -type f -perm -u+x -delete
-make -s -C "$BUILD/bench" -j "$JOBS" >/dev/null
-make -s -C "$BUILD/examples" -j "$JOBS" >/dev/null
-cmake -B "$BUILD/e2e" -S "$ROOT/bench/e2e" -G "Unix Makefiles" \
-  "${FLAGS[@]}" >/dev/null
-cmake --build "$BUILD/e2e" --target explainti_e2e -j "$JOBS" >/dev/null
+cmake -B "$BUILD" -S "$ROOT/bench/e2e" -G "Unix Makefiles" "${FLAGS[@]}" \
+  >/dev/null
+find "$TREE/bench" "$TREE/examples" -maxdepth 1 -type f -perm -u+x -delete
+make -s -C "$TREE/bench" -j "$JOBS" >/dev/null
+make -s -C "$TREE/examples" -j "$JOBS" >/dev/null
+cmake --build "$BUILD" --target explainti_e2e -j "$JOBS" >/dev/null
 # Roots link with the compiler the libraries were built with.
 CXX_BIN=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD/CMakeCache.txt")
 
-mapfile -t LIBS < <(find "$BUILD/src" -name 'libexplainti_*.a' | sort)
-mapfile -t BINS < <({ find "$BUILD/bench" "$BUILD/examples" -maxdepth 1 \
+mapfile -t LIBS < <(find "$TREE/src" -name 'libexplainti_*.a' | sort)
+mapfile -t BINS < <({ find "$TREE/bench" "$TREE/examples" -maxdepth 1 \
                         -type f -perm -u+x
-                      echo "$BUILD/e2e/explainti_e2e"; } | sort)
+                      echo "$BUILD/explainti_e2e"; } | sort)
 if [ "${#LIBS[@]}" -eq 0 ] || [ "${#BINS[@]}" -le 1 ]; then
   echo "check_reachable: no libraries or product binaries found" >&2
   exit 1

@@ -54,7 +54,7 @@ int main() {
 
   // 3. Evaluate on the held-out test split. Serving goes through the
   // model's frozen InferenceSession: same forward, no autograd tape,
-  // arena-recycled scratch buffers, safe to share across threads.
+  // per-thread reused scratch buffers, safe to share across threads.
   const InferenceSession& session = model.session();
   const auto type_f1 =
       session.Evaluate(TaskKind::kType, explainti::data::SplitPart::kTest);

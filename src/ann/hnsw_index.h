@@ -67,11 +67,6 @@ class HnswIndex {
   int64_t size() const { return count_; }
   int64_t dim() const { return dim_; }
 
-  /// Maximum layer currently in use (diagnostics).
-  int max_level() const { return max_level_; }
-
-  const HnswOptions& options() const { return options_; }
-
   /// Rebinds the index to `count` rows of externally owned, already
   /// L2-normalised storage (see FlatIndex::AttachStorage). Only valid on
   /// an index with no graph yet; follow with InsertNode() per row or one
@@ -80,13 +75,9 @@ class HnswIndex {
                      int64_t dim);
 
   /// Inserts the next attached row (rows enter the graph in storage
-  /// order); segment builds call this once per row. Requires
-  /// graph_size() < size().
+  /// order); segment builds call this once per row. Requires a row not
+  /// yet in the graph.
   void InsertNode();
-
-  /// Rows inserted into the graph so far (== size() once a build or
-  /// LoadGraph completes).
-  int64_t graph_size() const { return built_; }
 
   /// Segment-local search: `query` is already L2-normalised with exactly
   /// dim() floats. Fills `*out` (cleared first) with up to k hits, closest

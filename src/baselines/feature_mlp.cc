@@ -1,12 +1,17 @@
 #include "baselines/feature_mlp.h"
 
-#include <algorithm>
-
 #include "tensor/optimizer.h"
 #include "tensor/tensor_ops.h"
 #include "util/logging.h"
 
 namespace explainti::baselines {
+
+namespace {
+/// Hidden width of the MLP head.
+constexpr int kHiddenDim = 64;
+/// Hashed table-topic features Sato appends.
+constexpr int kTopicDim = 64;
+}  // namespace
 
 Mlp::Mlp(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, util::Rng& rng)
     : hidden_(in_dim, hidden_dim, rng), out_(hidden_dim, out_dim, rng) {
@@ -30,7 +35,7 @@ std::vector<float> FeatureMlpInterpreter::TypeFeatures(
       table.columns[static_cast<size_t>(sample.column_index)].cells);
   if (config_.use_table_topic) {
     const std::vector<float> topic =
-        extractor_.TableTopic(table, config_.topic_dim);
+        extractor_.TableTopic(table, kTopicDim);
     features.insert(features.end(), topic.begin(), topic.end());
   }
   return features;
@@ -46,7 +51,7 @@ std::vector<float> FeatureMlpInterpreter::RelationFeatures(
   features.insert(features.end(), right.begin(), right.end());
   if (config_.use_table_topic) {
     const std::vector<float> topic =
-        extractor_.TableTopic(table, config_.topic_dim);
+        extractor_.TableTopic(table, kTopicDim);
     features.insert(features.end(), topic.begin(), topic.end());
   }
   return features;
@@ -106,7 +111,7 @@ void FeatureMlpInterpreter::Fit(const data::TableCorpus& corpus) {
     type_labels.push_back(sample.labels);
   }
   type_mlp_ = std::make_unique<Mlp>(
-      static_cast<int64_t>(type_features_[0].size()), config_.hidden_dim,
+      static_cast<int64_t>(type_features_[0].size()), kHiddenDim,
       num_type_labels_, rng);
   TrainMlp(type_mlp_.get(), type_features_, type_labels,
            corpus.TypeSampleIds(data::SplitPart::kTrain), num_type_labels_,
@@ -123,7 +128,7 @@ void FeatureMlpInterpreter::Fit(const data::TableCorpus& corpus) {
     }
     relation_mlp_ = std::make_unique<Mlp>(
         static_cast<int64_t>(relation_features_[0].size()),
-        config_.hidden_dim, num_relation_labels_, rng);
+        kHiddenDim, num_relation_labels_, rng);
     TrainMlp(relation_mlp_.get(), relation_features_, relation_labels,
              corpus.RelationSampleIds(data::SplitPart::kTrain),
              num_relation_labels_, /*multi_label=*/false, rng);
@@ -146,21 +151,10 @@ std::vector<int> FeatureMlpInterpreter::Predict(core::TaskKind kind,
   const auto& f = features[static_cast<size_t>(sample_id)];
   tensor::Tensor logits = mlp->Forward(
       tensor::Tensor::FromVector({static_cast<int64_t>(f.size())}, f));
-  const std::vector<float> values = logits.ToVector();
-
   std::vector<int> out;
-  if (is_type && type_multi_label_) {
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i] >= 0.0f) out.push_back(static_cast<int>(i));  // sigma>=.5
-    }
-    if (out.empty()) {
-      out.push_back(static_cast<int>(
-          std::max_element(values.begin(), values.end()) - values.begin()));
-    }
-  } else {
-    out.push_back(static_cast<int>(
-        std::max_element(values.begin(), values.end()) - values.begin()));
-  }
+  // Logit >= 0 is sigmoid >= 0.5.
+  eval::AppendDecodedLabels(logits.ToVector(), is_type && type_multi_label_,
+                            0.0f, &out);
   return out;
 }
 

@@ -15,14 +15,12 @@ namespace explainti::baselines {
 
 /// Configuration shared by the feature-based baselines.
 struct FeatureMlpConfig {
-  int hidden_dim = 64;
   int epochs = 30;
   float learning_rate = 1e-3f;
   int batch_size = 16;
   uint64_t seed = 21;
   /// Sato = Sherlock + table-level topic features.
   bool use_table_topic = false;
-  int topic_dim = 64;
 };
 
 /// Two-layer MLP classifier head used by Sherlock and Sato.

@@ -11,6 +11,11 @@
 
 namespace explainti::baselines {
 
+namespace {
+/// MLM pre-training learning rate, as ExplainTI's.
+constexpr float kPretrainLearningRate = 1e-3f;
+}  // namespace
+
 TransformerBaseline::TransformerBaseline(std::string name,
                                          TransformerBaselineConfig config)
     : TableInterpreter(std::move(name)), config_(config) {}
@@ -28,7 +33,6 @@ text::EncodedSequence TransformerBaseline::SerializeRelation(
 }
 
 void TransformerBaseline::Fit(const data::TableCorpus& corpus) {
-  corpus_ = &corpus;
   util::Rng init_rng(config_.seed);
 
   // -- Vocabulary from the training tables. ------------------------------
@@ -104,7 +108,7 @@ void TransformerBaseline::Fit(const data::TableCorpus& corpus) {
     }
     nn::MlmPretrainOptions options;
     options.epochs = config_.pretrain_epochs;
-    options.learning_rate = config_.pretrain_learning_rate;
+    options.learning_rate = kPretrainLearningRate;
     options.dynamic_masking = config_.base_model == "roberta";
     options.seed = config_.seed + 1;
     nn::PretrainMlm(encoder_.get(), id_seqs, segment_seqs, options);
@@ -268,20 +272,9 @@ tensor::Tensor TransformerBaseline::ForwardLogits(
 
 std::vector<int> TransformerBaseline::DecodeLabels(
     core::TaskKind kind, const std::vector<float>& logits) const {
-  const TaskState& state = State(kind);
   std::vector<int> out;
-  if (state.data.multi_label) {
-    for (size_t i = 0; i < logits.size(); ++i) {
-      if (logits[i] >= 0.0f) out.push_back(static_cast<int>(i));
-    }
-    if (out.empty()) {
-      out.push_back(static_cast<int>(
-          std::max_element(logits.begin(), logits.end()) - logits.begin()));
-    }
-  } else {
-    out.push_back(static_cast<int>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin()));
-  }
+  // Logit >= 0 is sigmoid >= 0.5.
+  eval::AppendDecodedLabels(logits, State(kind).data.multi_label, 0.0f, &out);
   return out;
 }
 

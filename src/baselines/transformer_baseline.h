@@ -25,7 +25,6 @@ struct TransformerBaselineConfig {
   int batch_size = 16;
   int max_seq_len = 40;
   int pretrain_epochs = 2;
-  float pretrain_learning_rate = 1e-3f;
   uint64_t seed = 31;
 };
 
@@ -35,8 +34,6 @@ struct TransformerBaselineConfig {
 /// mask (TURL), optional constant context features concatenated to the
 /// [CLS] embedding (TCN), and optional auxiliary losses plus extra trained
 /// modules (SelfExplain).
-///
-/// The fitted corpus must outlive the interpreter (the benches keep both).
 class TransformerBaseline : public TableInterpreter {
  public:
   TransformerBaseline(std::string name, TransformerBaselineConfig config);
@@ -120,8 +117,6 @@ class TransformerBaseline : public TableInterpreter {
   const text::Tokenizer& tokenizer() const { return *tokenizer_; }
   int max_seq_len() const { return config_.max_seq_len; }
   const nn::TransformerEncoder& encoder() const { return *encoder_; }
-  nn::TransformerEncoder* mutable_encoder() { return encoder_.get(); }
-  const data::TableCorpus* fitted_corpus() const { return corpus_; }
 
   /// Encoder forward for one sample (applies the subclass mask).
   tensor::Tensor Encode(core::TaskKind kind, int sample_id, bool training,
@@ -155,7 +150,6 @@ class TransformerBaseline : public TableInterpreter {
   }
 
   TransformerBaselineConfig config_;
-  const data::TableCorpus* corpus_ = nullptr;  // Not owned.
   std::shared_ptr<text::Vocab> vocab_;
   std::unique_ptr<text::Tokenizer> tokenizer_;
   std::unique_ptr<text::SequenceSerializer> serializer_;

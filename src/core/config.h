@@ -27,11 +27,6 @@ struct ExplainTiConfig {
   int top_k = 10;           ///< K influential samples in GE (paper: 10).
   int window_size = 8;      ///< LE window k (paper: 8).
   int sample_size = 16;     ///< SE neighbour sample size r (paper: 16).
-  /// Embedding-store refresh period in epochs. The paper refreshes every
-  /// 5 of its 40 epochs; scaled to this reproduction's ~10-epoch runs the
-  /// same refresh *fraction* is every 2 epochs (stale stores make SE feed
-  /// pre-fine-tuning embeddings to the classifier and hurt accuracy).
-  int q_refresh_epochs = 2;
 
   // -- Optimisation ---------------------------------------------------------
   int epochs = 10;             ///< Per task (paper: 40 on A100).
@@ -42,7 +37,6 @@ struct ExplainTiConfig {
 
   // -- Pre-training -----------------------------------------------------------
   int pretrain_epochs = 2;
-  float pretrain_learning_rate = 1e-3f;
 
   // -- Embedding store (see DESIGN.md "Sharded embedding store") ----------
   /// Id-range segments per embedding store (>= 1). More segments shard the
@@ -60,12 +54,9 @@ struct ExplainTiConfig {
   /// resets the optimiser moments.
   int max_bad_steps = 3;
   /// When non-empty, Fit() writes a CRC32-protected checkpoint here every
-  /// `checkpoint_every_epochs` epochs and, when `resume_from_checkpoint`,
-  /// resumes from it (skipping pre-training). A corrupted or truncated
-  /// checkpoint is rejected and training restarts from scratch.
+  /// epoch and resumes from it (skipping pre-training). A corrupted or
+  /// truncated checkpoint is rejected and training restarts from scratch.
   std::string checkpoint_path;
-  int checkpoint_every_epochs = 1;
-  bool resume_from_checkpoint = true;
 
   /// Whether the task's type labels are multi-label (sigmoid+BCE) or
   /// multi-class (softmax+CE); copied from the corpus at Fit time.

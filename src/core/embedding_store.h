@@ -232,8 +232,6 @@ class EmbeddingStore {
   int64_t size() const { return view().size(); }
   bool hnsw_ready() const { return view().hnsw_ready(); }
 
-  const Options& options() const { return options_; }
-
  private:
   /// Builds one segment — content hash, flat tier and complete HNSW
   /// graph — from rows (sorted by id) of the rebuild input.

@@ -60,6 +60,12 @@ struct FitStats {
 ///   Explanation z = model.Explain(TaskKind::kType, sample_id);
 class ExplainTiModel {
  public:
+  /// A multi-label task predicts every label whose sigmoid probability is
+  /// at least this (eval::AppendDecodedLabels). The QA cascade decodes
+  /// teacher and surrogate probabilities with it too, so the surrogate
+  /// imitates the teacher's decode rule by construction.
+  static constexpr float kDecodeThreshold = 0.5f;
+
   /// Builds the vocabulary from the corpus's *training* tables, constructs
   /// the encoder for `config.base_model`, and serialises both tasks.
   ExplainTiModel(const ExplainTiConfig& config,

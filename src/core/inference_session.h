@@ -69,7 +69,7 @@ class InferenceSession {
   Explanation Explain(TaskKind kind, int sample_id) const;
 
   /// Batched Predict: one label vector per entry of `sample_ids`, fanned
-  /// out across the pool (each worker on its own per-thread workspace).
+  /// out across the pool (each worker on its own per-thread scratch).
   /// Outputs are bit-identical to per-sample Predict — every sample still
   /// runs the same single-sample forward with its own InferenceSeed RNG,
   /// so results do not depend on batch composition or thread count. This
@@ -88,7 +88,7 @@ class InferenceSession {
       TaskKind kind, const std::vector<int>& sample_ids) const;
 
   /// [CLS] embeddings for `sample_ids`, encoded in parallel across the
-  /// pool (each worker on its own per-thread workspace); the encoder's
+  /// pool (each worker on its own per-thread scratch); the encoder's
   /// last layer computes only the [CLS] row. Feeds the GE/SE
   /// embedding-store rebuilds.
   std::vector<std::vector<float>> EncodeBatch(

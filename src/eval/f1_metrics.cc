@@ -6,6 +6,23 @@
 
 namespace explainti::eval {
 
+void AppendDecodedLabels(std::span<const float> scores, bool multi_label,
+                         float threshold, std::vector<int>* labels) {
+  const size_t before = labels->size();
+  if (multi_label) {
+    for (size_t i = 0; i < scores.size(); ++i) {
+      if (scores[i] >= threshold) labels->push_back(static_cast<int>(i));
+    }
+  }
+  if (labels->size() == before) {
+    size_t best = 0;
+    for (size_t i = 1; i < scores.size(); ++i) {
+      if (scores[i] > scores[best]) best = i;
+    }
+    labels->push_back(static_cast<int>(best));
+  }
+}
+
 F1Scores ComputeF1(const std::vector<LabeledPrediction>& predictions,
                    int num_labels) {
   CHECK_GT(num_labels, 0);

@@ -1,6 +1,7 @@
 #ifndef EXPLAINTI_EVAL_F1_METRICS_H_
 #define EXPLAINTI_EVAL_F1_METRICS_H_
 
+#include <span>
 #include <vector>
 
 namespace explainti::eval {
@@ -19,6 +20,16 @@ struct LabeledPrediction {
   std::vector<int> gold;
   std::vector<int> predicted;
 };
+
+/// The one label-decode rule every classifier here shares: a multi-label
+/// task takes every label whose score is >= `threshold`, falling back to
+/// the first argmax when none clears it; a multiclass task takes the
+/// first argmax (`threshold` unused). Appends to `*labels`, so a caller
+/// that reuses the vector decodes without allocating once it is warm.
+/// Each caller keeps its own scores and threshold: 0.5 on probabilities,
+/// or 0 on logits.
+void AppendDecodedLabels(std::span<const float> scores, bool multi_label,
+                         float threshold, std::vector<int>* labels);
 
 /// Computes micro / macro / weighted F1 over `num_labels` classes from
 /// per-label true-positive / false-positive / false-negative counts:

@@ -1,6 +1,5 @@
 #include "eval/sufficiency.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nn/linear.h"
@@ -15,11 +14,19 @@ namespace explainti::eval {
 
 namespace {
 
-std::vector<float> BagOfWords(const std::string& textual, int hash_dim) {
-  std::vector<float> features(static_cast<size_t>(hash_dim), 0.0f);
+// The probe's shape and training schedule.
+constexpr int kHashDim = 256;
+constexpr int kHiddenDim = 96;
+constexpr int kEpochs = 40;
+constexpr float kLearningRate = 2e-3f;
+constexpr int kBatchSize = 16;
+constexpr uint64_t kSeed = 97;
+
+std::vector<float> BagOfWords(const std::string& textual) {
+  std::vector<float> features(static_cast<size_t>(kHashDim), 0.0f);
   int64_t total = 0;
   for (const std::string& token : text::BasicTokenize(textual)) {
-    features[static_cast<size_t>(util::HashTokenFeature(token) % hash_dim)] += 1.0f;
+    features[static_cast<size_t>(util::HashTokenFeature(token) % kHashDim)] += 1.0f;
     ++total;
   }
   if (total > 0) {
@@ -47,37 +54,36 @@ class Probe : public nn::Module {
 
 }  // namespace
 
-F1Scores EvaluateSufficiency(const ExplanationDataset& dataset,
-                             const SufficiencyProbeOptions& options) {
+F1Scores EvaluateSufficiency(const ExplanationDataset& dataset) {
   CHECK_GT(dataset.num_labels, 0);
   CHECK_EQ(dataset.train_texts.size(), dataset.train_labels.size());
   CHECK_EQ(dataset.test_texts.size(), dataset.test_labels.size());
   CHECK(!dataset.train_texts.empty());
 
-  util::Rng rng(options.seed);
-  Probe probe(options.hash_dim, options.hidden_dim, dataset.num_labels, rng);
+  util::Rng rng(kSeed);
+  Probe probe(kHashDim, kHiddenDim, dataset.num_labels, rng);
 
   std::vector<std::vector<float>> train_features;
   train_features.reserve(dataset.train_texts.size());
   for (const std::string& textual : dataset.train_texts) {
-    train_features.push_back(BagOfWords(textual, options.hash_dim));
+    train_features.push_back(BagOfWords(textual));
   }
 
   tensor::AdamWOptions adam_options;
-  adam_options.learning_rate = options.learning_rate;
+  adam_options.learning_rate = kLearningRate;
   tensor::AdamW optimizer(probe.Parameters(), adam_options);
 
   std::vector<size_t> order(train_features.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     rng.Shuffle(order);
     optimizer.ZeroGrad();
     int in_batch = 0;
     for (size_t i = 0; i < order.size(); ++i) {
       const size_t id = order[i];
       tensor::Tensor x = tensor::Tensor::FromVector(
-          {options.hash_dim}, train_features[id]);
+          {kHashDim}, train_features[id]);
       tensor::Tensor logits = probe.Forward(x);
       tensor::Tensor loss;
       if (dataset.multi_label) {
@@ -90,10 +96,10 @@ F1Scores EvaluateSufficiency(const ExplanationDataset& dataset,
         loss = tensor::CrossEntropyLoss(logits, dataset.train_labels[id][0]);
       }
       loss =
-          tensor::Scale(loss, 1.0f / static_cast<float>(options.batch_size));
+          tensor::Scale(loss, 1.0f / static_cast<float>(kBatchSize));
       loss.Backward();
       ++in_batch;
-      if (in_batch == options.batch_size || i + 1 == order.size()) {
+      if (in_batch == kBatchSize || i + 1 == order.size()) {
         optimizer.Step();
         optimizer.ZeroGrad();
         in_batch = 0;
@@ -105,23 +111,12 @@ F1Scores EvaluateSufficiency(const ExplanationDataset& dataset,
   predictions.reserve(dataset.test_texts.size());
   for (size_t i = 0; i < dataset.test_texts.size(); ++i) {
     tensor::Tensor logits = probe.Forward(tensor::Tensor::FromVector(
-        {options.hash_dim}, BagOfWords(dataset.test_texts[i],
-                                       options.hash_dim)));
-    const std::vector<float> values = logits.ToVector();
+        {kHashDim}, BagOfWords(dataset.test_texts[i])));
     LabeledPrediction p;
     p.gold = dataset.test_labels[i];
-    if (dataset.multi_label) {
-      for (size_t c = 0; c < values.size(); ++c) {
-        if (values[c] >= 0.0f) p.predicted.push_back(static_cast<int>(c));
-      }
-      if (p.predicted.empty()) {
-        p.predicted.push_back(static_cast<int>(
-            std::max_element(values.begin(), values.end()) - values.begin()));
-      }
-    } else {
-      p.predicted.push_back(static_cast<int>(
-          std::max_element(values.begin(), values.end()) - values.begin()));
-    }
+    // Logit >= 0 is sigmoid >= 0.5.
+    AppendDecodedLabels(logits.ToVector(), dataset.multi_label, 0.0f,
+                        &p.predicted);
     predictions.push_back(std::move(p));
   }
   return ComputeF1(predictions, dataset.num_labels);

@@ -1,7 +1,6 @@
 #ifndef EXPLAINTI_EVAL_SUFFICIENCY_H_
 #define EXPLAINTI_EVAL_SUFFICIENCY_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,24 +22,13 @@ struct ExplanationDataset {
   bool multi_label = false;
 };
 
-/// Options for the sufficiency probe classifier.
+/// Trains the sufficiency probe on train explanations and returns test F1.
 ///
 /// The probe is a hashed bag-of-words MLP rather than the paper's RoBERTa
 /// (substitution documented in DESIGN.md): the probe's only job is to
 /// measure how much label information the explanation text carries, and a
 /// BoW probe measures exactly that at a fraction of the cost.
-struct SufficiencyProbeOptions {
-  int hash_dim = 256;
-  int hidden_dim = 96;
-  int epochs = 40;
-  float learning_rate = 2e-3f;
-  int batch_size = 16;
-  uint64_t seed = 97;
-};
-
-/// Trains the probe on train explanations and returns test F1.
-F1Scores EvaluateSufficiency(const ExplanationDataset& dataset,
-                             const SufficiencyProbeOptions& options = {});
+F1Scores EvaluateSufficiency(const ExplanationDataset& dataset);
 
 }  // namespace explainti::eval
 

@@ -48,11 +48,6 @@ class ColumnGraph {
   /// Number of registered samples.
   int num_samples() const { return num_samples_; }
 
-  /// Number of distinct bridge nodes (titles + headers).
-  int64_t num_bridges() const {
-    return static_cast<int64_t>(title_groups_.size() + header_groups_.size());
-  }
-
   /// All distinct 2-hop neighbours of `sample_id` (excluding itself).
   std::vector<SampledNeighbor> Neighbors(int sample_id) const;
 

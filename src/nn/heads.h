@@ -28,8 +28,6 @@ class ClassifierHead : public Module {
 
   tensor::Tensor Forward(const tensor::Tensor& features) const;
 
-  int64_t num_labels() const { return projection_.out_features(); }
-
   /// The underlying affine map; serving runs it through Linear::Serve.
   const Linear& projection() const { return projection_; }
 

@@ -25,8 +25,6 @@ class Linear : public Module {
 
   int64_t in_features() const { return weight_.dim(0); }
   int64_t out_features() const { return weight_.dim(1); }
-  const tensor::Tensor& weight() const { return weight_; }
-  const tensor::Tensor& bias() const { return bias_; }
 
  private:
   tensor::Tensor weight_;

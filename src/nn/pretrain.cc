@@ -12,6 +12,9 @@ namespace explainti::nn {
 
 namespace {
 
+/// Fraction of maskable tokens selected per sequence (BERT: 0.15).
+constexpr float kMaskProb = 0.15f;
+
 /// One masked training instance: corrupted ids plus (position, original id)
 /// prediction targets.
 struct MaskedInstance {
@@ -19,14 +22,14 @@ struct MaskedInstance {
   std::vector<std::pair<int, int>> targets;  // (position, original id)
 };
 
-MaskedInstance MaskSequence(const std::vector<int>& ids, float mask_prob,
-                            int64_t vocab_size, util::Rng& rng) {
+MaskedInstance MaskSequence(const std::vector<int>& ids, int64_t vocab_size,
+                            util::Rng& rng) {
   MaskedInstance instance;
   instance.ids = ids;
   for (size_t pos = 0; pos < ids.size(); ++pos) {
     // Never mask special tokens ([PAD]..[MASK] occupy the first ids).
     if (ids[pos] < text::SpecialTokens::kCount) continue;
-    if (!rng.Bernoulli(mask_prob)) continue;
+    if (!rng.Bernoulli(kMaskProb)) continue;
     instance.targets.emplace_back(static_cast<int>(pos), ids[pos]);
     const double roll = rng.Uniform();
     if (roll < 0.8) {
@@ -73,7 +76,7 @@ MlmPretrainStats PretrainMlm(TransformerEncoder* encoder,
     static_instances.reserve(id_seqs.size());
     for (const auto& ids : id_seqs) {
       static_instances.push_back(
-          MaskSequence(ids, options.mask_prob, config.vocab_size, mask_rng));
+          MaskSequence(ids, config.vocab_size, mask_rng));
     }
   }
 
@@ -91,8 +94,7 @@ MlmPretrainStats PretrainMlm(TransformerEncoder* encoder,
       const size_t idx = order[ordinal];
       MaskedInstance instance =
           options.dynamic_masking
-              ? MaskSequence(id_seqs[idx], options.mask_prob,
-                             config.vocab_size, mask_rng)
+              ? MaskSequence(id_seqs[idx], config.vocab_size, mask_rng)
               : static_instances[idx];
       if (instance.targets.empty()) continue;
 
@@ -121,9 +123,6 @@ MlmPretrainStats PretrainMlm(TransformerEncoder* encoder,
         optimizer.ZeroGrad();
         in_batch = 0;
         ++stats.steps;
-        if (options.log_every > 0 && stats.steps % options.log_every == 0) {
-          LOG(INFO) << "mlm pretrain step " << stats.steps;
-        }
       }
     }
     stats.final_epoch_loss =

@@ -12,15 +12,11 @@ namespace explainti::nn {
 struct MlmPretrainOptions {
   int epochs = 2;
   float learning_rate = 1e-3f;
-  /// Fraction of maskable tokens selected per sequence (BERT: 0.15).
-  float mask_prob = 0.15f;
   /// BERT masks once (static); RoBERTa redraws the mask every epoch
   /// (dynamic).
   bool dynamic_masking = false;
   int batch_size = 8;
   uint64_t seed = 1;
-  /// Print a progress line every N optimiser steps (0 = silent).
-  int log_every = 0;
 };
 
 /// Result of a pre-training run.

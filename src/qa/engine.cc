@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "eval/f1_metrics.h"
 #include "util/logging.h"
 
 namespace explainti::qa {
@@ -18,33 +19,6 @@ namespace {
 constexpr int kMaxLocalItems = 2;
 constexpr int kMaxGlobalItems = 1;
 constexpr int kMaxStructuralItems = 1;
-
-/// Argmax with first-max tie-breaking, matching std::max_element (and
-/// therefore ExplainTiModel::DecodeLabels).
-int ArgMax(const std::vector<float>& v) {
-  int best = 0;
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (v[i] > v[static_cast<size_t>(best)]) best = static_cast<int>(i);
-  }
-  return best;
-}
-
-/// Mirrors ExplainTiModel::DecodeLabels over the probability vector
-/// PredictProbabilities returns (softmax is monotone in the logits, so
-/// multiclass argmax agrees bit-for-bit with Predict).
-std::vector<int> DecodeFromProbs(bool multi_label,
-                                 const std::vector<float>& probs) {
-  std::vector<int> labels;
-  if (multi_label) {
-    for (size_t i = 0; i < probs.size(); ++i) {
-      if (probs[i] >= 0.5f) labels.push_back(static_cast<int>(i));
-    }
-    if (labels.empty()) labels.push_back(ArgMax(probs));
-  } else {
-    labels.push_back(ArgMax(probs));
-  }
-  return labels;
-}
 
 bool IsFindKind(QaQueryKind kind) {
   return kind == QaQueryKind::kFindColumnsOfType ||
@@ -192,7 +166,9 @@ util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
     if (need_teacher) {
       c.tier = QaTier::kTeacher;
       c.probs = session_->PredictProbabilities(task_kind, id);
-      c.labels = DecodeFromProbs(task.multi_label, c.probs);
+      eval::AppendDecodedLabels(c.probs, task.multi_label,
+                                core::ExplainTiModel::kDecodeThreshold,
+                                &c.labels);
     }
     // Qualification + the confidence the answer cites.
     if (!find) {

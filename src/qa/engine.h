@@ -69,7 +69,6 @@ class QaEngine {
   /// routing.
   const SurrogateModel* surrogate(core::TaskKind kind) const;
 
-  const QaOptions& options() const { return options_; }
   const core::InferenceSession& session() const { return *session_; }
 
  private:

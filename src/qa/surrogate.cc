@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "eval/f1_metrics.h"
 #include "util/logging.h"
 
 namespace explainti::qa {
@@ -46,7 +47,6 @@ util::StatusOr<std::unique_ptr<SurrogateModel>> SurrogateModel::Distill(
 
   auto model = std::unique_ptr<SurrogateModel>(new SurrogateModel());
   model->task_ = &task;
-  model->kind_ = kind;
   model->multi_label_ = task.multi_label;
   model->num_labels_ = task.num_labels;
   model->feature_dim_ = kHashDim + task.num_labels + 1;
@@ -281,23 +281,11 @@ util::Status SurrogateModel::ScoreInto(int sample_id, Scratch* scratch,
       scratch->probs[static_cast<size_t>(l)] *= inv;
     }
   }
-  // Decode exactly like the teacher (ExplainTiModel::DecodeLabels):
-  // multi-label takes every p >= 0.5 with an argmax fallback, multiclass
-  // takes the argmax.
-  int argmax = 0;
-  for (int l = 1; l < num_labels_; ++l) {
-    if (scratch->probs[static_cast<size_t>(l)] >
-        scratch->probs[static_cast<size_t>(argmax)]) {
-      argmax = l;
-    }
-  }
+  // The teacher's decode rule and threshold (ExplainTiModel::DecodeLabels).
+  eval::AppendDecodedLabels(scratch->probs, multi_label_,
+                            core::ExplainTiModel::kDecodeThreshold,
+                            &scratch->labels);
   if (multi_label_) {
-    for (int l = 0; l < num_labels_; ++l) {
-      if (scratch->probs[static_cast<size_t>(l)] >= 0.5f) {
-        scratch->labels.push_back(l);
-      }
-    }
-    if (scratch->labels.empty()) scratch->labels.push_back(argmax);
     float certainty = 0.0f;
     for (int l = 0; l < num_labels_; ++l) {
       const float p = scratch->probs[static_cast<size_t>(l)];
@@ -305,8 +293,7 @@ util::Status SurrogateModel::ScoreInto(int sample_id, Scratch* scratch,
     }
     *confidence = certainty / static_cast<float>(num_labels_);
   } else {
-    scratch->labels.push_back(argmax);
-    *confidence = scratch->probs[static_cast<size_t>(argmax)];
+    *confidence = scratch->probs[static_cast<size_t>(scratch->labels[0])];
   }
   return util::Status::OK();
 }

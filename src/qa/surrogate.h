@@ -89,12 +89,6 @@ class SurrogateModel {
   void AppendSaliency(int sample_id, int label, int max_items, int step,
                       std::vector<QaEvidenceItem>* items) const;
 
-  core::TaskKind task_kind() const { return kind_; }
-  int num_labels() const { return num_labels_; }
-  int feature_dim() const { return feature_dim_; }
-  int num_samples() const { return num_samples_; }
-  bool multi_label() const { return multi_label_; }
-
  private:
   SurrogateModel() = default;
 
@@ -115,7 +109,6 @@ class SurrogateModel {
   float Logit(int sample_id, int label) const;
 
   const core::TaskData* task_ = nullptr;  ///< Borrowed; model outlives us.
-  core::TaskKind kind_ = core::TaskKind::kType;
   bool multi_label_ = false;
   int num_labels_ = 0;
   int feature_dim_ = 0;

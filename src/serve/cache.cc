@@ -10,7 +10,7 @@ ResponseCache::ResponseCache(const CacheOptions& options)
     : capacity_(options.capacity),
       // Clamp shards to capacity (a shard below one entry is useless) and
       // spread the remainder so the shard capacities sum exactly to the
-      // configured capacity — the cache never holds more than capacity()
+      // configured capacity — the cache never holds more than capacity_
       // and never silently rounds it down.
       num_shards_(static_cast<int>(std::max<int64_t>(
           1, std::min<int64_t>(options.num_shards, options.capacity)))) {
@@ -97,7 +97,6 @@ void ResponseCache::Insert(const Key& key, const text::EncodedSequence& input,
   if (static_cast<int64_t>(shard.lru.size()) > shard.capacity) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

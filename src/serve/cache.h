@@ -1,7 +1,6 @@
 #ifndef EXPLAINTI_SERVE_CACHE_H_
 #define EXPLAINTI_SERVE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -104,17 +103,11 @@ class ResponseCache {
   void Insert(const Key& key, const text::EncodedSequence& input,
               const qa::QaQuery* query, const ServeResponse& response);
 
-  /// Drops every entry (model hot-swap invalidation). The eviction
-  /// counter survives — it describes the cache's lifetime, not one
-  /// generation's.
+  /// Drops every entry (model hot-swap invalidation).
   void Clear();
 
-  int64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
   /// Current cached entries across all shards.
   int64_t size() const;
-  int64_t capacity() const { return capacity_; }
 
  private:
   /// The cached payload: exactly the response fields a hit must
@@ -161,7 +154,6 @@ class ResponseCache {
   const int64_t capacity_;
   const int num_shards_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int64_t> evictions_{0};
 };
 
 }  // namespace explainti::serve

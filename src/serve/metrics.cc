@@ -1,8 +1,6 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <sstream>
 
 #include "util/logging.h"
@@ -114,17 +112,11 @@ double Histogram::Percentile(double q) const {
   return static_cast<double>(upper_bounds_.back());
 }
 
-MetricsRegistry::Shard& MetricsRegistry::ShardFor(std::string_view name) {
-  return shards_[std::hash<std::string_view>{}(name) % kShards];
-}
-
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.counters.find(std::string(name));
-  if (it == shard.counters.end()) {
-    it = shard.counters
-             .emplace(std::string(name), std::make_unique<Counter>())
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = counters_.find(name);
+  if (it == counters_.end()) {
+    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
   }
   return it->second.get();
@@ -132,11 +124,10 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
 
 Histogram* MetricsRegistry::GetHistogram(
     std::string_view name, const std::vector<int64_t>& upper_bounds) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.histograms.find(std::string(name));
-  if (it == shard.histograms.end()) {
-    it = shard.histograms
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = histograms_.find(name);
+  if (it == histograms_.end()) {
+    it = histograms_
              .emplace(std::string(name),
                       std::make_unique<Histogram>(upper_bounds))
              .first;
@@ -163,28 +154,17 @@ Histogram* HistogramHandle::get() {
 }
 
 std::string MetricsRegistry::ToJson() const {
-  // Collect into ordered maps so the export is stable run-to-run.
-  std::map<std::string, int64_t> counters;
-  std::map<std::string, const Histogram*> histograms;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [name, counter] : shard.counters) {
-      counters[name] = counter->Value();
-    }
-    for (const auto& [name, histogram] : shard.histograms) {
-      histograms[name] = histogram.get();
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream json;
   json << "{\"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
-    json << (first ? "" : ", ") << "\"" << name << "\": " << value;
+  for (const auto& [name, counter] : counters_) {
+    json << (first ? "" : ", ") << "\"" << name << "\": " << counter->Value();
     first = false;
   }
   json << "}, \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : histograms) {
+  for (const auto& [name, h] : histograms_) {
     json << (first ? "" : ", ") << "\"" << name
          << "\": {\"count\": " << h->Count() << ", \"mean\": " << h->Mean()
          << ", \"p50\": " << h->Percentile(0.50)

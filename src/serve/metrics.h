@@ -3,11 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,9 +57,7 @@ class Histogram {
   /// overflow samples. A concurrent snapshot, not a linearizable one.
   double Percentile(double q) const;
 
-  const std::vector<int64_t>& upper_bounds() const { return upper_bounds_; }
-  /// Per-bucket counts (size = upper_bounds().size() + 1; last entry is
-  /// the overflow bucket).
+  /// Per-bucket counts (one per upper bound, then the overflow bucket).
   std::vector<int64_t> BucketCounts() const;
 
  private:
@@ -69,14 +68,13 @@ class Histogram {
   std::atomic<int64_t> sum_{0};
 };
 
-/// Lock-sharded registry of named counters and histograms.
+/// Registry of named counters and histograms behind one mutex.
 ///
-/// Registration (name → instrument lookup) hashes the name to one of
-/// kShards independently locked maps, so concurrent workers registering
-/// or re-looking-up different names rarely contend; the hot path is to
-/// look an instrument up once and keep the pointer, after which updates
-/// are pure atomics. Instruments live as long as the registry; returned
-/// pointers are stable.
+/// The hot path looks an instrument up once (CounterHandle,
+/// HistogramHandle) and keeps the pointer, after which updates are pure
+/// atomics; the lock is taken only by those first lookups and by ToJson,
+/// so one lock suffices. Instruments live as long as the registry;
+/// returned pointers are stable.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -99,15 +97,10 @@ class MetricsRegistry {
   std::string ToJson() const;
 
  private:
-  static constexpr size_t kShards = 8;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::unique_ptr<Counter>> counters;
-    std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms;
-  };
-  Shard& ShardFor(std::string_view name);
-
-  Shard shards_[kShards];
+  mutable std::mutex mu_;
+  // Ordered by name, so ToJson lists them sorted.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 /// A counter named up front and resolved from its registry on first use,

@@ -387,7 +387,7 @@ void InferenceServer::Shutdown() {
 void InferenceServer::WorkerLoop() {
   // Batch vectors live for the worker's lifetime and keep their capacity
   // across iterations; each per-sample call inside ExecuteBatch takes its
-  // scratch from the executing thread's Workspace pool, so the
+  // scratch from the executing thread's grow-only scratch buffer, so the
   // steady-state loop performs no scratch heap allocations.
   std::vector<PendingRequest> batch;
   std::vector<PendingRequest> expired;

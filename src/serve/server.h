@@ -86,7 +86,7 @@ struct ServeMetrics {
 ///              worker 0              worker 1   ...       worker N-1
 ///         (pin current generation -> ExecuteBatch: batched
 ///          InferenceSession entry points; each per-sample call runs
-///          the straight-line RunTail on per-thread Workspace scratch)
+///          the straight-line RunTail on per-thread scratch)
 ///
 /// Admission control: Submit validates the request and rejects
 /// immediately — kInvalidArgument for unknown task/sample/tenant,
@@ -166,13 +166,10 @@ class InferenceServer {
 
   MetricsRegistry& metrics() { return *metrics_; }
   const MicroBatcher& batcher() const { return batcher_; }
-  /// Null when the cache is disabled.
-  const ResponseCache* cache() const { return cache_.get(); }
   /// The current generation's QA engine (for tests and cascade telemetry
   /// inspection); null when ServerOptions::qa is off. Borrowed — valid
   /// until the next successful SwapSession retires the generation.
   const qa::QaEngine* qa_engine() const;
-  const ServerOptions& options() const { return options_; }
 
   /// Executes one coalesced batch (all entries batch-compatible) against
   /// `session` and completes every request: the worker-loop body, public

@@ -6,6 +6,11 @@
 
 namespace explainti::tensor {
 
+namespace {
+/// AdamW's denominator guard.
+constexpr float kEps = 1e-8f;
+}  // namespace
+
 LinearSchedule::LinearSchedule(float base_lr, int64_t total_steps,
                                int64_t warmup_steps)
     : base_lr_(base_lr),
@@ -93,7 +98,7 @@ bool AdamW::Step(float learning_rate) {
       const float m_hat = m[i] / bias1;
       const float v_hat = v[i] / bias2;
       // Decoupled weight decay (AdamW): decay applied to weights directly.
-      w[i] -= lr * (m_hat / (std::sqrt(v_hat) + options_.eps) +
+      w[i] -= lr * (m_hat / (std::sqrt(v_hat) + kEps) +
                     options_.weight_decay * w[i]);
     }
   }

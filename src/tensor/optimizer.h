@@ -33,7 +33,6 @@ struct AdamWOptions {
   float learning_rate = 5e-4f;
   float beta1 = 0.9f;
   float beta2 = 0.999f;
-  float eps = 1e-8f;
   float weight_decay = 0.01f;
   /// Gradient clipping by global L2 norm; <= 0 disables.
   float max_grad_norm = 1.0f;
@@ -47,7 +46,7 @@ struct AdamWOptions {
 ///
 /// Steps are NaN-safe: when any accumulated gradient is non-finite the
 /// update is skipped entirely — weights and moment estimates stay
-/// untouched — and `Step()` returns false (`skipped_steps()` counts them).
+/// untouched — and `Step()` returns false.
 /// Trainers detect the skip and apply their own recovery policy (see
 /// `ExplainTiModel::Fit()`'s skip/rollback loop).
 class AdamW {
@@ -75,10 +74,8 @@ class AdamW {
                         int64_t step_count);
 
   int64_t step_count() const { return step_count_; }
-  int64_t skipped_steps() const { return skipped_steps_; }
-  const std::vector<Tensor>& parameters() const { return parameters_; }
-  /// First/second moment estimates, indexed like `parameters()`; exposed
-  /// for checkpointing.
+  /// First/second moment estimates, indexed like the constructor's
+  /// parameters; exposed for checkpointing.
   const std::vector<std::vector<float>>& first_moments() const { return m_; }
   const std::vector<std::vector<float>>& second_moments() const {
     return v_;

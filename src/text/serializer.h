@@ -46,8 +46,6 @@ class SequenceSerializer {
   EncodedSequence SerializePair(const ColumnText& left,
                                 const ColumnText& right) const;
 
-  int max_len() const { return max_len_; }
-
  private:
   /// Appends the tokenisation of `text` to ids/tokens with segment id
   /// `segment`, stopping at the token budget.

@@ -48,11 +48,6 @@ class ThreadPool {
   /// Joins all workers.
   ~ThreadPool();
 
-  /// Total participants (workers + caller).
-  int num_threads() const {
-    return static_cast<int>(workers_.size()) + 1;
-  }
-
   /// Runs `fn(chunk_begin, chunk_end)` over `[begin, end)`; see class
   /// comment for the determinism contract. Empty ranges are a no-op.
   void ParallelFor(int64_t begin, int64_t end,

@@ -54,9 +54,6 @@ class WallTimer {
     return std::chrono::duration<double>(now - start_).count();
   }
 
-  /// Milliseconds elapsed since construction or the last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

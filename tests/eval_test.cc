@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "eval/f1_metrics.h"
@@ -58,6 +60,45 @@ TEST(F1Test, UnseenLabelsDiluteMacroOnly) {
   EXPECT_DOUBLE_EQ(f1.micro, 1.0);
   EXPECT_DOUBLE_EQ(f1.weighted, 1.0);
   EXPECT_NEAR(f1.macro, 0.1, 1e-9);
+}
+
+TEST(DecodeLabelsTest, MultiClassTakesTheFirstArgmax) {
+  std::vector<int> labels;
+  AppendDecodedLabels(std::vector<float>{0.1f, 0.7f, 0.2f, 0.7f}, false,
+                      0.5f, &labels);
+  EXPECT_EQ(labels, (std::vector<int>{1}));
+}
+
+TEST(DecodeLabelsTest, MultiLabelTakesEveryScoreAtOrAboveTheThreshold) {
+  std::vector<int> labels;
+  AppendDecodedLabels(std::vector<float>{0.5f, 0.49f, 0.9f, 0.5f}, true,
+                      0.5f, &labels);
+  EXPECT_EQ(labels, (std::vector<int>{0, 2, 3}));
+  labels.clear();
+  AppendDecodedLabels(std::vector<float>{0.0f, -0.1f, 2.0f}, true, 0.0f,
+                      &labels);
+  EXPECT_EQ(labels, (std::vector<int>{0, 2}));
+}
+
+TEST(DecodeLabelsTest, MultiLabelAllBelowFallsBackToTheFirstArgmax) {
+  std::vector<int> labels;
+  AppendDecodedLabels(std::vector<float>{0.1f, 0.4f, 0.2f, 0.4f}, true, 0.5f,
+                      &labels);
+  EXPECT_EQ(labels, (std::vector<int>{1}));
+}
+
+// The decode appends: a caller reusing one vector keeps what it held, and
+// a warm vector takes a decode without allocating.
+TEST(DecodeLabelsTest, AppendsToTheCallersVector) {
+  std::vector<int> labels = {7};
+  labels.reserve(8);
+  const int* storage = labels.data();
+  AppendDecodedLabels(std::vector<float>{0.6f, 0.1f, 0.8f}, true, 0.5f,
+                      &labels);
+  EXPECT_EQ(labels, (std::vector<int>{7, 0, 2}));
+  EXPECT_EQ(labels.data(), storage);
+  AppendDecodedLabels(std::vector<float>{0.1f, 0.3f}, true, 0.5f, &labels);
+  EXPECT_EQ(labels, (std::vector<int>{7, 0, 2, 1}));
 }
 
 TEST(SufficiencyTest, SeparableTextsScoreHigh) {

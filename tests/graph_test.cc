@@ -25,11 +25,9 @@ ColumnGraph ExampleGraph() {
   return graph;
 }
 
-TEST(ColumnGraphTest, CountsSamplesAndBridges) {
+TEST(ColumnGraphTest, CountsSamples) {
   ColumnGraph graph = ExampleGraph();
   EXPECT_EQ(graph.num_samples(), 5);
-  // Bridges: titles {t1,t2,t3} + headers {player,team,college,votes}.
-  EXPECT_EQ(graph.num_bridges(), 7);
 }
 
 TEST(ColumnGraphTest, NeighborsViaTitleAndHeader) {

@@ -201,7 +201,7 @@ TEST(InferencePlanTest, SteadyStateServeIsZeroAlloc) {
         encoder.Serve(sample.seq.ids, sample.seq.segments, scratch.data(),
                       out.data(), rows);
       };
-      serve();  // Warm-up: seeds the scratch bucket.
+      serve();  // Warm-up: grows the thread's scratch buffer.
       serve();
 
       const tensor::WorkspaceStats ws_before =
@@ -215,7 +215,7 @@ TEST(InferencePlanTest, SteadyStateServeIsZeroAlloc) {
       EXPECT_EQ(heap_after.allocations - heap_before.allocations, 0u)
           << "warmed-up Serve allocated on the heap";
       EXPECT_EQ(ws_after.buffer_misses, ws_before.buffer_misses)
-          << "warmed-up Serve missed the workspace buffer pool";
+          << "warmed-up Serve grew the thread's scratch buffer";
       EXPECT_GT(ws_after.buffer_acquires, ws_before.buffer_acquires);
       ExpectBitEqual(out,
                      std::vector<float>(tape.begin(),

@@ -122,11 +122,11 @@ TEST(InferenceSessionTest, WarmPredictDoesNoTensorHeapAllocation) {
         }
       }
     };
-    run();  // Warm-up: populates the per-thread workspace pool.
-    run();  // Second pass so every bucket has reached its high-water mark.
+    run();  // Warm-up: grows the thread's scratch buffer to its largest call.
+    run();  // Second pass: a warmed buffer serves every call without growing.
 
-    // Steady state: every per-call scratch is served from the
-    // pool — acquires advance, misses (heap fallbacks) do not.
+    // Steady state: every per-call scratch fits the thread's buffer —
+    // acquires advance, misses (heap growths) do not.
     const tensor::WorkspaceStats before = tensor::ThisThreadWorkspaceStats();
     const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
     run();

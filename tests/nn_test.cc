@@ -34,8 +34,10 @@ TEST(LinearTest, ShapesAndBias) {
   tensor::Tensor y = linear.Forward(x);
   EXPECT_EQ(y.shape(), (tensor::Shape{2}));
   // y = W[0,:] + b; bias starts at zero so y equals first weight row.
-  EXPECT_FLOAT_EQ(y.data()[0], linear.weight().data()[0]);
-  EXPECT_FLOAT_EQ(y.data()[1], linear.weight().data()[1]);
+  const tensor::Tensor weight = linear.Parameters()[0];
+  ASSERT_EQ(weight.shape(), (tensor::Shape{3, 2}));
+  EXPECT_FLOAT_EQ(y.data()[0], weight.data()[0]);
+  EXPECT_FLOAT_EQ(y.data()[1], weight.data()[1]);
 }
 
 TEST(LinearTest, BatchedInput) {
@@ -238,7 +240,6 @@ TEST(EncoderServeTest, ClsRowIsBitIdenticalAtBothOutputShapes) {
 TEST(HeadsTest, ClassifierOutputsNumLabels) {
   util::Rng rng(18);
   ClassifierHead head(16, 7, rng);
-  EXPECT_EQ(head.num_labels(), 7);
   tensor::Tensor logits =
       head.Forward(tensor::Tensor::Zeros({16}));
   EXPECT_EQ(logits.shape(), (tensor::Shape{7}));

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -476,6 +477,78 @@ TEST(MetricsTest, JsonSnapshotContainsEveryInstrument) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos) << json;
 }
 
+// Concurrent first lookups of the same names, from threads that walk them
+// in different orders, resolve each name to one instrument, and ToJson
+// lists every name once, sorted, whatever the registration order.
+TEST(MetricsTest, ConcurrentResolutionGivesOneInstrumentPerNameSorted) {
+  MetricsRegistry registry;
+  const std::vector<std::string> names = {"z.last", "a.first", "m.mid",
+                                          "serve.e2e_us", "b.2", "b.10"};
+  constexpr int kThreads = 8;
+  std::vector<std::vector<Counter*>> counters(kThreads);
+  std::vector<std::vector<Histogram*>> histograms(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      counters[t].resize(names.size());
+      histograms[t].resize(names.size());
+      for (size_t k = 0; k < names.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t)) % names.size();
+        counters[t][i] = registry.GetCounter(names[i]);
+        counters[t][i]->Increment();
+        histograms[t][i] = registry.GetHistogram(
+            names[i] + ".h", Histogram::LinearBuckets(1, 1, 4));
+        histograms[t][i]->Record(2);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t i = 0; i < names.size(); ++i) {
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(counters[t][i], counters[0][i]) << names[i];
+      EXPECT_EQ(histograms[t][i], histograms[0][i]) << names[i];
+    }
+    EXPECT_EQ(counters[0][i]->Value(), kThreads) << names[i];
+    EXPECT_EQ(histograms[0][i]->Count(), kThreads) << names[i];
+  }
+
+  std::vector<std::string> sorted = names;
+  std::sort(sorted.begin(), sorted.end());
+  const std::string json = registry.ToJson();
+  const size_t histograms_at = json.find("\"histograms\"");
+  ASSERT_NE(histograms_at, std::string::npos) << json;
+  size_t counter_at = 0;
+  size_t histogram_at = histograms_at;
+  for (const std::string& name : sorted) {
+    const size_t c = json.find("\"" + name + "\": " +
+                               std::to_string(kThreads));
+    ASSERT_NE(c, std::string::npos) << name << " in " << json;
+    EXPECT_GT(c, counter_at) << name << " out of order in " << json;
+    EXPECT_LT(c, histograms_at) << json;
+    counter_at = c;
+    const size_t h = json.find("\"" + name + ".h\": {", histograms_at);
+    ASSERT_NE(h, std::string::npos) << name << " in " << json;
+    EXPECT_GT(h, histogram_at) << name << " out of order in " << json;
+    histogram_at = h;
+  }
+}
+
+TEST(MetricsTest, JsonLayoutIsPinned) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.ToJson(), "{\"counters\": {}, \"histograms\": {}}");
+  registry.GetCounter("b")->Increment(2);
+  registry.GetCounter("a")->Increment();
+  registry.GetHistogram("h", Histogram::LinearBuckets(10, 10, 2))->Record(5);
+  EXPECT_EQ(registry.ToJson(),
+            "{\"counters\": {\"a\": 1, \"b\": 2}, \"histograms\": "
+            "{\"h\": {\"count\": 1, \"mean\": 5, \"p50\": 5, "
+            "\"p90\": 5, \"p99\": 5}}}");
+}
+
 TEST(MetricsTest, HistogramPercentileBracketsRecordedValues) {
   Histogram histogram(Histogram::LinearBuckets(10, 10, 20));  // 10..200.
   for (int v = 1; v <= 100; ++v) histogram.Record(v);
@@ -809,12 +882,10 @@ TEST(ResponseCacheTest, LruEvictsWithinShardAndCountsEverything) {
   EXPECT_FALSE(cache.Lookup(key(2), SeqOf(2), &out));
   EXPECT_TRUE(cache.Lookup(key(1), SeqOf(1), &out));
   EXPECT_TRUE(cache.Lookup(key(3), SeqOf(3), &out));
-  EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(cache.size(), 2);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0);
   EXPECT_FALSE(cache.Lookup(key(1), SeqOf(1), &out));
-  EXPECT_EQ(cache.evictions(), 1);  // The counter survives Clear().
 }
 
 TEST(ResponseCacheTest, CollidingKeyWithDifferentContentIsAMiss) {
@@ -850,7 +921,6 @@ TEST(ResponseCacheTest, CapacityIsExactRegardlessOfShardCount) {
   options.capacity = 4;
   options.num_shards = 8;
   ResponseCache cache(options);
-  EXPECT_EQ(cache.capacity(), 4);
 
   ServeResponse response;
   response.status = util::Status::OK();
@@ -861,7 +931,6 @@ TEST(ResponseCacheTest, CapacityIsExactRegardlessOfShardCount) {
   };
   for (int i = 1; i <= 64; ++i) insert(cache, i);
   EXPECT_EQ(cache.size(), 4);
-  EXPECT_EQ(cache.evictions(), 60);
 
   // Non-divisible capacity: the remainder is distributed, so the shard
   // bounds sum to exactly the configured capacity (not rounded down).
@@ -1171,7 +1240,7 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
 // ---------------------------------------------------------------------------
 // Steady-state worker loop allocation discipline: the batch-execution
 // body must perform zero scratch heap allocations (every per-call scratch
-// comes from the per-thread Workspace pool) and its
+// comes from the thread's grow-only scratch buffer) and its
 // remaining heap traffic (response envelopes, id vectors) must be exactly
 // repeatable.
 // ---------------------------------------------------------------------------
@@ -1194,8 +1263,8 @@ TEST(ServeAllocTest, SteadyStateExecuteBatchIsZeroTensorAlloc) {
   }
 
   auto run = [&] { InferenceServer::ExecuteBatch(session, batch, nullptr); };
-  run();  // Warm-up: populates the per-thread workspace arena.
-  run();  // Second pass so every bucket reaches its high-water mark.
+  run();  // Warm-up: grows the thread's scratch buffer to its largest call.
+  run();  // Second pass: a warmed buffer serves every call without growing.
 
   const tensor::WorkspaceStats before = tensor::ThisThreadWorkspaceStats();
   const util::AllocCounts heap_before = util::ThisThreadAllocCounts();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "tensor/gelu.h"
 #include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 #include "util/alloc_counter.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -505,6 +507,39 @@ TEST(ServingGemmTest, EachRowMatchesItsSingleRowProduct) {
     }
   }
   util::SetGlobalThreadCount(restore_threads);
+}
+
+// A thread warmed by its largest call serves a smaller one, then the
+// large one again, from the same buffer: no growth, no heap allocation.
+// A fresh thread keeps other tests' scratch out of the counts.
+TEST(ScratchBufferTest, SmallerCallBetweenLargeOnesNeitherGrowsNorAllocates) {
+  constexpr size_t kLarge = 1000;
+  std::thread([] {
+    { ScratchBuffer warm(kLarge); }
+    const WorkspaceStats before = ThisThreadWorkspaceStats();
+    EXPECT_EQ(before.buffer_misses, 1);
+    const util::ScopedAllocCounter allocs;
+    for (const size_t n : {kLarge / 2 - 1, kLarge}) {
+      ScratchBuffer scratch(n);
+      EXPECT_EQ(scratch.size(), n);
+      scratch.data()[n - 1] = 1.0f;
+    }
+    const WorkspaceStats after = ThisThreadWorkspaceStats();
+    EXPECT_EQ(after.buffer_acquires - before.buffer_acquires, 2);
+    EXPECT_EQ(after.buffer_misses - before.buffer_misses, 0);
+    EXPECT_EQ(allocs.Delta().allocations, 0);
+  }).join();
+}
+
+// Two live buffers on one thread would alias the one thread buffer.
+TEST(ScratchBufferDeathTest, SecondLiveBufferOnOneThreadAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ScratchBuffer first(8);
+        ScratchBuffer second(8);
+      },
+      "second live ScratchBuffer");
 }
 
 }  // namespace

@@ -27,17 +27,25 @@ namespace {
 using testing::GlobalPoolGuard;
 
 TEST(ThreadPoolTest, ConstructionAndTeardown) {
-  // Pools of every small size construct, report their size, and join
-  // cleanly — including repeated construction (worker leak check).
+  // Pools of every small size construct, split a range into one chunk
+  // per participant, and join cleanly — including repeated construction
+  // (worker leak check). 840 divides evenly by every size 1..8.
+  const auto chunks = [](ThreadPool& pool) {
+    std::atomic<int> count{0};
+    pool.ParallelFor(0, 840, [&count](int64_t, int64_t) { ++count; });
+    return count.load();
+  };
   for (int round = 0; round < 3; ++round) {
     for (int n = 1; n <= 8; ++n) {
       ThreadPool pool(n);
-      EXPECT_EQ(pool.num_threads(), n);
+      EXPECT_EQ(chunks(pool), n);
     }
   }
   // Non-positive requests clamp to a single participant.
-  EXPECT_EQ(ThreadPool(0).num_threads(), 1);
-  EXPECT_EQ(ThreadPool(-3).num_threads(), 1);
+  ThreadPool zero(0);
+  EXPECT_EQ(chunks(zero), 1);
+  ThreadPool negative(-3);
+  EXPECT_EQ(chunks(negative), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForMatchesSerialOnUnevenRanges) {
