@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
+#include "core/inference_session.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -45,10 +46,10 @@ void SweepAlphaBeta(const bench::Scale& scale,
     model.Fit();
     printer.AddRow(
         {util::FormatDouble(weight, 2),
-         bench::F3(model.Evaluate(core::TaskKind::kType,
-                                  data::SplitPart::kTest).weighted),
-         bench::F3(model.Evaluate(core::TaskKind::kRelation,
-                                  data::SplitPart::kTest).weighted)});
+         bench::F3(model.session().Evaluate(core::TaskKind::kType,
+                                            data::SplitPart::kTest).weighted),
+         bench::F3(model.session().Evaluate(core::TaskKind::kRelation,
+                                            data::SplitPart::kTest).weighted)});
     std::cerr << "[fig7] alpha=beta=" << weight << " done\n";
   }
   std::cout << "--- Figure 7(a,b): sensitivity to loss weights ---\n";
@@ -66,10 +67,10 @@ void SweepSampleSize(const bench::Scale& scale,
     model.Fit();
     printer.AddRow(
         {std::to_string(r),
-         bench::F3(model.Evaluate(core::TaskKind::kType,
-                                  data::SplitPart::kTest).weighted),
-         bench::F3(model.Evaluate(core::TaskKind::kRelation,
-                                  data::SplitPart::kTest).weighted)});
+         bench::F3(model.session().Evaluate(core::TaskKind::kType,
+                                            data::SplitPart::kTest).weighted),
+         bench::F3(model.session().Evaluate(core::TaskKind::kRelation,
+                                            data::SplitPart::kTest).weighted)});
     std::cerr << "[fig7] r=" << r << " done\n";
   }
   std::cout << "--- Figure 7(c,d): sensitivity to SE sample size r ---\n";

@@ -1,14 +1,13 @@
-// Measures the no-grad InferenceSession serving path against the
-// tape-building eval path on the same weights: per-call Predict/Explain
-// latency (p50/p99 over a few hundred calls), heap allocations per call,
-// and the steady-state scratch ("arena") miss count: how often a call
-// had to grow its thread's scratch buffer. Emits
+// Measures the InferenceSession serving path against the tape-building
+// eval path on the same weights ("plan_vs_tape"): the session's batched
+// entry points against the tape oracle (ExplainTiModel::Predict/
+// PredictProbabilities/Explain looped over the same batch), per method
+// and per batch size. Each cell reports p50/p99 latency per batch call,
+// heap allocations per call, and the steady-state scratch ("arena") miss
+// count: how often a call had to grow its thread's scratch buffer. Emits
 // BENCH_inference.json.
 //
-// It also measures plan-vs-tape: the session's batched entry points
-// against the tape oracle (ExplainTiModel::Predict/PredictProbabilities/
-// Explain looped over the same batch), per method and per batch size,
-// plus the raw encoder (nn::TransformerEncoder::Serve on caller-owned
+// It also measures the raw encoder (nn::TransformerEncoder::Serve on caller-owned
 // buffers, reported under "encoder_serve") in both output shapes:
 // rows = 1, what Predict and EncodeBatch run, and rows = len, what
 // Explain runs. ci/check_bench.py reads the JSON and fails the release
@@ -26,7 +25,8 @@
 //
 // Besides timing, the run asserts the session is bit-identical to the
 // tape (the contract the golden tests prove in miniature) and that
-// warmed-up serving never grows its thread's scratch buffer.
+// warmed-up serving never grows its thread's scratch buffer (the batch-1
+// session cells).
 
 #include <algorithm>
 #include <atomic>
@@ -59,7 +59,7 @@ struct PathStats {
   double p99_us = 0.0;
   double mean_us = 0.0;
   double allocs_per_call = 0.0;
-  int64_t arena_misses = 0;  // Meaningful for the no-grad path only.
+  int64_t arena_misses = 0;  // Meaningful for the session path only.
 };
 
 double ChecksumFloats(const std::vector<float>& v) {
@@ -192,57 +192,42 @@ int main() {
        id < static_cast<int>(task.samples.size()) && ids.size() < 20; id += 2) {
     ids.push_back(id);
   }
-  const int kRounds = 25;  // 20 ids x 25 rounds = 500 calls per path.
 
   // Bit-equality gate before timing: the session must serve exactly what
   // the tape path serves.
   for (int id : ids) {
     const double tape = ChecksumFloats(
         model.PredictProbabilities(core::TaskKind::kType, id));
-    const double nograd = ChecksumFloats(
+    const double session_sum = ChecksumFloats(
         session.PredictProbabilities(core::TaskKind::kType, id));
-    CHECK_EQ(tape, nograd) << "no-grad probabilities drifted on sample " << id;
+    CHECK_EQ(tape, session_sum)
+        << "session probabilities drifted on sample " << id;
     CHECK(session.Predict(core::TaskKind::kType, id) ==
           model.Predict(core::TaskKind::kType, id))
         << "session Predict diverged on sample " << id;
   }
 
-  auto tape_predict_call = [&](int id) { model.Predict(core::TaskKind::kType, id); };
-  auto nograd_predict_call = [&](int id) { session.Predict(core::TaskKind::kType, id); };
-  auto tape_explain_call = [&](int id) { model.Explain(core::TaskKind::kType, id); };
-  auto nograd_explain_call = [&](int id) { session.Explain(core::TaskKind::kType, id); };
+  auto tape_predict_call = [&](int id) {
+    model.Predict(core::TaskKind::kType, id);
+  };
+  auto tape_explain_call = [&](int id) {
+    model.Explain(core::TaskKind::kType, id);
+  };
 
-  // Warm-up: two full passes per path so the arena (no-grad) and the
-  // allocator reach their steady state before anything is measured.
+  // Warm-up: two full passes over every session entry point and tape path
+  // so the scratch buffer and the allocator reach their steady state
+  // before anything is measured.
   for (int r = 0; r < 2; ++r) {
     for (int id : ids) {
+      const std::vector<int> one = {id};
       tape_predict_call(id);
-      nograd_predict_call(id);
+      model.PredictProbabilities(core::TaskKind::kType, id);
       tape_explain_call(id);
-      nograd_explain_call(id);
+      session.PredictBatch(core::TaskKind::kType, one);
+      session.PredictProbabilitiesBatch(core::TaskKind::kType, one);
+      session.ExplainBatch(core::TaskKind::kType, one);
     }
   }
-
-  // Interleave the four measured paths round by round: this container's
-  // background load drifts on a seconds scale, and interleaving spreads
-  // that drift evenly instead of letting it bias whichever path happened
-  // to run during a slow window.
-  const size_t calls = ids.size() * kRounds;
-  PathMeter tape_predict_m(calls), nograd_predict_m(calls),
-      tape_explain_m(calls), nograd_explain_m(calls);
-  for (int r = 0; r < kRounds; ++r) {
-    tape_predict_m.MeasureRound(ids, tape_predict_call);
-    nograd_predict_m.MeasureRound(ids, nograd_predict_call);
-    tape_explain_m.MeasureRound(ids, tape_explain_call);
-    nograd_explain_m.MeasureRound(ids, nograd_explain_call);
-  }
-  const PathStats tape_predict = tape_predict_m.Stats();
-  const PathStats nograd_predict = nograd_predict_m.Stats();
-  const PathStats tape_explain = tape_explain_m.Stats();
-  const PathStats nograd_explain = nograd_explain_m.Stats();
-
-  CHECK_EQ(nograd_predict.arena_misses, 0)
-      << "warmed-up no-grad Predict fell back to the heap";
 
   // -- Plan vs tape, per method and batch size ----------------------------
   const std::vector<size_t> kBatchSizes = {1, 4, 8};
@@ -275,6 +260,11 @@ int main() {
           session.ExplainBatch(core::TaskKind::kType, b);
         },
         tape_explain_call));
+  }
+  for (const MethodRow& row : matrix) {
+    CHECK_EQ(row.cells[0].plan.arena_misses, 0)
+        << "warmed-up session " << row.name
+        << " grew the thread's scratch buffer";
   }
 
   // -- Raw encoder: Serve on caller-owned buffers --------------------------
@@ -391,19 +381,6 @@ int main() {
   server.Shutdown();
   const double capacity_speedup = closed_loop_rps / sequential_rps;
 
-  const double predict_speedup = tape_predict.p50_us / nograd_predict.p50_us;
-  const double explain_speedup = tape_explain.p50_us / nograd_explain.p50_us;
-  std::cerr << "[inference] Predict tape p50=" << tape_predict.p50_us
-            << "us no-grad p50=" << nograd_predict.p50_us << "us speedup="
-            << predict_speedup << "x\n";
-  std::cerr << "[inference] Explain tape p50=" << tape_explain.p50_us
-            << "us no-grad p50=" << nograd_explain.p50_us << "us speedup="
-            << explain_speedup << "x\n";
-  std::cerr << "[inference] no-grad allocations/call: Predict="
-            << nograd_predict.allocs_per_call
-            << " (tape " << tape_predict.allocs_per_call << "), Explain="
-            << nograd_explain.allocs_per_call << " (tape "
-            << tape_explain.allocs_per_call << ")\n";
   for (const MethodRow& row : matrix) {
     for (size_t bi = 0; bi < kBatchSizes.size(); ++bi) {
       const MatrixCell& cell = row.cells[bi];
@@ -426,15 +403,6 @@ int main() {
   std::ofstream json("BENCH_inference.json");
   CHECK(json.good()) << "cannot open BENCH_inference.json";
   json << "{\n  " << explainti::bench::HostMetaJson()
-       << ",\n  \"calls_per_path\": " << ids.size() * kRounds
-       << ",\n  \"predict\": {\n";
-  EmitPath(json, "tape", tape_predict, false);
-  EmitPath(json, "nograd", nograd_predict, true);
-  json << "  },\n  \"predict_p50_speedup\": " << predict_speedup
-       << ",\n  \"explain\": {\n";
-  EmitPath(json, "tape", tape_explain, false);
-  EmitPath(json, "nograd", nograd_explain, true);
-  json << "  },\n  \"explain_p50_speedup\": " << explain_speedup
        << ",\n  \"plan_vs_tape\": {\n";
   for (size_t mi = 0; mi < matrix.size(); ++mi) {
     json << "    \"" << matrix[mi].name << "\": {\n";

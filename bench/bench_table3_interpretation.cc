@@ -19,6 +19,7 @@
 #include "baselines/tcn.h"
 #include "baselines/turl.h"
 #include "bench/bench_common.h"
+#include "core/inference_session.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -134,16 +135,16 @@ int main() {
       {
         core::ExplainTiModel model(config, wiki);
         model.Fit();
-        scores.wiki_type = model.Evaluate(core::TaskKind::kType,
-                                          data::SplitPart::kTest);
-        scores.wiki_rel = model.Evaluate(core::TaskKind::kRelation,
-                                         data::SplitPart::kTest);
+        scores.wiki_type = model.session().Evaluate(core::TaskKind::kType,
+                                                    data::SplitPart::kTest);
+        scores.wiki_rel = model.session().Evaluate(core::TaskKind::kRelation,
+                                                   data::SplitPart::kTest);
       }
       {
         core::ExplainTiModel model(config, git);
         model.Fit();
-        scores.git_type = model.Evaluate(core::TaskKind::kType,
-                                         data::SplitPart::kTest);
+        scores.git_type = model.session().Evaluate(core::TaskKind::kType,
+                                                   data::SplitPart::kTest);
       }
       AddRow(printer, display + variant.suffix, scores);
       std::cerr << "[table3] " << display << variant.suffix << " done in "

@@ -76,9 +76,10 @@ case "$JOB" in
     # against the tape oracle, plus a self-test that a corrupted reference
     # is caught. This guards the one serving path end to end.
     python3 "$ROOT/bench/e2e/run.py" --smoke
-    # Serving benchmark: tape vs no-grad per-call latency and allocation
-    # counts, the session-vs-tape matrix, and the InferenceServer's
-    # closed-loop capacity against sequential Predict. It hard-fails if
+    # Serving benchmark: the session-vs-tape matrix (latency and
+    # allocation counts per method and batch size), the raw encoder, and
+    # the InferenceServer's closed-loop capacity against sequential
+    # Predict. It hard-fails if
     # the session's outputs are not bit-identical to the tape or a
     # warmed-up fast path misses the arena.
     (cd "$BUILD" && ./bench/bench_inference_session)

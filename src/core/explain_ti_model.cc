@@ -829,7 +829,7 @@ FitStats ExplainTiModel::Fit() {
     float valid_f1 = 0.0f;
     for (TaskKind kind : tasks) {
       valid_f1 += static_cast<float>(
-          Evaluate(kind, data::SplitPart::kValid).weighted);
+          session_->Evaluate(kind, data::SplitPart::kValid).weighted);
     }
     valid_f1 /= static_cast<float>(tasks.size());
     if (std::isfinite(valid_f1) && valid_f1 > stats.best_valid_f1) {
@@ -888,7 +888,7 @@ std::vector<int> ExplainTiModel::DecodeLabels(
 std::vector<int> ExplainTiModel::Predict(TaskKind kind, int sample_id) const {
   // Fast path: LE/GE do not change the final logits; skip them via the
   // explicit-flags forward (no shared-state mutation, so concurrent
-  // Predict calls from Evaluate's parallel loop are safe). This is the
+  // Predict calls are safe). This is the
   // tape-building reference path the golden tests compare the no-grad
   // InferenceSession against.
   util::Rng rng(InferenceSeed(sample_id));
@@ -956,13 +956,6 @@ util::Status ExplainTiModel::LoadWeights(const std::string& path) {
   RestoreParams(weights->params, &params);
   RestoreStores();
   return util::Status::OK();
-}
-
-eval::F1Scores ExplainTiModel::Evaluate(TaskKind kind,
-                                        data::SplitPart part) const {
-  // Routed through the no-grad session: bit-identical predictions to the
-  // tape path, without paying for tape construction per sample.
-  return session_->Evaluate(kind, part);
 }
 
 }  // namespace explainti::core

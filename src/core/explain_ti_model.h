@@ -55,8 +55,8 @@ struct FitStats {
 /// Typical usage:
 ///   ExplainTiModel model(config, corpus);
 ///   model.Fit();
-///   eval::F1Scores f1 = model.Evaluate(TaskKind::kType,
-///                                      data::SplitPart::kTest);
+///   eval::F1Scores f1 = model.session().Evaluate(TaskKind::kType,
+///                                                data::SplitPart::kTest);
 ///   Explanation z = model.Explain(TaskKind::kType, sample_id);
 class ExplainTiModel {
  public:
@@ -83,10 +83,6 @@ class ExplainTiModel {
   /// Does this model have the given task (relation is absent on
   /// database-table corpora)?
   bool HasTask(TaskKind kind) const;
-
-  /// Test/valid/train F1 for one task. Routed through the no-grad
-  /// InferenceSession (bit-identical to the tape path).
-  eval::F1Scores Evaluate(TaskKind kind, data::SplitPart part) const;
 
   /// Predicted label ids for one sample (no explanation overhead). This is
   /// the tape-building reference path; serving should go through
@@ -202,7 +198,7 @@ class ExplainTiModel {
   /// for dropout and SE neighbour sampling. The three-argument form runs
   /// with the configured explanation modules; the explicit form lets
   /// Predict() skip LE/GE (they never change the final logits) without
-  /// mutating shared state, which keeps concurrent Evaluate() calls
+  /// mutating shared state, which keeps concurrent Predict() calls
   /// race-free.
   Forward RunForward(TaskKind kind, int sample_id,
                      const nn::ExecContext& ctx) const {

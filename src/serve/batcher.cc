@@ -36,7 +36,7 @@ util::Status MicroBatcher::Push(PendingRequest pending,
         victim_priority = p;
       }
     }
-    if (victim == queue_.size() || preempted == nullptr) {
+    if (victim == queue_.size()) {
       return util::Status::ResourceExhausted(
           "admission queue full (max_queue_depth=" +
           std::to_string(options_.max_queue_depth) + ")");

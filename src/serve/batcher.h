@@ -64,11 +64,10 @@ class MicroBatcher {
   /// Shutdown; in both cases the callback is NOT invoked and ownership
   /// stays with the caller. When the queue is full but holds work of a
   /// strictly lower priority class, the youngest such request is moved
-  /// into `*preempted` (when non-null; with a null `preempted` the push
-  /// is rejected instead — no request is ever silently dropped) and the
-  /// new request is admitted; the caller owns failing the victim.
+  /// into `*preempted` and the new request is admitted; the caller owns
+  /// failing the victim.
   util::Status Push(PendingRequest pending,
-                    std::vector<PendingRequest>* preempted = nullptr);
+                    std::vector<PendingRequest>* preempted);
 
   /// Blocks until work is queued, then fills `batch` (one coalesced,
   /// compatible batch; empty only when every queued request had expired)

@@ -5,6 +5,7 @@
 #include <list>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/request.h"
@@ -17,20 +18,21 @@ namespace explainti::serve {
 /// the completed/batch counters), so callers opt in explicitly.
 struct CacheOptions {
   bool enabled = false;
-  /// Total cached entries across all shards; at capacity each shard
-  /// evicts its own least-recently-used entry.
+  /// Cached entries; at capacity an insert evicts the least-recently-used
+  /// entry.
   int64_t capacity = 1024;
-  /// Independently locked shards. Lookups hash the key to one shard, so
-  /// concurrent workers on different keys rarely contend. Clamped to
-  /// `capacity` so the shard capacities always sum exactly to it.
-  int num_shards = 8;
 };
 
-/// Bounded, lock-sharded LRU cache of fully-computed serve responses,
-/// keyed on (method, task, input-hash).
+/// Bounded LRU cache of fully-computed serve responses, keyed on
+/// (method, task, input-hash): one mutex over one recency list and one
+/// index. Each caller — a submitting thread on Lookup, a server worker
+/// on Insert — holds the lock for one list splice and one payload copy,
+/// so `capacity` is one global LRU bound and one lock serves the
+/// handful of threads that touch the cache.
 ///
 /// Keying on the *content hash* of the serialised input (util::HashInts
-/// over the sample's token ids + segments) rather than the sample id
+/// over the token ids + segments of every sample the request reads)
+/// rather than the sample id
 /// means repeated tables dedupe even when clients address them through
 /// different sample ids, and an id remapped to different content never
 /// serves stale data.
@@ -81,32 +83,25 @@ class ResponseCache {
   /// the primary candidate — so a QA entry can never answer a different
   /// query, nor collide with an Explain entry for the same table (the
   /// method is part of the key AND a QA lookup without a stored query is
-  /// a miss). Also returns false on a plain miss, leaving `*out`
-  /// untouched.
-  bool Lookup(const Key& key, const text::EncodedSequence& input,
-              ServeResponse* out) {
-    return Lookup(key, input, /*query=*/nullptr, out);
-  }
+  /// a miss). `query` is null for every other method. Also returns false
+  /// on a plain miss, leaving `*out` untouched.
   bool Lookup(const Key& key, const text::EncodedSequence& input,
               const qa::QaQuery* query, ServeResponse* out);
 
   /// Inserts (or refreshes) the payload of `response` under `key`,
-  /// storing `input` for hit-time verification and evicting the shard's
-  /// LRU entry at capacity. `key.input_hash` must be the hash of `input`
+  /// storing `input` for hit-time verification and evicting the LRU
+  /// entry at capacity. `key.input_hash` must be the hash of `input`
   /// (plus the query, for kQaAnswer). Pass the request's query for QA
-  /// entries; it is stored for hit-time verification. Only OK responses
-  /// are cacheable; callers must not insert rejected/shed responses.
-  void Insert(const Key& key, const text::EncodedSequence& input,
-              const ServeResponse& response) {
-    Insert(key, input, /*query=*/nullptr, response);
-  }
+  /// entries (null otherwise); it is stored for hit-time verification.
+  /// Only OK responses are cacheable; callers must not insert
+  /// rejected/shed responses.
   void Insert(const Key& key, const text::EncodedSequence& input,
               const qa::QaQuery* query, const ServeResponse& response);
 
   /// Drops every entry (model hot-swap invalidation).
   void Clear();
 
-  /// Current cached entries across all shards.
+  /// Current cached entries.
   int64_t size() const;
 
  private:
@@ -138,22 +133,13 @@ class ResponseCache {
                                  (static_cast<uint64_t>(key.task) << 60));
     }
   };
-  struct Shard {
-    std::mutex mu;
-    /// This shard's entry bound; shard capacities sum to capacity_.
-    int64_t capacity = 0;
-    /// Most-recently-used at the front.
-    std::list<std::pair<Key, Payload>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, Payload>>::iterator,
-                       KeyHash>
-        index;
-  };
-
-  Shard& ShardFor(const Key& key);
+  using Entry = std::pair<Key, Payload>;
 
   const int64_t capacity_;
-  const int num_shards_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  /// Most-recently-used at the front; guarded by mu_ like index_.
+  std::list<Entry> lru_;
+  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
 };
 
 }  // namespace explainti::serve

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/explanation.h"
@@ -60,7 +61,8 @@ struct ServeRequest {
   int sample_id = -1;
   /// kQaAnswer only: the structured query. Submit derives `task` from the
   /// query kind and `sample_id` from its first candidate, so QA requests
-  /// flow through the same admission/batching/quota machinery.
+  /// flow through the same admission/batching/quota machinery (see
+  /// SampleIdsOf).
   qa::QaQuery qa;
   /// Caller-chosen id echoed in the response, for request tracing across
   /// queue/batch/worker boundaries.
@@ -116,6 +118,14 @@ struct PendingRequest {
   /// when the response cache is enabled (0 = not hashed / cache off).
   uint64_t input_hash = 0;
 };
+
+/// The samples `request` reads: a QA query's candidates, otherwise its
+/// one sample_id. Admission range-checks and hashes exactly these ids,
+/// and a batch re-checks them against the generation it executes on.
+inline std::span<const int> SampleIdsOf(const ServeRequest& request) {
+  if (request.method == ServeMethod::kQaAnswer) return request.qa.sample_ids;
+  return {&request.sample_id, 1};
+}
 
 /// Can `a` and `b` ride in the same coalesced batch?
 inline bool CompatibleForBatch(const ServeRequest& a, const ServeRequest& b) {

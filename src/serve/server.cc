@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <string>
 #include <utility>
@@ -41,14 +42,35 @@ ServeMetrics::ServeMetrics(MetricsRegistry* registry)
       qa_teacher_us(registry, "qa.teacher_us",
                     Histogram::LatencyBucketsUs()) {}
 
-InferenceServer::TenantMetrics::TenantMetrics(MetricsRegistry* registry,
-                                              const std::string& tenant)
-    : accepted(registry, "serve.tenant." + tenant + ".accepted"),
-      qa_accepted(registry, "serve.tenant." + tenant + ".qa_accepted"),
-      rejected_quota(registry, "serve.tenant." + tenant + ".rejected_quota"),
-      rejected_queue_full(registry,
-                          "serve.tenant." + tenant + ".rejected_queue_full"),
-      preempted(registry, "serve.tenant." + tenant + ".preempted") {}
+namespace {
+
+// True when `request` names at least one sample and every sample it
+// reads lies in [0, num_samples).
+bool SamplesInRange(const ServeRequest& request, int num_samples) {
+  const std::span<const int> ids = SampleIdsOf(request);
+  return !ids.empty() && std::all_of(ids.begin(), ids.end(), [&](int id) {
+    return id >= 0 && id < num_samples;
+  });
+}
+
+// The query a cache entry is verified against: QA entries only.
+const qa::QaQuery* CachedQuery(const ServeRequest& request) {
+  return request.method == ServeMethod::kQaAnswer ? &request.qa : nullptr;
+}
+
+}  // namespace
+
+InferenceServer::Tenant::Tenant(MetricsRegistry* registry,
+                                const TenantOptions& options)
+    : priority(options.priority),
+      bucket(options),
+      accepted(registry, "serve.tenant." + options.name + ".accepted"),
+      qa_accepted(registry, "serve.tenant." + options.name + ".qa_accepted"),
+      rejected_quota(registry,
+                     "serve.tenant." + options.name + ".rejected_quota"),
+      rejected_queue_full(
+          registry, "serve.tenant." + options.name + ".rejected_queue_full"),
+      preempted(registry, "serve.tenant." + options.name + ".preempted") {}
 
 InferenceServer::InferenceServer(const core::InferenceSession& session,
                                  const ServerOptions& options,
@@ -65,8 +87,8 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
   CHECK(options_.num_workers >= 0) << "num_workers must be >= 0";
   if (options_.tenants != nullptr) {
     for (int id = 0; id < options_.tenants->size(); ++id) {
-      tenant_metrics_.push_back(std::make_unique<TenantMetrics>(
-          metrics_, options_.tenants->options(id).name));
+      tenants_.push_back(
+          std::make_unique<Tenant>(metrics_, options_.tenants->options(id)));
     }
   }
   current_ = std::make_shared<Generation>();
@@ -87,11 +109,6 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
 
 InferenceServer::~InferenceServer() { Shutdown(); }
 
-InferenceServer::TenantMetrics* InferenceServer::ForTenant(int tenant_id) {
-  if (tenant_metrics_.empty()) return nullptr;
-  return tenant_metrics_[static_cast<size_t>(tenant_id)].get();
-}
-
 util::Status InferenceServer::Submit(ServeRequest request,
                                      ServeCallback on_done) {
   CHECK(on_done) << "Submit requires a completion callback";
@@ -103,25 +120,25 @@ util::Status InferenceServer::Submit(ServeRequest request,
     return fault;
   }
 
-  // Tenant admission: unknown tenants are invalid; the tenant's
-  // registered class overrides the request's self-declared priority
-  // (noisy neighbours cannot self-promote); over-quota tenants are shed
-  // here, before the request touches the queue or any compute.
-  if (options_.tenants != nullptr) {
-    // A tenant registered after construction has no resolved counters,
-    // so it is as unknown here as one never registered.
-    if (!options_.tenants->Contains(request.tenant_id) ||
-        request.tenant_id >= static_cast<int>(tenant_metrics_.size())) {
+  // Tenant admission, from the table resolved at construction: unknown
+  // tenants are invalid; the tenant's registered class overrides the
+  // request's self-declared priority (noisy neighbours cannot
+  // self-promote); over-quota tenants are shed here, before the request
+  // touches the queue or any compute.
+  Tenant* tenant = nullptr;
+  if (!tenants_.empty()) {
+    if (request.tenant_id < 0 ||
+        request.tenant_id >= static_cast<int>(tenants_.size())) {
       serve_metrics_.rejected_invalid.Increment();
       return util::Status::InvalidArgument(
           "unknown tenant_id " + std::to_string(request.tenant_id));
     }
-    request.priority = options_.tenants->options(request.tenant_id).priority;
-    util::Status quota = options_.tenants->Admit(request.tenant_id,
-                                                 util::MonotonicNowUs());
+    tenant = tenants_[static_cast<size_t>(request.tenant_id)].get();
+    request.priority = tenant->priority;
+    util::Status quota = tenant->bucket.Admit(util::MonotonicNowUs());
     if (!quota.ok()) {
       serve_metrics_.rejected_quota.Increment();
-      ForTenant(request.tenant_id)->rejected_quota.Increment();
+      tenant->rejected_quota.Increment();
       return quota;
     }
   }
@@ -151,24 +168,32 @@ util::Status InferenceServer::Submit(ServeRequest request,
   {
     std::shared_ptr<Generation> generation = PinGeneration();
     const core::InferenceSession& session = *generation->session;
-    if (request.method == ServeMethod::kQaAnswer) {
-      if (!options_.qa.enabled) {
+    if (request.method == ServeMethod::kQaAnswer && !options_.qa.enabled) {
+      valid = util::Status::InvalidArgument(
+          "QA serving is not enabled on this server");
+    } else if (!session.HasTask(request.task)) {
+      valid = util::Status::InvalidArgument("task not available on this model");
+    } else {
+      const core::TaskData& task = session.task_data(request.task);
+      if (!SamplesInRange(request, static_cast<int>(task.samples.size()))) {
         valid = util::Status::InvalidArgument(
-            "QA serving is not enabled on this server");
-      } else {
+            "sample ids out of range [0, " +
+            std::to_string(task.samples.size()) + ")");
+      } else if (request.method == ServeMethod::kQaAnswer) {
         valid = qa::ValidateQuery(session, request.qa);
       }
       if (valid.ok() && cache_ != nullptr) {
-        // QA cache key: the query's parameters plus the serialised
-        // content of EVERY candidate — two queries differing in any
-        // candidate, target label, or top_k can never share a key, and
-        // the method field already separates QA entries from an Explain
-        // entry over the same table.
-        const core::TaskData& task = session.task_data(request.task);
-        uint64_t hash = util::HashInts(
-            {static_cast<int>(request.qa.kind), request.qa.label_id,
-             request.qa.top_k});
-        for (int id : request.qa.sample_ids) {
+        // Response cache: key on the *content* of every sample the
+        // request reads (token ids + segments), seeded for QA with the
+        // query's parameters, so queries differing in any candidate,
+        // target label, or top_k never share a key. A hit completes
+        // inline, bit-identical to the insert-time computation.
+        uint64_t hash = request.method == ServeMethod::kQaAnswer
+                            ? util::HashInts({static_cast<int>(request.qa.kind),
+                                              request.qa.label_id,
+                                              request.qa.top_k})
+                            : util::kFnv64OffsetBasis;
+        for (int id : SampleIdsOf(request)) {
           const text::EncodedSequence& seq =
               task.samples[static_cast<size_t>(id)].seq;
           hash = util::HashInts(seq.ids, hash);
@@ -177,30 +202,9 @@ util::Status InferenceServer::Submit(ServeRequest request,
         pending.input_hash = hash;
         cache_hit = cache_->Lookup(
             {request.method, request.task, hash},
-            task.samples[static_cast<size_t>(request.sample_id)].seq,
-            &request.qa, &hit);
-      }
-    } else if (!session.HasTask(request.task)) {
-      valid = util::Status::InvalidArgument("task not available on this model");
-    } else {
-      const core::TaskData& task = session.task_data(request.task);
-      if (request.sample_id < 0 ||
-          request.sample_id >= static_cast<int>(task.samples.size())) {
-        valid = util::Status::InvalidArgument(
-            "sample_id " + std::to_string(request.sample_id) +
-            " out of range [0, " + std::to_string(task.samples.size()) + ")");
-      } else if (cache_ != nullptr) {
-        // Response cache: key on the *content* of the serialised input
-        // (token ids + segments), so repeated tables short-circuit the
-        // queue entirely. A hit completes inline, bit-identical to the
-        // insert-time computation.
-        const text::EncodedSequence& seq =
-            task.samples[request.sample_id].seq;
-        uint64_t hash = util::HashInts(seq.ids);
-        hash = util::HashInts(seq.segments, hash);
-        pending.input_hash = hash;
-        cache_hit =
-            cache_->Lookup({request.method, request.task, hash}, seq, &hit);
+            task.samples[static_cast<size_t>(SampleIdsOf(request).front())]
+                .seq,
+            CachedQuery(request), &hit);
       }
     }
     UnpinGeneration(generation);
@@ -213,7 +217,6 @@ util::Status InferenceServer::Submit(ServeRequest request,
   // queues. QA traffic is separately visible per tenant: the method costs
   // a whole query plan per request, so quota debugging needs to see who
   // sends it.
-  TenantMetrics* tenant = ForTenant(request.tenant_id);
   auto count_accepted = [&] {
     serve_metrics_.accepted.Increment();
     if (tenant != nullptr) tenant->accepted.Increment();
@@ -249,8 +252,10 @@ void InferenceServer::FailPreempted(std::vector<PendingRequest>& victims) {
   if (victims.empty()) return;
   serve_metrics_.preempted.Increment(static_cast<int64_t>(victims.size()));
   for (PendingRequest& victim : victims) {
-    if (TenantMetrics* tenant = ForTenant(victim.request.tenant_id)) {
-      tenant->preempted.Increment();
+    // A victim passed admission, so its tenant id indexes the table.
+    if (!tenants_.empty()) {
+      tenants_[static_cast<size_t>(victim.request.tenant_id)]
+          ->preempted.Increment();
     }
     ServeResponse response;
     response.status = util::Status::ResourceExhausted(
@@ -430,7 +435,8 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
   // Requests were validated against the generation current at admission,
   // but the batch executes on whatever generation is pinned now: a
   // hot-swap in between may have removed the task or shrunk the sample
-  // set. Re-validate against the executing session and complete
+  // set. Re-check every sample each request reads (SampleIdsOf: all of
+  // a QA query's candidates) against the executing session and complete
   // mismatches with a typed status — a stale request must fail alone,
   // never trip a CHECK that takes the whole process down.
   const int num_samples =
@@ -440,20 +446,7 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
   size_t keep = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& pending = batch[i];
-    bool in_range = pending.request.sample_id >= 0 &&
-                    pending.request.sample_id < num_samples;
-    if (method == ServeMethod::kQaAnswer && in_range) {
-      // A QA request ranges over EVERY candidate in its query, not just
-      // the primary sample the batcher coalesced it by — a swap that
-      // shrank the sample set must invalidate the whole query.
-      for (int id : pending.request.qa.sample_ids) {
-        if (id < 0 || id >= num_samples) {
-          in_range = false;
-          break;
-        }
-      }
-    }
-    if (in_range) {
+    if (SamplesInRange(pending.request, num_samples)) {
       if (keep != i) batch[keep] = std::move(pending);
       ++keep;
       continue;
@@ -584,11 +577,11 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
       // store their query too, for hit-time verification.
       cache->Insert(
           {pending.request.method, pending.request.task, pending.input_hash},
-          session.task_data(task).samples[pending.request.sample_id].seq,
-          pending.request.method == ServeMethod::kQaAnswer
-              ? &pending.request.qa
-              : nullptr,
-          response);
+          session.task_data(task)
+              .samples[static_cast<size_t>(
+                  SampleIdsOf(pending.request).front())]
+              .seq,
+          CachedQuery(pending.request), response);
     }
     pending.on_done(std::move(response));
   }

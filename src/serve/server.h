@@ -42,9 +42,10 @@ struct ServerOptions {
   CacheOptions cache;
   /// Tenant quota/priority table. Null (the default) serves everything
   /// as one anonymous unlimited tenant — the pre-tenancy behaviour.
-  /// Borrowed; must outlive the server, with all tenants registered
-  /// before the server is constructed (it resolves each tenant's
-  /// counters then; a tenant registered later is rejected as unknown).
+  /// Read once, at construction: the server builds its own table of each
+  /// registered tenant's class, token bucket and counters, so a tenant
+  /// registered later is rejected as unknown, and the registry need not
+  /// outlive the server.
   TenantRegistry* tenants = nullptr;
   /// Table-QA method + surrogate cascade (see QaServeOptions).
   QaServeOptions qa;
@@ -71,7 +72,8 @@ struct ServeMetrics {
 /// Dynamic micro-batching inference server over frozen
 /// core::InferenceSession generations.
 ///
-///   clients --Submit/ServeSync--> [tenant quota] -> [response cache]
+///   clients --Submit/ServeSync--> [tenant table] -> [validate + hash
+///                                  SampleIdsOf] -> [response cache]
 ///                                        | miss
 ///                                        v
 ///                                 [bounded admission queue]
@@ -89,17 +91,19 @@ struct ServeMetrics {
 ///          the straight-line RunTail on per-thread scratch)
 ///
 /// Admission control: Submit validates the request and rejects
-/// immediately — kInvalidArgument for unknown task/sample/tenant,
+/// immediately — kInvalidArgument for an unknown task, tenant or sample,
 /// kResourceExhausted when the tenant is over quota or the bounded queue
 /// is full with no lower-priority victim (load shedding, not buffering),
-/// kFailedPrecondition after Shutdown. Accepted requests are guaranteed
-/// exactly one completion callback: a served (OK or kDeadlineExceeded)
-/// response from a worker, an OK cache-hit response inline from Submit,
-/// a kResourceExhausted response when preempted by a higher-priority
-/// arrival, a kFailedPrecondition response when a hot-swap invalidated
-/// the request (task/sample gone on the new generation) while it was
-/// queued, or — only when num_workers == 0 — a kFailedPrecondition
-/// response from Shutdown.
+/// kFailedPrecondition after Shutdown. One rule covers every method: the
+/// ids SampleIdsOf names are what admission range-checks and hashes and
+/// what a batch re-checks on the generation it executes on. Accepted
+/// requests are guaranteed exactly one completion callback: a served (OK
+/// or kDeadlineExceeded) response from a worker, an OK cache-hit response
+/// inline from Submit, a kResourceExhausted response when preempted by a
+/// higher-priority arrival, a kFailedPrecondition response when a
+/// hot-swap invalidated the request (task/sample gone on the new
+/// generation) while it was queued, or — only when num_workers == 0 — a
+/// kFailedPrecondition response from Shutdown.
 ///
 /// Hot swap: SwapSession atomically redirects workers to a new frozen
 /// session via a generation pointer. Batches in flight finish on the
@@ -214,23 +218,23 @@ class InferenceServer {
   /// Fails `victims` (preempted by a higher-priority arrival) with
   /// kResourceExhausted and records per-tenant shed counters.
   void FailPreempted(std::vector<PendingRequest>& victims);
-  /// Per-tenant counters "serve.tenant.<name>.<what>", resolved once per
-  /// tenant id.
-  struct TenantMetrics {
-    TenantMetrics(MetricsRegistry* registry, const std::string& tenant);
+  /// One registered tenant as resolved at construction: its traffic
+  /// class, its quota bucket and its counters
+  /// "serve.tenant.<name>.<what>".
+  struct Tenant {
+    Tenant(MetricsRegistry* registry, const TenantOptions& options);
+    const Priority priority;
+    TokenBucket bucket;
     CounterHandle accepted, qa_accepted, rejected_quota, rejected_queue_full,
         preempted;
   };
-  /// The counters of `tenant_id`; null when the server runs without a
-  /// TenantRegistry. `tenant_id` must have passed admission.
-  TenantMetrics* ForTenant(int tenant_id);
-
   const ServerOptions options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
   ServeMetrics serve_metrics_;
-  // One entry per tenant registered at construction, indexed by id.
-  std::vector<std::unique_ptr<TenantMetrics>> tenant_metrics_;
+  // One entry per tenant registered at construction, indexed by id;
+  // empty when the server runs without a TenantRegistry.
+  std::vector<std::unique_ptr<Tenant>> tenants_;
   std::unique_ptr<ResponseCache> cache_;  // Null when disabled.
   MicroBatcher batcher_;
   std::vector<std::thread> workers_;

@@ -2,7 +2,6 @@
 #define EXPLAINTI_SERVE_TENANT_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -24,17 +23,42 @@ struct TenantOptions {
   double burst = 0.0;      ///< Bucket capacity; 0 = max(quota_rps, 1).
 };
 
-/// Registry of serving tenants with token-bucket admission.
+/// One tenant's quota: a token bucket that starts full and refills lazily
+/// from the caller's monotonic clock — no background refill thread. Each
+/// Admit tops the bucket up by elapsed_seconds * quota_rps (capped at the
+/// burst) and then spends one token, so a tenant sustained above its
+/// quota is rejected with kResourceExhausted at admission time, before
+/// the request touches the queue or any compute. Thread-safe.
+class TokenBucket {
+ public:
+  explicit TokenBucket(const TenantOptions& options);
+
+  TokenBucket(const TokenBucket&) = delete;
+  TokenBucket& operator=(const TokenBucket&) = delete;
+
+  /// Spends one token at monotonic time `now_us`: OK when admitted,
+  /// kResourceExhausted when the bucket is empty. `now_us` is a parameter
+  /// (not read internally) so tests can drive the refill clock without
+  /// sleeping.
+  util::Status Admit(int64_t now_us);
+
+ private:
+  const std::string name_;
+  const double quota_rps_;
+  const double capacity_;  ///< Resolved burst.
+  std::mutex mu_;
+  double tokens_;  // Guarded by mu_, like last_refill_us_.
+  int64_t last_refill_us_ = 0;
+};
+
+/// The serving tenants, as dense ids over their options. Tenant 0 is
+/// pre-registered as the unlimited, interactive "default" tenant so
+/// single-tenant callers work untouched.
 ///
-/// Register every tenant before serving starts (registration appends;
-/// ids are dense and stable). Tenant 0 is pre-registered as the
-/// unlimited, interactive "default" tenant so single-tenant callers work
-/// untouched. Admit() is thread-safe and refills lazily from the
-/// monotonic clock — no background refill thread: each call tops the
-/// bucket up by elapsed_seconds * quota_rps (capped at burst) and then
-/// spends one token, so a tenant sustained above its quota is rejected
-/// with kResourceExhausted at admission time, before the request touches
-/// the queue or any compute.
+/// A server reads the registry once, when it is constructed, and builds
+/// its own table of each tenant's class, bucket and counters from it:
+/// register every tenant first. The registry is not thread-safe and
+/// holds no quota state.
 class TenantRegistry {
  public:
   TenantRegistry();
@@ -42,43 +66,17 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Adds a tenant; returns its dense id. Register before the server
-  /// starts taking traffic — ids handed to clients must already exist.
+  /// Adds a tenant; returns its dense id.
   int Register(TenantOptions options);
 
   /// Number of registered tenants (>= 1: the default tenant).
   int size() const;
 
-  /// True when `tenant_id` names a registered tenant.
-  bool Contains(int tenant_id) const;
-
-  /// The registered options for `tenant_id`. Aborts on unknown ids —
-  /// validate with Contains() first.
+  /// The registered options for `tenant_id`; aborts on unknown ids.
   const TenantOptions& options(int tenant_id) const;
 
-  /// Spends one quota token for `tenant_id` at monotonic time `now_us`.
-  /// Returns OK when admitted, kResourceExhausted when the bucket is
-  /// empty (the tenant is over quota), kInvalidArgument for unknown ids.
-  /// `now_us` is a parameter (not read internally) so tests can drive the
-  /// refill clock without sleeping.
-  util::Status Admit(int tenant_id, int64_t now_us);
-
  private:
-  struct Tenant {
-    TenantOptions options;
-    double capacity = 0.0;  ///< Resolved burst.
-    // Bucket state, guarded by `mu`. Separate per-tenant locks: one
-    // tenant hammering its bucket never contends with another's path.
-    mutable std::mutex mu;
-    double tokens = 0.0;
-    int64_t last_refill_us = 0;
-  };
-
-  // Guards the tenant list itself (registration); per-bucket state has
-  // its own locks. Tenants are held by pointer so Register never moves
-  // live bucket state.
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Tenant>> tenants_;
+  std::vector<TenantOptions> tenants_;
 };
 
 }  // namespace explainti::serve

@@ -6,6 +6,7 @@
 
 #include "core/embedding_store.h"
 #include "core/explain_ti_model.h"
+#include "core/inference_session.h"
 #include "core/task_data.h"
 #include "data/wiki_generator.h"
 #include "text/tokenizer.h"
@@ -282,7 +283,7 @@ TEST_F(TrainedModelTest, RelationExplanationsHavePairwiseWindows) {
 
 TEST_F(TrainedModelTest, EvaluateBeatsRandomGuessing) {
   const eval::F1Scores f1 =
-      model_->Evaluate(TaskKind::kType, data::SplitPart::kTest);
+      model_->session().Evaluate(TaskKind::kType, data::SplitPart::kTest);
   // 30 labels; random multi-label guessing sits near zero.
   EXPECT_GT(f1.micro, 0.10);
 }

@@ -88,11 +88,11 @@ TEST(InferenceSessionTest, EvaluateMatchesPerSamplePredict) {
   model.RefreshStores();
   const eval::F1Scores serial = [&] {
     util::SetGlobalThreadCount(1);
-    return model.Evaluate(TaskKind::kType, data::SplitPart::kTest);
+    return model.session().Evaluate(TaskKind::kType, data::SplitPart::kTest);
   }();
   util::SetGlobalThreadCount(4);
   const eval::F1Scores parallel =
-      model.Evaluate(TaskKind::kType, data::SplitPart::kTest);
+      model.session().Evaluate(TaskKind::kType, data::SplitPart::kTest);
   EXPECT_EQ(Bits(static_cast<float>(serial.weighted)),
             Bits(static_cast<float>(parallel.weighted)));
   EXPECT_EQ(Bits(static_cast<float>(serial.macro)),

@@ -8,6 +8,7 @@
 #include "baselines/feature_mlp.h"
 #include "bench/bench_common.h"
 #include "core/explain_ti_model.h"
+#include "core/inference_session.h"
 #include "data/git_generator.h"
 #include "data/wiki_generator.h"
 #include "eval/sufficiency.h"
@@ -38,7 +39,8 @@ TEST(IntegrationTest, ExplainTiLearnsBothWikiTasks) {
   EXPECT_GT(stats.pretrain_seconds, 0.0);
 
   const eval::F1Scores rel =
-      model.Evaluate(core::TaskKind::kRelation, data::SplitPart::kTest);
+      model.session().Evaluate(core::TaskKind::kRelation,
+                               data::SplitPart::kTest);
   EXPECT_GT(rel.micro, 0.4) << "relation task should be learnable";
 }
 
@@ -57,7 +59,7 @@ TEST(IntegrationTest, GitCorpusTypeOnlyPipeline) {
   EXPECT_FALSE(model.HasTask(core::TaskKind::kRelation));
 
   const eval::F1Scores f1 =
-      model.Evaluate(core::TaskKind::kType, data::SplitPart::kTest);
+      model.session().Evaluate(core::TaskKind::kType, data::SplitPart::kTest);
   EXPECT_GT(f1.micro, 0.4) << "headers are highly indicative on GitTable";
 
   const core::Explanation z = model.Explain(
@@ -123,10 +125,12 @@ TEST(IntegrationTest, StructuralModuleDoesNotHurtTypePrediction) {
   model_without.Fit();
 
   const double f1_with =
-      model_with.Evaluate(core::TaskKind::kType, data::SplitPart::kTest)
+      model_with.session().Evaluate(core::TaskKind::kType,
+                                    data::SplitPart::kTest)
           .weighted;
   const double f1_without =
-      model_without.Evaluate(core::TaskKind::kType, data::SplitPart::kTest)
+      model_without.session().Evaluate(core::TaskKind::kType,
+                                       data::SplitPart::kTest)
           .weighted;
   EXPECT_GT(f1_with + 0.08, f1_without)
       << "SE should not materially hurt type prediction";

@@ -358,9 +358,11 @@ TEST_F(TrainingRobustnessTest, SurvivesNanGradientsEveryFifthStep) {
   EXPECT_TRUE(std::isfinite(stats.best_valid_f1));
 
   const double base_f1 =
-      baseline_->Evaluate(TaskKind::kType, data::SplitPart::kTest).weighted;
+      baseline_->session().Evaluate(TaskKind::kType,
+                                    data::SplitPart::kTest).weighted;
   const double faulty_f1 =
-      faulty.Evaluate(TaskKind::kType, data::SplitPart::kTest).weighted;
+      faulty.session().Evaluate(TaskKind::kType,
+                                data::SplitPart::kTest).weighted;
   EXPECT_TRUE(std::isfinite(faulty_f1));
   // Skipping the poisoned steps costs at most a few points of F1.
   EXPECT_NEAR(faulty_f1, base_f1, 0.05);
@@ -384,7 +386,8 @@ TEST_F(TrainingRobustnessTest, RollsBackAfterConsecutiveBadSteps) {
   EXPECT_EQ(stats.rollbacks, 2);
   EXPECT_TRUE(std::isfinite(stats.best_valid_f1));
   const double f1 =
-      model.Evaluate(TaskKind::kType, data::SplitPart::kTest).weighted;
+      model.session().Evaluate(TaskKind::kType,
+                               data::SplitPart::kTest).weighted;
   EXPECT_TRUE(std::isfinite(f1));
 }
 
@@ -407,9 +410,11 @@ TEST_F(TrainingRobustnessTest, ResumesFromCheckpoint) {
   EXPECT_EQ(second_stats.pretrain_seconds, 0.0);
   EXPECT_NEAR(second_stats.best_valid_f1, first_stats.best_valid_f1, 1e-6);
   const double f1_first =
-      first.Evaluate(TaskKind::kType, data::SplitPart::kTest).weighted;
+      first.session().Evaluate(TaskKind::kType,
+                               data::SplitPart::kTest).weighted;
   const double f1_second =
-      second.Evaluate(TaskKind::kType, data::SplitPart::kTest).weighted;
+      second.session().Evaluate(TaskKind::kType,
+                                data::SplitPart::kTest).weighted;
   EXPECT_NEAR(f1_second, f1_first, 1e-6);
   std::remove(path.c_str());
 }

@@ -365,11 +365,12 @@ TEST(MicroBatcherTest, CoalescesCompatibleRequestsAndPreservesOrder) {
   options.max_batch_size = 8;
   MicroBatcher batcher(options);
 
+  std::vector<PendingRequest> preempted;  // Never used: the queue has room.
   auto push = [&](ServeMethod method, uint64_t trace_id) {
     PendingRequest pending;
     pending.request = MakeRequest(method, 0, trace_id);
     pending.on_done = [](ServeResponse&&) {};
-    ASSERT_TRUE(batcher.Push(std::move(pending)).ok());
+    ASSERT_TRUE(batcher.Push(std::move(pending), &preempted).ok());
   };
   push(ServeMethod::kPredict, 1);
   push(ServeMethod::kExplain, 2);
@@ -397,11 +398,12 @@ TEST(MicroBatcherTest, RespectsMaxBatchSize) {
   BatcherOptions options;
   options.max_batch_size = 4;
   MicroBatcher batcher(options);
+  std::vector<PendingRequest> preempted;  // Never used: the queue has room.
   for (uint64_t i = 0; i < 10; ++i) {
     PendingRequest pending;
     pending.request = MakeRequest(ServeMethod::kPredict, 0, i);
     pending.on_done = [](ServeResponse&&) {};
-    ASSERT_TRUE(batcher.Push(std::move(pending)).ok());
+    ASSERT_TRUE(batcher.Push(std::move(pending), &preempted).ok());
   }
   std::vector<PendingRequest> batch, expired;
   ASSERT_TRUE(batcher.PopBatch(&batch, &expired));
@@ -415,12 +417,13 @@ TEST(MicroBatcherTest, RespectsMaxBatchSize) {
 
 TEST(MicroBatcherTest, ShedsExpiredAndDispatchesLiveWorkInOnePop) {
   MicroBatcher batcher{BatcherOptions{}};
+  std::vector<PendingRequest> preempted;  // Never used: the queue has room.
   auto push = [&](uint64_t trace_id, int64_t deadline_us) {
     PendingRequest pending;
     pending.request = MakeRequest(ServeMethod::kPredict, 0, trace_id);
     pending.request.deadline_us = deadline_us;
     pending.on_done = [](ServeResponse&&) {};
-    ASSERT_TRUE(batcher.Push(std::move(pending)).ok());
+    ASSERT_TRUE(batcher.Push(std::move(pending), &preempted).ok());
   };
   push(1, util::MonotonicNowUs() - 1);  // Already expired.
   push(2, util::DeadlineAfterUs(30'000'000));
@@ -591,20 +594,18 @@ TEST(MetricsTest, OverflowOnlyPercentileSaturatesAtLastBound) {
 // Tenant quotas: token buckets shed over-quota traffic at admission.
 // ---------------------------------------------------------------------------
 
-TEST(TenantRegistryTest, TokenBucketSpendsBurstThenRefillsAtQuotaRate) {
-  TenantRegistry tenants;
+TEST(TokenBucketTest, SpendsBurstThenRefillsAtQuotaRate) {
   TenantOptions limited;
   limited.name = "metered";
   limited.priority = Priority::kBatch;
   limited.quota_rps = 2.0;
   limited.burst = 2.0;
-  const int id = tenants.Register(limited);
-  ASSERT_EQ(id, 1);  // 0 is the pre-registered default tenant.
+  TokenBucket bucket(limited);
 
   // Admit's status is the only record of a quota rejection; count them.
   int rejections = 0;
   const auto admit = [&](int64_t now_us) {
-    const util::Status status = tenants.Admit(id, now_us);
+    const util::Status status = bucket.Admit(now_us);
     if (status.code() == util::StatusCode::kResourceExhausted) ++rejections;
     return status;
   };
@@ -622,16 +623,15 @@ TEST(TenantRegistryTest, TokenBucketSpendsBurstThenRefillsAtQuotaRate) {
   EXPECT_EQ(rejections, 2);
 }
 
-TEST(TenantRegistryTest, DefaultTenantIsUnlimitedAndUnknownIdsRejected) {
+TEST(TokenBucketTest, DefaultTenantIsUnlimited) {
   TenantRegistry tenants;
-  ASSERT_TRUE(tenants.Contains(0));
+  ASSERT_EQ(tenants.size(), 1);  // Only the pre-registered default.
   EXPECT_EQ(tenants.options(0).priority, Priority::kInteractive);
+  TokenBucket bucket(tenants.options(0));
   // Every admission OK: zero quota rejections.
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(tenants.Admit(0, 42).ok()) << i;  // Clock never advances.
+    ASSERT_TRUE(bucket.Admit(42).ok()) << i;  // Clock never advances.
   }
-  EXPECT_FALSE(tenants.Contains(7));
-  EXPECT_EQ(tenants.Admit(7, 42).code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ServeTenantTest, OverQuotaTenantShedBeforeQueueWithPerTenantCounters) {
@@ -682,9 +682,10 @@ TEST(ServeTenantTest, OverQuotaTenantShedBeforeQueueWithPerTenantCounters) {
             util::StatusCode::kInvalidArgument);
 }
 
-// The server resolves each tenant's counters when it is constructed, so
-// a tenant registered afterwards has none: it is rejected as unknown at
-// admission instead of indexing past the per-tenant table.
+// The server builds its tenant table (class, bucket, counters) when it
+// is constructed and bounds-checks every tenant id against it: a tenant
+// registered afterwards has no entry and is rejected as unknown at
+// admission, exactly like an id the registry never handed out.
 TEST(ServeTenantTest, TenantRegisteredAfterConstructionIsUnknown) {
   const InferenceSession& session = Shared().model.session();
   TenantRegistry tenants;
@@ -693,11 +694,15 @@ TEST(ServeTenantTest, TenantRegisteredAfterConstructionIsUnknown) {
   InferenceServer server(session, options);
   TenantOptions late;
   late.name = "late";
-  ServeRequest request = MakeRequest(ServeMethod::kPredict, 0);
-  request.tenant_id = tenants.Register(late);
-  EXPECT_EQ(server.ServeSync(request).status.code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.metrics().GetCounter("serve.rejected_invalid")->Value(), 1);
+  for (int tenant_id : {tenants.Register(late), 7, -1}) {
+    ServeRequest request = MakeRequest(ServeMethod::kPredict, 0);
+    request.tenant_id = tenant_id;
+    EXPECT_EQ(server.ServeSync(request).status.code(),
+              util::StatusCode::kInvalidArgument)
+        << tenant_id;
+  }
+  EXPECT_EQ(server.metrics().GetCounter("serve.rejected_invalid")->Value(), 3);
+  EXPECT_EQ(server.metrics().GetCounter("serve.rejected_quota")->Value(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -764,15 +769,16 @@ TEST(MicroBatcherTest, HighestQueuedClassLeadsDispatch) {
   options.max_batch_size = 8;
   MicroBatcher batcher(options);
 
-  auto push = [&batcher](ServeMethod method, Priority priority,
-                         uint64_t trace_id) {
+  std::vector<PendingRequest> preempted;  // Never used: the queue has room.
+  auto push = [&batcher, &preempted](ServeMethod method, Priority priority,
+                                     uint64_t trace_id) {
     PendingRequest pending;
     pending.request.method = method;
     pending.request.sample_id = 0;
     pending.request.priority = priority;
     pending.request.trace_id = trace_id;
     pending.on_done = [](ServeResponse&&) {};
-    ASSERT_TRUE(batcher.Push(std::move(pending)).ok());
+    ASSERT_TRUE(batcher.Push(std::move(pending), &preempted).ok());
   };
   // Two background Predicts queued first, then an interactive Explain:
   // the Explain leads the first batch even though it arrived last.
@@ -856,14 +862,13 @@ TEST(ServeTenantTest, FullQueueShedsYoungestBackgroundForInteractive) {
 
 // ---------------------------------------------------------------------------
 // Response cache: repeated tables short-circuit the queue with
-// bit-identical payloads; capacity is enforced shard-locally.
+// bit-identical payloads; capacity is one global LRU bound.
 // ---------------------------------------------------------------------------
 
-TEST(ResponseCacheTest, LruEvictsWithinShardAndCountsEverything) {
+TEST(ResponseCacheTest, LruEvictsAndCountsEverything) {
   CacheOptions options;
   options.enabled = true;
   options.capacity = 2;
-  options.num_shards = 1;  // Deterministic LRU order for the test.
   ResponseCache cache(options);
 
   ServeResponse response;
@@ -872,54 +877,53 @@ TEST(ResponseCacheTest, LruEvictsWithinShardAndCountsEverything) {
   const auto key = [](uint64_t hash) {
     return ResponseCache::Key{ServeMethod::kPredict, TaskKind::kType, hash};
   };
-  cache.Insert(key(1), SeqOf(1), response);
-  cache.Insert(key(2), SeqOf(2), response);
+  cache.Insert(key(1), SeqOf(1), /*query=*/nullptr, response);
+  cache.Insert(key(2), SeqOf(2), /*query=*/nullptr, response);
   ServeResponse out;
-  EXPECT_TRUE(cache.Lookup(key(1), SeqOf(1), &out));  // Promotes 1 over 2.
+  // Promotes 1 over 2.
+  EXPECT_TRUE(cache.Lookup(key(1), SeqOf(1), /*query=*/nullptr, &out));
   EXPECT_TRUE(out.cache_hit);
   EXPECT_EQ(out.labels, response.labels);
-  cache.Insert(key(3), SeqOf(3), response);  // Evicts 2, the LRU entry.
-  EXPECT_FALSE(cache.Lookup(key(2), SeqOf(2), &out));
-  EXPECT_TRUE(cache.Lookup(key(1), SeqOf(1), &out));
-  EXPECT_TRUE(cache.Lookup(key(3), SeqOf(3), &out));
+  // Evicts 2, the LRU entry.
+  cache.Insert(key(3), SeqOf(3), /*query=*/nullptr, response);
+  EXPECT_FALSE(cache.Lookup(key(2), SeqOf(2), /*query=*/nullptr, &out));
+  EXPECT_TRUE(cache.Lookup(key(1), SeqOf(1), /*query=*/nullptr, &out));
+  EXPECT_TRUE(cache.Lookup(key(3), SeqOf(3), /*query=*/nullptr, &out));
   EXPECT_EQ(cache.size(), 2);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0);
-  EXPECT_FALSE(cache.Lookup(key(1), SeqOf(1), &out));
+  EXPECT_FALSE(cache.Lookup(key(1), SeqOf(1), /*query=*/nullptr, &out));
 }
 
 TEST(ResponseCacheTest, CollidingKeyWithDifferentContentIsAMiss) {
   CacheOptions options;
   options.enabled = true;
   options.capacity = 4;
-  options.num_shards = 1;
   ResponseCache cache(options);
 
   ServeResponse response;
   response.status = util::Status::OK();
   response.labels = {7};
   const ResponseCache::Key key{ServeMethod::kPredict, TaskKind::kType, 42};
-  cache.Insert(key, SeqOf(1), response);
+  cache.Insert(key, SeqOf(1), /*query=*/nullptr, response);
 
   // Same 64-bit key (a forced FNV collision), different input content:
   // the entry must not be served — a collision degrades to a verified
   // miss and a recomputation, never another input's (or another
   // tenant's) payload.
   ServeResponse out;
-  EXPECT_FALSE(cache.Lookup(key, SeqOf(2), &out));
+  EXPECT_FALSE(cache.Lookup(key, SeqOf(2), /*query=*/nullptr, &out));
   EXPECT_TRUE(out.labels.empty());
 
   // The content the entry was computed from still hits.
-  EXPECT_TRUE(cache.Lookup(key, SeqOf(1), &out));
+  EXPECT_TRUE(cache.Lookup(key, SeqOf(1), /*query=*/nullptr, &out));
   EXPECT_EQ(out.labels, response.labels);
 }
 
-TEST(ResponseCacheTest, CapacityIsExactRegardlessOfShardCount) {
-  // More shards than capacity: shards clamp so the bound stays exact.
+TEST(ResponseCacheTest, CapacityIsExactAtAnySize) {
   CacheOptions options;
   options.enabled = true;
   options.capacity = 4;
-  options.num_shards = 8;
   ResponseCache cache(options);
 
   ServeResponse response;
@@ -927,20 +931,52 @@ TEST(ResponseCacheTest, CapacityIsExactRegardlessOfShardCount) {
   const auto insert = [&response](ResponseCache& c, int i) {
     c.Insert(ResponseCache::Key{ServeMethod::kPredict, TaskKind::kType,
                                 static_cast<uint64_t>(i)},
-             SeqOf(i), response);
+             SeqOf(i), /*query=*/nullptr, response);
   };
   for (int i = 1; i <= 64; ++i) insert(cache, i);
   EXPECT_EQ(cache.size(), 4);
 
-  // Non-divisible capacity: the remainder is distributed, so the shard
-  // bounds sum to exactly the configured capacity (not rounded down).
+  // An odd capacity is held exactly, not rounded down.
   CacheOptions odd;
   odd.enabled = true;
   odd.capacity = 5;
-  odd.num_shards = 2;
   ResponseCache cache5(odd);
   for (int i = 1; i <= 64; ++i) insert(cache5, i);
   EXPECT_EQ(cache5.size(), 5);
+}
+
+// One capacity bound over one LRU list: four keys whose input hashes are
+// congruent mod 4 (0, 4, 8, 12; a cache split into four private LRU
+// shards would keep only one of them) all stay resident, and the fifth
+// insert evicts the least recently used key.
+TEST(ResponseCacheTest, CapacityIsOneGlobalLru) {
+  CacheOptions options;
+  options.enabled = true;
+  options.capacity = 4;
+  ResponseCache cache(options);
+
+  ServeResponse response;
+  response.status = util::Status::OK();
+  response.labels = {7};
+  const auto key = [](int v) {
+    return ResponseCache::Key{ServeMethod::kPredict, TaskKind::kType,
+                              static_cast<uint64_t>(v)};
+  };
+  for (int v : {0, 4, 8, 12}) {
+    cache.Insert(key(v), SeqOf(v), /*query=*/nullptr, response);
+  }
+  EXPECT_EQ(cache.size(), 4);
+  ServeResponse out;
+  // Each hit promotes its key, leaving 0 least recently used.
+  for (int v : {0, 4, 8, 12}) {
+    EXPECT_TRUE(cache.Lookup(key(v), SeqOf(v), /*query=*/nullptr, &out)) << v;
+  }
+  cache.Insert(key(16), SeqOf(16), /*query=*/nullptr, response);
+  EXPECT_EQ(cache.size(), 4);
+  EXPECT_FALSE(cache.Lookup(key(0), SeqOf(0), /*query=*/nullptr, &out));
+  for (int v : {4, 8, 12, 16}) {
+    EXPECT_TRUE(cache.Lookup(key(v), SeqOf(v), /*query=*/nullptr, &out)) << v;
+  }
 }
 
 TEST(ServeCacheTest, RepeatedExplainHitsInlineAndBitIdentical) {
