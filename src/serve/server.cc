@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <condition_variable>
 #include <string>
 #include <utility>
@@ -44,13 +43,29 @@ ServeMetrics::ServeMetrics(MetricsRegistry* registry)
 
 namespace {
 
-// True when `request` names at least one sample and every sample it
-// reads lies in [0, num_samples).
-bool SamplesInRange(const ServeRequest& request, int num_samples) {
+// OK when `request` names at least one sample and every sample it reads
+// lies in [0, num_samples); otherwise names the first offending id.
+util::Status CheckSamples(const ServeRequest& request, int num_samples) {
   const std::span<const int> ids = SampleIdsOf(request);
-  return !ids.empty() && std::all_of(ids.begin(), ids.end(), [&](int id) {
-    return id >= 0 && id < num_samples;
-  });
+  if (ids.empty()) {
+    return util::Status::InvalidArgument("request names no sample");
+  }
+  for (int id : ids) {
+    if (id < 0 || id >= num_samples) {
+      return util::Status::InvalidArgument(
+          "sample_id " + std::to_string(id) + " out of range [0, " +
+          std::to_string(num_samples) + ")");
+    }
+  }
+  return util::Status::OK();
+}
+
+// The server's copy of `options`. The registry pointer is dropped: the
+// constructor reads the registry once into the server's tenant table,
+// so the registry may be destroyed before the server.
+ServerOptions WithoutRegistry(ServerOptions options) {
+  options.tenants = nullptr;
+  return options;
 }
 
 // The query a cache entry is verified against: QA entries only.
@@ -75,7 +90,7 @@ InferenceServer::Tenant::Tenant(MetricsRegistry* registry,
 InferenceServer::InferenceServer(const core::InferenceSession& session,
                                  const ServerOptions& options,
                                  MetricsRegistry* metrics)
-    : options_(options),
+    : options_(WithoutRegistry(options)),
       owned_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>()
                                         : nullptr),
       metrics_(metrics == nullptr ? owned_metrics_.get() : metrics),
@@ -85,10 +100,10 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
                  : nullptr),
       batcher_(options.batcher) {
   CHECK(options_.num_workers >= 0) << "num_workers must be >= 0";
-  if (options_.tenants != nullptr) {
-    for (int id = 0; id < options_.tenants->size(); ++id) {
+  if (options.tenants != nullptr) {
+    for (int id = 0; id < options.tenants->size(); ++id) {
       tenants_.push_back(
-          std::make_unique<Tenant>(metrics_, options_.tenants->options(id)));
+          std::make_unique<Tenant>(metrics_, options.tenants->options(id)));
     }
   }
   current_ = std::make_shared<Generation>();
@@ -172,14 +187,13 @@ util::Status InferenceServer::Submit(ServeRequest request,
       valid = util::Status::InvalidArgument(
           "QA serving is not enabled on this server");
     } else if (!session.HasTask(request.task)) {
-      valid = util::Status::InvalidArgument("task not available on this model");
+      valid = util::Status::InvalidArgument(
+          std::string("task ") + core::TaskKindName(request.task) +
+          " not available on this model");
     } else {
       const core::TaskData& task = session.task_data(request.task);
-      if (!SamplesInRange(request, static_cast<int>(task.samples.size()))) {
-        valid = util::Status::InvalidArgument(
-            "sample ids out of range [0, " +
-            std::to_string(task.samples.size()) + ")");
-      } else if (request.method == ServeMethod::kQaAnswer) {
+      valid = CheckSamples(request, static_cast<int>(task.samples.size()));
+      if (valid.ok() && request.method == ServeMethod::kQaAnswer) {
         valid = qa::ValidateQuery(session, request.qa);
       }
       if (valid.ok() && cache_ != nullptr) {
@@ -446,7 +460,7 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
   size_t keep = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& pending = batch[i];
-    if (SamplesInRange(pending.request, num_samples)) {
+    if (CheckSamples(pending.request, num_samples).ok()) {
       if (keep != i) batch[keep] = std::move(pending);
       ++keep;
       continue;

@@ -45,7 +45,7 @@ struct ServerOptions {
   /// Read once, at construction: the server builds its own table of each
   /// registered tenant's class, token bucket and counters, so a tenant
   /// registered later is rejected as unknown, and the registry need not
-  /// outlive the server.
+  /// outlive the server (the server keeps no pointer to it).
   TenantRegistry* tenants = nullptr;
   /// Table-QA method + surrogate cascade (see QaServeOptions).
   QaServeOptions qa;
@@ -228,6 +228,7 @@ class InferenceServer {
     CounterHandle accepted, qa_accepted, rejected_quota, rejected_queue_full,
         preempted;
   };
+  // `options` as constructed, minus the `tenants` pointer (see tenants_).
   const ServerOptions options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;

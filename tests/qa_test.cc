@@ -502,6 +502,16 @@ TEST(QaServeTest, MalformedQueryRejectedBeforeQueue) {
   query.label_id = 0;
   serve::ServeResponse response = server.ServeSync(QaRequest(query));
   EXPECT_EQ(response.status.code(), util::StatusCode::kInvalidArgument);
+  // The rejection names the first offending candidate.
+  EXPECT_NE(response.status.message().find("sample_id 1048576"),
+            std::string::npos)
+      << response.status.ToString();
+  query.sample_ids.clear();
+  response = server.ServeSync(QaRequest(query));
+  EXPECT_EQ(response.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("request names no sample"),
+            std::string::npos)
+      << response.status.ToString();
   EXPECT_EQ(server.metrics().GetCounter("serve.accepted")->Value(), 0);
 }
 

@@ -308,6 +308,9 @@ TEST(ServeAdmissionTest, InvalidRequestsRejectedAtSubmit) {
   const ServeResponse negative =
       server.ServeSync(MakeRequest(ServeMethod::kPredict, -1));
   EXPECT_EQ(negative.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.status.message().find("sample_id -1 out of range"),
+            std::string::npos)
+      << negative.status.ToString();
   const ServeResponse huge =
       server.ServeSync(MakeRequest(ServeMethod::kPredict, 1 << 28));
   EXPECT_EQ(huge.status.code(), util::StatusCode::kInvalidArgument);
@@ -600,7 +603,10 @@ TEST(TokenBucketTest, SpendsBurstThenRefillsAtQuotaRate) {
   limited.priority = Priority::kBatch;
   limited.quota_rps = 2.0;
   limited.burst = 2.0;
-  TokenBucket bucket(limited);
+  TenantRegistry tenants;
+  const int id = tenants.Register(limited);
+  ASSERT_EQ(id, 1);  // 0 is the pre-registered default tenant.
+  TokenBucket bucket(tenants.options(id));
 
   // Admit's status is the only record of a quota rejection; count them.
   int rejections = 0;
@@ -1455,6 +1461,80 @@ TEST(ServeTsanTest, ManyClientsOneServerStayDeterministic) {
                               Histogram::LinearBuckets(1, 1, 32))
                 ->Count(),
             1);
+}
+
+// The response cache under concurrent traffic: submitters look entries
+// up, workers insert them, and a mid-stream hot-swap clears the cache,
+// all on its one lock. Capacity sits below the working set, so inserts
+// also evict while other threads read.
+TEST(ServeTsanTest, CachedTrafficAcrossASwapStaysBitExact) {
+  const InferenceSession& session = Shared().model.session();
+  const std::vector<int> ids = SampleIds(6);
+  std::vector<std::vector<float>> want;
+  for (int id : ids) {
+    want.push_back(session.PredictProbabilities(TaskKind::kType, id));
+  }
+
+  ServerOptions options;
+  options.num_workers = 2;
+  options.cache.enabled = true;
+  options.cache.capacity = 4;
+  InferenceServer server(session, options);
+
+  constexpr int kClients = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<int64_t> served{0};
+  std::atomic<int64_t> hits_after_swap{0};
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = c; !stop.load(std::memory_order_relaxed); ++i) {
+        // Two hot samples stay resident; the rest rotate through and
+        // keep evicting.
+        const size_t slot = (i % 3 == 0)
+                                ? static_cast<size_t>(i / 3) % ids.size()
+                                : static_cast<size_t>(i % 2);
+        const ServeResponse response = server.ServeSync(
+            MakeRequest(ServeMethod::kPredictProbabilities, ids[slot]));
+        if (!response.status.ok() || response.probabilities != want[slot]) {
+          failures[static_cast<size_t>(c)] =
+              "sample " + std::to_string(ids[slot]) + ": " +
+              response.status.ToString();
+          failed.store(true);
+          return;
+        }
+        if (response.cache_hit && response.model_generation == 2) {
+          hits_after_swap.fetch_add(1, std::memory_order_relaxed);
+        }
+        served.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  // Waits until `count` more responses have been served (or a client
+  // gave up, which the failure check below reports).
+  const auto serve_more = [&](int64_t count) {
+    const int64_t target = served.load() + count;
+    while (served.load() < target && !failed.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  serve_more(24);
+  // Swapping to the same session clears the cache mid-stream without
+  // changing any expected payload.
+  // EXPECT, not ASSERT: the clients must still be stopped and joined.
+  EXPECT_TRUE(server.SwapSession(session).ok());
+  serve_more(24);
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& client : clients) client.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[static_cast<size_t>(c)], "") << "client " << c;
+  }
+  EXPECT_EQ(server.current_generation(), 2u);
+  EXPECT_GT(server.metrics().GetCounter("serve.cache_hits")->Value(), 0);
+  EXPECT_GT(hits_after_swap.load(), 0);
 }
 
 }  // namespace
