@@ -1,8 +1,26 @@
 #include "serve/cache.h"
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace explainti::serve {
+
+uint64_t CacheInputHash(const ServeRequest& request,
+                        const core::TaskData& task) {
+  uint64_t hash = util::kFnv64OffsetBasis;
+  if (request.method == ServeMethod::kQaAnswer) {
+    const int params[] = {static_cast<int>(request.qa.kind),
+                          request.qa.label_id, request.qa.top_k};
+    hash = util::HashInts(params);
+  }
+  for (int id : SampleIdsOf(request)) {
+    const text::EncodedSequence& seq =
+        task.samples[static_cast<size_t>(id)].seq;
+    hash = util::HashInts(seq.ids, hash);
+    hash = util::HashInts(seq.segments, hash);
+  }
+  return hash;
+}
 
 ResponseCache::ResponseCache(const CacheOptions& options)
     : capacity_(options.capacity) {

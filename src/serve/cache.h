@@ -52,6 +52,14 @@ struct CacheOptions {
 /// the entry was inserted; the serving layer clears the cache on model
 /// hot-swap (see InferenceServer::SwapSession) so no entry outlives the
 /// generation that computed it.
+/// The input_hash of `request`'s cache key: util::HashInts over the
+/// token ids, then the segments, of each sample SampleIdsOf names, in
+/// order, read from `task`. A QA request seeds the hash with its query's
+/// (kind, label_id, top_k), so queries differing in any of them never
+/// share a key.
+uint64_t CacheInputHash(const ServeRequest& request,
+                        const core::TaskData& task);
+
 class ResponseCache {
  public:
   /// One cache key. `method`/`task` are part of the key because the same

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "util/fault_injection.h"
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -19,10 +17,8 @@ ServeMetrics::ServeMetrics(MetricsRegistry* registry)
       rejected_quota(registry, "serve.rejected_quota"),
       rejected_queue_full(registry, "serve.rejected_queue_full"),
       rejected_shutdown(registry, "serve.rejected_shutdown"),
-      rejected_admit_fault(registry, "serve.rejected_admit_fault"),
       preempted(registry, "serve.preempted"),
       swaps(registry, "serve.swaps"),
-      swap_aborted(registry, "serve.swap_aborted"),
       deadline_expired(registry, "serve.deadline_expired"),
       rejected_stale(registry, "serve.rejected_stale"),
       batches(registry, "serve.batches"),
@@ -127,13 +123,6 @@ InferenceServer::~InferenceServer() { Shutdown(); }
 util::Status InferenceServer::Submit(ServeRequest request,
                                      ServeCallback on_done) {
   CHECK(on_done) << "Submit requires a completion callback";
-  // Chaos site: an armed "serve.admit" fault sheds the request at the
-  // front door with its injected (typed) status — modelling e.g. an
-  // auth/metadata dependency outage — before any queue slot is taken.
-  if (util::Status fault = FAULT_POINT("serve.admit"); !fault.ok()) {
-    serve_metrics_.rejected_admit_fault.Increment();
-    return fault;
-  }
 
   // Tenant admission, from the table resolved at construction: unknown
   // tenants are invalid; the tenant's registered class overrides the
@@ -167,10 +156,6 @@ util::Status InferenceServer::Submit(ServeRequest request,
         request.qa.sample_ids.empty() ? -1 : request.qa.sample_ids.front();
   }
 
-  PendingRequest pending;
-  pending.request = request;
-  pending.on_done = std::move(on_done);
-
   // Admission-time validation: malformed requests are rejected here so
   // they never occupy queue slots or reach a worker. Validation, content
   // hashing, and the cache lookup all read the serving session, so the
@@ -178,6 +163,7 @@ util::Status InferenceServer::Submit(ServeRequest request,
   // in-flight admissions too, and the caller can never free the old
   // session while Submit is still reading it.
   util::Status valid = util::Status::OK();
+  uint64_t input_hash = 0;
   bool cache_hit = false;
   ServeResponse hit;
   {
@@ -198,24 +184,11 @@ util::Status InferenceServer::Submit(ServeRequest request,
       }
       if (valid.ok() && cache_ != nullptr) {
         // Response cache: key on the *content* of every sample the
-        // request reads (token ids + segments), seeded for QA with the
-        // query's parameters, so queries differing in any candidate,
-        // target label, or top_k never share a key. A hit completes
-        // inline, bit-identical to the insert-time computation.
-        uint64_t hash = request.method == ServeMethod::kQaAnswer
-                            ? util::HashInts({static_cast<int>(request.qa.kind),
-                                              request.qa.label_id,
-                                              request.qa.top_k})
-                            : util::kFnv64OffsetBasis;
-        for (int id : SampleIdsOf(request)) {
-          const text::EncodedSequence& seq =
-              task.samples[static_cast<size_t>(id)].seq;
-          hash = util::HashInts(seq.ids, hash);
-          hash = util::HashInts(seq.segments, hash);
-        }
-        pending.input_hash = hash;
+        // request reads (CacheInputHash). A hit completes inline,
+        // bit-identical to the insert-time computation.
+        input_hash = CacheInputHash(request, task);
         cache_hit = cache_->Lookup(
-            {request.method, request.task, hash},
+            {request.method, request.task, input_hash},
             task.samples[static_cast<size_t>(SampleIdsOf(request).front())]
                 .seq,
             CachedQuery(request), &hit);
@@ -231,10 +204,11 @@ util::Status InferenceServer::Submit(ServeRequest request,
   // queues. QA traffic is separately visible per tenant: the method costs
   // a whole query plan per request, so quota debugging needs to see who
   // sends it.
+  const ServeMethod method = request.method;
   auto count_accepted = [&] {
     serve_metrics_.accepted.Increment();
     if (tenant != nullptr) tenant->accepted.Increment();
-    if (request.method == ServeMethod::kQaAnswer) {
+    if (method == ServeMethod::kQaAnswer) {
       serve_metrics_.qa_accepted.Increment();
       if (tenant != nullptr) tenant->qa_accepted.Increment();
     }
@@ -244,10 +218,14 @@ util::Status InferenceServer::Submit(ServeRequest request,
     serve_metrics_.cache_hits.Increment();
     hit.status = util::Status::OK();
     hit.trace_id = request.trace_id;
-    pending.on_done(std::move(hit));
+    on_done(std::move(hit));
     return util::Status::OK();
   }
 
+  PendingRequest pending;
+  pending.request = std::move(request);
+  pending.on_done = std::move(on_done);
+  pending.input_hash = input_hash;
   std::vector<PendingRequest> preempted;
   util::Status admitted = batcher_.Push(std::move(pending), &preempted);
   if (admitted.ok()) {
@@ -324,13 +302,6 @@ util::Status InferenceServer::SwapSession(const core::InferenceSession& next) {
     return util::Status::FailedPrecondition(
         "server is shutting down; hot-swap refused");
   }
-  // Chaos site: an armed "serve.swap" fault aborts the rollout before any
-  // state changes — the old generation keeps serving untouched.
-  if (util::Status fault = FAULT_POINT("serve.swap"); !fault.ok()) {
-    serve_metrics_.swap_aborted.Increment();
-    return fault;
-  }
-
   std::shared_ptr<Generation> next_gen = std::make_shared<Generation>();
   next_gen->session = &next;
   if (options_.qa.enabled) {

@@ -59,8 +59,8 @@ struct ServeMetrics {
 
   // Admission, swap and shutdown.
   CounterHandle accepted, qa_accepted, cache_hits, rejected_invalid,
-      rejected_quota, rejected_queue_full, rejected_shutdown,
-      rejected_admit_fault, preempted, swaps, swap_aborted;
+      rejected_quota, rejected_queue_full, rejected_shutdown, preempted,
+      swaps;
   // Batch execution.
   CounterHandle deadline_expired, rejected_stale, batches, completed;
   HistogramHandle queue_wait_us, e2e_us, batch_size;
@@ -114,9 +114,7 @@ struct ServeMetrics {
 /// cache is invalidated before new-generation traffic can be served
 /// stale entries. No accepted request is dropped by a swap: a queued
 /// request the new generation cannot serve (task/sample gone) completes
-/// with kFailedPrecondition at dispatch instead of executing. Fault
-/// site "serve.swap" aborts the swap with the injected status; the old
-/// generation keeps serving.
+/// with kFailedPrecondition at dispatch instead of executing.
 ///
 /// Results are bit-identical to calling the InferenceSession directly:
 /// batching and caching change scheduling, never numerics (golden-tested
@@ -153,8 +151,6 @@ class InferenceServer {
   /// returns OK. The response cache (if any) is cleared on success.
   /// Serving continues throughout — admissions are never paused, and no
   /// accepted request is dropped or served from a torn state. Returns
-  /// the injected error without swapping when the "serve.swap" fault
-  /// fires (chaos: checkpoint-load failure mid-rollout), and
   /// kFailedPrecondition after Shutdown.
   util::Status SwapSession(const core::InferenceSession& next);
 

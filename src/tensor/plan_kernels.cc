@@ -16,13 +16,11 @@ namespace explainti::tensor {
 namespace {
 
 // The register-blocked body for one chunk of output rows [ib, ie): two
-// output rows x four k steps per pass. Strides generalise the original
-// contiguous kernel; with lda == k, ldb == n, ldc == n, TransB == false
-// this is the exact loop nest MatMul's serving branch always ran. Each
-// output element accumulates its products in ascending-k order with every
-// product and add individually rounded, so bits never depend on the
-// blocking, the strides, or TransB (which only changes *where* the same
-// B values are read from).
+// output rows x four k steps per pass. Each output element accumulates
+// its products in ascending-k order with every product and add
+// individually rounded, so bits never depend on the blocking, the
+// strides, or TransB (which only changes *where* the same B values are
+// read from).
 template <bool TransB>
 void GemmRowsChunk(const float* EXPLAINTI_RESTRICT pa, int64_t lda,
                    const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
@@ -203,29 +201,36 @@ void SigmoidInto(const float* x, float* out, int64_t n) {
 
 namespace {
 
-// The LayerNorm row body from tensor_ops.cc, normalising `out` in place.
-// Reading the sums back from `out` in the mean/variance/normalise passes
-// sees exactly the values the unfused Add node held.
-inline void LayerNormRowInPlace(float* EXPLAINTI_RESTRICT out, int64_t cols,
-                                const float* EXPLAINTI_RESTRICT gamma,
-                                const float* EXPLAINTI_RESTRICT beta,
-                                float eps) {
+// The LayerNorm row body: inlined into the two serving fusions below, and
+// compiled out of line once more as LayerNormRow for the tape, from this
+// one definition with this file's flags.
+inline LayerNormStats NormalizeRowInPlace(float* EXPLAINTI_RESTRICT row,
+                                          int64_t cols,
+                                          const float* EXPLAINTI_RESTRICT gamma,
+                                          const float* EXPLAINTI_RESTRICT beta,
+                                          float eps) {
   float mean = 0.0f;
-  for (int64_t j = 0; j < cols; ++j) mean += out[j];
+  for (int64_t j = 0; j < cols; ++j) mean += row[j];
   mean /= static_cast<float>(cols);
   float var = 0.0f;
   for (int64_t j = 0; j < cols; ++j) {
-    const float d = out[j] - mean;
+    const float d = row[j] - mean;
     var += d * d;
   }
   var /= static_cast<float>(cols);
   const float inv_std = 1.0f / std::sqrt(var + eps);
   for (int64_t j = 0; j < cols; ++j) {
-    out[j] = (out[j] - mean) * inv_std * gamma[j] + beta[j];
+    row[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
   }
+  return {mean, inv_std};
 }
 
 }  // namespace
+
+LayerNormStats LayerNormRow(float* row, int64_t cols, const float* gamma,
+                            const float* beta, float eps) {
+  return NormalizeRowInPlace(row, cols, gamma, beta, eps);
+}
 
 void ResidualLayerNormRows(const float* x, const float* f, float* out,
                            int64_t rows, int64_t cols, const float* gamma,
@@ -235,7 +240,7 @@ void ResidualLayerNormRows(const float* x, const float* f, float* out,
     const float* EXPLAINTI_RESTRICT fr = f + r * cols;
     float* EXPLAINTI_RESTRICT or_ = out + r * cols;
     for (int64_t j = 0; j < cols; ++j) or_[j] = xr[j] + fr[j];
-    LayerNormRowInPlace(or_, cols, gamma, beta, eps);
+    NormalizeRowInPlace(or_, cols, gamma, beta, eps);
   }
 }
 
@@ -258,7 +263,7 @@ void EmbedLayerNormRows(const float* token_table, const float* position_table,
     } else {
       for (int64_t j = 0; j < cols; ++j) row[j] = tok[j] + pos[j];
     }
-    LayerNormRowInPlace(row, cols, gamma, beta, eps);
+    NormalizeRowInPlace(row, cols, gamma, beta, eps);
   }
 }
 

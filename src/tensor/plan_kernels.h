@@ -5,17 +5,21 @@
 
 namespace explainti::tensor {
 
-/// Shared serving kernels: the register-blocked no-grad GEMM plus the
+/// Shared kernels: the register-blocked GEMM, the LayerNorm row, and the
 /// fused elementwise chains of the raw-buffer serving forwards (the
 /// modules' Serve methods in src/nn and InferenceSession's explanation
 /// tail).
 ///
 /// Bit-identity is the whole point of this file. The tape ops
-/// (tensor_ops.cc) and the serving forwards both call ONE compiled copy
-/// of each kernel, built once with this library's vectorization flags
-/// and no fast-math, so the two execution paths cannot drift: every
-/// output element receives the same individually rounded float
-/// operations in the same order on both. Fusions below are
+/// (tensor_ops.cc: MatMul forward and backward, the LayerNorm forward,
+/// Softmax, L2Normalize, MeanRows, the sigmoid) and the serving forwards
+/// call ONE compiled copy of each kernel, built once with this library's
+/// vectorization flags and no fast-math, so the two execution paths
+/// cannot drift: every output element receives the same individually
+/// rounded float operations in the same order on both. Because the tape
+/// oracle shares these kernels, their independent check is the
+/// test-local reference loops (tests/thread_pool_test.cc) plus the
+/// pinned training and serving digests. Fusions below are
 /// chosen so that folding ops into one pass never reassociates a float
 /// expression — they only skip materialising intermediates (slice /
 /// transpose / concat copies, separate bias and activation passes).
@@ -23,16 +27,18 @@ namespace explainti::tensor {
 /// Every kernel runs on the calling thread: serving parallelises across
 /// requests and samples, never inside one (DESIGN.md §6).
 
-/// C[m,n] += A[m,k] * B[k,n], with C pre-zeroed by the caller (see
-/// ZeroRows). Row strides lda/ldb/ldc express sub-matrix views: the
+/// C[m,n] += A[m,k] * B[k,n]. A product starts from a C the caller
+/// zeroed (see ZeroRows); the tape's dB accumulates into its gradient
+/// instead. Row strides lda/ldb/ldc express sub-matrix views: the
 /// serving attention reads per-head q/k/v slices and writes per-head
 /// context columns in place, eliminating the SliceCols/ConcatCols copies
 /// of the tape encoder. `trans_b` reads B as B^T (element [kk, j] at
 /// b[j * ldb + kk]), folding the materialised Transpose(kh) of the
 /// attention-score GEMM. Accumulation order per output element is
-/// ascending-k with every product and add individually rounded —
-/// identical to the tape kernel and independent of strides and
-/// transposition.
+/// ascending-k with every product and add individually rounded,
+/// independent of strides and transposition. Zero operands are not
+/// skipped: a signed-zero product cannot change an accumulator that is
+/// never -0.0, and 0 * inf reads NaN.
 void ServingGemm(const float* a, int64_t lda, const float* b, int64_t ldb,
                  bool trans_b, float* c, int64_t ldc, int64_t m, int64_t k,
                  int64_t n);
@@ -70,6 +76,19 @@ void MeanRowsInto(const float* a, int64_t m, int64_t n, float* out);
 
 /// out[i] = 1 / (1 + exp(-x[i])) for i < n; `out` may alias `x`.
 void SigmoidInto(const float* x, float* out, int64_t n);
+
+/// Mean and inverse standard deviation of one normalised row.
+struct LayerNormStats {
+  float mean;
+  float inv_std;
+};
+
+/// row = layernorm(row; gamma, beta, eps) in place over one length-cols
+/// row: the mean, then the variance about it, each summed ascending in
+/// float, then (row[j] - mean) * inv_std * gamma[j] + beta[j]. Returns
+/// the statistics the tape LayerNorm keeps for its backward pass.
+LayerNormStats LayerNormRow(float* row, int64_t cols, const float* gamma,
+                            const float* beta, float eps);
 
 /// out[i, :] = layernorm(x[i, :] + f[i, :]; gamma, beta, eps): the
 /// residual Add + LayerNorm chain as one pass. The row sums are written

@@ -214,25 +214,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     out_shape = {};  // scalar dot
   }
 
+  // C = A·B on the serving GEMM, accumulating into the zero-filled node.
   auto node = NewNode(out_shape, {a, b});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = node->data.data();
-  // i-k-j loop order: streams through b's rows; good locality row-major.
-  // Every element accumulates in ascending k. The zero-skip mirrors the
-  // backward pass and profits from sparse inputs; serving runs ServingGemm
-  // (plan_kernels.h) instead, which accumulates the same products in the
-  // same ascending-k order, so for finite operands the two kernels agree
-  // bit for bit.
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = pc + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = pa[i * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  ServingGemm(a.data(), k, b.data(), n, /*trans_b=*/false, node->data.data(),
+              n, m, k, n);
 
   if (node->requires_grad) {
     Node* out = node.get();
@@ -241,33 +226,23 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     node->backward_fn = [out, na, nb, m, k, n]() {
       const float* gout = out->grad.data();
       if (na->requires_grad) {
-        // dA = dC * B^T : [m,k]. Each dA element is a dot product over j.
-        auto& ga = na->EnsureGrad();
-        const float* pb = nb->data.data();
-        for (int64_t i = 0; i < m; ++i) {
-          const float* grow = gout + i * n;
-          for (int64_t kk = 0; kk < k; ++kk) {
-            float acc = 0.0f;
-            const float* brow = pb + kk * n;
-            for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
-            ga[i * k + kk] += acc;
-          }
-        }
+        // dA = dC·Bᵀ : [m,k], each element a j-ascending dot product from
+        // zero, then added to the gradient.
+        std::vector<float> da(static_cast<size_t>(m * k), 0.0f);
+        ServingGemm(gout, n, nb->data.data(), n, /*trans_b=*/true, da.data(),
+                    k, m, n, k);
+        Accumulate(na.get(), da.data(), da.size());
       }
       if (nb->requires_grad) {
-        // dB = A^T * dC : [k,n]. Per (kk, j) the accumulation runs
-        // i-ascending.
-        auto& gb = nb->EnsureGrad();
+        // dB = Aᵀ·dC : [k,n], accumulated i-ascending straight into the
+        // gradient, over a transposed copy of A.
         const float* pa = na->data.data();
-        for (int64_t kk = 0; kk < k; ++kk) {
-          float* gbrow = gb.data() + kk * n;
-          for (int64_t i = 0; i < m; ++i) {
-            const float av = pa[i * k + kk];
-            if (av == 0.0f) continue;
-            const float* grow = gout + i * n;
-            for (int64_t j = 0; j < n; ++j) gbrow[j] += av * grow[j];
-          }
+        std::vector<float> at(static_cast<size_t>(k * m));
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t kk = 0; kk < k; ++kk) at[kk * m + i] = pa[i * k + kk];
         }
+        ServingGemm(at.data(), m, gout, n, /*trans_b=*/false,
+                    nb->EnsureGrad().data(), n, k, m, n);
       }
     };
   }
@@ -663,29 +638,16 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
     means = std::make_shared<std::vector<float>>(rr.rows);
     inv_stds = std::make_shared<std::vector<float>>(rr.rows);
   }
-  const float* pa = a.data();
-  const float* pgamma = gamma.data();
-  const float* pbeta = beta.data();
+  // Each row is normalised in place by LayerNormRow, the row routine the
+  // serving LayerNorm fusions run.
   float* pout = node->data.data();
+  std::copy(a.data(), a.data() + a.size(), pout);
   for (int64_t r = 0; r < rr.rows; ++r) {
-    const float* in = pa + r * rr.cols;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < rr.cols; ++j) mean += in[j];
-    mean /= static_cast<float>(rr.cols);
-    float var = 0.0f;
-    for (int64_t j = 0; j < rr.cols; ++j) {
-      const float d = in[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(rr.cols);
-    const float inv_std = 1.0f / std::sqrt(var + eps);
+    const LayerNormStats stats = LayerNormRow(
+        pout + r * rr.cols, rr.cols, gamma.data(), beta.data(), eps);
     if (means) {
-      (*means)[r] = mean;
-      (*inv_stds)[r] = inv_std;
-    }
-    float* out = pout + r * rr.cols;
-    for (int64_t j = 0; j < rr.cols; ++j) {
-      out[j] = (in[j] - mean) * inv_std * pgamma[j] + pbeta[j];
+      (*means)[r] = stats.mean;
+      (*inv_stds)[r] = stats.inv_std;
     }
   }
   if (node->requires_grad) {

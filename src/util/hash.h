@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace explainti::util {
 
@@ -45,10 +45,10 @@ inline uint64_t HashTokenFeature(const std::string& token) {
   return HashBytes(token.data(), token.size(), kFnvLegacyTokenBasis);
 }
 
-/// Hashes a vector of ints (e.g. a serialised token-id sequence),
+/// Hashes a run of ints (e.g. a serialised token-id sequence),
 /// length-prefixed so that ({1}, {2}) and ({1, 2}, {}) hash differently
 /// when chained.
-inline uint64_t HashInts(const std::vector<int>& values,
+inline uint64_t HashInts(std::span<const int> values,
                          uint64_t seed = kFnv64OffsetBasis) {
   const uint64_t n = static_cast<uint64_t>(values.size());
   uint64_t h = HashBytes(&n, sizeof(n), seed);

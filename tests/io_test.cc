@@ -142,22 +142,54 @@ TEST(CsvLoaderTest, MissingFileIsIoError) {
   EXPECT_TRUE(data::LoadTableFromCsv(path).ok());
 }
 
-TEST(WeightsIoTest, SaveLoadRoundTripPreservesPredictions) {
-  data::WikiTableOptions options;
-  options.num_tables = 30;
-  const data::TableCorpus corpus = data::GenerateWikiTableCorpus(options);
+/// A model trained for one epoch on a 30-table corpus, with its corpus
+/// and config. Training dominates this binary's run time, so each store
+/// segment count trains once and the cases that read a trained model
+/// share it (they only read it).
+struct TrainedFixture {
+  explicit TrainedFixture(int store_segments)
+      : corpus(MakeCorpus()),
+        config(MakeConfig(store_segments)),
+        model(config, corpus) {
+    model.Fit();
+  }
+  static data::TableCorpus MakeCorpus() {
+    data::WikiTableOptions options;
+    options.num_tables = 30;
+    return data::GenerateWikiTableCorpus(options);
+  }
+  static core::ExplainTiConfig MakeConfig(int store_segments) {
+    core::ExplainTiConfig config;
+    config.epochs = 1;
+    config.pretrain_epochs = 1;
+    config.store_segments = store_segments;
+    return config;
+  }
+  const data::TableCorpus corpus;
+  const core::ExplainTiConfig config;
+  core::ExplainTiModel model;
+};
 
-  core::ExplainTiConfig config;
-  config.epochs = 1;
-  config.pretrain_epochs = 1;
-  core::ExplainTiModel trained(config, corpus);
-  trained.Fit();
+/// The fixture with one store segment (the default) or two, built on
+/// first use.
+const TrainedFixture& Trained(int store_segments) {
+  if (store_segments == 1) {
+    static const TrainedFixture* one = new TrainedFixture(1);
+    return *one;
+  }
+  static const TrainedFixture* two = new TrainedFixture(2);
+  return *two;
+}
+
+TEST(WeightsIoTest, SaveLoadRoundTripPreservesPredictions) {
+  const TrainedFixture& fixture = Trained(1);
+  const core::ExplainTiModel& trained = fixture.model;
 
   const std::string path = "/tmp/explainti_weights_test.bin";
   ASSERT_TRUE(trained.SaveWeights(path).ok());
 
   // A fresh, untrained model with the same architecture.
-  core::ExplainTiModel restored(config, corpus);
+  core::ExplainTiModel restored(fixture.config, fixture.corpus);
   ASSERT_TRUE(restored.LoadWeights(path).ok());
 
   const auto& task = trained.task_data(core::TaskKind::kType);
@@ -194,17 +226,11 @@ bool FileExists(const std::string& path) {
 }
 
 TEST(WeightsIoTest, CorruptWeightsAreRejectedAndLeaveWeightsIntact) {
-  data::WikiTableOptions options;
-  options.num_tables = 30;
-  const data::TableCorpus corpus = data::GenerateWikiTableCorpus(options);
-  core::ExplainTiConfig config;
-  config.epochs = 1;
-  config.pretrain_epochs = 1;
   // Trained source, untrained target: a load that goes through changes
   // the target's predictions.
-  core::ExplainTiModel source(config, corpus);
-  source.Fit();
-  core::ExplainTiModel target(config, corpus);
+  const TrainedFixture& fixture = Trained(1);
+  const core::ExplainTiModel& source = fixture.model;
+  core::ExplainTiModel target(fixture.config, fixture.corpus);
 
   const std::string path = ::testing::TempDir() + "/weights_integrity.bin";
   ASSERT_TRUE(source.SaveWeights(path).ok());
@@ -434,16 +460,8 @@ TEST(StorePersistenceTest, SaveFaultLeavesNoLoadableDir) {
 }
 
 TEST(ModelStoreIoTest, RestoredModelReopensStoresWithoutReencoding) {
-  data::WikiTableOptions options;
-  options.num_tables = 30;
-  const data::TableCorpus corpus = data::GenerateWikiTableCorpus(options);
-
-  core::ExplainTiConfig config;
-  config.epochs = 1;
-  config.pretrain_epochs = 1;
-  config.store_segments = 2;
-  core::ExplainTiModel trained(config, corpus);
-  trained.Fit();
+  const TrainedFixture& fixture = Trained(2);
+  const core::ExplainTiModel& trained = fixture.model;
 
   const std::string weights = "/tmp/explainti_store_io_weights.bin";
   const std::string store_dir = FreshStoreDir("model_stores");
@@ -454,9 +472,9 @@ TEST(ModelStoreIoTest, RestoredModelReopensStoresWithoutReencoding) {
   // persisted stores. LoadWeights reopens them (mmap) instead of
   // re-encoding the corpus, and every store-dependent output — SE feeds
   // the final logits, GE drives the global view — matches bit-for-bit.
-  core::ExplainTiConfig restored_config = config;
+  core::ExplainTiConfig restored_config = fixture.config;
   restored_config.store_dir = store_dir;
-  core::ExplainTiModel restored(restored_config, corpus);
+  core::ExplainTiModel restored(restored_config, fixture.corpus);
   ASSERT_TRUE(restored.LoadWeights(weights).ok());
 
   const auto& task = trained.task_data(core::TaskKind::kType);
@@ -476,16 +494,8 @@ TEST(ModelStoreIoTest, RestoredModelReopensStoresWithoutReencoding) {
 }
 
 TEST(ModelStoreIoTest, CorruptStoreDirFallsBackToInMemoryRebuild) {
-  data::WikiTableOptions options;
-  options.num_tables = 30;
-  const data::TableCorpus corpus = data::GenerateWikiTableCorpus(options);
-
-  core::ExplainTiConfig config;
-  config.epochs = 1;
-  config.pretrain_epochs = 1;
-  config.store_segments = 2;
-  core::ExplainTiModel trained(config, corpus);
-  trained.Fit();
+  const TrainedFixture& fixture = Trained(2);
+  const core::ExplainTiModel& trained = fixture.model;
 
   const std::string weights = "/tmp/explainti_store_fallback_weights.bin";
   const std::string store_dir = FreshStoreDir("model_stores_corrupt");
@@ -496,9 +506,9 @@ TEST(ModelStoreIoTest, CorruptStoreDirFallsBackToInMemoryRebuild) {
   // The corrupt store is rejected, but LoadWeights does not fail: it
   // falls back to re-encoding the corpus, and predictions still match
   // (the rebuilt store holds the same embeddings).
-  core::ExplainTiConfig restored_config = config;
+  core::ExplainTiConfig restored_config = fixture.config;
   restored_config.store_dir = store_dir;
-  core::ExplainTiModel restored(restored_config, corpus);
+  core::ExplainTiModel restored(restored_config, fixture.corpus);
   ASSERT_TRUE(restored.LoadWeights(weights).ok());
 
   const auto& task = trained.task_data(core::TaskKind::kType);

@@ -1,5 +1,5 @@
 // Chaos harness for the serving subsystem: the faults serving can really
-// meet — admission outages, quota storms, a checkpoint read failing
+// meet — quota storms, a checkpoint read failing
 // mid-rollout, and a store segment reopened without its HNSW graph — hit
 // live traffic, and every failure must degrade to a typed Status with no
 // dropped callback, no torn response, and no wrong data. Runs under the
@@ -35,13 +35,11 @@ using util::fault::FaultSpec;
 // Arms `site` for the lifetime of the scope, then disarms everything.
 class ArmedFault {
  public:
-  ArmedFault(const std::string& site, util::StatusCode code,
-             int every_n = 1) {
+  ArmedFault(const std::string& site, util::StatusCode code) {
     FaultSpec spec;
     spec.kind = FaultKind::kError;
     spec.code = code;
     spec.message = "chaos: " + site;
-    spec.every_n = every_n;
     FaultRegistry::Instance().Arm(site, spec);
   }
   ~ArmedFault() { FaultRegistry::Instance().DisarmAll(); }
@@ -87,30 +85,6 @@ class ChaosTest : public ::testing::Test {
   void SetUp() override { FaultRegistry::Instance().DisarmAll(); }
   void TearDown() override { FaultRegistry::Instance().DisarmAll(); }
 };
-
-TEST_F(ChaosTest, AdmissionFaultShedsWithTypedStatusAndServesTheRest) {
-  const InferenceSession& session = Shared().model.session();
-  InferenceServer server(session);
-  // Every 3rd admission hits the injected dependency outage; the rest of
-  // the traffic is completely unaffected.
-  ArmedFault fault("serve.admit", util::StatusCode::kInternal,
-                   /*every_n=*/3);
-  int ok = 0, shed = 0;
-  for (int i = 0; i < 12; ++i) {
-    const ServeResponse response =
-        server.ServeSync(MakeRequest(ServeMethod::kPredict, i % 4));
-    if (response.status.ok()) {
-      ++ok;
-    } else {
-      EXPECT_EQ(response.status.code(), util::StatusCode::kInternal);
-      ++shed;
-    }
-  }
-  EXPECT_EQ(shed, 4);
-  EXPECT_EQ(ok, 8);
-  EXPECT_EQ(
-      server.metrics().GetCounter("serve.rejected_admit_fault")->Value(), 4);
-}
 
 TEST_F(ChaosTest, QuotaExhaustionStormNeverStarvesTheInteractiveTenant) {
   const InferenceSession& session = Shared().model.session();

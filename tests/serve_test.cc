@@ -926,6 +926,28 @@ TEST(ResponseCacheTest, CollidingKeyWithDifferentContentIsAMiss) {
   EXPECT_EQ(out.labels, response.labels);
 }
 
+// The key hashes are pinned: a change to how a request is hashed would
+// silently re-key every cached response.
+TEST(ResponseCacheTest, InputHashIsPinned) {
+  core::TaskData task;
+  task.samples.resize(2);
+  task.samples[0].seq.ids = {101, 7, 8, 102};
+  task.samples[0].seq.segments = {0, 0, 0, 0};
+  task.samples[1].seq.ids = {101, 9, 102, 11, 102};
+  task.samples[1].seq.segments = {0, 0, 0, 1, 1};
+
+  EXPECT_EQ(CacheInputHash(MakeRequest(ServeMethod::kPredict, 1), task),
+            0xc585efb5d41c43e2ULL);
+
+  ServeRequest qa;
+  qa.method = ServeMethod::kQaAnswer;
+  qa.qa.kind = qa::QaQueryKind::kFindColumnsOfType;
+  qa.qa.sample_ids = {1, 0};
+  qa.qa.label_id = 4;
+  qa.qa.top_k = 2;
+  EXPECT_EQ(CacheInputHash(qa, task), 0x0b2ce0314e4784aaULL);
+}
+
 TEST(ResponseCacheTest, CapacityIsExactAtAnySize) {
   CacheOptions options;
   options.enabled = true;
@@ -1151,8 +1173,7 @@ TEST(ServeHotSwapTest, ZeroDropBitExactAcrossThreeSwapsWithOneAborted) {
   EXPECT_EQ(server.metrics().GetCounter("serve.swaps")->Value(), 3);
 }
 
-TEST(ServeHotSwapTest, SwapFaultAbortsWithoutTouchingServingState) {
-  util::fault::FaultRegistry::Instance().DisarmAll();
+TEST(ServeHotSwapTest, SuccessfulSwapInvalidatesTheCache) {
   const InferenceSession& session = Shared().model.session();
   ServerOptions options;
   options.cache.enabled = true;
@@ -1160,25 +1181,12 @@ TEST(ServeHotSwapTest, SwapFaultAbortsWithoutTouchingServingState) {
   const ServeResponse cold =
       server.ServeSync(MakeRequest(ServeMethod::kPredict, 0));
   ASSERT_TRUE(cold.status.ok());
-
-  util::fault::FaultSpec spec;
-  spec.code = util::StatusCode::kInternal;
-  spec.message = "rollout controller crashed";
-  util::fault::FaultRegistry::Instance().Arm("serve.swap", spec);
-  const util::Status swap = server.SwapSession(session);
-  util::fault::FaultRegistry::Instance().DisarmAll();
-  EXPECT_EQ(swap.code(), util::StatusCode::kInternal);
-  EXPECT_EQ(server.current_generation(), 1u);
-  EXPECT_EQ(server.metrics().GetCounter("serve.swap_aborted")->Value(), 1);
-
-  // The cache survived the aborted swap (no invalidation happened) and
-  // the old generation still serves.
   const ServeResponse hot =
       server.ServeSync(MakeRequest(ServeMethod::kPredict, 0));
   ASSERT_TRUE(hot.status.ok());
   EXPECT_TRUE(hot.cache_hit);
 
-  // A successful swap *does* invalidate: the next request recomputes.
+  // The swap invalidates: the next request recomputes.
   ASSERT_TRUE(server.SwapSession(session).ok());
   const ServeResponse after =
       server.ServeSync(MakeRequest(ServeMethod::kPredict, 0));

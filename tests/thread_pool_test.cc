@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -129,6 +130,21 @@ TEST(ThreadPoolTest, ConfiguredThreadCountReadsEnvironment) {
 
 // -- Determinism across thread counts --------------------------------------
 
+// The tape's MatMul forward and backward, and LayerNorm's forward, run
+// the plan_kernels.h routines that serving runs too, so the tape cannot
+// be their oracle. These naive loops are: each rounds every product and
+// add in the order the kernels promise.
+
+void ExpectBitEqual(const float* got, const std::vector<float>& want,
+                    const char* what, int threads) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    uint32_t g, w;
+    std::memcpy(&g, got + i, sizeof(g));
+    std::memcpy(&w, want.data() + i, sizeof(w));
+    ASSERT_EQ(g, w) << what << " threads=" << threads << " i=" << i;
+  }
+}
+
 // Naive triple-loop reference matmul, accumulation in k order — the exact
 // order the production kernel must preserve.
 std::vector<float> ReferenceMatMul(const std::vector<float>& a,
@@ -156,7 +172,8 @@ TEST(ThreadPoolDeterminismTest, ParallelMatMulMatchesSerialReference) {
   std::vector<float> b(static_cast<size_t>(k * n));
   for (float& v : a) v = static_cast<float>(rng.Normal());
   for (float& v : b) v = static_cast<float>(rng.Normal());
-  // Sprinkle zeros to exercise the kernel's zero-skip path.
+  // Sprinkle zeros: the kernel adds their signed-zero products, which
+  // must leave every element as this zero-skipping reference has it.
   for (size_t i = 0; i < a.size(); i += 7) a[i] = 0.0f;
 
   const std::vector<float> expected = ReferenceMatMul(a, b, m, k, n);
@@ -167,49 +184,101 @@ TEST(ThreadPoolDeterminismTest, ParallelMatMulMatchesSerialReference) {
     tensor::Tensor tb = tensor::Tensor::FromVector({k, n}, b);
     tensor::Tensor tc = tensor::MatMul(ta, tb);
     ASSERT_EQ(tc.size(), static_cast<int64_t>(expected.size()));
-    for (int64_t i = 0; i < tc.size(); ++i) {
-      // Bit-exact, not approximate: accumulation order must not change
-      // with the thread count.
-      uint32_t got, want;
-      std::memcpy(&got, tc.data() + i, sizeof(got));
-      std::memcpy(&want, expected.data() + static_cast<size_t>(i),
-                  sizeof(want));
-      ASSERT_EQ(got, want) << "threads=" << threads << " i=" << i;
-    }
+    ExpectBitEqual(tc.data(), expected, "C", threads);
   }
 }
 
-TEST(ThreadPoolDeterminismTest, MatMulGradientsBitIdenticalAcrossThreads) {
+TEST(ThreadPoolDeterminismTest, MatMulGradientsMatchNaiveLoops) {
   GlobalPoolGuard guard;
   const int64_t m = 13, k = 17, n = 11;
   util::Rng rng(77);
   std::vector<float> a(static_cast<size_t>(m * k));
   std::vector<float> b(static_cast<size_t>(k * n));
+  std::vector<float> w(static_cast<size_t>(m * n));
   for (float& v : a) v = static_cast<float>(rng.Normal());
   for (float& v : b) v = static_cast<float>(rng.Normal());
+  for (float& v : w) v = static_cast<float>(rng.Normal());
+  for (size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
 
-  std::vector<float> ga1, gb1;
-  for (int threads : {1, 2, 4}) {
+  // loss = sum(C ⊙ W), so dC = W exactly.
+  // dA[i,kk] = sum_j dC[i,j] B[kk,j], j ascending from 0, then added
+  // to a zero gradient (which leaves it unchanged).
+  std::vector<float> want_da(static_cast<size_t>(m * k));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < n; ++j) {
+        acc += w[static_cast<size_t>(i * n + j)] *
+               b[static_cast<size_t>(kk * n + j)];
+      }
+      want_da[static_cast<size_t>(i * k + kk)] = acc;
+    }
+  }
+  // dB[kk,j] = sum_i A[i,kk] dC[i,j], i ascending from 0, zeros included.
+  std::vector<float> want_db(static_cast<size_t>(k * n), 0.0f);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    for (int64_t j = 0; j < n; ++j) {
+      for (int64_t i = 0; i < m; ++i) {
+        want_db[static_cast<size_t>(kk * n + j)] +=
+            a[static_cast<size_t>(i * k + kk)] *
+            w[static_cast<size_t>(i * n + j)];
+      }
+    }
+  }
+
+  for (int threads : {1, 4}) {
     SetGlobalThreadCount(threads);
     tensor::Tensor ta = tensor::Tensor::FromVector({m, k}, a);
     tensor::Tensor tb = tensor::Tensor::FromVector({k, n}, b);
     ta.set_requires_grad(true);
     tb.set_requires_grad(true);
-    tensor::Tensor loss = tensor::Sum(tensor::MatMul(ta, tb));
+    tensor::Tensor loss = tensor::Sum(tensor::Mul(
+        tensor::MatMul(ta, tb), tensor::Tensor::FromVector({m, n}, w)));
     loss.Backward();
-    const std::vector<float> ga(ta.grad(), ta.grad() + ta.size());
-    const std::vector<float> gb(tb.grad(), tb.grad() + tb.size());
-    if (threads == 1) {
-      ga1 = ga;
-      gb1 = gb;
-    } else {
-      EXPECT_EQ(std::memcmp(ga.data(), ga1.data(),
-                            ga.size() * sizeof(float)), 0)
-          << "dA differs at threads=" << threads;
-      EXPECT_EQ(std::memcmp(gb.data(), gb1.data(),
-                            gb.size() * sizeof(float)), 0)
-          << "dB differs at threads=" << threads;
+    ExpectBitEqual(ta.grad(), want_da, "dA", threads);
+    ExpectBitEqual(tb.grad(), want_db, "dB", threads);
+  }
+}
+
+TEST(ThreadPoolDeterminismTest, LayerNormForwardMatchesNaiveRowLoop) {
+  GlobalPoolGuard guard;
+  const int64_t rows = 7, cols = 29;
+  const float eps = 1e-5f;
+  util::Rng rng(91);
+  std::vector<float> x(static_cast<size_t>(rows * cols));
+  std::vector<float> gamma(static_cast<size_t>(cols));
+  std::vector<float> beta(static_cast<size_t>(cols));
+  for (float& v : x) v = static_cast<float>(rng.Normal());
+  for (float& v : gamma) v = static_cast<float>(rng.Normal());
+  for (float& v : beta) v = static_cast<float>(rng.Normal());
+
+  std::vector<float> want(x.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* in = x.data() + r * cols;
+    float mean = 0.0f;
+    for (int64_t j = 0; j < cols; ++j) mean += in[j];
+    mean /= static_cast<float>(cols);
+    float var = 0.0f;
+    for (int64_t j = 0; j < cols; ++j) {
+      const float d = in[j] - mean;
+      var += d * d;
     }
+    var /= static_cast<float>(cols);
+    const float inv_std = 1.0f / std::sqrt(var + eps);
+    for (int64_t j = 0; j < cols; ++j) {
+      want[static_cast<size_t>(r * cols + j)] =
+          (in[j] - mean) * inv_std * gamma[static_cast<size_t>(j)] +
+          beta[static_cast<size_t>(j)];
+    }
+  }
+
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    const tensor::Tensor out = tensor::LayerNorm(
+        tensor::Tensor::FromVector({rows, cols}, x),
+        tensor::Tensor::FromVector({cols}, gamma),
+        tensor::Tensor::FromVector({cols}, beta), eps);
+    ExpectBitEqual(out.data(), want, "LayerNorm", threads);
   }
 }
 
