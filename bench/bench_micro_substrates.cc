@@ -1,7 +1,12 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks the
-// reproduction runs on — tensor ops, encoder forward/backward, HNSW vs
+// reproduction runs on — tensor ops, the serving FFN's bias+GELU pass at
+// the vector width this CPU picked, encoder forward/backward, HNSW vs
 // exact retrieval (the ablation behind GE's O(log N) claim), tokenizer,
 // serialisation, and graph neighbour sampling.
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +15,8 @@
 #include "data/wiki_generator.h"
 #include "graph/column_graph.h"
 #include "nn/encoder.h"
+#include "tensor/gelu.h"
+#include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "text/serializer.h"
 #include "text/tokenizer.h"
@@ -42,6 +49,32 @@ void BM_SoftmaxBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftmaxBackward);
+
+// The encoder FFN's bias+GELU at its shape, [36, 128] (median sequence
+// length, FFN width), labelled with the lane count of the GELU body this
+// CPU runs. Each iteration also restores the input (4608 floats), so that
+// repeated passes do not walk the values into a different range.
+void BM_BiasGeluRows(benchmark::State& state) {
+  constexpr int64_t kRows = 36, kCols = 128;
+  util::Rng rng(5);
+  std::vector<float> input(kRows * kCols), bias(kCols);
+  for (float& v : input) v = static_cast<float>(rng.Normal());
+  for (float& v : bias) v = static_cast<float>(rng.Normal() * 0.1);
+  std::vector<float> c(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), c.begin());
+    tensor::BiasGeluRows(c.data(), kCols, bias.data(), kRows, kCols);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  int lanes = 0;
+  for (const tensor::GeluBody& body : tensor::GeluBodies()) {
+    if (body.runs_here) lanes = body.lanes;
+  }
+  state.SetLabel(std::to_string(lanes) + " lanes");
+  state.SetItemsProcessed(state.iterations() * kRows * kCols);
+}
+BENCHMARK(BM_BiasGeluRows);
 
 void BM_EncoderForward(benchmark::State& state) {
   util::Rng rng(3);

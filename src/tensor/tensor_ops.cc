@@ -510,16 +510,20 @@ Tensor Relu(const Tensor& a) {
 Tensor Gelu(const Tensor& a) {
   auto node = NewNode(a.shape(), {a});
   const int64_t n = a.size();
-  GeluInto(a.data(), node->data.data(), n);
-  if (node->requires_grad) {
-    Node* out = node.get();
-    auto na = a.node();
-    node->backward_fn = [out, na, n]() {
-      if (!na->requires_grad) return;
-      GeluGradAccumulate(na->data.data(), out->grad.data(),
-                         na->EnsureGrad().data(), n);
-    };
+  if (!node->requires_grad) {
+    GeluInto(a.data(), node->data.data(), n);
+    return Tensor(node);
   }
+  // The backward pass reads the forward's tanh instead of taking it again.
+  std::vector<float> t(static_cast<size_t>(n));
+  GeluWithTanhInto(a.data(), node->data.data(), t.data(), n);
+  Node* out = node.get();
+  auto na = a.node();
+  node->backward_fn = [out, na, n, t = std::move(t)]() {
+    if (!na->requires_grad) return;
+    GeluGradAccumulate(na->data.data(), t.data(), out->grad.data(),
+                       na->EnsureGrad().data(), n);
+  };
   return Tensor(node);
 }
 

@@ -64,62 +64,103 @@ inline std::vector<int> SampleIds(const core::TaskData& task) {
   return ids;
 }
 
-// Every fp32 serving method of `model`'s session must agree bit for bit
-// with the tape-building eval forward on the sampled ids of every task
-// (all of them with `every_sample`, so rare tail branches run): Predict,
-// PredictProbabilities and Explain (every field) against the model's own,
-// and EncodeBatch against row 0 of the tape encoder. Returns how many
-// explanations took SE's no-usable-neighbour self branch, so a caller can
-// report whether that branch was exercised.
-inline int ExpectSessionMatchesTape(const core::ExplainTiModel& model,
-                                    bool every_sample = false) {
-  const core::InferenceSession& session = model.session();
-  int self_branch = 0;
+// The tape-building eval forward's answers on the sampled ids of every
+// task of `model` (all of them with `every_sample`, so rare tail branches
+// run): what ExpectSessionMatches holds a session to. Computed once, they
+// serve comparisons at any number of pool threads.
+struct TapeAnswers {
+  struct Task {
+    core::TaskKind kind = core::TaskKind::kType;
+    std::vector<int> ids;
+    std::vector<core::Explanation> explanations;
+    std::vector<std::vector<int>> labels;
+    std::vector<std::vector<float>> probabilities;
+    // Row 0 of the tape encoder, EncodeBatch's answer.
+    std::vector<std::vector<float>> embeddings;
+  };
+  std::vector<Task> tasks;
+};
+
+inline TapeAnswers TapeAnswersFor(const core::ExplainTiModel& model,
+                                  bool every_sample = false) {
+  TapeAnswers answers;
   for (core::TaskKind kind :
        {core::TaskKind::kType, core::TaskKind::kRelation}) {
     if (!model.HasTask(kind)) continue;
     const core::TaskData& task = model.task_data(kind);
+    TapeAnswers::Task& want = answers.tasks.emplace_back();
+    want.kind = kind;
     const std::vector<int> defaults = SampleIds(task);
-    std::vector<int> ids = defaults;
+    want.ids = defaults;
     if (every_sample) {
-      ids.resize(task.samples.size());
-      for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+      want.ids.resize(task.samples.size());
+      for (size_t i = 0; i < want.ids.size(); ++i) {
+        want.ids[i] = static_cast<int>(i);
+      }
     }
-    for (int id : ids) {
-      SCOPED_TRACE("sample " + std::to_string(id));
-      const core::Explanation want = model.Explain(kind, id);
-      ExpectExplanationsBitEqual(want, session.Explain(kind, id));
+    for (int id : want.ids) {
+      const core::Explanation& explanation =
+          want.explanations.emplace_back(model.Explain(kind, id));
       // Beyond the default ids the tape Explain's labels and probabilities
       // stand in for the tape Predict's (LE and GE never change the final
       // logits), keeping the sweep at one tape Explain per sample.
       const bool is_default =
           std::find(defaults.begin(), defaults.end(), id) != defaults.end();
-      EXPECT_EQ(session.Predict(kind, id),
-                is_default ? model.Predict(kind, id) : want.predicted_labels);
-      ExpectBitEqual(session.PredictProbabilities(kind, id),
-                     is_default ? model.PredictProbabilities(kind, id)
-                                : want.probabilities,
-                     "PredictProbabilities");
-      if (model.config().use_structural && want.structural.size() == 1 &&
-          want.structural[0].via == graph::BridgeKind::kSelf) {
+      want.labels.push_back(is_default ? model.Predict(kind, id)
+                                       : explanation.predicted_labels);
+      want.probabilities.push_back(is_default
+                                       ? model.PredictProbabilities(kind, id)
+                                       : explanation.probabilities);
+      const core::TaskSample& sample = task.samples[static_cast<size_t>(id)];
+      const tensor::Tensor hidden = model.encoder().Forward(
+          sample.seq.ids, sample.seq.segments, nn::ExecContext::Eval());
+      want.embeddings.push_back(tensor::Row(hidden, 0).ToVector());
+    }
+  }
+  return answers;
+}
+
+// Every fp32 serving method of `model`'s session must agree bit for bit
+// with the tape's `answers`: Predict, PredictProbabilities and Explain
+// (every field), and EncodeBatch. Returns how many explanations took SE's
+// no-usable-neighbour self branch, so a caller can report whether that
+// branch was exercised.
+inline int ExpectSessionMatches(const core::ExplainTiModel& model,
+                                const TapeAnswers& answers) {
+  const core::InferenceSession& session = model.session();
+  int self_branch = 0;
+  for (const TapeAnswers::Task& want : answers.tasks) {
+    for (size_t i = 0; i < want.ids.size(); ++i) {
+      const int id = want.ids[i];
+      SCOPED_TRACE("sample " + std::to_string(id));
+      ExpectExplanationsBitEqual(want.explanations[i],
+                                 session.Explain(want.kind, id));
+      EXPECT_EQ(session.Predict(want.kind, id), want.labels[i]);
+      ExpectBitEqual(session.PredictProbabilities(want.kind, id),
+                     want.probabilities[i], "PredictProbabilities");
+      if (model.config().use_structural &&
+          want.explanations[i].structural.size() == 1 &&
+          want.explanations[i].structural[0].via ==
+              graph::BridgeKind::kSelf) {
         ++self_branch;
       }
     }
-    const auto embs = session.EncodeBatch(kind, ids);
-    if (embs.size() != ids.size()) {
+    const auto embs = session.EncodeBatch(want.kind, want.ids);
+    if (embs.size() != want.ids.size()) {
       ADD_FAILURE() << "EncodeBatch returned " << embs.size() << " rows";
       continue;
     }
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const core::TaskSample& sample =
-          task.samples[static_cast<size_t>(ids[i])];
-      const tensor::Tensor hidden = model.encoder().Forward(
-          sample.seq.ids, sample.seq.segments, nn::ExecContext::Eval());
-      ExpectBitEqual(embs[i], tensor::Row(hidden, 0).ToVector(),
-                     "EncodeBatch");
+    for (size_t i = 0; i < want.ids.size(); ++i) {
+      ExpectBitEqual(embs[i], want.embeddings[i], "EncodeBatch");
     }
   }
   return self_branch;
+}
+
+// ExpectSessionMatches against the tape's answers taken now.
+inline int ExpectSessionMatchesTape(const core::ExplainTiModel& model,
+                                    bool every_sample = false) {
+  return ExpectSessionMatches(model, TapeAnswersFor(model, every_sample));
 }
 
 }  // namespace explainti::testing

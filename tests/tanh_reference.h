@@ -2,16 +2,21 @@
 #define EXPLAINTI_TESTS_TANH_REFERENCE_H_
 
 // The reference the tensor/gelu.h tanh port is proven against: the C
-// library's float tanh, when that is glibc 2.36's fdlibm code.
+// library's float tanh, when that is glibc 2.36's fdlibm code; and the
+// port's bodies that this CPU runs.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <string>
+#include <vector>
 
 #if defined(__GLIBC__)
 #include <gnu/libc-version.h>
 #endif
+
+#include "tensor/gelu.h"
 
 namespace explainti::tensor::testing {
 
@@ -36,6 +41,21 @@ inline float BitsToFloat(uint32_t bits) {
   float v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
+}
+
+/// The bodies of GeluBodies() that this CPU runs. A body it cannot run is
+/// named on stdout as skipped.
+inline std::vector<GeluBody> RunnableGeluBodies() {
+  std::vector<GeluBody> bodies;
+  for (const GeluBody& body : GeluBodies()) {
+    if (body.runs_here) {
+      bodies.push_back(body);
+    } else {
+      std::cout << "skipped: the " << body.lanes
+                << "-lane body, which this CPU cannot run\n";
+    }
+  }
+  return bodies;
 }
 
 /// Bit-equal, except that any NaN matches any NaN.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -295,52 +296,65 @@ TEST(TanhPortTest, MatchesLibmOnSweepAndBranchEdges) {
                     "OutputsArePinned still pins the port";
   }
   const std::vector<float> xs = TanhProbeInputs();
-  std::vector<float> ys(xs.size());
-  TanhInto(xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
-  int mismatches = 0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const float want = std::tanh(xs[i]);
-    if (testing::SameTanh(ys[i], want)) continue;
-    if (++mismatches <= 10) {
-      ADD_FAILURE() << std::hex << "x 0x" << testing::FloatBits(xs[i])
-                    << ": port 0x" << testing::FloatBits(ys[i])
-                    << ", libm 0x" << testing::FloatBits(want);
+  for (const GeluBody& body : testing::RunnableGeluBodies()) {
+    SCOPED_TRACE(std::to_string(body.lanes) + " lanes");
+    std::vector<float> ys(xs.size());
+    TanhInto(body, xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
+    int mismatches = 0;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const float want = std::tanh(xs[i]);
+      if (testing::SameTanh(ys[i], want)) continue;
+      if (++mismatches <= 10) {
+        ADD_FAILURE() << std::hex << "x 0x" << testing::FloatBits(xs[i])
+                      << ": port 0x" << testing::FloatBits(ys[i])
+                      << ", libm 0x" << testing::FloatBits(want);
+      }
     }
+    EXPECT_EQ(mismatches, 0);
   }
-  EXPECT_EQ(mismatches, 0);
 }
 
 // A digest of the port's outputs on TanhProbeInputs (every NaN counted as
 // the same NaN), taken where the port matches glibc 2.36 bit for bit. It
-// pins the port on any host, whatever that host's libm computes.
+// pins every width on any host, whatever that host's libm computes.
 TEST(TanhPortTest, OutputsArePinned) {
   const std::vector<float> xs = TanhProbeInputs();
-  std::vector<float> ys(xs.size());
-  TanhInto(xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
-  uint64_t digest = util::kFnv64OffsetBasis;
-  for (float y : ys) {
-    const uint32_t bits = std::isnan(y) ? 0x7fc00000u : testing::FloatBits(y);
-    digest = util::HashBytes(&bits, sizeof bits, digest);
+  for (const GeluBody& body : testing::RunnableGeluBodies()) {
+    std::vector<float> ys(xs.size());
+    TanhInto(body, xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
+    uint64_t digest = util::kFnv64OffsetBasis;
+    for (float y : ys) {
+      const uint32_t bits =
+          std::isnan(y) ? 0x7fc00000u : testing::FloatBits(y);
+      digest = util::HashBytes(&bits, sizeof bits, digest);
+    }
+    EXPECT_EQ(digest, 0xadece5057121f7d5ULL)
+        << body.lanes << " lanes: digest 0x" << std::hex << digest;
   }
-  EXPECT_EQ(digest, 0xadece5057121f7d5ULL) << "digest 0x" << std::hex << digest;
 }
 
-// One GELU serves the tape and the serving FFN. At every width (tails of
-// 1..7 lanes around the 8-lane steps) the tape's Gelu, its backward pass
-// and BiasGeluRows must equal, bit for bit, the scalar formula over the
-// port's tanh taken one element at a time.
+// One GELU serves the tape and the serving FFN. At every row width (every
+// tail around the 4-, 8-, 16- and 32-float steps of the vector bodies) the
+// tape's Gelu, its backward pass, BiasGeluRows and each body this CPU runs
+// must equal, bit for bit, the scalar formula over the port's tanh taken
+// one element at a time.
 TEST(GeluTest, TapeAndServingMatchScalarFormulaAtEveryWidth) {
   const float sqrt2_over_pi = std::sqrt(2.0f / static_cast<float>(M_PI));
+  // The 4-lane body, which every CPU runs, one element at a time.
   auto tanh1 = [](float v) {
     float t = 0.0f;
-    TanhInto(&v, &t, 1);
+    TanhInto(GeluBodies().front(), &v, &t, 1);
     return t;
   };
   auto inner = [&](float x) {
     return sqrt2_over_pi * (x + 0.044715f * x * x * x);
   };
+  const std::vector<GeluBody> bodies = testing::RunnableGeluBodies();
+  std::vector<int64_t> widths;
+  for (int64_t n = 1; n <= 33; ++n) widths.push_back(n);
+  for (int64_t n : {63, 64, 65, 127, 128, 129}) widths.push_back(n);
   util::Rng rng(7);
-  for (int64_t n : {1, 3, 4, 5, 7, 8, 9, 127, 128, 129}) {
+  for (int64_t n : widths) {
     const int64_t m = 2, ldc = n + 3;
     std::vector<float> x(static_cast<size_t>(m * n)), w(x.size());
     std::vector<float> bias(static_cast<size_t>(n));
@@ -360,6 +374,20 @@ TEST(GeluTest, TapeAndServingMatchScalarFormulaAtEveryWidth) {
       std::copy_n(x.begin() + i * n, n, c.begin() + i * ldc);
     }
     BiasGeluRows(c.data(), ldc, bias.data(), m, n);
+    // Each body's GELU row by row, with and without the tanh it hands to
+    // the backward pass.
+    std::vector<std::vector<float>> body_y, body_t, body_y_only;
+    for (const GeluBody& body : bodies) {
+      body_y.emplace_back(x.size());
+      body_t.emplace_back(x.size());
+      body_y_only.emplace_back(x.size());
+      for (int64_t i = 0; i < m; ++i) {
+        body.gelu_into(x.data() + i * n, body_y.back().data() + i * n,
+                       body_t.back().data() + i * n, n);
+        body.gelu_into(x.data() + i * n, body_y_only.back().data() + i * n,
+                       nullptr, n);
+      }
+    }
 
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) {
@@ -384,6 +412,16 @@ TEST(GeluTest, TapeAndServingMatchScalarFormulaAtEveryWidth) {
                   testing::FloatBits(gelu_b)) << "Gelu(x + bias) " << where;
         EXPECT_EQ(testing::FloatBits(c[i * ldc + j]),
                   testing::FloatBits(gelu_b)) << "BiasGeluRows " << where;
+        for (size_t b = 0; b < bodies.size(); ++b) {
+          const std::string lanes =
+              std::to_string(bodies[b].lanes) + "-lane body ";
+          EXPECT_EQ(testing::FloatBits(body_y[b][i * n + j]),
+                    testing::FloatBits(gelu)) << lanes << where;
+          EXPECT_EQ(testing::FloatBits(body_t[b][i * n + j]),
+                    testing::FloatBits(t)) << lanes << "tanh " << where;
+          EXPECT_EQ(testing::FloatBits(body_y_only[b][i * n + j]),
+                    testing::FloatBits(gelu)) << lanes << where;
+        }
       }
       for (int64_t j = n; j < ldc; ++j) {
         EXPECT_EQ(c[i * ldc + j], 99.0f) << "BiasGeluRows wrote past n=" << n;
