@@ -148,7 +148,6 @@ Row RunConfig(const Corpus& corpus, int shards) {
   }
   core::EmbeddingStore store(StoreOptions(shards));
   timed_build(store);
-  CHECK(store.hnsw_ready());
   const core::EmbeddingStore::View view = store.view();
 
   // Search latency distribution over repeated query sweeps.

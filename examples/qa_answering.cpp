@@ -50,8 +50,7 @@ void PrintAnswer(const QaAnswer& answer, const explainti::core::TaskData& task) 
     for (int label : step.predicted_labels) {
       std::printf(" %s", task.label_names[static_cast<size_t>(label)].c_str());
     }
-    std::printf("  (confidence %.3f)%s\n", step.confidence,
-                step.ann_degraded ? "  [ANN degraded]" : "");
+    std::printf("  (confidence %.3f)\n", step.confidence);
     for (const QaEvidenceItem& item : answer.justification.items) {
       if (item.step != step.step) continue;
       std::printf("    [%s %.3f] %s\n", QaViewName(item.view), item.score,

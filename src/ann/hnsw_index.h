@@ -47,13 +47,13 @@ inline uint64_t SeedForSegment(uint64_t base_seed, int64_t segment_index) {
 /// the top-K influential training samples in O(log N) expected time. The
 /// test suite certifies recall@10 against FlatIndex.
 ///
-/// Storage modes mirror FlatIndex: `Add()` copies + normalises and inserts
-/// in one step (owned mode), while a store segment attaches its shared
-/// normalised payload with `AttachStorage()` and then either inserts rows
-/// one at a time with `InsertNode()` (fresh build) or restores a
-/// previously serialised graph with `LoadGraph()`. Graph adjacency is the
-/// only state `SerializeGraph()` emits — vectors travel in the segment
-/// payload, not here.
+/// Two storage modes: `Add()` copies + normalises and inserts in one step
+/// (owned mode), while a store segment attaches its normalised payload
+/// (possibly an mmap'd file) with `AttachStorage()` and then either
+/// inserts rows one at a time with `InsertNode()` (fresh build) or
+/// restores a previously serialised graph with `LoadGraph()`. Graph
+/// adjacency is the only state `SerializeGraph()` emits — vectors travel
+/// in the segment payload, not here.
 class HnswIndex {
  public:
   explicit HnswIndex(HnswOptions options = HnswOptions());
@@ -67,10 +67,11 @@ class HnswIndex {
   int64_t size() const { return count_; }
   int64_t dim() const { return dim_; }
 
-  /// Rebinds the index to `count` rows of externally owned, already
-  /// L2-normalised storage (see FlatIndex::AttachStorage). Only valid on
-  /// an index with no graph yet; follow with InsertNode() per row or one
-  /// LoadGraph().
+  /// Rebinds the index to `count` rows of externally owned storage:
+  /// `vectors` is row-major `count x dim` and already L2-normalised,
+  /// `ids[i]` names row i, and the caller keeps both alive for the
+  /// index's lifetime. Only valid on an index with no graph yet; follow
+  /// with InsertNode() per row or one LoadGraph().
   void AttachStorage(const int64_t* ids, const float* vectors, int64_t count,
                      int64_t dim);
 

@@ -71,11 +71,9 @@ void MergeTopK(const std::vector<SearchResult>* shard_hits,
   std::sort(out->begin(), out->end(), Outranks);
 }
 
-void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
+void ShardedSearchInto(const HnswIndex* const* shards, int64_t num_shards,
                        const std::vector<float>& query, int k,
-                       int64_t exclude_id, std::vector<SearchResult>* out,
-                       ShardedQueryStats* stats) {
-  *stats = ShardedQueryStats{};
+                       int64_t exclude_id, std::vector<SearchResult>* out) {
   out->clear();
   if (num_shards <= 0 || k <= 0) return;
 
@@ -83,7 +81,7 @@ void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
   if (s.hits.size() < static_cast<size_t>(num_shards)) {
     s.hits.resize(static_cast<size_t>(num_shards));
   }
-  const int64_t dim = shards[0].flat->dim();
+  const int64_t dim = shards[0]->dim();
   s.qnorm.resize(static_cast<size_t>(dim));
   L2NormalizeInto(query.data(), dim, s.qnorm.data());
   const float* qnorm = s.qnorm.data();
@@ -92,14 +90,8 @@ void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
   // never cost a real hit.
   const int fetch = k + 1;
   for (int64_t i = 0; i < num_shards; ++i) {
-    std::vector<SearchResult>& hits = s.hits[static_cast<size_t>(i)];
-    const ShardRef& shard = shards[i];
-    if (shard.hnsw == nullptr) {
-      shard.flat->SearchNormalized(qnorm, fetch, &s.search, &hits);
-      ++stats->shards_degraded;
-    } else {
-      shard.hnsw->SearchNormalized(qnorm, fetch, &s.search, &hits);
-    }
+    shards[i]->SearchNormalized(qnorm, fetch, &s.search,
+                                &s.hits[static_cast<size_t>(i)]);
   }
   MergeTopK(s.hits.data(), num_shards, k, exclude_id, out);
 }

@@ -4,29 +4,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/index.h"
 
 namespace explainti::ann {
-
-/// One searchable store segment as the fan-out sees it. `flat` is the
-/// exact tier and is always present; `hnsw` is the fast tier, or null
-/// when the segment was loaded from a flat-only segment file and serves
-/// flat. Both point into the owning Segment, which the caller keeps
-/// pinned for the duration of the query.
-struct ShardRef {
-  const FlatIndex* flat = nullptr;
-  const HnswIndex* hnsw = nullptr;
-};
-
-/// Per-query degradation telemetry from one sharded search.
-struct ShardedQueryStats {
-  /// Shards whose answer came from the exact flat tier because they have
-  /// no HNSW graph.
-  int shards_degraded = 0;
-  bool any_fallback() const { return shards_degraded > 0; }
-};
 
 /// Merges per-shard candidate lists into the global top-k using a bounded
 /// heap (never more than k live entries), dropping `exclude_id`. The kept
@@ -39,20 +20,19 @@ void MergeTopK(const std::vector<SearchResult>* shard_hits,
 
 /// Fans one top-k query across `shards` and merges the per-shard answers.
 ///
-/// Each shard answers from its own tier (HNSW, or exact flat when it has
-/// no graph; see ShardRef), over-fetching k+1 so the excluded id cannot
-/// displace a real hit. Shards are searched in order on the calling
-/// thread, each into its own hit slot, and the merge is order-independent,
-/// so the result is bit-identical at any thread count. `query` is raw
-/// (un-normalised) and must have exactly the shard dimensionality;
-/// callers validate against their store's dim first.
+/// Each shard is one store segment's HNSW graph, which the caller keeps
+/// pinned for the duration of the query. Every shard over-fetches k+1 so
+/// the excluded id cannot displace a real hit. Shards are searched in
+/// order on the calling thread, each into its own hit slot, and the merge
+/// is order-independent, so the result is bit-identical at any thread
+/// count. `query` is raw (un-normalised) and must have exactly the shard
+/// dimensionality; callers validate against their store's dim first.
 ///
 /// Reuses thread-local scratch (one SearchScratch + per-shard hit slots).
 /// Once warm, a query performs zero heap allocations at any pool size.
-void ShardedSearchInto(const ShardRef* shards, int64_t num_shards,
+void ShardedSearchInto(const HnswIndex* const* shards, int64_t num_shards,
                        const std::vector<float>& query, int k,
-                       int64_t exclude_id, std::vector<SearchResult>* out,
-                       ShardedQueryStats* stats);
+                       int64_t exclude_id, std::vector<SearchResult>* out);
 
 }  // namespace explainti::ann
 

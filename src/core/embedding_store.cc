@@ -14,12 +14,8 @@ namespace {
 /// Builds the Snapshot's fan-out tables from its segments vector.
 void IndexShards(EmbeddingStore::Snapshot* snapshot) {
   snapshot->shards.clear();
-  snapshot->shard_segments.clear();
   for (const auto& segment : snapshot->segments) {
-    if (segment == nullptr) continue;
-    snapshot->shards.push_back(
-        ann::ShardRef{&segment->flat, segment->hnsw.get()});
-    snapshot->shard_segments.push_back(segment.get());
+    if (segment != nullptr) snapshot->shards.push_back(&segment->hnsw);
   }
 }
 
@@ -63,16 +59,15 @@ std::shared_ptr<const EmbeddingStore::Segment> EmbeddingStore::BuildSegment(
   segment->ids = segment->owned_ids.data();
   segment->raw = segment->owned_raw.data();
   segment->norm = segment->owned_norm.data();
-  segment->flat.AttachStorage(segment->ids, segment->norm, segment->count,
-                              dim);
 
   ann::HnswOptions hnsw_options = options_.hnsw;
   hnsw_options.seed = ann::SeedForSegment(options_.hnsw.seed, segment_index);
-  auto hnsw = std::make_unique<ann::HnswIndex>(hnsw_options);
-  hnsw->AttachStorage(segment->ids, segment->norm, segment->count, dim);
-  for (int64_t row = 0; row < segment->count; ++row) hnsw->InsertNode();
-  segment->hnsw = std::move(hnsw);
-  segment->hnsw_ready = true;
+  segment->hnsw = ann::HnswIndex(hnsw_options);
+  segment->hnsw.AttachStorage(segment->ids, segment->norm, segment->count,
+                              dim);
+  for (int64_t row = 0; row < segment->count; ++row) {
+    segment->hnsw.InsertNode();
+  }
   return segment;
 }
 
@@ -172,7 +167,8 @@ util::Status EmbeddingStore::Save(const std::string& dir) const {
   manifest.span = snapshot->span;
   manifest.count = snapshot->count;
   manifest.hnsw = snapshot->hnsw;
-  for (const Segment* segment : snapshot->shard_segments) {
+  for (const auto& segment : snapshot->segments) {
+    if (segment == nullptr) continue;
     if (util::Status s = SaveSegmentFile(
             dir + "/" + SegmentFileName(segment->index), *segment);
         !s.ok()) {
@@ -225,19 +221,16 @@ EmbeddingStore::View EmbeddingStore::view() const {
 }
 
 std::vector<ann::SearchResult> EmbeddingStore::View::Search(
-    const std::vector<float>& query, int k, int exclude_id,
-    bool* used_fallback) const {
+    const std::vector<float>& query, int k, int exclude_id) const {
   std::vector<ann::SearchResult> out;
-  SearchInto(query, k, exclude_id, &out, used_fallback);
+  SearchInto(query, k, exclude_id, &out);
   return out;
 }
 
-void EmbeddingStore::View::SearchInto(const std::vector<float>& query, int k,
-                                      int exclude_id,
-                                      std::vector<ann::SearchResult>* out,
-                                      bool* used_fallback) const {
+void EmbeddingStore::View::SearchInto(
+    const std::vector<float>& query, int k, int exclude_id,
+    std::vector<ann::SearchResult>* out) const {
   out->clear();
-  if (used_fallback != nullptr) *used_fallback = false;
   if (snapshot_ == nullptr || snapshot_->count == 0) {
     return;  // Nothing stored yet.
   }
@@ -250,13 +243,9 @@ void EmbeddingStore::View::SearchInto(const std::vector<float>& query, int k,
     return;
   }
 
-  ann::ShardedQueryStats stats;
   ann::ShardedSearchInto(snapshot_->shards.data(),
                          static_cast<int64_t>(snapshot_->shards.size()),
-                         query, k, exclude_id, out, &stats);
-  if (stats.any_fallback() && used_fallback != nullptr) {
-    *used_fallback = true;
-  }
+                         query, k, exclude_id, out);
 }
 
 EmbeddingStore::EmbeddingRef EmbeddingStore::View::Embedding(int id) const {
@@ -275,20 +264,6 @@ bool EmbeddingStore::View::Contains(int id) const {
   const auto& segment =
       snapshot_->segments[static_cast<size_t>(id / snapshot_->span)];
   return segment != nullptr && segment->RowOf(id) >= 0;
-}
-
-bool EmbeddingStore::View::hnsw_ready() const {
-  if (snapshot_ == nullptr) return false;
-  for (const Segment* segment : snapshot_->shard_segments) {
-    if (!segment->hnsw_ready) return false;
-  }
-  return true;
-}
-
-bool EmbeddingStore::View::segment_hnsw_ready(int shard) const {
-  CHECK(snapshot_ != nullptr && shard >= 0 &&
-        static_cast<size_t>(shard) < snapshot_->shard_segments.size());
-  return snapshot_->shard_segments[static_cast<size_t>(shard)]->hnsw_ready;
 }
 
 }  // namespace explainti::core

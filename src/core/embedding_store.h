@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/index.h"
 #include "ann/sharded_search.h"
@@ -21,29 +20,22 @@ namespace explainti::core {
 ///
 /// Segmented architecture: a published Snapshot is a set of immutable
 /// Segments — contiguous id-ranges, each carrying the raw embeddings, an
-/// L2-normalised copy shared by both index tiers, an exact FlatIndex and
-/// an HNSW graph (absent only in a segment loaded from a flat-only file).
-/// Search() fans the query over the segments through
-/// ann::ShardedSearchInto and merges with a bounded heap under a total
-/// order, so results are bit-identical at any shard count and thread
-/// count.
+/// L2-normalised copy and the HNSW graph over it. Every segment serves
+/// its graph: there is no exact-search tier (the paper's GE retrieves
+/// through faiss IndexHNSW alone). Search() fans the query over the
+/// segments through ann::ShardedSearchInto and merges with a bounded heap
+/// under a total order, so results are bit-identical at any shard count
+/// and thread count.
 ///
 /// Rebuilds: Rebuild() builds every segment of a new snapshot aside, in
 /// parallel, then publishes it atomically. Readers pin one generation
 /// through a View and keep answering from it while the next rebuild runs.
 ///
-/// Degradation ladder, per segment: HNSW is the fast tier. Rebuild()
-/// always completes every segment's graph, so the one way a segment can
-/// lack one is Load() of a segment file whose header says it was saved
-/// without its graph (flag bit clear). That segment — and only that
-/// segment — answers from its exact FlatIndex. `used_fallback` reports a
-/// query where any segment degraded.
-///
 /// Persistence: Save() writes one CRC32-footed file per segment plus a
 /// manifest (see store_persistence.h); Load() maps them and publishes the
-/// result as a normal snapshot, so a
-/// restarted process serves bit-identical results without re-encoding the
-/// corpus.
+/// result as a normal snapshot, so a restarted process serves
+/// bit-identical results without re-encoding the corpus. A segment file
+/// without its graph is unusable like a corrupt one: Load() rejects it.
 class EmbeddingStore {
  public:
   struct Options {
@@ -86,7 +78,6 @@ class EmbeddingStore {
     /// in both the manifest and the segment file, which Load()
     /// cross-checks.
     uint64_t content_hash = 0;
-    bool hnsw_ready = false;
 
     // Payload. Either owned (fresh build) or borrowed from `mapping`
     // (loaded from disk); `ids`/`raw`/`norm` point at whichever is live.
@@ -98,8 +89,8 @@ class EmbeddingStore {
     const float* raw = nullptr;   ///< count x dim, caller's values.
     const float* norm = nullptr;  ///< count x dim, L2-normalised.
 
-    ann::FlatIndex flat;
-    std::unique_ptr<ann::HnswIndex> hnsw;  ///< Null when loaded flat-only.
+    /// Graph over `norm`, built in place or restored from the file.
+    ann::HnswIndex hnsw;
 
     /// Row index of `id` (binary search over the sorted ids), -1 if absent.
     int64_t RowOf(int64_t id) const;
@@ -119,9 +110,9 @@ class EmbeddingStore {
     ann::HnswOptions hnsw;
     /// Dense by range index; null entries are ranges with no ids.
     std::vector<std::shared_ptr<const Segment>> segments;
-    /// The non-empty segments, in range order: what the fan-out searches.
-    std::vector<ann::ShardRef> shards;
-    std::vector<const Segment*> shard_segments;  ///< Parallel to shards.
+    /// The non-empty segments' graphs, in range order: what the fan-out
+    /// searches.
+    std::vector<const ann::HnswIndex*> shards;
   };
 
   /// A read handle pinning one snapshot. Cheap to copy (shared_ptr);
@@ -133,20 +124,16 @@ class EmbeddingStore {
         : snapshot_(std::move(snapshot)) {}
 
     /// Top-k most-similar stored samples, optionally excluding one id
-    /// (the query sample itself during training). Sets `*used_fallback`
-    /// (when non-null) to whether any segment answered from its flat
-    /// tier instead of HNSW.
+    /// (the query sample itself during training).
     std::vector<ann::SearchResult> Search(const std::vector<float>& query,
-                                          int k, int exclude_id = -1,
-                                          bool* used_fallback = nullptr) const;
+                                          int k, int exclude_id = -1) const;
 
     /// Allocation-reusing form of Search(): clears and fills `*out`,
     /// keeping its capacity. With a warm `out` (and warm thread-local
     /// fan-out scratch) a search performs zero heap allocations at any
     /// pool size — the property the store bench gates.
     void SearchInto(const std::vector<float>& query, int k, int exclude_id,
-                    std::vector<ann::SearchResult>* out,
-                    bool* used_fallback = nullptr) const;
+                    std::vector<ann::SearchResult>* out) const;
 
     /// The stored embedding for `id`; the reference lives as long as this
     /// View. Aborts when absent.
@@ -155,15 +142,11 @@ class EmbeddingStore {
     /// True when `id` has a stored embedding.
     bool Contains(int id) const;
 
-    /// Stored embeddings (flat tier; independent of HNSW health).
+    /// Stored embeddings.
     int64_t size() const { return snapshot_ == nullptr ? 0 : snapshot_->count; }
 
     /// Embedding dimensionality (0 when empty).
     int64_t dim() const { return snapshot_ == nullptr ? 0 : snapshot_->dim; }
-
-    /// False when any segment was loaded flat-only and serves flat.
-    /// Vacuously true for an empty store.
-    bool hnsw_ready() const;
 
     /// Non-empty segments in this snapshot.
     int num_segments() const {
@@ -171,9 +154,6 @@ class EmbeddingStore {
                  ? 0
                  : static_cast<int>(snapshot_->shards.size());
     }
-
-    /// Whether non-empty segment `shard` (in range order) serves HNSW.
-    bool segment_hnsw_ready(int shard) const;
 
     /// Largest stored id (-1 when empty).
     int64_t max_id() const {
@@ -195,8 +175,7 @@ class EmbeddingStore {
   /// publishes it atomically (readers holding Views keep their old
   /// snapshot). `embeddings[i]` is stored under `ids[i]`; all vectors
   /// must share one dimensionality. Every non-empty id-range builds a
-  /// fresh segment with both tiers, in parallel over the thread pool, so
-  /// a Rebuild also restores the graph of any segment loaded flat-only.
+  /// fresh segment and its graph, in parallel over the thread pool.
   void Rebuild(const std::vector<int>& ids,
                const std::vector<std::vector<float>>& embeddings);
 
@@ -209,32 +188,19 @@ class EmbeddingStore {
   /// Loads a Save()d store and publishes it as the current snapshot
   /// (generation advances as if rebuilt). Segments map via mmap; every
   /// file's CRC is verified before use, and any failure returns a typed
-  /// error (InvalidArgument for CRC/format, NotFound for missing files,
-  /// IoError for files that cannot be mapped) with the store left on its
-  /// previous snapshot. Search results over a loaded store are bit-identical to
-  /// the store that saved it.
+  /// error (InvalidArgument for CRC/format or a segment without its HNSW
+  /// graph, NotFound for missing files, IoError for files that cannot be
+  /// mapped) with the store left on its previous snapshot. Search results
+  /// over a loaded store are bit-identical to the store that saved it.
   util::Status Load(const std::string& dir);
 
   /// Pins the current snapshot. Thread-safe against concurrent Rebuild.
+  /// Every read goes through a View, so it sees one generation.
   View view() const;
 
-  // Convenience pass-throughs operating on the instantaneous current
-  // snapshot. Multi-read consistency across a rebuild is NOT guaranteed
-  // here — readers that must see one generation take view() once instead.
-  // (There is deliberately no Embedding() pass-through: a borrowed row
-  // must be pinned by a View for its whole lifetime.)
-  std::vector<ann::SearchResult> Search(const std::vector<float>& query,
-                                        int k, int exclude_id = -1,
-                                        bool* used_fallback = nullptr) const {
-    return view().Search(query, k, exclude_id, used_fallback);
-  }
-  bool Contains(int id) const { return view().Contains(id); }
-  int64_t size() const { return view().size(); }
-  bool hnsw_ready() const { return view().hnsw_ready(); }
-
  private:
-  /// Builds one segment — content hash, flat tier and complete HNSW
-  /// graph — from rows (sorted by id) of the rebuild input.
+  /// Builds one segment — content hash, payload and complete HNSW graph
+  /// — from rows (sorted by id) of the rebuild input.
   std::shared_ptr<const Segment> BuildSegment(
       int64_t segment_index, const std::vector<int64_t>& seg_ids,
       const std::vector<const std::vector<float>*>& seg_rows,

@@ -272,11 +272,11 @@ std::vector<StructuralExplanation> ExplainTiModel::StructuralRecords(
 
 std::vector<ann::SearchResult> ExplainTiModel::SearchGlobal(
     const TaskData& task, int sample_id, const EmbeddingStore::View& store,
-    const std::vector<float>& cls, bool* used_fallback) const {
+    const std::vector<float>& cls) const {
   // A training sample would otherwise retrieve itself — vacuous as an
   // explanation and label leakage as a training signal.
   const int exclude = task.IsTrainSample(sample_id) ? sample_id : -1;
-  return store.Search(cls, config_.top_k, exclude, used_fallback);
+  return store.Search(cls, config_.top_k, exclude);
 }
 
 void ExplainTiModel::UnitRow(const EmbeddingStore::EmbeddingRef& e,
@@ -434,8 +434,7 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
   // -- Global Explanations (Algorithm 2) ----------------------------------
   if (with_global && store.size() > 0) {
     const std::vector<ann::SearchResult> hits =
-        SearchGlobal(task, sample_id, store, cls.ToVector(),
-                     &fwd.evidence.ann_fallback);
+        SearchGlobal(task, sample_id, store, cls.ToVector());
     if (!hits.empty()) {
       const int k = static_cast<int>(hits.size());
       // Raw and row-normalised copies of the retrieved embeddings.
@@ -927,12 +926,7 @@ Explanation ExplainTiModel::MakeExplanation(
   z.local = std::move(evidence.windows);
   z.global = std::move(evidence.retrieved);
   z.structural = std::move(evidence.neighbors);
-  if (evidence.ann_fallback) {
-    z.ann_degraded = true;
-    z.degradation_note =
-        "global retrieval degraded: a store segment has no HNSW graph; "
-        "served exactly by the flat index";
-  } else if (config_.use_global && evidence.store_empty) {
+  if (config_.use_global && evidence.store_empty) {
     z.degradation_note =
         "embedding store empty: global explanations unavailable";
   }

@@ -159,8 +159,7 @@ class ExplainTiModel {
     std::vector<LocalExplanation> windows;         // LE, by relevance.
     std::vector<GlobalExplanation> retrieved;      // GE, by influence.
     std::vector<StructuralExplanation> neighbors;  // SE, by attention.
-    bool ann_fallback = false;  // GE retrieval used the flat-index fallback.
-    bool store_empty = false;   // The pinned store snapshot had no rows.
+    bool store_empty = false;  // The pinned store snapshot had no rows.
   };
 
   /// Outcome of one tape forward pass with the explanation modules
@@ -234,7 +233,7 @@ class ExplainTiModel {
   /// excluding the sample itself when it is a training sample.
   std::vector<ann::SearchResult> SearchGlobal(
       const TaskData& task, int sample_id, const EmbeddingStore::View& store,
-      const std::vector<float>& cls, bool* used_fallback) const;
+      const std::vector<float>& cls) const;
 
   /// out = e / ||e|| (double-accumulated norm; zero row for a zero
   /// vector): a retrieved embedding's row of the GE cosine GEMM.

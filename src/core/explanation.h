@@ -46,12 +46,12 @@ struct Explanation {
   std::vector<LocalExplanation> local;            ///< Sorted by RS desc.
   std::vector<GlobalExplanation> global;          ///< Sorted by IS desc.
   std::vector<StructuralExplanation> structural;  ///< Sorted by AS desc.
-  /// True when GE retrieval fell back from HNSW to the exact flat index
-  /// because a store segment has no graph (it was loaded from a flat-only
-  /// segment file). The results are still correct — the flat tier is
-  /// exact — only slower.
+  /// Always false: every store segment serves its HNSW graph, so GE
+  /// retrieval has no degraded tier. Kept only because the end-to-end
+  /// bench compares it; it goes when that bench stops reading it.
   bool ann_degraded = false;
-  /// Human-readable account of any degradation; empty when healthy.
+  /// Human-readable account of any degradation (today only an empty
+  /// embedding store); empty when healthy.
   std::string degradation_note;
 };
 

@@ -9,7 +9,6 @@
 #include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
-#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -126,8 +125,7 @@ std::vector<float> InferenceSession::RunTail(
   // head only feeds the training loss, so it is not run. ------------------
   if (ge_ready) {
     const std::vector<ann::SearchResult> hits = model.SearchGlobal(
-        task, sample_id, store, std::vector<float>(cls, cls + d),
-        &evidence->ann_fallback);
+        task, sample_id, store, std::vector<float>(cls, cls + d));
     const int64_t k = static_cast<int64_t>(hits.size());
     CHECK_LE(k, top_k) << "store search returned more than top_k hits";
     if (k > 0) {
@@ -302,11 +300,6 @@ eval::F1Scores InferenceSession::Evaluate(TaskKind kind,
 util::StatusOr<std::unique_ptr<ExplainTiModel>> LoadReplicaForSwap(
     const ExplainTiConfig& config, const data::TableCorpus& corpus,
     const std::string& weights_path) {
-  // Chaos site: models a checkpoint store outage mid-rollout — the
-  // replica never comes up, and the caller keeps the old generation.
-  if (util::Status fault = FAULT_POINT("swap.load_weights"); !fault.ok()) {
-    return fault;
-  }
   auto replica = std::make_unique<ExplainTiModel>(config, corpus);
   // LoadWeights warms the GE/SE stores itself: it reopens the persisted
   // segmented stores from config.store_dir when set (mmap, no corpus

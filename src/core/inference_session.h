@@ -82,8 +82,8 @@ class InferenceSession {
       TaskKind kind, const std::vector<int>& sample_ids) const;
 
   /// Batched Explain; same contract as PredictBatch. Each returned
-  /// Explanation carries its own per-sample ANN degradation flag/note —
-  /// batching never drops the annotation.
+  /// Explanation carries its own per-sample degradation note — batching
+  /// never drops the annotation.
   std::vector<Explanation> ExplainBatch(
       TaskKind kind, const std::vector<int>& sample_ids) const;
 
@@ -116,10 +116,9 @@ class InferenceSession {
 /// warms its GE/SE embedding stores — entirely off to the side, touching
 /// no live state, so the currently-serving model keeps answering while
 /// the replica loads. On success the replica's session() is ready to hand
-/// to serve::InferenceServer::SwapSession; on any failure (unreadable or
-/// corrupt checkpoint, or the "swap.load_weights" chaos fault) the error
-/// Status is returned and there is nothing to roll back — the caller
-/// simply keeps the old generation.
+/// to serve::InferenceServer::SwapSession; on any failure (an unreadable
+/// or corrupt checkpoint) the error Status is returned and there is
+/// nothing to roll back — the caller simply keeps the old generation.
 util::StatusOr<std::unique_ptr<ExplainTiModel>> LoadReplicaForSwap(
     const ExplainTiConfig& config, const data::TableCorpus& corpus,
     const std::string& weights_path);

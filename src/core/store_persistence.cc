@@ -52,8 +52,7 @@ util::Status SaveSegmentFile(const std::string& path,
   std::string buffer;
   buffer.append(kSegmentMagic, 8);
   util::AppendPod(&buffer, kVersion);
-  util::AppendPod(&buffer,
-                  segment.hnsw_ready ? kFlagHnswReady : uint32_t{0});
+  util::AppendPod(&buffer, kFlagHnswReady);
   util::AppendPod(&buffer, segment.index);
   util::AppendPod(&buffer, segment.count);
   util::AppendPod(&buffer, segment.dim);
@@ -67,10 +66,7 @@ util::Status SaveSegmentFile(const std::string& path,
                 floats * sizeof(float));
   buffer.append(reinterpret_cast<const char*>(segment.norm),
                 floats * sizeof(float));
-  if (segment.hnsw_ready) {
-    CHECK(segment.hnsw != nullptr);
-    segment.hnsw->SerializeGraph(&buffer);
-  }
+  segment.hnsw.SerializeGraph(&buffer);
   return util::WriteFramedFile(path, buffer);
 }
 
@@ -146,19 +142,17 @@ LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
     }
   }
 
-  segment->flat.AttachStorage(segment->ids, segment->norm, count, dim);
-  if ((flags & kFlagHnswReady) != 0) {
-    ann::HnswOptions options = manifest.hnsw;
-    options.seed = ann::SeedForSegment(manifest.hnsw.seed, index);
-    auto hnsw = std::make_unique<ann::HnswIndex>(options);
-    hnsw->AttachStorage(segment->ids, segment->norm, count, dim);
-    if (util::Status s = hnsw->LoadGraph(&reader); !s.ok()) return s;
-    if (!reader.AtEnd()) return malformed("trailing bytes after the graph");
-    segment->hnsw = std::move(hnsw);
-    segment->hnsw_ready = true;
-  } else if (!reader.AtEnd()) {
-    return malformed("trailing bytes in a flat-only segment");
+  // A segment without its graph cannot serve a search, so it is as
+  // unusable as a corrupt one; ExplainTiModel::RestoreStores re-encodes.
+  if ((flags & kFlagHnswReady) == 0) {
+    return malformed("segment has no HNSW graph");
   }
+  ann::HnswOptions options = manifest.hnsw;
+  options.seed = ann::SeedForSegment(manifest.hnsw.seed, index);
+  segment->hnsw = ann::HnswIndex(options);
+  segment->hnsw.AttachStorage(segment->ids, segment->norm, count, dim);
+  if (util::Status s = segment->hnsw.LoadGraph(&reader); !s.ok()) return s;
+  if (!reader.AtEnd()) return malformed("trailing bytes after the graph");
   return std::shared_ptr<const EmbeddingStore::Segment>(std::move(segment));
 }
 

@@ -21,7 +21,8 @@ namespace explainti::core {
 // Segment file ("XTISEG01"): a 64-byte header (version, flags, range
 // index, count, dim, content hash) followed by ids[count] (int64), the
 // raw rows (float, count x dim), the L2-normalised rows (float, count x
-// dim) and, when the hnsw_ready flag is set, the serialised HNSW graph.
+// dim) and the serialised HNSW graph. Save() always sets the header's
+// graph flag; Load() rejects a file with the flag clear.
 // Payload arrays start at 8-byte-aligned offsets, so a loaded (mmap'd)
 // segment serves searches directly out of the page cache — the arrays
 // are read through typed pointers into the mapping, never copied.
@@ -59,9 +60,10 @@ util::Status SaveSegmentFile(const std::string& path,
 /// Maps one segment file, verifies its CRC and header against the
 /// manifest (`entry` names the expected index, count and content hash),
 /// validates ids are strictly ascending within the segment's id-range,
-/// and rebinds the index tiers onto the mapped payload. InvalidArgument
-/// on any corruption or mismatch; the MappedFile::Open status when the
-/// file cannot be mapped.
+/// and restores the HNSW graph onto the mapped payload. InvalidArgument
+/// on any corruption or mismatch, and on a segment whose header says it
+/// has no graph; the MappedFile::Open status when the file cannot be
+/// mapped.
 util::StatusOr<std::shared_ptr<const EmbeddingStore::Segment>>
 LoadSegmentFile(const std::string& path, const StoreManifest& manifest,
                 const StoreManifest::Entry& entry);

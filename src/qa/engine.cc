@@ -248,7 +248,6 @@ util::StatusOr<QaAnswer> QaEngine::AnswerWithThreshold(const QaQuery& query,
     const core::Explanation exp =
         session_->Explain(task_kind, c.sample_id);
     QaStep& step = answer.justification.steps[static_cast<size_t>(idx)];
-    step.ann_degraded = exp.ann_degraded;
     step.note = exp.degradation_note;
     const int n_local =
         std::min<int>(kMaxLocalItems,

@@ -74,8 +74,7 @@ namespace {
 bool SameStep(const QaStep& a, const QaStep& b) {
   return a.step == b.step && a.task == b.task && a.sample_id == b.sample_id &&
          a.tier == b.tier && a.predicted_labels == b.predicted_labels &&
-         a.confidence == b.confidence && a.ann_degraded == b.ann_degraded &&
-         a.note == b.note;
+         a.confidence == b.confidence && a.note == b.note;
 }
 
 bool SameItem(const QaEvidenceItem& a, const QaEvidenceItem& b) {

@@ -87,8 +87,6 @@ struct QaStep {
   /// Probability of the label this step contributed to the answer (the
   /// target label for kFind* queries, the top label otherwise).
   float confidence = 0.0f;
-  /// GE retrieval fell back to the exact flat index for this step.
-  bool ann_degraded = false;
   std::string note;  ///< Degradation note; empty when healthy.
 };
 

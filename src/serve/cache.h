@@ -46,8 +46,8 @@ struct CacheOptions {
 /// wrong (or another tenant's) payload.
 ///
 /// Values are the full response payloads — for kExplain the entire
-/// core::Explanation struct, including the ANN-degradation flag and note
-/// as computed at insert time — copied out bit-identically on every hit.
+/// core::Explanation struct, including the degradation note as computed
+/// at insert time — copied out bit-identically on every hit.
 /// Hits therefore reproduce exactly what the uncached call returned when
 /// the entry was inserted; the serving layer clears the cache on model
 /// hot-swap (see InferenceServer::SwapSession) so no entry outlives the

@@ -83,8 +83,8 @@ struct ServeResponse {
 
   std::vector<int> labels;            ///< kPredict.
   std::vector<float> probabilities;   ///< kPredictProbabilities.
-  /// kExplain: the full multi-view set, including the per-request ANN
-  /// degradation flag/note — batching never strips the annotation.
+  /// kExplain: the full multi-view set, including the per-request
+  /// degradation note — batching never strips the annotation.
   core::Explanation explanation;
   /// kQaAnswer: the composed answer with its provenance-tagged
   /// justification and cascade telemetry.

@@ -478,9 +478,8 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
       std::vector<core::Explanation> explanations =
           session.ExplainBatch(task, ids);
       for (size_t i = 0; i < batch.size(); ++i) {
-        // Whole-struct move: the ann_degraded flag and degradation_note
-        // (set when a store segment serves flat) ride along with the
-        // views, per request.
+        // Whole-struct move: the degradation_note (set when the store is
+        // empty) rides along with the views, per request.
         responses[i].explanation = std::move(explanations[i]);
       }
       break;

@@ -195,8 +195,8 @@ TEST(SeedForSegmentTest, DependsOnBaseSeed) {
 // Attached storage and graph serialisation.
 // ---------------------------------------------------------------------------
 
-/// Normalised row-major payload + ids, the shape a store segment shares
-/// with its index tiers.
+/// Normalised row-major payload + ids, the shape a store segment attaches
+/// its HNSW graph to.
 struct AttachedRows {
   std::vector<int64_t> ids;
   std::vector<float> norm;
@@ -224,42 +224,6 @@ AttachedRows MakeAttachedRows(int count, int dim, uint64_t seed,
                                          static_cast<size_t>(i) * dim);
   }
   return rows;
-}
-
-TEST(FlatIndexTest, AttachedSearchMatchesOwnedSearch) {
-  const int kDim = 8, kN = 50;
-  util::Rng rng(9);
-  std::vector<std::vector<float>> raw;
-  for (int i = 0; i < kN; ++i) raw.push_back(RandomVector(kDim, rng));
-
-  FlatIndex owned;
-  AttachedRows rows;
-  rows.count = kN;
-  rows.dim = kDim;
-  rows.norm.resize(static_cast<size_t>(kN) * kDim);
-  for (int i = 0; i < kN; ++i) {
-    owned.Add(i, raw[static_cast<size_t>(i)]);
-    rows.ids.push_back(i);
-    L2NormalizeInto(raw[static_cast<size_t>(i)].data(), kDim,
-                    rows.norm.data() + static_cast<size_t>(i) * kDim);
-  }
-  FlatIndex attached;
-  attached.AttachStorage(rows.ids.data(), rows.norm.data(), kN, kDim);
-
-  SearchScratch scratch;
-  std::vector<SearchResult> via_scratch;
-  for (int q = 0; q < kN; q += 11) {
-    const std::vector<float>& query = raw[static_cast<size_t>(q)];
-    const auto via_owned = owned.Search(query, 5);
-    std::vector<float> qnorm(kDim);
-    L2NormalizeInto(query.data(), kDim, qnorm.data());
-    attached.SearchNormalized(qnorm.data(), 5, &scratch, &via_scratch);
-    ASSERT_EQ(via_owned.size(), via_scratch.size());
-    for (size_t i = 0; i < via_owned.size(); ++i) {
-      EXPECT_EQ(via_owned[i].id, via_scratch[i].id);
-      EXPECT_EQ(via_owned[i].similarity, via_scratch[i].similarity);
-    }
-  }
 }
 
 TEST(HnswIndexTest, AttachedBuildMatchesOwnedBuild) {

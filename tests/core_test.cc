@@ -53,12 +53,12 @@ std::shared_ptr<text::Vocab> CorpusVocab(const data::TableCorpus& corpus) {
 TEST(EmbeddingStoreTest, RebuildAndLookup) {
   EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({3, 7}, {{1.0f, 0.0f}, {0.0f, 1.0f}});
-  EXPECT_EQ(store.size(), 2);
-  EXPECT_TRUE(store.Contains(3));
-  EXPECT_FALSE(store.Contains(5));
-  // Embedding rows are borrowed from a pinned View (there is deliberately
-  // no store-level pass-through; the row must outlive no snapshot swap).
+  // Every read goes through a pinned View; embedding rows are borrowed
+  // from it, so they outlive no snapshot swap.
   const EmbeddingStore::View view = store.view();
+  EXPECT_EQ(view.size(), 2);
+  EXPECT_TRUE(view.Contains(3));
+  EXPECT_FALSE(view.Contains(5));
   EXPECT_EQ(view.Embedding(7).ToVector(), (std::vector<float>{0.0f, 1.0f}));
 }
 
@@ -66,7 +66,7 @@ TEST(EmbeddingStoreTest, SearchExcludesRequestedId) {
   EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({0, 1, 2},
                 {{1.0f, 0.0f}, {0.9f, 0.1f}, {0.0f, 1.0f}});
-  const auto hits = store.Search({1.0f, 0.0f}, 2, /*exclude_id=*/0);
+  const auto hits = store.view().Search({1.0f, 0.0f}, 2, /*exclude_id=*/0);
   ASSERT_EQ(hits.size(), 2u);
   for (const auto& hit : hits) EXPECT_NE(hit.id, 0);
   EXPECT_EQ(hits[0].id, 1);
@@ -76,9 +76,10 @@ TEST(EmbeddingStoreTest, RebuildReplacesContents) {
   EmbeddingStore store{EmbeddingStore::Options{}};
   store.Rebuild({0}, {{1.0f, 0.0f}});
   store.Rebuild({1}, {{0.0f, 1.0f}});
-  EXPECT_EQ(store.size(), 1);
-  EXPECT_FALSE(store.Contains(0));
-  EXPECT_TRUE(store.Contains(1));
+  const EmbeddingStore::View view = store.view();
+  EXPECT_EQ(view.size(), 1);
+  EXPECT_FALSE(view.Contains(0));
+  EXPECT_TRUE(view.Contains(1));
 }
 
 TEST(EmbeddingStoreTest, ViewPinsOneGenerationAcrossRebuilds) {
@@ -111,7 +112,6 @@ TEST(EmbeddingStoreTest, ViewBeforeFirstRebuildIsEmpty) {
   EXPECT_EQ(view.generation(), 0u);
   EXPECT_EQ(view.size(), 0);
   EXPECT_FALSE(view.Contains(0));
-  EXPECT_FALSE(view.hnsw_ready());
   EXPECT_TRUE(view.Search({1.0f, 0.0f}, 3).empty());
 }
 

@@ -31,7 +31,7 @@ inline uint32_t Bits(float v) {
 /// Field-by-field comparison of two explanations: the prediction, every
 /// LE window (both spans of a pair, relevance bits, text), every GE
 /// retrieval and SE neighbour (id, score bits, bridge, text, labels) and
-/// the degradation flag and note.
+/// the degradation note.
 inline void ExpectExplanationsBitEqual(const core::Explanation& want,
                                        const core::Explanation& got) {
   EXPECT_EQ(want.predicted_labels, got.predicted_labels);
@@ -70,7 +70,6 @@ inline void ExpectExplanationsBitEqual(const core::Explanation& want,
     EXPECT_EQ(w.labels, g.labels) << "SE labels " << i;
   }
 
-  EXPECT_EQ(want.ann_degraded, got.ann_degraded);
   EXPECT_EQ(want.degradation_note, got.degradation_note);
 }
 

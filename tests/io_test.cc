@@ -12,9 +12,12 @@
 
 #include "core/embedding_store.h"
 #include "core/explain_ti_model.h"
+#include "core/inference_session.h"
 #include "core/store_persistence.h"
 #include "data/csv_loader.h"
 #include "data/wiki_generator.h"
+#include "explanation_matchers.h"
+#include "segment_files.h"
 #include "util/binary_io.h"
 #include "util/csv.h"
 #include "util/fault_injection.h"
@@ -361,20 +364,35 @@ TEST(StorePersistenceTest, CorruptSegmentFileIsTypedNotFatal) {
   const std::string dir = FreshStoreDir("store_corrupt_segment");
   ASSERT_TRUE(store.Save(dir).ok());
 
-  // Flip one byte in the middle of a segment payload and one in its CRC
-  // footer; both must surface as InvalidArgument, never a crash, with the
-  // loading store left on its previous (empty) snapshot.
-  for (long offset : {200L, -2L}) {
+  // Three kinds of damage to one segment: a flipped payload byte, a
+  // flipped CRC footer byte, and a well-formed file saved without its
+  // HNSW graph (header flag clear, no graph bytes). Each must surface as
+  // InvalidArgument naming the file, never a crash, with the loading
+  // store left on its previous snapshot.
+  for (const std::string damage : {"payload byte", "crc byte", "no graph"}) {
     const std::string dir2 = FreshStoreDir("store_corrupt_segment_work");
     ASSERT_EQ(std::system(("cp -r " + dir + " " + dir2).c_str()), 0);
-    FlipByte(dir2 + "/seg_000001.xts", offset);
+    const std::string segment = dir2 + "/seg_000001.xts";
+    if (damage == "no graph") {
+      ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(segment));
+    } else {
+      FlipByte(segment, damage == "payload byte" ? 200L : -2L);
+    }
 
     core::EmbeddingStore loaded{core::EmbeddingStore::Options{}};
+    loaded.Rebuild({0}, {std::vector<float>(8, 1.0f)});
     const util::Status status = loaded.Load(dir2);
     EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
-        << "offset=" << offset << ": " << status.ToString();
-    EXPECT_EQ(loaded.size(), 0);
-    EXPECT_EQ(loaded.view().generation(), 0u);
+        << damage << ": " << status.ToString();
+    EXPECT_NE(status.message().find(segment), std::string::npos)
+        << damage << ": " << status.ToString();
+    if (damage == "no graph") {
+      EXPECT_NE(status.message().find("segment has no HNSW graph"),
+                std::string::npos)
+          << status.ToString();
+    }
+    EXPECT_EQ(loaded.view().size(), 1);
+    EXPECT_EQ(loaded.view().generation(), 1u);
   }
 }
 
@@ -389,7 +407,7 @@ TEST(StorePersistenceTest, CorruptManifestIsTypedNotFatal) {
   const util::Status status = loaded.Load(dir);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
       << status.ToString();
-  EXPECT_EQ(loaded.size(), 0);
+  EXPECT_EQ(loaded.view().size(), 0);
 }
 
 TEST(StorePersistenceTest, TruncatedSegmentFileIsTypedNotFatal) {
@@ -406,10 +424,10 @@ TEST(StorePersistenceTest, TruncatedSegmentFileIsTypedNotFatal) {
 }
 
 TEST(StorePersistenceTest, ForgedSegmentCountIsRejectedBeforeAnyRead) {
-  // A CRC-valid, flat-only segment whose header and manifest entry claim
-  // 2^61 rows of dim 8 but hold 16: every payload byte size wraps to 0 in
-  // 64 bits, so only a bound checked by division rejects the file before
-  // the id scan walks off the end of the mapping.
+  // A CRC-valid segment whose header and manifest entry claim 2^61 rows
+  // of dim 8 but hold 16: every payload byte size wraps to 0 in 64 bits,
+  // so only a bound checked by division rejects the file before the id
+  // scan walks off the end of the mapping.
   constexpr int64_t kForgedCount = int64_t{1} << 61;
   core::StoreManifest manifest;
   manifest.dim = 8;
@@ -420,7 +438,7 @@ TEST(StorePersistenceTest, ForgedSegmentCountIsRejectedBeforeAnyRead) {
 
   std::string image = "XTISEG01";
   util::AppendPod(&image, uint32_t{1});  // Version.
-  util::AppendPod(&image, uint32_t{0});  // Flags: flat-only.
+  util::AppendPod(&image, uint32_t{1});  // Flags: has its HNSW graph.
   util::AppendPod(&image, entry.index);
   util::AppendPod(&image, entry.count);
   util::AppendPod(&image, manifest.dim);
@@ -456,7 +474,7 @@ TEST(StorePersistenceTest, SaveFaultLeavesNoLoadableDir) {
   EXPECT_EQ(loaded.Load(dir).code(), util::StatusCode::kNotFound);
   ASSERT_TRUE(store.Save(dir).ok());
   EXPECT_TRUE(loaded.Load(dir).ok());
-  EXPECT_EQ(loaded.size(), store.size());
+  EXPECT_EQ(loaded.view().size(), store.view().size());
 }
 
 TEST(ModelStoreIoTest, RestoredModelReopensStoresWithoutReencoding) {
@@ -498,24 +516,41 @@ TEST(ModelStoreIoTest, CorruptStoreDirFallsBackToInMemoryRebuild) {
   const core::ExplainTiModel& trained = fixture.model;
 
   const std::string weights = "/tmp/explainti_store_fallback_weights.bin";
-  const std::string store_dir = FreshStoreDir("model_stores_corrupt");
   ASSERT_TRUE(trained.SaveWeights(weights).ok());
-  ASSERT_TRUE(trained.SaveStores(store_dir).ok());
-  FlipByte(store_dir + "/type/manifest.xtm", -3);
 
-  // The corrupt store is rejected, but LoadWeights does not fail: it
-  // falls back to re-encoding the corpus, and predictions still match
-  // (the rebuilt store holds the same embeddings).
-  core::ExplainTiConfig restored_config = fixture.config;
-  restored_config.store_dir = store_dir;
-  core::ExplainTiModel restored(restored_config, fixture.corpus);
-  ASSERT_TRUE(restored.LoadWeights(weights).ok());
+  // Two kinds of damage to the persisted type store: a flipped manifest
+  // byte, and a segment file saved without its HNSW graph. Either store
+  // is rejected, but LoadWeights does not fail: it falls back to
+  // re-encoding the corpus, and the restored model serves exactly what
+  // the trained one does (the rebuilt store holds the same embeddings).
+  for (const std::string damage : {"manifest byte", "no graph"}) {
+    const std::string store_dir = FreshStoreDir("model_stores_corrupt");
+    ASSERT_TRUE(trained.SaveStores(store_dir).ok());
+    if (damage == "no graph") {
+      ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
+          store_dir + "/type/" + core::SegmentFileName(0)));
+    } else {
+      FlipByte(store_dir + "/type/manifest.xtm", -3);
+    }
 
-  const auto& task = trained.task_data(core::TaskKind::kType);
-  for (size_t i = 0; i < task.test_ids.size() && i < 5; ++i) {
-    const int id = task.test_ids[i];
-    EXPECT_EQ(trained.PredictProbabilities(core::TaskKind::kType, id),
-              restored.PredictProbabilities(core::TaskKind::kType, id));
+    core::ExplainTiConfig restored_config = fixture.config;
+    restored_config.store_dir = store_dir;
+    core::ExplainTiModel restored(restored_config, fixture.corpus);
+    ASSERT_TRUE(restored.LoadWeights(weights).ok()) << damage;
+
+    const auto& task = trained.task_data(core::TaskKind::kType);
+    for (size_t i = 0; i < task.test_ids.size() && i < 5; ++i) {
+      SCOPED_TRACE(damage + ", sample " + std::to_string(task.test_ids[i]));
+      const int id = task.test_ids[i];
+      EXPECT_EQ(trained.PredictProbabilities(core::TaskKind::kType, id),
+                restored.PredictProbabilities(core::TaskKind::kType, id));
+      const core::Explanation want =
+          trained.Explain(core::TaskKind::kType, id);
+      explainti::testing::ExpectExplanationsBitEqual(
+          want, restored.Explain(core::TaskKind::kType, id));
+      explainti::testing::ExpectExplanationsBitEqual(
+          want, restored.session().Explain(core::TaskKind::kType, id));
+    }
   }
   std::remove(weights.c_str());
 }

@@ -7,16 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include "ann/flat_index.h"
 #include "core/checkpoint.h"
 #include "core/embedding_store.h"
 #include "core/explain_ti_model.h"
 #include "core/inference_session.h"
-#include "core/store_persistence.h"
 #include "data/wiki_generator.h"
-#include "segment_files.h"
 #include "util/fault_injection.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace explainti::core {
@@ -200,110 +196,12 @@ TEST_F(RobustnessTest, CheckpointWriteFaultLeavesNoPartialFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Embedding-store degradation ladder. Its one trigger is a segment file
-// saved without its HNSW graph, which MakeSegmentFlatOnly writes.
+// Embedding store.
 // ---------------------------------------------------------------------------
-
-void FillStore(EmbeddingStore& store, std::vector<int>& ids,
-               std::vector<std::vector<float>>& embeddings) {
-  util::Rng rng(7);
-  for (int i = 0; i < 32; ++i) {
-    ids.push_back(i);
-    std::vector<float> v(8);
-    for (float& x : v) x = static_cast<float>(rng.Normal());
-    embeddings.push_back(std::move(v));
-  }
-  store.Rebuild(ids, embeddings);
-}
-
-/// Saves `store` under the test temp dir as `name`, rewrites segment
-/// `flat_segment` as flat-only, and loads the directory into `*loaded`.
-void LoadWithFlatOnlySegment(const EmbeddingStore& store,
-                             const std::string& name, int64_t flat_segment,
-                             EmbeddingStore* loaded) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  ASSERT_TRUE(store.Save(dir).ok());
-  ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
-      dir + "/" + SegmentFileName(flat_segment)));
-  const util::Status status = loaded->Load(dir);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-}
-
-TEST_F(RobustnessTest, FlatOnlySegmentServesExactFlatSearch) {
-  EmbeddingStore store{EmbeddingStore::Options{}};
-  std::vector<int> ids;
-  std::vector<std::vector<float>> embeddings;
-  FillStore(store, ids, embeddings);
-  ASSERT_TRUE(store.hnsw_ready());
-
-  const std::vector<float>& query = embeddings[3];
-  bool used_fallback = true;
-  ASSERT_FALSE(
-      store.Search(query, 3, /*exclude_id=*/-1, &used_fallback).empty());
-  EXPECT_FALSE(used_fallback);
-
-  EmbeddingStore loaded{EmbeddingStore::Options{}};
-  LoadWithFlatOnlySegment(store, "robustness_flat_tier", 0, &loaded);
-  EXPECT_FALSE(loaded.hnsw_ready());
-  EXPECT_EQ(loaded.size(), 32);  // The flat tier holds everything.
-  const auto degraded = loaded.Search(query, 3, /*exclude_id=*/-1,
-                                      &used_fallback);
-  EXPECT_TRUE(used_fallback);
-
-  // The flat tier is exact: the same hits, bit for bit, as a reference
-  // FlatIndex built over the same vectors.
-  ann::FlatIndex reference;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    reference.Add(ids[i], embeddings[i]);
-  }
-  const auto expected = reference.Search(query, 3);
-  ASSERT_EQ(degraded.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(degraded[i].id, expected[i].id) << "hit " << i;
-    EXPECT_EQ(degraded[i].similarity, expected[i].similarity) << "hit " << i;
-  }
-}
-
-TEST_F(RobustnessTest, FlatOnlySegmentDegradesAloneAndRebuildHealsIt) {
-  // Segment-granular degradation: one flat-only segment file in a
-  // 4-segment store. The other segments keep their graphs, and the store
-  // keeps answering (flagged as fallback, since one shard serves flat).
-  EmbeddingStore::Options options;
-  options.num_segments = 4;
-  EmbeddingStore store(options);
-  std::vector<int> ids;
-  std::vector<std::vector<float>> embeddings;
-  FillStore(store, ids, embeddings);
-
-  EmbeddingStore loaded(options);
-  LoadWithFlatOnlySegment(store, "robustness_flat_segment", 1, &loaded);
-  const EmbeddingStore::View view = loaded.view();
-  ASSERT_EQ(view.num_segments(), 4);
-  for (int shard = 0; shard < 4; ++shard) {
-    EXPECT_EQ(view.segment_hnsw_ready(shard), shard != 1) << shard;
-  }
-  EXPECT_FALSE(view.hnsw_ready());
-
-  // Every query still answers; any query is flagged because one shard of
-  // the fan-out degraded.
-  bool used_fallback = false;
-  const auto hits = view.Search(embeddings[5], 3, /*exclude_id=*/-1,
-                                &used_fallback);
-  EXPECT_TRUE(used_fallback);
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 5);
-
-  // A rebuild with identical content heals the flat-only segment: every
-  // segment builds with its graph.
-  loaded.Rebuild(ids, embeddings);
-  EXPECT_TRUE(loaded.hnsw_ready());
-  EXPECT_TRUE(loaded.view().segment_hnsw_ready(1));
-}
 
 TEST_F(RobustnessTest, EmptyStoreSearchReturnsNothing) {
   EmbeddingStore store{EmbeddingStore::Options{}};
-  bool used_fallback = false;
-  EXPECT_TRUE(store.Search({1.0f, 0.0f}, 3, -1, &used_fallback).empty());
+  EXPECT_TRUE(store.view().Search({1.0f, 0.0f}, 3).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -448,47 +346,6 @@ TEST_F(TrainingRobustnessTest, CorruptedCheckpointFallsBackToScratch) {
   const FitStats io_stats = third.Fit();
   EXPECT_FALSE(io_stats.resumed);
   EXPECT_TRUE(std::isfinite(io_stats.best_valid_f1));
-}
-
-TEST_F(TrainingRobustnessTest, ExplainDegradesGracefullyOnFlatOnlySegment) {
-  // The baseline's weights and stores, reloaded with one type-store
-  // segment rewritten as flat-only.
-  const std::string dir = ::testing::TempDir() + "/robustness_flat_stores";
-  const std::string weights =
-      ::testing::TempDir() + "/robustness_flat_weights.bin";
-  ASSERT_TRUE(baseline_->SaveWeights(weights).ok());
-  ASSERT_TRUE(baseline_->SaveStores(dir).ok());
-  ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
-      dir + "/type/" + SegmentFileName(0)));
-  ExplainTiConfig config = TinyConfig();
-  config.store_dir = dir;
-  ExplainTiModel model(config, *corpus_);
-  ASSERT_TRUE(model.LoadWeights(weights).ok());
-  std::remove(weights.c_str());
-
-  const TaskData& task = baseline_->task_data(TaskKind::kType);
-  const int sample = task.test_ids.front();
-  const Explanation healthy = baseline_->Explain(TaskKind::kType, sample);
-  EXPECT_FALSE(healthy.ann_degraded);
-  const Explanation degraded = model.Explain(TaskKind::kType, sample);
-
-  EXPECT_TRUE(degraded.ann_degraded);
-  EXPECT_FALSE(degraded.degradation_note.empty());
-  // The explanation is still complete: all three views populated, same
-  // prediction, and the exact flat tier agrees with HNSW on the most
-  // influential sample.
-  EXPECT_EQ(degraded.predicted_labels, healthy.predicted_labels);
-  ASSERT_FALSE(degraded.global.empty());
-  EXPECT_FALSE(degraded.local.empty());
-  EXPECT_FALSE(degraded.structural.empty());
-  ASSERT_FALSE(healthy.global.empty());
-  EXPECT_EQ(degraded.global[0].train_sample_id,
-            healthy.global[0].train_sample_id);
-
-  // The serving session reads the same stores and carries the same note.
-  const Explanation served = model.session().Explain(TaskKind::kType, sample);
-  EXPECT_TRUE(served.ann_degraded);
-  EXPECT_EQ(served.degradation_note, degraded.degradation_note);
 }
 
 }  // namespace

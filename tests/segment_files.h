@@ -10,12 +10,11 @@
 namespace explainti::testing {
 
 /// Rewrites the segment file at `path` (as EmbeddingStore::Save wrote it)
-/// into a flat-only segment file: clears the HNSW-ready header flag and
-/// drops the graph bytes; WriteFramedFile recomputes the CRC32 footer.
-/// This is the one input that makes a store segment serve from its exact
-/// flat tier — EmbeddingStore::Load accepts the file and gives that
-/// segment no graph. Returns false when the file cannot be read, parsed
-/// or rewritten.
+/// into a segment file without its HNSW graph: clears the graph header
+/// flag and drops the graph bytes; WriteFramedFile recomputes the CRC32
+/// footer, so only the missing graph makes the file unusable, and
+/// EmbeddingStore::Load must reject it. Returns false when the file
+/// cannot be read, parsed or rewritten.
 inline bool MakeSegmentFlatOnly(const std::string& path) {
   std::string bytes;
   {

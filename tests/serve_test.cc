@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -14,15 +15,12 @@
 
 #include "core/explain_ti_model.h"
 #include "core/inference_session.h"
-#include "core/store_persistence.h"
 #include "data/wiki_generator.h"
-#include "segment_files.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
-#include "util/fault_injection.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -210,8 +208,6 @@ TEST_P(GoldenBatchTest, ServerMatchesDirectSessionBitForBit) {
                    "explanation probabilities");
     ASSERT_EQ(explain.explanation.global.size(),
               want_explanations[i].global.size());
-    EXPECT_EQ(explain.explanation.ann_degraded,
-              want_explanations[i].ann_degraded);
     EXPECT_EQ(explain.explanation.degradation_note,
               want_explanations[i].degradation_note);
   }
@@ -1038,7 +1034,6 @@ TEST(ServeCacheTest, RepeatedExplainHitsInlineAndBitIdentical) {
     EXPECT_EQ(got->explanation.local.size(), want.local.size());
     EXPECT_EQ(got->explanation.global.size(), want.global.size());
     EXPECT_EQ(got->explanation.structural.size(), want.structural.size());
-    EXPECT_EQ(got->explanation.ann_degraded, want.ann_degraded);
     EXPECT_EQ(got->explanation.degradation_note, want.degradation_note);
   }
   EXPECT_EQ(server.metrics().GetCounter("serve.cache_hits")->Value(), 1);
@@ -1055,7 +1050,6 @@ TEST(ServeCacheTest, RepeatedExplainHitsInlineAndBitIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeHotSwapTest, ZeroDropBitExactAcrossThreeSwapsWithOneAborted) {
-  util::fault::FaultRegistry::Instance().DisarmAll();
   const SharedModel& shared = Shared();
   const InferenceSession& session_a = shared.model.session();
 
@@ -1139,18 +1133,18 @@ TEST(ServeHotSwapTest, ZeroDropBitExactAcrossThreeSwapsWithOneAborted) {
   EXPECT_EQ(server.current_generation(), 2u);
   let_traffic_flow();
 
-  // Aborted swap: the checkpoint load fails mid-rollout; nothing to roll
-  // back, generation 2 keeps serving untouched.
-  util::fault::FaultSpec spec;
-  spec.code = util::StatusCode::kIoError;
-  spec.message = "checkpoint store unreachable";
-  util::fault::FaultRegistry::Instance().Arm("swap.load_weights", spec);
+  // Aborted swap: the checkpoint on disk is torn (a truncated copy), so
+  // its load fails its CRC check mid-rollout; nothing to roll back,
+  // generation 2 keeps serving untouched.
+  const std::string torn = checkpoint_b + ".torn";
+  std::filesystem::copy_file(checkpoint_b, torn,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 2);
   const util::StatusOr<std::unique_ptr<ExplainTiModel>> aborted =
       core::LoadReplicaForSwap(SharedModel::MakeConfig(), shared.corpus,
-                               checkpoint_b);
-  util::fault::FaultRegistry::Instance().DisarmAll();
+                               torn);
   ASSERT_FALSE(aborted.ok());
-  EXPECT_EQ(aborted.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(aborted.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(server.current_generation(), 2u);
   let_traffic_flow();
 
@@ -1227,29 +1221,19 @@ TEST(ServeHotSwapTest, StaleRequestAfterSwapFailsTypedNotCrash) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation-note propagation: a store segment serving flat during a
-// *batched* Explain must annotate every affected response, exactly as
+// Degradation-note propagation: a model serving over an empty embedding
+// store must annotate every response of a *batched* Explain, exactly as
 // direct Explain does.
 // ---------------------------------------------------------------------------
 
-TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
+TEST(ServeDegradationTest, BatchedExplainCarriesEmptyStoreNote) {
   const SharedModel& shared = Shared();
   const std::vector<int> ids = SampleIds(4);
 
-  // A replica of the shared model whose type store reopens with one
-  // flat-only segment.
-  const std::string weights = ::testing::TempDir() + "/serve_flat_weights.bin";
-  const std::string store_dir = ::testing::TempDir() + "/serve_flat_stores";
-  ASSERT_TRUE(shared.model.SaveWeights(weights).ok());
-  ASSERT_TRUE(shared.model.SaveStores(store_dir).ok());
-  ASSERT_TRUE(explainti::testing::MakeSegmentFlatOnly(
-      store_dir + "/type/" + core::SegmentFileName(0)));
-  ExplainTiConfig config = SharedModel::MakeConfig();
-  config.store_dir = store_dir;
-  util::StatusOr<std::unique_ptr<ExplainTiModel>> replica =
-      core::LoadReplicaForSwap(config, shared.corpus, weights);
-  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
-  const InferenceSession& session = replica.value()->session();
+  // The shared model's twin before any store refresh: GE has nothing to
+  // retrieve from.
+  const ExplainTiModel empty_model(SharedModel::MakeConfig(), shared.corpus);
+  const InferenceSession& session = empty_model.session();
 
   ServerOptions options;
   options.num_workers = 1;
@@ -1268,22 +1252,21 @@ TEST(ServeDegradationTest, BatchedExplainCarriesAnnDegradationNote) {
   for (size_t i = 0; i < ids.size(); ++i) {
     const ServeResponse& response = degraded.response(i);
     ASSERT_TRUE(response.status.ok());
-    EXPECT_TRUE(response.explanation.ann_degraded) << "request " << i;
+    EXPECT_TRUE(response.explanation.global.empty()) << "request " << i;
     EXPECT_FALSE(response.explanation.degradation_note.empty())
         << "batched Explain dropped the degradation note on request " << i;
     EXPECT_EQ(response.explanation.degradation_note,
               session.Explain(TaskKind::kType, ids[i]).degradation_note);
   }
 
-  // Healthy stores: batched responses agree with direct Explain's flag.
+  // Healthy stores: batched responses carry no note, as direct Explain.
   const InferenceSession& healthy_session = shared.model.session();
   InferenceServer healthy_server(healthy_session, options);
   const Explanation direct = healthy_session.Explain(TaskKind::kType, ids[0]);
   const ServeResponse healthy =
       healthy_server.ServeSync(MakeRequest(ServeMethod::kExplain, ids[0]));
   ASSERT_TRUE(healthy.status.ok());
-  EXPECT_FALSE(healthy.explanation.ann_degraded);
-  EXPECT_EQ(healthy.explanation.ann_degraded, direct.ann_degraded);
+  EXPECT_TRUE(healthy.explanation.degradation_note.empty());
   EXPECT_EQ(healthy.explanation.degradation_note, direct.degradation_note);
 }
 

@@ -125,7 +125,6 @@ struct GoldenHit {
 };
 struct GoldenQuery {
   std::vector<GoldenHit> hits;
-  bool used_fallback = false;
   bool operator==(const GoldenQuery&) const = default;
 };
 
@@ -135,7 +134,7 @@ std::vector<GoldenQuery> CaptureGolden(
   std::vector<GoldenQuery> golden;
   for (const auto& q : queries) {
     GoldenQuery g;
-    const auto hits = view.Search(q, k, /*exclude_id=*/-1, &g.used_fallback);
+    const auto hits = view.Search(q, k);
     for (const SearchResult& hit : hits) {
       uint32_t bits = 0;
       static_assert(sizeof(bits) == sizeof(hit.similarity));
@@ -168,7 +167,6 @@ TEST_F(StoreTest, SegmentedStoreAgreesWithFlatTruthOnTopHit) {
   for (int segments : {1, 2, 8}) {
     EmbeddingStore store(SegOptions(segments));
     store.Rebuild(Iota(60), rows);
-    EXPECT_TRUE(store.hnsw_ready());
     const EmbeddingStore::View view = store.view();
     EXPECT_EQ(view.num_segments(), segments);
     for (int q = 0; q < 60; q += 7) {
@@ -274,9 +272,9 @@ TEST_F(StoreTest, RebuildWithFewerRowsReplacesTheStore) {
   EmbeddingStore store(SegOptions(6));
   store.Rebuild(Iota(48), rows);
   store.Rebuild(Iota(24), {rows.begin(), rows.begin() + 24});
-  EXPECT_EQ(store.size(), 24);
+  EXPECT_EQ(store.view().size(), 24);
   EXPECT_EQ(store.view().max_id(), 23);
-  EXPECT_FALSE(store.Contains(30));
+  EXPECT_FALSE(store.view().Contains(30));
 }
 
 // ---------------------------------------------------------------------------
@@ -307,7 +305,6 @@ TEST_F(StoreTest, SaveLoadRoundTripIsBitIdentical) {
       EXPECT_EQ(view.size(), kN);
       EXPECT_EQ(view.dim(), kDim);
       EXPECT_EQ(view.num_segments(), segments);
-      EXPECT_TRUE(view.hnsw_ready());
       EXPECT_EQ(CaptureGolden(view, queries, kK), golden)
           << "segments=" << segments << " threads=" << threads;
 
@@ -339,7 +336,7 @@ TEST_F(StoreTest, UnmappableSegmentFailsLoadAndModelRebuildsInMemory) {
   EmbeddingStore loaded(SegOptions(4));
   EXPECT_EQ(loaded.Load(dir).code(), util::StatusCode::kIoError);
   EXPECT_EQ(loaded.view().generation(), 0u);
-  EXPECT_EQ(loaded.size(), 0);
+  EXPECT_EQ(loaded.view().size(), 0);
 
   // A model whose store_dir holds such a segment still serves: LoadWeights
   // rejects the persisted stores and re-encodes the corpus in memory, so
@@ -412,7 +409,7 @@ TEST_F(StoreTest, LoadMissingDirectoryFailsAndKeepsCurrentSnapshot) {
             util::StatusCode::kNotFound);
   // The failed load never published: same generation, same contents.
   EXPECT_EQ(store.view().generation(), generation);
-  EXPECT_EQ(store.size(), 16);
+  EXPECT_EQ(store.view().size(), 16);
 }
 
 TEST_F(StoreTest, SparseIdsRoundTrip) {
@@ -506,7 +503,7 @@ TEST_F(StoreTest, ForgedManifestsAreRejectedWithoutOverflow) {
                   .ok());
   EXPECT_EQ(store.Load(dir).code(), util::StatusCode::kNotFound);
   EXPECT_EQ(store.view().generation(), generation);
-  EXPECT_EQ(store.size(), 32);
+  EXPECT_EQ(store.view().size(), 32);
 }
 
 }  // namespace
